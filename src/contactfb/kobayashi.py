@@ -7,6 +7,14 @@ lower bounds come from the derivative-bound certificate of the obstacle
 module, which caps |lambda v_coord| for every disk avoiding the standard
 obstacle.  The distance estimator integrates the directed upper bounds
 along a constructive horizontal path.
+
+The disk searches score candidates in complex128 and certify the returned
+witness exactly: each candidate is a list of float coefficient lists whose
+z component comes from a float convolution, scored by the same
+coefficient-sum routes as ``obstacle.certify_avoidance``.  Only the best
+float-certified candidate is rebuilt as an exact ``CPolynomial`` disk (with
+an identically-zero horizontality residual) and re-certified; if exact
+certification rejects it, the next-best stored candidate is tried.
 """
 
 from __future__ import annotations
@@ -25,13 +33,18 @@ from .contact import (
     chow_path,
     legendrian_from_xy,
 )
-from .numeric import CPolynomial
+from .numeric import CPolynomial, coeff_inf_lower_bound, coeff_sup_bound
 from .obstacle import (
     BoundCertificate,
     DEFAULT_AVOIDANCE_MARGIN,
     ShellUnion,
+    certify_avoidance,
     derivative_bound_certificate,
 )
+
+#: Float-certified candidates a search keeps for exact re-certification;
+#: the best is rebuilt first, the rest are fallbacks.
+CANDIDATE_STORE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -75,44 +88,95 @@ class NormBracket:
             raise ValueError("bracket is inconsistent: lower > upper")
 
 
-def _certification_shortfall(components, K: ShellUnion, margin: float):
+def _float_legendrian(xs, ys, z0) -> list[list[complex]]:
+    """complex128 counterpart of ``contact.legendrian_from_xy``.
+
+    ``xs``/``ys`` are coefficient lists in ascending powers.  Returns the
+    components (x_1, y_1, ..., x_n, y_n, z) as coefficient lists, with
+    z = z0 - integral of sum_j x_j y_j' formed by float convolution.
+    """
+    size = max(len(x) + len(y) - 2 for x, y in zip(xs, ys))
+    integrand = [0j] * size
+    for x, y in zip(xs, ys):
+        for m in range(1, len(y)):
+            dy = m * y[m]
+            for i, xi in enumerate(x):
+                integrand[i + m - 1] -= xi * dy
+    comps = []
+    for x, y in zip(xs, ys):
+        comps.extend((x, y))
+    comps.append([complex(z0)]
+                 + [c / (k + 1) for k, c in enumerate(integrand)])
+    return comps
+
+
+def _certification_shortfall(components, K: ShellUnion, radii, margin: float):
     """(certified, total shortfall) of the avoidance routes for one disk.
 
-    Per shell the shortfall is the smallest amount by which any of the
-    three one-sided routes misses; zero means the shell is certified.
+    ``components`` are complex128 coefficient lists and ``radii`` is
+    ``K.linear_shells()``.  The bounds and the strict route comparisons are
+    those of ``obstacle.certify_avoidance``, so ``certified`` is its verdict
+    on the same coefficients.  Per shell the shortfall is the smallest
+    amount by which any of the three one-sided routes misses; a certified
+    disk has shortfall zero.
     """
-    components = list(components)
-    sups = {d: components[d].sup_bound(1.0) for d in K.shell_dims}
-    infs = {d: components[d].inf_lower_bound() for d in K.shell_dims}
-    sup_max = max(sups.values())
-    inf_best = max(infs.values())
-    inf_disk = components[K.disk_dim].inf_lower_bound()
+    sup_max = max(coeff_sup_bound(components[d]) for d in K.shell_dims)
+    inf_best = max(coeff_inf_lower_bound(components[d]) for d in K.shell_dims)
+    inf_disk = coeff_inf_lower_bound(components[K.disk_dim])
+    certified = True
     total = 0.0
-    for s in K.shells:
-        inside = max(0.0, sup_max - (s.a - margin))
-        outside = max(0.0, (s.b + margin) - inf_best) if math.isfinite(s.b) \
-            else math.inf
-        z_esc = max(0.0, (s.c + margin) - inf_disk) if math.isfinite(s.c) \
-            else math.inf
+    for a, b, c in radii:
+        lo, hi, cap = a - margin, b + margin, c + margin
+        if not (sup_max < lo or inf_best > hi or inf_disk > cap):
+            certified = False
+        inside = max(0.0, sup_max - lo)
+        outside = max(0.0, hi - inf_best) if math.isfinite(b) else math.inf
+        z_esc = max(0.0, cap - inf_disk) if math.isfinite(c) else math.inf
         total += min(inside, outside, z_esc)
-    return total == 0.0, total
+    return certified, total
 
 
 # ---------------------------------------------------------------------------
 # deterministic multi-start pattern search
 # ---------------------------------------------------------------------------
 
-def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget):
+class _CandidateStore:
+    """The CANDIDATE_STORE_SIZE best float-certified points, by key.
+
+    Holds one point per key, the first one found with it, best key first.
+    """
+
+    def __init__(self):
+        self.items: list[tuple[float, np.ndarray]] = []
+
+    def offer(self, key: float, x: np.ndarray) -> None:
+        items = self.items
+        if len(items) == CANDIDATE_STORE_SIZE and key <= items[-1][0]:
+            return
+        i = len(items)
+        while i > 0 and items[i - 1][0] < key:
+            i -= 1
+        if i > 0 and items[i - 1][0] == key:
+            return
+        items.insert(i, (key, x))
+        del items[CANDIDATE_STORE_SIZE:]
+
+
+def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget,
+                    store: _CandidateStore) -> None:
     """Coordinate-wise pattern search maximizing a nonsmooth score.
 
-    ``evaluate(x) -> (score, payload)`` where payload is None for
-    uncertified points.  Returns the best certified payload seen anywhere
-    along the search (accepted or not), with its score.
+    Search in complex128, certify the returned witness exactly:
+    ``evaluate(x) -> (score, key)`` scores a point from float coefficients,
+    with key None for points that do not float-certify.  Every certified
+    point seen anywhere along the search (accepted or not) is offered to
+    ``store``, which keeps the best by key; the caller rebuilds the
+    winner as an exact disk and re-certifies it.
     """
     x = np.array(x0, dtype=np.float64)
-    score, payload = evaluate(x)
-    best_payload = payload
-    best_key = payload[0] if payload is not None else -math.inf
+    score, key = evaluate(x)
+    if key is not None:
+        store.offer(key, x)
     step = budget.init_step
     for _ in range(budget.iterations):
         improved = False
@@ -120,9 +184,9 @@ def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget):
             for sgn in (1.0, -1.0):
                 y = x.copy()
                 y[j] += sgn * step
-                s, pl = evaluate(y)
-                if pl is not None and pl[0] > best_key:
-                    best_key, best_payload = pl[0], pl
+                s, k = evaluate(y)
+                if k is not None:
+                    store.offer(k, y)
                 if s > score:
                     x, score = y, s
                     improved = True
@@ -130,25 +194,42 @@ def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget):
             step *= 0.5
             if step < budget.min_step:
                 break
-    return best_payload
+
+
+def _first_certified(store: _CandidateStore, build, K: ShellUnion,
+                     margin: float):
+    """(key, exact disk) of the best stored candidate whose exact rebuild
+    ``build(x)`` passes ``certify_avoidance``; None if none does."""
+    for key, x in store.items:
+        f = build(x)
+        if certify_avoidance(f.components, K, margin).certified:
+            return key, f
+    return None
+
+
+def _disk_xy(p: ContactPoint, u: TangentVector, lam: float, free,
+             degree: int):
+    """x and y coefficient lists of the disk with f(0) = p, linear xy-part
+    lam*u and free coefficients (re, im pairs) for powers 2..degree."""
+    xs, ys = [], []
+    pos = 0
+    for j in range(p.n):
+        for out, base, vel in ((xs, p.x[j], u.x[j]), (ys, p.y[j], u.y[j])):
+            coeffs = [base, lam * vel]
+            for _ in range(degree - 1):
+                coeffs.append(complex(free[pos], free[pos + 1]))
+                pos += 2
+            out.append(coeffs)
+    return xs, ys
 
 
 def _build_disk(p: ContactPoint, u: TangentVector, lam: float,
-                free: np.ndarray, degree: int) -> HolomorphicCurve:
+                free, degree: int) -> HolomorphicCurve:
     """Horizontal disk with f(0) = p, linear xy-part lam*u, and free higher
     coefficients; z is determined by exact integration."""
-    n = p.n
-    n_free = degree - 1  # coefficients for powers 2..degree
-    xs, ys = [], []
-    pos = 0
-    for j in range(n):
-        for block, base, vel in (("x", p.x[j], u.x[j]), ("y", p.y[j], u.y[j])):
-            coeffs = [base, lam * vel]
-            for _ in range(n_free):
-                coeffs.append(complex(free[pos], free[pos + 1]))
-                pos += 2
-            (xs if block == "x" else ys).append(CPolynomial(coeffs))
-    return legendrian_from_xy(xs, ys, p.z)
+    xs, ys = _disk_xy(p, u, lam, free, degree)
+    return legendrian_from_xy([CPolynomial(c) for c in xs],
+                              [CPolynomial(c) for c in ys], p.z)
 
 
 def directed_norm_upper(p: ContactPoint, v: TangentVector,
@@ -189,19 +270,24 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
     degree = budget.degree
     n_params = 1 + 2 * (degree - 1) * 2 * p.n  # log-lambda + free coeffs
 
-    def evaluate(params):
-        log_lam = params[0]
-        if log_lam > math.log(budget.lambda_budget):
-            return -math.inf, None
-        lam = math.exp(log_lam)
-        f = _build_disk(p, u, lam, params[1:], degree)
-        certified, shortfall = _certification_shortfall(
-            f.components, K, budget.margin)
-        score = log_lam - budget.penalty_weight * shortfall
-        payload = (log_lam, f) if certified else None
-        return score, payload
+    log_cap = math.log(budget.lambda_budget)
+    radii = K.linear_shells()
 
-    best = None
+    def evaluate(params):
+        vals = params.tolist()
+        log_lam = vals[0]
+        if log_lam > log_cap:
+            return -math.inf, None
+        xs, ys = _disk_xy(p, u, math.exp(log_lam), vals[1:], degree)
+        certified, shortfall = _certification_shortfall(
+            _float_legendrian(xs, ys, p.z), K, radii, budget.margin)
+        score = log_lam - budget.penalty_weight * shortfall
+        return score, (log_lam if certified else None)
+
+    def build(params):
+        return _build_disk(p, u, math.exp(params[0]), params[1:], degree)
+
+    store = _CandidateStore()
     for r in range(budget.restarts):
         if r == 0:
             x0 = np.zeros(n_params)
@@ -211,9 +297,8 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
             x0 = np.zeros(n_params)
             x0[0] = rng.uniform(-3.0, 0.5)
             x0[1:] = 0.1 * rng.standard_normal(n_params - 1)
-        payload = _pattern_search(evaluate, x0, budget)
-        if payload is not None and (best is None or payload[0] > best[0]):
-            best = payload
+        _pattern_search(evaluate, x0, budget, store)
+    best = _first_certified(store, build, K, budget.margin)
     if best is None:
         return math.inf, None
     log_lam, witness = best
@@ -310,41 +395,45 @@ def max_certified_x_derivative(K: ShellUnion, n: int = 1, N0: int = 1,
 
     This is the contrapositive of the derivative-bound certificate: with
     the standard obstacle it can never reach 2^(N0+1).  Free parameters
-    are all xy coefficients up to the budget degree.
+    are all xy coefficients up to the budget degree; every candidate is
+    centered at the origin, inside the 2^N0 polydisk for any N0.
     """
     if budget is None:
         budget = SearchBudget()
     degree = budget.degree
     n_params = 2 * degree * 2 * n  # all coefficients of powers 1..degree
 
-    def build(params):
+    radii = K.linear_shells()
+
+    def coeffs(params):
         xs, ys = [], []
         pos = 0
         for _ in range(n):
-            for block in ("x", "y"):
-                coeffs = [0j]
+            for out in (xs, ys):
+                c = [0j]
                 for _ in range(degree):
-                    coeffs.append(complex(params[pos], params[pos + 1]))
+                    c.append(complex(params[pos], params[pos + 1]))
                     pos += 2
-                (xs if block == "x" else ys).append(CPolynomial(coeffs))
-        return legendrian_from_xy(xs, ys, 0j)
+                out.append(c)
+        return xs, ys
 
     def evaluate(params):
-        f = build(params)
-        if f.at(0.0).maxnorm() >= 2.0 ** N0:
-            return -math.inf, None
-        target = abs(f.components[0].eval_deriv(0.0)[1])
+        xs, ys = coeffs(params.tolist())
+        target = abs(xs[0][1])
         certified, shortfall = _certification_shortfall(
-            f.components, K, budget.margin)
+            _float_legendrian(xs, ys, 0j), K, radii, budget.margin)
         score = target - budget.penalty_weight * shortfall
-        payload = (target, f) if certified else None
-        return score, payload
+        return score, (target if certified else None)
 
-    best = 0.0
+    def build(params):
+        xs, ys = coeffs(params)
+        return legendrian_from_xy([CPolynomial(c) for c in xs],
+                                  [CPolynomial(c) for c in ys], 0j)
+
+    store = _CandidateStore()
     for r in range(budget.restarts):
         rng = np.random.default_rng([seed, r])
         x0 = 0.2 * rng.standard_normal(n_params)
-        payload = _pattern_search(evaluate, x0, budget)
-        if payload is not None:
-            best = max(best, payload[0])
-    return best
+        _pattern_search(evaluate, x0, budget, store)
+    best = _first_certified(store, build, K, budget.margin)
+    return 0.0 if best is None else best[0]

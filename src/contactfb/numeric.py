@@ -408,18 +408,31 @@ class CPolynomial:
         """Certified upper bound sum_k |c_k| R^k for sup over |z| <= R."""
         if R <= 0:
             raise ValueError("sup_bound requires R > 0")
-        total = 0.0
-        for c in reversed(self._coeffs):
-            total = total * R + abs(c)
-        return total
+        return coeff_sup_bound(self._coeffs, R)
 
     def inf_lower_bound(self) -> float:
         """Certified lower bound |c_0| - sum_{k>=1} |c_k| for inf over the
         closed unit disk (may be negative, in which case it is vacuous)."""
-        if self.is_zero:
-            return 0.0
-        tail = math.fsum(abs(c) for c in self._coeffs[1:])
-        return abs(self._coeffs[0]) - tail
+        return coeff_inf_lower_bound(self._coeffs)
+
+
+# Coefficient-sum bounds on plain complex coefficient sequences (ascending
+# powers).  CPolynomial and the float disk searches share them, so both
+# round and sum in the same order.
+
+def coeff_sup_bound(coeffs, R: float = 1.0) -> float:
+    """sum_k |c_k| R^k by Horner, highest power first."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * R + abs(c)
+    return total
+
+
+def coeff_inf_lower_bound(coeffs) -> float:
+    """|c_0| - sum_{k>=1} |c_k| (exactly summed); 0 for no coefficients."""
+    if not coeffs:
+        return 0.0
+    return abs(coeffs[0]) - math.fsum(abs(c) for c in coeffs[1:])
 
 
 # Free-function aliases used throughout the package.
