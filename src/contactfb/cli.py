@@ -83,8 +83,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_plan_path(args) -> int:
-    p = _parse_point(getattr(args, "from"))
-    q = _parse_point(args.to)
+    try:
+        p = _parse_point(getattr(args, "from"))
+        q = _parse_point(args.to)
+    except ValueError as e:
+        print(f"invalid point: {e}", file=sys.stderr)
+        return 2
     if p.n != q.n:
         print("endpoints must have the same dimension", file=sys.stderr)
         return 2

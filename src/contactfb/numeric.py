@@ -9,19 +9,23 @@ Two representations carry the whole package:
   (``np.longdouble``) so that round-tripping values near the edge of native
   float range stays well below 1e-14 relative error.
 
-* ``CPolynomial`` -- a dense complex polynomial whose coefficients are
-  stored as exact rationals (a pair of ``fractions.Fraction`` per
-  coefficient).  Products, sums, derivatives and antiderivatives are then
-  exact, which is what lets horizontality be verified as "the residual is
+* ``CPolynomial`` -- a dense complex polynomial with exact rational
+  coefficients, stored fraction-free: Python int (re, im) numerator pairs
+  over one shared positive int denominator, reduced once per result.
+  Products, sums, derivatives and antiderivatives are then exact integer
+  work, which is what lets horizontality be verified as "the residual is
   the identically-zero polynomial" with zero tolerance.  Evaluation and sup
-  bounds convert once to complex128 and go through the batched kernels.
+  bounds convert once to complex128 (correctly rounded) and go through the
+  batched kernels.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -274,33 +278,75 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
 # CPolynomial
 # ---------------------------------------------------------------------------
 
-def _to_rational_pair(c) -> tuple[Fraction, Fraction]:
+def _exact_real(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of a real number, exactly."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    if isinstance(x, int):
+        return x, 1
+    f = Fraction(x)
+    return f.numerator, f.denominator
+
+
+def _exact_complex(c) -> tuple[int, int, int]:
+    """(re, im, den) with c == (re + im*1j) / den exactly and den > 0.
+
+    ``c`` is an (re, im) pair of reals, a rational number (int, Fraction),
+    or anything ``complex()`` accepts, whose float parts are read exactly.
+    """
     if isinstance(c, tuple):
-        return (Fraction(c[0]), Fraction(c[1]))
-    if isinstance(c, Fraction):
-        return (c, Fraction(0))
-    z = complex(c)
-    return (Fraction(z.real), Fraction(z.imag))
+        (rn, rd), (im, id_) = _exact_real(c[0]), _exact_real(c[1])
+    elif isinstance(c, numbers.Rational):
+        (rn, rd), (im, id_) = _exact_real(c), (0, 1)
+    else:
+        z = complex(c)
+        (rn, rd), (im, id_) = (z.real.as_integer_ratio(),
+                               z.imag.as_integer_ratio())
+    if rd == id_:
+        return rn, im, rd
+    den = math.lcm(rd, id_)
+    return rn * (den // rd), im * (den // id_), den
 
 
 class CPolynomial:
     """Dense complex polynomial with exact rational coefficients.
 
     Coefficients are given in ascending powers; trailing zeros are stripped.
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    Construction operations (sum, product, derivative, antiderivative) are
-    exact; evaluation goes through complex128.
+    The zero polynomial has no coefficients and degree -1.  Storage is
+    fraction-free: coefficient k is ``(re_k + im_k*1j) / den`` with Python
+    int numerator pairs and one positive int denominator, kept in canonical
+    form (no trailing zero pair, gcd of ``den`` and every numerator 1), so
+    equal polynomials have equal storage.  Construction operations (sum,
+    product, derivative, antiderivative, scaling) are exact integer work
+    followed by one reduction; evaluation goes through complex128.
     """
 
-    __slots__ = ("_rat", "_coeffs", "_array")
+    __slots__ = ("_num", "_den", "_rat", "_coeffs", "_array")
 
     def __init__(self, coeffs=()):
-        rat = [_to_rational_pair(c) for c in coeffs]
-        while rat and rat[-1] == (0, 0):
-            rat.pop()
-        object.__setattr__(self, "_rat", tuple(rat))
-        object.__setattr__(self, "_coeffs", tuple(
-            complex(float(re), float(im)) for re, im in rat))
+        parts = [_exact_complex(c) for c in coeffs]
+        den = math.lcm(*(d for _, _, d in parts))
+        self._store([(re * (den // d), im * (den // d))
+                     for re, im, d in parts], den)
+
+    @classmethod
+    def _make(cls, num: list, den: int) -> "CPolynomial":
+        """Polynomial with coefficients num[k] / den (den > 0)."""
+        p = object.__new__(cls)
+        p._store(num, den)
+        return p
+
+    def _store(self, num: list, den: int) -> None:
+        while num and num[-1] == (0, 0):
+            num.pop()
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = [(re // g, im // g) for re, im in num]
+            den //= g
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rat", None)
+        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):
@@ -310,80 +356,109 @@ class CPolynomial:
 
     @property
     def coeffs(self) -> tuple[complex, ...]:
-        return self._coeffs
+        """complex128 view; int true division rounds correctly."""
+        out = self._coeffs
+        if out is None:
+            den = self._den
+            out = tuple(complex(re / den, im / den) for re, im in self._num)
+            object.__setattr__(self, "_coeffs", out)
+        return out
 
     @property
     def rational_coeffs(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._rat
+        out = self._rat
+        if out is None:
+            den = self._den
+            out = tuple((Fraction(re, den), Fraction(im, den))
+                        for re, im in self._num)
+            object.__setattr__(self, "_rat", out)
+        return out
 
     @property
     def degree(self) -> int:
-        return len(self._rat) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._rat
+        return not self._num
 
     def coeff_array(self) -> np.ndarray:
         arr = self._array
         if arr is None:
-            arr = np.asarray(self._coeffs, dtype=np.complex128)
+            arr = np.asarray(self.coeffs, dtype=np.complex128)
             object.__setattr__(self, "_array", arr)
         return arr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CPolynomial):
             return NotImplemented
-        return self._rat == other._rat
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._rat)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"CPolynomial({list(self._coeffs)!r})"
+        return f"CPolynomial({list(self.coeffs)!r})"
 
     # -- exact construction arithmetic ----------------------------------
 
-    def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        a, b = self._rat, other._rat
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, (re, im) in enumerate(b):
-            out[k] = (out[k][0] + re, out[k][1] + im)
-        return CPolynomial(out)
+    def _plus(self, other: "CPolynomial", sign: int) -> "CPolynomial":
+        """self + sign*other over the lcm of the two denominators."""
+        den = math.lcm(self._den, other._den)
+        ma, mb = den // self._den, sign * (den // other._den)
+        out = [(re * ma, im * ma) for re, im in self._num]
+        out.extend([(0, 0)] * (len(other._num) - len(out)))
+        for k, (re, im) in enumerate(other._num):
+            ar, ai = out[k]
+            out[k] = (ar + re * mb, ai + im * mb)
+        return CPolynomial._make(out, den)
 
-    def __neg__(self) -> "CPolynomial":
-        return CPolynomial([(-re, -im) for re, im in self._rat])
+    def __add__(self, other: "CPolynomial") -> "CPolynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CPolynomial") -> "CPolynomial":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "CPolynomial":
+        return CPolynomial._make([(-re, -im) for re, im in self._num],
+                                 self._den)
 
     def __mul__(self, other: "CPolynomial") -> "CPolynomial":
         if self.is_zero or other.is_zero:
             return CPolynomial()
-        a, b = self._rat, other._rat
-        out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+        a, b = self._num, other._num
+        out_re = [0] * (len(a) + len(b) - 1)
+        out_im = out_re[:]
         for i, (ar, ai) in enumerate(a):
             for j, (br, bi) in enumerate(b):
-                re, im = out[i + j]
-                out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-        return CPolynomial(out)
+                out_re[i + j] += ar * br - ai * bi
+                out_im[i + j] += ar * bi + ai * br
+        return CPolynomial._make(list(zip(out_re, out_im)),
+                                 self._den * other._den)
 
     def scale(self, c) -> "CPolynomial":
-        cr, ci = _to_rational_pair(c)
-        return CPolynomial([(re * cr - im * ci, re * ci + im * cr)
-                            for re, im in self._rat])
+        cr, ci, cd = _exact_complex(c)
+        return CPolynomial._make([(re * cr - im * ci, re * ci + im * cr)
+                                  for re, im in self._num], self._den * cd)
 
     def derivative(self) -> "CPolynomial":
-        return CPolynomial([(re * k, im * k)
-                            for k, (re, im) in enumerate(self._rat)][1:])
+        return CPolynomial._make([(re * k, im * k)
+                                  for k, (re, im) in enumerate(self._num)][1:],
+                                 self._den)
 
     def antiderivative(self, constant=0) -> "CPolynomial":
-        out = [_to_rational_pair(constant)]
-        out.extend((re / (k + 1), im / (k + 1))
-                   for k, (re, im) in enumerate(self._rat))
-        return CPolynomial(out)
+        # coefficient k+1 is num_k / ((k+1) den): bring every term to
+        # L*den with L = lcm(1..deg+1), then to a common denominator with
+        # the constant.
+        cr, ci, cd = _exact_complex(constant)
+        L = math.lcm(*range(1, len(self._num) + 1))
+        den = math.lcm(L * self._den, cd)
+        m = den // (L * self._den)
+        out = [(cr * (den // cd), ci * (den // cd))]
+        for k, (re, im) in enumerate(self._num):
+            w = m * (L // (k + 1))
+            out.append((re * w, im * w))
+        return CPolynomial._make(out, den)
 
     # -- evaluation ------------------------------------------------------
 
@@ -395,7 +470,7 @@ class CPolynomial:
         z = complex(z)
         acc = 0j
         dacc = 0j
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             dacc = dacc * z + acc
             acc = acc * z + c
         return acc, dacc
@@ -408,12 +483,12 @@ class CPolynomial:
         """Certified upper bound sum_k |c_k| R^k for sup over |z| <= R."""
         if R <= 0:
             raise ValueError("sup_bound requires R > 0")
-        return coeff_sup_bound(self._coeffs, R)
+        return coeff_sup_bound(self.coeffs, R)
 
     def inf_lower_bound(self) -> float:
         """Certified lower bound |c_0| - sum_{k>=1} |c_k| for inf over the
         closed unit disk (may be negative, in which case it is vacuous)."""
-        return coeff_inf_lower_bound(self._coeffs)
+        return coeff_inf_lower_bound(self.coeffs)
 
 
 # Coefficient-sum bounds on plain complex coefficient sequences (ascending
@@ -433,24 +508,6 @@ def coeff_inf_lower_bound(coeffs) -> float:
     if not coeffs:
         return 0.0
     return abs(coeffs[0]) - math.fsum(abs(c) for c in coeffs[1:])
-
-
-# Free-function aliases used throughout the package.
-
-def poly_eval_deriv(p: CPolynomial, z: complex) -> tuple[complex, complex]:
-    """Value and derivative of p at z (Horner, exact for degree 0)."""
-    return p.eval_deriv(z)
-
-
-def poly_antiderivative(p: CPolynomial, constant=0) -> CPolynomial:
-    """Antiderivative with value ``constant`` at 0; exact on coefficients."""
-    return p.antiderivative(constant)
-
-
-def poly_sup_bound(p: CPolynomial, R: float) -> float:
-    """Coefficient-sum bound for sup_{|z|<=R} |p(z)|; attained when all
-    coefficients are nonnegative reals."""
-    return p.sup_bound(R)
 
 
 def poly_mul_capped(a: CPolynomial, b: CPolynomial,

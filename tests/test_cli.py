@@ -175,3 +175,13 @@ class TestPlanPath:
         end = [complex(s) for s in doc["endpoint"]]
         assert end[0] == pytest.approx(1 + 2j, abs=1e-10)
         assert end[2] == pytest.approx(1j, abs=1e-10)
+
+    @pytest.mark.parametrize("frm, to, needle", [
+        ("0,0", "0,0,1", "odd length"),
+        ("0,0,0", "1,x,0", "complex"),
+    ])
+    def test_malformed_point_exits_two(self, capsys, frm, to, needle):
+        assert main(["plan-path", "--from", frm, "--to", to]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err and "Traceback" not in captured.err

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from contactfb.numeric import (
     scaled_sum_arrays,
     wrap_phase,
 )
+from contactfb.obstacle import random_avoiding_disks, standard_obstacle
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                     max_magnitude=1e6)
@@ -272,6 +274,117 @@ class TestCPolynomial:
         q = p.antiderivative(5)
         assert q(0) == 5 + 0j
         assert q.derivative() == p
+
+    def test_large_ints_exact(self):
+        big = 2 ** 60 + 1
+        assert CPolynomial([2 ** 53 + 1]).rational_coeffs[0][0] == 2 ** 53 + 1
+        assert CPolynomial([1]).scale(big).rational_coeffs[0][0] == big
+        assert CPolynomial([1]).antiderivative(big).rational_coeffs[0] == (
+            big, 0)
+
+    def test_sampler_golden(self):
+        # exact coefficients of seeded sampler disks, recorded with the
+        # earlier per-coefficient Fraction storage
+        disks = random_avoiding_disks(2, 2, standard_obstacle(2, 6), 5,
+                                      seed=11)
+        text = "\n".join(f"{re} {im}" for f in disks for c in f.components
+                         for re, im in c.rational_coeffs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "02c727b2515918454b193f46695f5401c3c4f1d3952d94599717ccb51899299a")
+
+
+# Reference semantics: one (Fraction, Fraction) pair per coefficient, every
+# operation done coefficient by coefficient in Fraction arithmetic.
+
+def _oracle(coeffs):
+    out = []
+    for c in coeffs:
+        if isinstance(c, tuple):
+            out.append((Fraction(c[0]), Fraction(c[1])))
+        elif isinstance(c, (int, Fraction)):
+            out.append((Fraction(c), Fraction(0)))
+        else:
+            z = complex(c)
+            out.append((Fraction(z.real), Fraction(z.imag)))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return tuple(out)
+
+
+def _oracle_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [(0, 0)] * (n - len(a))
+    b = list(b) + [(0, 0)] * (n - len(b))
+    return _oracle([(ar + sign * br, ai + sign * bi)
+                    for (ar, ai), (br, bi) in zip(a, b)])
+
+
+def _oracle_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re, im = out[i + j]
+            out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return _oracle(out)
+
+
+def _float_view(get):
+    """The complex128 view, or OverflowError if a value is out of range."""
+    try:
+        return get()
+    except OverflowError:
+        return OverflowError
+
+
+def _assert_matches(p, want):
+    assert p.rational_coeffs == want
+    assert p.degree == len(want) - 1
+    assert _float_view(lambda: p.coeffs) == _float_view(
+        lambda: tuple(complex(float(re), float(im)) for re, im in want))
+
+
+wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-300, -1e300, 1e300, 2.0 ** -1074, -0.0, 1.0]))
+exact_reals = st.one_of(wide_floats, st.fractions(), st.integers(),
+                        st.integers(-2 ** 200, 2 ** 200))
+mixed_coeffs = st.one_of(exact_reals, st.tuples(exact_reals, exact_reals),
+                         st.builds(complex, wide_floats, wide_floats))
+mixed_lists = st.lists(mixed_coeffs, max_size=6)
+
+
+class TestCPolynomialOracle:
+    @given(mixed_lists, mixed_lists, mixed_coeffs)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle(self, ca, cb, c):
+        a, b = CPolynomial(ca), CPolynomial(cb)
+        ra, rb, (cr, ci) = _oracle(ca), _oracle(cb), _oracle([c, 1])[0]
+        _assert_matches(a, ra)
+        _assert_matches(a + b, _oracle_add(ra, rb))
+        _assert_matches(a - b, _oracle_add(ra, rb, -1))
+        _assert_matches(a * b, _oracle_mul(ra, rb))
+        _assert_matches(a.derivative(),
+                        _oracle([(re * k, im * k)
+                                 for k, (re, im) in enumerate(ra)][1:]))
+        _assert_matches(a.antiderivative(c),
+                        _oracle([(cr, ci)] + [(re / (k + 1), im / (k + 1))
+                                              for k, (re, im) in enumerate(ra)]))
+        _assert_matches(a.scale(c),
+                        _oracle([(re * cr - im * ci, re * ci + im * cr)
+                                 for re, im in ra]))
+
+    @given(mixed_lists, mixed_lists, mixed_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form(self, ca, cb, cc):
+        p, q, r = CPolynomial(ca), CPolynomial(cb), CPolynomial(cc)
+        assert (p * q) * r == p * (q * r)
+        assert hash((p * q) * r) == hash(p * (q * r))
+        assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+        zero = p - p
+        assert zero.is_zero and zero.degree == -1
+        assert zero == CPolynomial() and hash(zero) == hash(CPolynomial())
 
 
 # ---------------------------------------------------------------------------
