@@ -64,21 +64,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     state = load_state(args.state)
-    rows = []
+    verdicts = []
     with open(args.points, newline="") as fh:
-        for rec in csv.reader(fh):
+        reader = csv.reader(fh)
+        for rec in reader:
             if not rec or rec[0].startswith("#"):
                 continue
-            coords = [complex(tok.replace(" ", "")) for tok in rec]
-            if len(coords) != state.dim:
-                print(f"point {rec!r}: expected {state.dim} coordinates",
-                      file=sys.stderr)
+            try:
+                coords = [complex(tok.replace(" ", "")) for tok in rec]
+                if len(coords) != state.dim:
+                    raise ValueError(f"expected {state.dim} coordinates, "
+                                     f"got {len(coords)}")
+                verdicts.append(omega_membership(state, coords))
+            except (ValueError, OverflowError) as e:
+                print(f"row {reader.line_num} {rec!r}: {e}", file=sys.stderr)
                 return 2
-            rows.append(tuple(coords))
     writer = csv.writer(sys.stdout)
     writer.writerow(["point_index", "classification"])
-    for idx, p in enumerate(rows):
-        writer.writerow([idx, omega_membership(state, p)])
+    for idx, verdict in enumerate(verdicts):
+        writer.writerow([idx, verdict])
     return 0
 
 

@@ -21,6 +21,7 @@ radii overflow native floats after two rounds.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -239,11 +240,6 @@ class ShearMap:
             for j in range(self.dim - 1):
                 jac[j, j + 1] = dv[j + 1]
         return jac
-
-
-def shear_eval(m: ShearMap, point):
-    """Exact shear action on a point of ScaledComplex coordinates."""
-    return m.apply_scaled(point)
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +657,61 @@ def desk_schedule(dim: int = 2, i_max: int = 6) -> ShellUnion:
 # orbits, membership, and the limit map
 # ---------------------------------------------------------------------------
 
+def _is_finite(v) -> bool:
+    """True for a finite coordinate; the ScaledComplex zero counts."""
+    if isinstance(v, ScaledComplex):
+        return v.log_mag < math.inf and math.isfinite(v.phase)
+    return cmath.isfinite(complex(v))
+
+
 def _as_scaled_point(p, dim: int):
-    pt = [v if isinstance(v, ScaledComplex) else ScaledComplex.from_complex(v)
-          for v in p]
+    pt = []
+    for j, v in enumerate(p):
+        if not _is_finite(v):
+            raise ValueError(f"coordinate {j} is not finite: {v!r}")
+        pt.append(v if isinstance(v, ScaledComplex)
+                  else ScaledComplex.from_complex(v))
     if len(pt) != dim:
         raise ValueError("point dimension mismatch")
     return pt
+
+
+def _point_arrays(points, dim: int):
+    """(m, dim) float64 log-magnitude and phase arrays of a batch of points,
+    equal to the values ``_as_scaled_point`` gives coordinate by coordinate.
+
+    Complex coordinates are converted as in ``ScaledComplex.from_complex``:
+    the modulus is ``hypot`` (the value ``abs`` of a Python complex gives),
+    its log is taken in ``np.longdouble`` and rounded once, and the phase
+    comes from ``math.atan2`` (``np.arctan2`` may round differently) with
+    -pi mapped to pi; zero is (-inf, 0).
+    """
+    rows = [tuple(p) for p in points]
+    if any(len(p) != dim for p in rows):
+        raise ValueError("point dimension mismatch")
+    flat = [v for p in rows for v in p]
+    scaled = [(n, v) for n, v in enumerate(flat) if isinstance(v, ScaledComplex)]
+    z = np.array([0j if isinstance(v, ScaledComplex) else complex(v)
+                  for v in flat], dtype=np.complex128)
+    bad = [n for n, v in scaled if not _is_finite(v)]
+    bad += np.flatnonzero(~np.isfinite(z)).tolist()
+    if bad:
+        n = min(bad)
+        raise ValueError(f"point {n // dim}, coordinate {n % dim} "
+                         f"is not finite: {flat[n]!r}")
+    with np.errstate(over="ignore", divide="ignore"):
+        mag = np.hypot(z.real, z.imag)
+        if np.isinf(mag).any():  # as abs() of a Python complex raises
+            raise OverflowError("absolute value too large")
+        lm = np.log(mag.astype(np.longdouble)).astype(np.float64)
+    ph = np.array([math.atan2(y, x)
+                   for x, y in zip(z.real.tolist(), z.imag.tolist())])
+    ph[ph == -math.pi] = math.pi
+    ph[mag == 0.0] = 0.0
+    for n, v in scaled:
+        lm[n] = v.log_mag
+        ph[n] = v.phase
+    return lm.reshape(-1, dim), ph.reshape(-1, dim)
 
 
 def _maxnorm_log(pt) -> float:
@@ -701,10 +746,7 @@ def compose_orbit(maps_or_state, p, escape_radius_rule=None) -> OrbitRecord:
     logs = []
     first_escape = None
     for j, r in enumerate(rounds, start=1):
-        if isinstance(r, ShearMap):
-            pt = r.apply_scaled(pt)
-        else:
-            pt = r.apply_scaled(pt)
+        pt = r.apply_scaled(pt)
         lm = _maxnorm_log(pt)
         logs.append(lm)
         if first_escape is None and lm > math.log(escape_radius_rule(j)):
@@ -717,14 +759,12 @@ def compose_orbit(maps_or_state, p, escape_radius_rule=None) -> OrbitRecord:
 def orbit_logs_batch(state: PushOutState, points) -> np.ndarray:
     """(m, k) array of per-round log max-norms for a batch of points.
 
-    Points may be complex tuples or ScaledComplex tuples; computation is
-    vectorized over the batch in log-polar form.
+    Points may be complex tuples or ScaledComplex tuples (coordinates are
+    read as in ``compose_orbit``); computation is vectorized over the batch
+    in log-polar form.
     """
-    pts = [_as_scaled_point(p, state.dim) for p in points]
-    m = len(pts)
-    lm = np.array([[float(v.log_mag) for v in p] for p in pts])
-    ph = np.array([[v.phase for v in p] for p in pts])
-    out = np.empty((m, state.k))
+    lm, ph = _point_arrays(points, state.dim)
+    out = np.empty((lm.shape[0], state.k))
     for j, r in enumerate(state.rounds):
         lm, ph = r.apply_logpolar(lm, ph)
         out[:, j] = np.max(lm, axis=1)
@@ -737,19 +777,21 @@ def omega_membership(state: PushOutState, p) -> str:
     'in_omega_certified' when some Theta_j(p) sits inside the j-polydisk
     with more room than all later identity-approximation errors can
     consume; 'escaped' when the orbit crossed the escape radius;
-    'undecided' otherwise.
+    'undecided' otherwise.  Rounds are applied only until the first
+    certifying j: the escape verdict matters only when none certifies.
     """
-    rec = compose_orbit(state, p)
     pt = _as_scaled_point(p, state.dim)
-    logs = (_maxnorm_log(pt),) + rec.log_maxnorms  # index j = after round j
+    lm = _maxnorm_log(pt)
+    escaped = False
     for j in range(state.k + 1):
-        lm = logs[j]
+        if j > 0:
+            pt = state.rounds[j - 1].apply_scaled(pt)
+            lm = _maxnorm_log(pt)
+            escaped = escaped or lm > math.log(j + 1.0)
         if lm < 5.0:  # only small points can certify; avoids exp overflow
             if math.exp(lm) + state.eps_tail(j) < max(j, 1):
                 return "in_omega_certified"
-    if rec.first_escape is not None:
-        return "escaped"
-    return "undecided"
+    return "escaped" if escaped else "undecided"
 
 
 def fb_map_eval(state: PushOutState, p):

@@ -40,6 +40,9 @@ DEGREE_CAP = 64
 # Magnitudes with |log| below this convert to/from native floats safely.
 _NATIVE_LOG_LIMIT = 690.0
 
+# exp(x) is exactly 0.0 for every float x below about -745.13.
+_EXP_UNDERFLOW_LOG = -746.0
+
 
 class DegreeCapError(ValueError):
     """Raised when a construction would exceed the polynomial degree cap."""
@@ -257,13 +260,21 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     ``axis``; returns (log_mag, phase) arrays of the summed values, with
     -inf marking exact zeros.  Used by the orbit classifier, which pushes
     thousands of points through shear maps at once.
+
+    Each summand is scaled by the largest one, exp(log_mag - max).  Only
+    summands with a scaled log above ``_EXP_UNDERFLOW_LOG`` are
+    exponentiated; the rest (and the -inf zeros) are exact zeros, which
+    change no nonzero sum, so the result is the one the dense sum gives.
+    In shear sums nearly every row has a single summand that survives.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
     hi = np.max(log_mags, axis=axis, keepdims=True)
     hi_safe = np.where(np.isneginf(hi), 0.0, hi)
-    scaled = np.exp(log_mags - hi_safe) * np.exp(1j * phases)
-    scaled = np.where(np.isneginf(log_mags), 0.0, scaled)
+    d = log_mags - hi_safe
+    live = ~(d <= _EXP_UNDERFLOW_LOG)  # NaN stays live and propagates
+    scaled = np.zeros_like(d, dtype=np.complex128)  # same layout, same sum order
+    scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
     total = np.sum(scaled, axis=axis)
     hi = np.squeeze(hi_safe, axis=axis)
     mag = np.abs(total)

@@ -147,6 +147,23 @@ class TestClassify:
                      "--points", str(pts)]) == 2
         assert "expected 2 coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, named", [
+        ("nan", "coordinate 1 is not finite"),
+        ("inf", "coordinate 1 is not finite"),
+        ("x", "malformed"),
+        ("1.5e308+1.5e308j", "too large"),
+    ])
+    def test_bad_cell_names_row(self, saved_state, tmp_path, capsys,
+                                cell, named):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"# header comment\n0,0\n2.0,{cell}\n")
+        assert main(["classify", "--state", saved_state,
+                     "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert "row 3 " in captured.err and named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestPlanPath:
     def test_endpoint_reached(self, capsys):

@@ -13,6 +13,8 @@ from contactfb.fatou_bieberbach import (
     ShearFunction,
     ShearMap,
     StageSchedule,
+    _as_scaled_point,
+    _point_arrays,
     build_pushout,
     build_shear_round,
     compose_orbit,
@@ -355,6 +357,80 @@ class TestOrbits:
             rec = compose_orbit(built_state, p)
             for got, want in zip(row, rec.log_maxnorms):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_batch_empty(self, built_state):
+        out = orbit_logs_batch(built_state, [])
+        assert out.shape == (0, built_state.k)
+
+    def test_batch_complex_intake_equals_scaled_intake(self, built_state):
+        rng = np.random.default_rng(11)
+        pts = [(complex(a, b), complex(c, d)) for a, b, c, d in
+               rng.normal(0.0, 2.0, (200, 4)) * np.exp(rng.uniform(-4, 4, (200, 1)))]
+        pts += [(0j, 0j), (complex(-1, -0.0), 0j), (complex(-0.0, 0.0), -2.5),
+                (complex(-1, -0.0), complex(-3, -0.0)), (1e-310 + 0j, -1e300j),
+                (complex(0.0, -0.0), 2.0), (5e-324j, complex(-2.0, 1e-320))]
+        as_scaled = [tuple(ScaledComplex.from_complex(v) for v in p)
+                     for p in pts]
+        mixed = [(p[0], s[1]) for p, s in zip(pts, as_scaled)]
+        want = orbit_logs_batch(built_state, as_scaled)
+        assert np.array_equal(orbit_logs_batch(built_state, pts), want)
+        assert np.array_equal(orbit_logs_batch(built_state, mixed), want)
+        # the intake itself reads every coordinate as from_complex does
+        lm, ph = _point_arrays(pts, 2)
+        ref = [_as_scaled_point(p, 2) for p in pts]
+        assert np.array_equal(lm, [[float(v.log_mag) for v in p] for p in ref])
+        assert np.array_equal(ph, [[v.phase for v in p] for p in ref])
+        assert ph[pts.index((complex(-1, -0.0), 0j)), 0] == math.pi
+
+    @staticmethod
+    def _full_orbit_membership(state, p):
+        """Reference rule: the whole orbit first, then the verdict."""
+        rec = compose_orbit(state, p)
+        first = max(abs(complex(v)) for v in p)
+        logs = (math.log(first) if first > 0 else NEG_INF,) + rec.log_maxnorms
+        for j in range(state.k + 1):
+            if logs[j] < 5.0 and \
+                    math.exp(logs[j]) + state.eps_tail(j) < max(j, 1):
+                return "in_omega_certified"
+        return "escaped" if rec.first_escape is not None else "undecided"
+
+    def test_membership_matches_full_orbit_rule(self, built_state):
+        rng = np.random.default_rng(5)
+        polydisk = rng.uniform(-0.17, 0.17, (40, 2, 2))
+        K = built_state.initial
+        annulus = (np.exp(rng.uniform(math.log(0.25), K.shells[0].log_a,
+                                      (120, 2)))
+                   * np.exp(1j * rng.uniform(-math.pi, math.pi, (120, 2))))
+        shells = [tuple(v.to_complex() for v in p)
+                  for p in _sample_shell_points(K, 60, rng, 2)]
+        pts = ([tuple(complex(a, b) for a, b in p) for p in polydisk]
+               + [tuple(p) for p in annulus] + shells)
+        seen = set()
+        for p in pts:
+            got = omega_membership(built_state, p)
+            assert got == self._full_orbit_membership(built_state, p)
+            seen.add(got)
+        assert {"in_omega_certified", "escaped"} <= seen
+
+    @pytest.mark.parametrize("bad", [
+        complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0),
+        ScaledComplex(math.inf, 0.0), ScaledComplex(1.0, math.nan)])
+    def test_non_finite_coordinates_rejected(self, built_state, bad):
+        p = (0.5 + 0j, bad)
+        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+            compose_orbit(built_state, p)
+        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+            omega_membership(built_state, p)
+        with pytest.raises(ValueError,
+                           match="point 1, coordinate 1 is not finite"):
+            orbit_logs_batch(built_state, [(0j, 0j), p])
+
+    def test_modulus_overflow_rejected(self, built_state):
+        p = (complex(1.5e308, 1.5e308), 0j)  # finite, |z| beyond float range
+        with pytest.raises(OverflowError):
+            omega_membership(built_state, p)
+        with pytest.raises(OverflowError):
+            orbit_logs_batch(built_state, [p])
 
     def test_membership_origin_certified(self, built_state):
         assert omega_membership(built_state, [0j, 0j]) == "in_omega_certified"
