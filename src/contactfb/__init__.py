@@ -4,7 +4,8 @@ bound certificates, a push-out construction of Fatou-Bieberbach domains
 avoiding them, and directed Kobayashi norm brackets.
 """
 
-from .kernels import USING_SPEEDUPS
+# No compiled extension exists; kept because perfbench/worker.py reads it.
+USING_SPEEDUPS = False
 
 __version__ = "0.1.0"
 

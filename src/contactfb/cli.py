@@ -6,9 +6,7 @@ Subcommands:
   classify   classify points against a serialized push-out construction
   plan-path  print a piecewise-polynomial horizontal path between points
 
-Exit code is 0 only when every executed check passed.  The environment
-variable CONTACTFB_THREADS sets the worker thread count for parallel
-checks.
+Exit code is 0 only when every executed check passed.
 """
 
 from __future__ import annotations

@@ -24,8 +24,12 @@ KERNEL_TOL = 1e-12  # absolute tolerance for "v lies in ker alpha0 at p"
 
 
 @dataclass(frozen=True)
-class ContactPoint:
-    """Point of C^(2n+1) split into (x, y, z) blocks."""
+class _Blocks:
+    """Coordinates of C^(2n+1) split into (x, y, z) blocks.
+
+    Equality holds only between instances of the same class, so a point
+    never equals a tangent vector with the same blocks.
+    """
 
     x: tuple[complex, ...]
     y: tuple[complex, ...]
@@ -43,7 +47,7 @@ class ContactPoint:
         return len(self.x)
 
     @classmethod
-    def from_flat(cls, coords) -> "ContactPoint":
+    def from_flat(cls, coords):
         coords = [complex(c) for c in coords]
         if len(coords) % 2 == 0 or len(coords) < 3:
             raise ValueError("flat coordinates must have odd length >= 3")
@@ -61,38 +65,13 @@ class ContactPoint:
 
 
 @dataclass(frozen=True)
-class TangentVector:
+class ContactPoint(_Blocks):
+    """Point of C^(2n+1) split into (x, y, z) blocks."""
+
+
+@dataclass(frozen=True)
+class TangentVector(_Blocks):
     """Tangent vector with the same block shape as ContactPoint."""
-
-    x: tuple[complex, ...]
-    y: tuple[complex, ...]
-    z: complex
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y blocks must have equal length")
-        object.__setattr__(self, "x", tuple(complex(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(complex(v) for v in self.y))
-        object.__setattr__(self, "z", complex(self.z))
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @classmethod
-    def from_flat(cls, coords) -> "TangentVector":
-        p = ContactPoint.from_flat(coords)
-        return cls(p.x, p.y, p.z)
-
-    def flat(self) -> tuple[complex, ...]:
-        out = []
-        for xj, yj in zip(self.x, self.y):
-            out.extend((xj, yj))
-        out.append(self.z)
-        return tuple(out)
-
-    def maxnorm(self) -> float:
-        return max(abs(c) for c in self.flat())
 
     def scaled(self, c: complex) -> "TangentVector":
         return TangentVector(tuple(c * v for v in self.x),

@@ -48,9 +48,6 @@ from .obstacle import (
 SCHEMA_VERSION = 1
 SUITES = ("lemma", "pushout", "kobayashi", "all")
 
-#: Environment variable controlling worker threads for parallel checks.
-THREADS_ENV = "CONTACTFB_THREADS"
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; message names the offending field."""
@@ -234,14 +231,12 @@ class RunReport:
 
 
 def _environment_stamp() -> dict:
-    from . import __version__, USING_SPEEDUPS
+    from . import __version__
     return {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "compiled_kernels": USING_SPEEDUPS,
-        "threads": os.environ.get(THREADS_ENV, "1"),
     }
 
 
@@ -259,31 +254,19 @@ def _timed(checks: list, name: str, func):
                               float(margin), time.perf_counter() - t0))
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 def _lemma_checks(cfg: ExperimentConfig, checks: list) -> None:
-    from concurrent.futures import ThreadPoolExecutor
-
     K = standard_obstacle(cfg.n, cfg.i_max)
     for N0 in cfg.lemma_n0:
         def run(N0=N0):
             disks = random_avoiding_disks(cfg.n, N0, K, cfg.lemma_disks,
                                           seed=cfg.seed + 1000 * N0,
                                           margin=cfg.margin)
-            workers = _thread_count()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(
-                    lambda f: verify_disk_estimate(f, K, N0, margin=cfg.margin),
-                    disks))
+            reports = [verify_disk_estimate(f, K, N0, margin=cfg.margin)
+                       for f in disks]
             worst = 0.0
             for r in reports:
                 scale = max(max(r.derivatives["x"] + r.derivatives["y"])

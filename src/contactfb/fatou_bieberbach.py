@@ -172,10 +172,7 @@ class ShearMap:
     # -- scaled (scalar point) ------------------------------------------
 
     def apply_scaled(self, point):
-        pt = [p if isinstance(p, ScaledComplex) else ScaledComplex.from_complex(p)
-              for p in point]
-        if len(pt) != self.dim:
-            raise ValueError("point dimension mismatch")
+        pt = _as_scaled_point(point, self.dim)
         out = list(pt)
         if self.kind == "phi":
             for j in range(1, self.dim):
@@ -186,8 +183,7 @@ class ShearMap:
         return out
 
     def inverse_apply_scaled(self, point):
-        pt = [p if isinstance(p, ScaledComplex) else ScaledComplex.from_complex(p)
-              for p in point]
+        pt = _as_scaled_point(point, self.dim)
         out = list(pt)
         if self.kind == "phi":
             for j in range(1, self.dim):

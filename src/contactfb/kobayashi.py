@@ -38,8 +38,8 @@ from .obstacle import (
     BoundCertificate,
     DEFAULT_AVOIDANCE_MARGIN,
     ShellUnion,
+    avoidance_routes,
     certify_avoidance,
-    derivative_bound_certificate,
 )
 
 #: Float-certified candidates a search keeps for exact re-certification;
@@ -114,26 +114,20 @@ def _certification_shortfall(components, K: ShellUnion, radii, margin: float):
     """(certified, total shortfall) of the avoidance routes for one disk.
 
     ``components`` are complex128 coefficient lists and ``radii`` is
-    ``K.linear_shells()``.  The bounds and the strict route comparisons are
-    those of ``obstacle.certify_avoidance``, so ``certified`` is its verdict
-    on the same coefficients.  Per shell the shortfall is the smallest
-    amount by which any of the three one-sided routes misses; a certified
-    disk has shortfall zero.
+    ``K.linear_shells()``.  The bounds are those of
+    ``obstacle.certify_avoidance`` and the routes come from the same
+    ``obstacle.avoidance_routes``, so ``certified`` is its verdict on the
+    same coefficients; a certified disk has shortfall zero.
     """
     sup_max = max(coeff_sup_bound(components[d]) for d in K.shell_dims)
     inf_best = max(coeff_inf_lower_bound(components[d]) for d in K.shell_dims)
     inf_disk = coeff_inf_lower_bound(components[K.disk_dim])
-    certified = True
+    routes, shortfalls = avoidance_routes(sup_max, inf_best, inf_disk,
+                                          radii, margin)
     total = 0.0
-    for a, b, c in radii:
-        lo, hi, cap = a - margin, b + margin, c + margin
-        if not (sup_max < lo or inf_best > hi or inf_disk > cap):
-            certified = False
-        inside = max(0.0, sup_max - lo)
-        outside = max(0.0, hi - inf_best) if math.isfinite(b) else math.inf
-        z_esc = max(0.0, cap - inf_disk) if math.isfinite(c) else math.inf
-        total += min(inside, outside, z_esc)
-    return certified, total
+    for s in shortfalls:
+        total += s
+    return "uncertified" not in routes, total
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
     N0 = 1
     while 2.0 ** N0 <= m:
         N0 += 1
-    cert = derivative_bound_certificate(N0, p.n)
+    cert = BoundCertificate(N0=N0, n=p.n)
     best = 0.0
     for coord in (*v.x, *v.y):
         best = max(best, abs(coord) / cert.bound_xy)

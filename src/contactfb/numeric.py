@@ -15,8 +15,7 @@ Two representations carry the whole package:
   Products, sums, derivatives and antiderivatives are then exact integer
   work, which is what lets horizontality be verified as "the residual is
   the identically-zero polynomial" with zero tolerance.  Evaluation and sup
-  bounds convert once to complex128 (correctly rounded) and go through the
-  batched kernels.
+  bounds convert once to complex128 (correctly rounded).
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from fractions import Fraction
 from itertools import chain
 
 import numpy as np
-
-from . import kernels
 
 NEG_INF = float("-inf")
 
@@ -266,13 +263,17 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     exponentiated; the rest (and the -inf zeros) are exact zeros, which
     change no nonzero sum, so the result is the one the dense sum gives.
     In shear sums nearly every row has a single summand that survives.
+
+    A sum with a +inf log-magnitude summand is +inf with the phase of the
+    first such summand along ``axis``, as the ``scaled_add`` fold gives.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
     hi = np.max(log_mags, axis=axis, keepdims=True)
-    hi_safe = np.where(np.isneginf(hi), 0.0, hi)
+    top = np.isposinf(hi)
+    hi_safe = np.where(np.isneginf(hi) | top, 0.0, hi)
     d = log_mags - hi_safe
-    live = ~(d <= _EXP_UNDERFLOW_LOG)  # NaN stays live and propagates
+    live = ~(d <= _EXP_UNDERFLOW_LOG) & ~top  # NaN stays live and propagates
     scaled = np.zeros_like(d, dtype=np.complex128)  # same layout, same sum order
     scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
     total = np.sum(scaled, axis=axis)
@@ -282,6 +283,12 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
         out_log = np.where(mag > 0.0, hi + np.log(np.where(mag > 0, mag, 1.0)),
                            NEG_INF)
     out_phase = np.angle(total)
+    if top.any():
+        first = np.argmax(np.isposinf(log_mags), axis=axis, keepdims=True)
+        top = np.squeeze(top, axis=axis)
+        out_log = np.where(top, np.inf, out_log)
+        out_phase = np.where(top, np.squeeze(
+            np.take_along_axis(phases, first, axis=axis), axis=axis), out_phase)
     return out_log, out_phase
 
 
@@ -332,7 +339,7 @@ class CPolynomial:
     followed by one reduction; evaluation goes through complex128.
     """
 
-    __slots__ = ("_num", "_den", "_rat", "_coeffs", "_array")
+    __slots__ = ("_num", "_den", "_rat", "_coeffs")
 
     def __init__(self, coeffs=()):
         parts = [_exact_complex(c) for c in coeffs]
@@ -358,7 +365,6 @@ class CPolynomial:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rat", None)
         object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CPolynomial is immutable")
@@ -392,13 +398,6 @@ class CPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    def coeff_array(self) -> np.ndarray:
-        arr = self._array
-        if arr is None:
-            arr = np.asarray(self.coeffs, dtype=np.complex128)
-            object.__setattr__(self, "_array", arr)
-        return arr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CPolynomial):
@@ -487,8 +486,19 @@ class CPolynomial:
         return acc, dacc
 
     def eval_many(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Batched evaluation via the kernel module."""
-        return kernels.poly_eval_many(self.coeff_array(), points)
+        """Horner evaluation of p and p' at many points.
+
+        Returns (values, derivatives) as complex128 arrays of the shape of
+        ``points``; both are zero for the zero polynomial.
+        """
+        points = np.asarray(points, dtype=np.complex128)
+        flat = points.ravel()
+        values = np.zeros_like(flat)
+        derivs = np.zeros_like(flat)
+        for c in reversed(self.coeffs):
+            derivs = derivs * flat + values
+            values = values * flat + c
+        return values.reshape(points.shape), derivs.reshape(points.shape)
 
     def sup_bound(self, R: float) -> float:
         """Certified upper bound sum_k |c_k| R^k for sup over |z| <= R."""

@@ -193,10 +193,6 @@ class BoundCertificate:
         object.__setattr__(self, "bound_z", 2.0 ** (2 * self.N0 + 1))
 
 
-def derivative_bound_certificate(N0: int, n: int) -> BoundCertificate:
-    return BoundCertificate(N0=N0, n=n)
-
-
 # ---------------------------------------------------------------------------
 # avoidance certification
 # ---------------------------------------------------------------------------
@@ -216,27 +212,46 @@ class AvoidanceCheck:
     failed_shells: tuple[int, ...]
 
 
+def avoidance_routes(sup_max: float, inf_best: float, inf_disk: float,
+                     radii, margin: float):
+    """(routes, shortfalls) per shell from the three coefficient-sum bounds.
+
+    ``sup_max`` is the largest sup bound of the shell coordinates on the
+    closed unit disk, ``inf_best`` their largest certified inf, ``inf_disk``
+    the certified inf of the disk coordinate, and ``radii`` is
+    ``K.linear_shells()``.  Each route needs a strict inequality; a shell
+    none of them certifies is 'uncertified'.  The shortfall is the smallest
+    amount by which any route misses, zero for a certified shell.
+    """
+    routes = []
+    shortfalls = []
+    for a, b, c in radii:
+        lo, hi, cap = a - margin, b + margin, c + margin
+        if sup_max < lo:
+            routes.append("inside")
+        elif inf_best > hi:
+            routes.append("outside")
+        elif inf_disk > cap:
+            routes.append("z_escape")
+        else:
+            routes.append("uncertified")
+        inside = max(0.0, sup_max - lo)
+        outside = max(0.0, hi - inf_best) if math.isfinite(b) else math.inf
+        z_esc = max(0.0, cap - inf_disk) if math.isfinite(c) else math.inf
+        shortfalls.append(min(inside, outside, z_esc))
+    return routes, shortfalls
+
+
 def certify_avoidance(components, K: ShellUnion,
                       margin: float = DEFAULT_AVOIDANCE_MARGIN) -> AvoidanceCheck:
     """Certified check that the image of the closed unit disk misses K."""
     components = list(components)
-    sups = {d: components[d].sup_bound(1.0) for d in K.shell_dims}
-    infs = {d: components[d].inf_lower_bound() for d in K.shell_dims}
-    sup_max = max(sups.values())
-    inf_best = max(infs.values())
+    sup_max = max(components[d].sup_bound(1.0) for d in K.shell_dims)
+    inf_best = max(components[d].inf_lower_bound() for d in K.shell_dims)
     inf_disk = components[K.disk_dim].inf_lower_bound()
-    routes = []
-    failed = []
-    for i, s in enumerate(K.shells, start=1):
-        if sup_max < s.a - margin:
-            routes.append("inside")
-        elif inf_best > s.b + margin:
-            routes.append("outside")
-        elif inf_disk > s.c + margin:
-            routes.append("z_escape")
-        else:
-            routes.append("uncertified")
-            failed.append(i)
+    routes, _ = avoidance_routes(sup_max, inf_best, inf_disk,
+                                 K.linear_shells(), margin)
+    failed = [i for i, r in enumerate(routes, start=1) if r == "uncertified"]
     return AvoidanceCheck(certified=not failed, routes=tuple(routes),
                           failed_shells=tuple(failed))
 
@@ -295,7 +310,7 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
     center = f.at(0.0)
     if center.maxnorm() >= 2.0 ** N0:
         raise ValueError("f(0) must lie in the open 2^N0 polydisk")
-    cert = derivative_bound_certificate(N0, f.n)
+    cert = BoundCertificate(N0=N0, n=f.n)
 
     check = certify_avoidance(f.components, K, margin)
     if check.certified:

@@ -111,15 +111,6 @@ class TestRun:
         cfg.write_text(json.dumps({"eps_base": 2.0}))
         assert main(["run", "--suite", "lemma", "--config", str(cfg)]) == 2
 
-    def test_thread_env_recorded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CONTACTFB_THREADS", "2")
-        cfg = write_config(tmp_path / "cfg.json")
-        out_dir = tmp_path / "out"
-        assert main(["run", "--suite", "lemma", "--config", cfg,
-                     "--out", str(out_dir)]) == 0
-        report = json.loads((out_dir / "report.json").read_text())
-        assert report["environment"]["threads"] == "2"
-
 
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):

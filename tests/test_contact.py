@@ -54,6 +54,13 @@ class TestBlocks:
         p = ContactPoint((3j,), (1 + 0j,), 0.5j)
         assert p.maxnorm() == 3.0
 
+    def test_from_flat_keeps_the_class(self):
+        p = ContactPoint.from_flat([1, 2, 3])
+        v = TangentVector.from_flat([1, 2, 3])
+        assert type(p) is ContactPoint and type(v) is TangentVector
+        assert p.flat() == v.flat()
+        assert p != v and v != p
+
     def test_vector_scaled(self):
         v = TangentVector((1 + 0j,), (2j,), 3 + 0j)
         w = v.scaled(2j)

@@ -126,6 +126,20 @@ class TestShearMap:
                 assert a.to_complex() == pytest.approx(b.to_complex(),
                                                        rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_rejects_bad_points(self, kind, inverse):
+        m = ShearMap(kind, 2, self.F)
+        apply = m.inverse_apply_scaled if inverse else m.apply_scaled
+        with pytest.raises(ValueError, match="coordinate 0 is not finite"):
+            apply([complex("nan"), 0j])
+        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+            apply([1j, complex("inf")])
+        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+            apply([1j, ScaledComplex(math.inf, 0.0)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply([1j, 0j, 0j])
+
     def test_jacobian_unit_determinant(self):
         for kind in ("phi", "psi"):
             m = ShearMap(kind, 3, self.F)

@@ -13,7 +13,6 @@ from contactfb.obstacle import (
     ShellUnion,
     certify_avoidance,
     contains,
-    derivative_bound_certificate,
     hyperbolic_height_rule,
     membership_margin,
     random_avoiding_disks,
@@ -127,9 +126,9 @@ class TestStandardObstacle:
 
 class TestBoundCertificate:
     def test_values(self):
-        c = derivative_bound_certificate(1, 1)
+        c = BoundCertificate(N0=1, n=1)
         assert c.bound_xy == 4.0 and c.bound_z == 8.0
-        c = derivative_bound_certificate(3, 2)
+        c = BoundCertificate(N0=3, n=2)
         assert c.bound_xy == 16.0 and c.bound_z == 128.0
 
     def test_n0_validation(self):
