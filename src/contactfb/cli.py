@@ -61,7 +61,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    state = load_state(args.state)
+    try:
+        state = load_state(args.state)
+    except (ValueError, OSError) as e:
+        print(f"state invalid: {e}", file=sys.stderr)
+        return 2
     verdicts = []
     with open(args.points, newline="") as fh:
         reader = csv.reader(fh)

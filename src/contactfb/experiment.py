@@ -25,7 +25,6 @@ from .fatou_bieberbach import (
     PushOutState,
     build_pushout,
     desk_schedule,
-    orbit_logs_batch,
     omega_membership,
     state_to_dict,
 )
@@ -36,7 +35,7 @@ from .kobayashi import (
     directed_norm_upper,
     max_certified_x_derivative,
 )
-from .numeric import ScaledComplex, sample_polydisk
+from .numeric import sample_polydisk
 from .obstacle import (
     ShellUnion,
     membership_margin,
@@ -285,26 +284,22 @@ def _lemma_checks(cfg: ExperimentConfig, checks: list) -> None:
     _timed(checks, f"lemma/n{cfg.n}/contrapositive-search", contrapositive)
 
 
-def _sample_shell_points(K: ShellUnion, per_shell: int, rng) -> list:
-    """Random points of each cylinder of K (log-uniform in the magnitudes)."""
-    pts = []
+def _sample_shell_points(K: ShellUnion, per_shell: int, rng):
+    """Random points of each cylinder of K (log-uniform in the magnitudes),
+    as (m, dim) log-magnitude and phase arrays, shell by shell."""
+    lms, phases = [], []
     for s in K.shells:
         lm = rng.uniform(s.log_a, s.log_b, per_shell)
-        shell_phases = rng.uniform(-math.pi, math.pi, (per_shell, K.dim))
-        disk_l = s.log_c + np.log(np.sqrt(rng.random(per_shell)))
+        phases.append(rng.uniform(-math.pi, math.pi, (per_shell, K.dim)))
+        coords = np.empty((per_shell, K.dim))
+        coords[:, K.disk_dim] = s.log_c + np.log(np.sqrt(rng.random(per_shell)))
         for m in range(per_shell):
-            coords = [None] * K.dim
             block = rng.integers(0, len(K.shell_dims))
             for bi, d in enumerate(K.shell_dims):
-                if bi == block:
-                    coords[d] = ScaledComplex(lm[m], shell_phases[m][d])
-                else:
-                    sub = lm[m] + math.log(rng.random() + 1e-12)
-                    coords[d] = ScaledComplex(sub, shell_phases[m][d])
-            coords[K.disk_dim] = ScaledComplex(disk_l[m],
-                                               shell_phases[m][K.disk_dim])
-            pts.append(coords)
-    return pts
+                coords[m, d] = lm[m] if bi == block else \
+                    lm[m] + math.log(rng.random() + 1e-12)
+        lms.append(coords)
+    return np.concatenate(lms), np.concatenate(phases)
 
 
 def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
@@ -314,12 +309,10 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
 
     for rnd in state.rounds:
         def containment(rnd=rnd):
-            pts = _sample_shell_points(rnd.shells_before,
-                                       cfg.samples_per_shell, rng)
-            worst = math.inf
-            for p in pts:
-                img = rnd.apply_scaled(p)
-                worst = min(worst, membership_margin(rnd.shells_after, img))
+            lm, ph = _sample_shell_points(rnd.shells_before,
+                                          cfg.samples_per_shell, rng)
+            img_lm, _ = rnd.apply_logpolar(lm, ph)
+            worst = float(np.min(membership_margin(rnd.shells_after, img_lm)))
             return worst > 0.0, worst, worst
         _timed(checks, f"pushout/round{rnd.index}/containment", containment)
 
@@ -329,20 +322,19 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
         _timed(checks, f"pushout/round{rnd.index}/disjointness", disjoint)
 
         def identity(rnd=rnd):
-            pts = sample_polydisk(cfg.pushout_dim, float(rnd.index),
-                                  cfg.identity_samples, seed=cfg.seed + rnd.index)
-            sampled = 0.0
-            for p in pts:
-                img = rnd.apply_scaled(tuple(ScaledComplex.from_complex(c)
-                                             for c in p))
-                sampled = max(sampled, max(abs(i.to_complex() - c)
-                                           for i, c in zip(img, p)))
+            # the k-polydisk and its image stay in native float range
+            pts = np.array(sample_polydisk(cfg.pushout_dim, float(rnd.index),
+                                           cfg.identity_samples,
+                                           seed=cfg.seed + rnd.index))
+            img = rnd.psi.apply_native(rnd.phi.apply_native(pts))
+            sampled = float(np.max(np.abs(img - pts)))
             worst = max(sampled, rnd.id_bound)
             return worst < rnd.eps, worst, rnd.eps - worst
         _timed(checks, f"pushout/round{rnd.index}/identity", identity)
 
-    div_pts = _sample_shell_points(state.initial, cfg.divergence_samples, rng)
-    logs = orbit_logs_batch(state, div_pts)
+    div_lm, div_ph = _sample_shell_points(state.initial,
+                                          cfg.divergence_samples, rng)
+    logs = state.orbit_logs(div_lm, div_ph)
 
     def divergence():
         ok = True
@@ -366,18 +358,20 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
         with open(os.path.join(out_dir, "pushout_state.json"), "w") as fh:
             json.dump(state_to_dict(state), fh, indent=1)
         _write_orbit_csv(os.path.join(out_dir, "orbits.csv"),
-                         state, div_pts, logs)
+                         state, div_lm, div_ph, logs)
     return state
 
 
-def _write_orbit_csv(path: str, state: PushOutState, points, logs) -> None:
+def _write_orbit_csv(path: str, state: PushOutState, log_mag, phase,
+                     logs) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["point_index", "coordinates", "round",
                     "log_magnitude", "classification"])
-        for idx, p in enumerate(points):
-            coords = ";".join(repr(float(c.log_mag)) + "@" + repr(c.phase)
-                              for c in p)
+        for idx, (lms, phs) in enumerate(zip(log_mag.tolist(),
+                                             phase.tolist())):
+            coords = ";".join(repr(lm) + "@" + repr(ph)
+                              for lm, ph in zip(lms, phs))
             escaped = None
             for k in range(1, state.k + 1):
                 if escaped is None and logs[idx, k - 1] > math.log(k + 1.0):

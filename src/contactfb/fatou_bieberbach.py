@@ -17,6 +17,14 @@ obstacle diverge while orbits near the origin converge to the limit map.
 Every inequality is certified with explicit slack from coefficient-sum
 bounds; magnitudes are handled in the log domain throughout because band
 radii overflow native floats after two rounds.
+
+The shear maps have three evaluation paths, one job each: scalar
+``ScaledComplex`` (``apply_scaled``) for single points (``compose_orbit``,
+``omega_membership``, ``fb_map_eval``) and as the batch paths' test
+reference; log-polar arrays (``apply_logpolar``) for batches at any
+magnitude, with complex coordinates as batch intake; native complex128
+(``apply_native``, ``jacobian``) for points in float range: sampled
+identity checks and pullbacks.
 """
 
 from __future__ import annotations
@@ -96,10 +104,6 @@ class ShearFunction:
         """log f(R) = log sup_{|z|<=R} |f|, exact up to rounding."""
         return log_sum(N * (log_R - log_r) for log_r, N in self.terms)
 
-    def term_log(self, index: int, log_R: float) -> float:
-        log_r, N = self.terms[index]
-        return N * (log_R - log_r)
-
     def eval_scaled(self, zeta: ScaledComplex) -> ScaledComplex:
         if self.is_zero or zeta.is_zero:
             return ScaledComplex.zero()
@@ -118,12 +122,16 @@ class ShearFunction:
         ph = [N * phase for _, N in self.terms]
         return scaled_sum_arrays(np.stack(lm, axis=-1), np.stack(ph, axis=-1))
 
+    @staticmethod
+    def _native_polar(z):
+        """(z, log|z|, arg z) of native complex input; log 0 is -inf."""
+        z = np.asarray(z, dtype=np.complex128)
+        lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+        return z, lz, np.angle(z)
+
     def eval_native(self, z):
         """Native-complex values (vectorized); underflows gracefully."""
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore"):
-            lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
-        az = np.angle(z)
+        z, lz, az = self._native_polar(z)
         total = np.zeros_like(z)
         for log_r, N in self.terms:
             lm = N * (lz - log_r)
@@ -133,10 +141,7 @@ class ShearFunction:
 
     def deriv_native(self, z):
         """f'(z) = sum N_j / r_j * (z / r_j)^(N_j - 1), vectorized."""
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore"):
-            lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
-        az = np.angle(z)
+        z, lz, az = self._native_polar(z)
         total = np.zeros_like(z)
         for log_r, N in self.terms:
             lm = math.log(N) - log_r + (N - 1) * (lz - log_r)
@@ -154,9 +159,7 @@ class ShearMap:
     kind 'phi': (z_1, z_2 + f(z_1), ..., z_dim + f(z_{dim-1}))
     kind 'psi': (z_1 + f(z_2), ..., z_{dim-1} + f(z_dim), z_dim)
 
-    Both are unipotent triangular, hence volume preserving with an explicit
-    inverse obtained by subtracting the same values in the reverse
-    coordinate order.
+    Both are unipotent triangular, hence volume preserving.
     """
 
     kind: str
@@ -180,17 +183,6 @@ class ShearMap:
         else:
             for j in range(self.dim - 1):
                 out[j] = pt[j] + self.func.eval_scaled(pt[j + 1])
-        return out
-
-    def inverse_apply_scaled(self, point):
-        pt = _as_scaled_point(point, self.dim)
-        out = list(pt)
-        if self.kind == "phi":
-            for j in range(1, self.dim):
-                out[j] = pt[j] - self.func.eval_scaled(out[j - 1])
-        else:
-            for j in range(self.dim - 2, -1, -1):
-                out[j] = pt[j] - self.func.eval_scaled(out[j + 1])
         return out
 
     # -- log-polar batches ------------------------------------------------
@@ -217,12 +209,13 @@ class ShearMap:
     # -- native action and Jacobian (for pullbacks) -----------------------
 
     def apply_native(self, vec: np.ndarray) -> np.ndarray:
+        """Action on a point or on the rows of an (m, dim) array."""
         vec = np.asarray(vec, dtype=np.complex128)
         out = vec.copy()
         if self.kind == "phi":
-            out[1:] = vec[1:] + self.func.eval_native(vec[:-1])
+            out[..., 1:] = vec[..., 1:] + self.func.eval_native(vec[..., :-1])
         else:
-            out[:-1] = vec[:-1] + self.func.eval_native(vec[1:])
+            out[..., :-1] = vec[..., :-1] + self.func.eval_native(vec[..., 1:])
         return out
 
     def jacobian(self, vec: np.ndarray) -> np.ndarray:
@@ -372,11 +365,6 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     gap_in = log_r - log_b_prev    # > 0
     gap_out = log_a - log_r        # > 0
 
-    # tail-control bound
-    n1 = max(1, math.floor(-log_t1 / gap_in) + 1)
-    while n1 * (log_b_prev - log_r) >= log_t1:
-        n1 += 1
-
     # admissible M_i
     sup_prev = partial.sup_log(log_b_prev)
     lhs_log = log_sum([sup_prev, log_off_prev, log_eps])
@@ -391,6 +379,15 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     sup_here = partial.sup_log(log_b)
     rhs_log = log_sum([M_log, sup_here, log_off, log_eps])
     rhs_strict = _bump(rhs_log, 0.0)
+    if not all(map(math.isfinite, (gap_in, gap_out, M_log, rhs_strict))):
+        raise SelectionError(f"shell {i}: a log-domain quantity is beyond "
+                             "float64 range", i, "representation")
+
+    # tail-control bound
+    n1 = max(1, math.floor(-log_t1 / gap_in) + 1)
+    while n1 * (log_b_prev - log_r) >= log_t1:
+        n1 += 1
+
     n3 = max(1, math.floor(rhs_strict / gap_out) + 1)
     while n3 * gap_out <= rhs_strict:
         n3 += 1
@@ -544,6 +541,15 @@ class PushOutState:
     def eps_tail(self, k: int) -> float:
         return self.eps_schedule.tail(k)
 
+    def orbit_logs(self, log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """(m, k) array of per-round log max-norms of the points given by
+        (m, dim) log-magnitude and phase arrays."""
+        out = np.empty((log_mag.shape[0], self.k))
+        for j, r in enumerate(self.rounds):
+            log_mag, phase = r.apply_logpolar(log_mag, phase)
+            out[:, j] = np.max(log_mag, axis=1)
+        return out
+
 
 def build_shear_round(state: PushOutState):
     """Build and append round k+1; returns the new PushOutRound.
@@ -673,26 +679,21 @@ def _as_scaled_point(p, dim: int):
 
 
 def _point_arrays(points, dim: int):
-    """(m, dim) float64 log-magnitude and phase arrays of a batch of points,
-    equal to the values ``_as_scaled_point`` gives coordinate by coordinate.
-
-    Complex coordinates are converted as in ``ScaledComplex.from_complex``:
-    the modulus is ``hypot`` (the value ``abs`` of a Python complex gives),
-    its log is taken in ``np.longdouble`` and rounded once, and the phase
-    comes from ``math.atan2`` (``np.arctan2`` may round differently) with
-    -pi mapped to pi; zero is (-inf, 0).
+    """(m, dim) float64 log-magnitude and phase arrays of a batch of points
+    with complex coordinates, read as ``ScaledComplex.from_complex`` reads
+    them: the modulus is ``hypot`` (as ``abs`` of a Python complex), its log
+    is taken in ``np.longdouble`` and rounded once, and the phase comes from
+    ``math.atan2`` (``np.arctan2`` may round differently) with -pi mapped to
+    pi; zero is (-inf, 0).
     """
     rows = [tuple(p) for p in points]
     if any(len(p) != dim for p in rows):
         raise ValueError("point dimension mismatch")
     flat = [v for p in rows for v in p]
-    scaled = [(n, v) for n, v in enumerate(flat) if isinstance(v, ScaledComplex)]
-    z = np.array([0j if isinstance(v, ScaledComplex) else complex(v)
-                  for v in flat], dtype=np.complex128)
-    bad = [n for n, v in scaled if not _is_finite(v)]
-    bad += np.flatnonzero(~np.isfinite(z)).tolist()
-    if bad:
-        n = min(bad)
+    z = np.array([complex(v) for v in flat], dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        n = int(bad[0])
         raise ValueError(f"point {n // dim}, coordinate {n % dim} "
                          f"is not finite: {flat[n]!r}")
     with np.errstate(over="ignore", divide="ignore"):
@@ -704,9 +705,6 @@ def _point_arrays(points, dim: int):
                    for x, y in zip(z.real.tolist(), z.imag.tolist())])
     ph[ph == -math.pi] = math.pi
     ph[mag == 0.0] = 0.0
-    for n, v in scaled:
-        lm[n] = v.log_mag
-        ph[n] = v.phase
     return lm.reshape(-1, dim), ph.reshape(-1, dim)
 
 
@@ -723,29 +721,17 @@ class OrbitRecord:
     classification: str  # 'escaped' | 'bounded-so-far'
 
 
-def compose_orbit(maps_or_state, p, escape_radius_rule=None) -> OrbitRecord:
-    """Track |Theta_j(p)| through the built rounds in scaled arithmetic.
-
-    ``maps_or_state`` is a PushOutState or an explicit sequence of rounds /
-    shear maps; the escape radius after round j defaults to j + 1.
-    """
-    if escape_radius_rule is None:
-        escape_radius_rule = lambda j: j + 1.0
-    if isinstance(maps_or_state, PushOutState):
-        rounds = list(maps_or_state.rounds)
-        dim = maps_or_state.dim
-    else:
-        rounds = list(maps_or_state)
-        dim = rounds[0].dim if rounds and isinstance(rounds[0], ShearMap) \
-            else (rounds[0].phi.dim if rounds else len(list(p)))
-    pt = _as_scaled_point(p, dim)
+def compose_orbit(state: PushOutState, p) -> OrbitRecord:
+    """Track |Theta_j(p)| through the built rounds in scaled arithmetic;
+    the escape radius after round j is j + 1."""
+    pt = _as_scaled_point(p, state.dim)
     logs = []
     first_escape = None
-    for j, r in enumerate(rounds, start=1):
+    for j, r in enumerate(state.rounds, start=1):
         pt = r.apply_scaled(pt)
         lm = _maxnorm_log(pt)
         logs.append(lm)
-        if first_escape is None and lm > math.log(escape_radius_rule(j)):
+        if first_escape is None and lm > math.log(j + 1.0):
             first_escape = j
     classification = "escaped" if first_escape is not None else "bounded-so-far"
     return OrbitRecord(log_maxnorms=tuple(logs), first_escape=first_escape,
@@ -753,18 +739,10 @@ def compose_orbit(maps_or_state, p, escape_radius_rule=None) -> OrbitRecord:
 
 
 def orbit_logs_batch(state: PushOutState, points) -> np.ndarray:
-    """(m, k) array of per-round log max-norms for a batch of points.
-
-    Points may be complex tuples or ScaledComplex tuples (coordinates are
-    read as in ``compose_orbit``); computation is vectorized over the batch
-    in log-polar form.
-    """
-    lm, ph = _point_arrays(points, state.dim)
-    out = np.empty((lm.shape[0], state.k))
-    for j, r in enumerate(state.rounds):
-        lm, ph = r.apply_logpolar(lm, ph)
-        out[:, j] = np.max(lm, axis=1)
-    return out
+    """(m, k) array of per-round log max-norms for a batch of points with
+    complex coordinates (read as in ``compose_orbit``), computed in
+    log-polar form over the whole batch."""
+    return state.orbit_logs(*_point_arrays(points, state.dim))
 
 
 def omega_membership(state: PushOutState, p) -> str:
@@ -858,30 +836,47 @@ def state_to_dict(state: PushOutState) -> dict:
     }
 
 
+def _field(doc, key: str, convert, where: str = ""):
+    """convert(doc[key]), or a ValueError naming the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"state: missing key '{where}{key}'")
+    try:
+        return convert(doc[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"state: bad value for '{where}{key}': "
+                         f"{type(e).__name__}: {e}") from None
+
+
 def state_from_dict(doc: dict) -> PushOutState:
+    """Inverse of ``state_to_dict``; raises ValueError naming the first
+    missing or mistyped key."""
+    if not isinstance(doc, dict):
+        raise ValueError("state: expected a JSON object")
     if doc.get("version") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version {doc.get('version')}")
     state = PushOutState(
-        dim=int(doc["dim"]),
-        initial=_shells_from_dict(doc["initial"]),
-        eps_schedule=EpsSchedule(base=float(doc["eps_schedule"]["base"])),
-        i_max=int(doc["i_max"]),
-        exponent_cap=int(doc["exponent_cap"]),
+        dim=_field(doc, "dim", int),
+        initial=_field(doc, "initial", _shells_from_dict),
+        eps_schedule=_field(doc, "eps_schedule",
+                            lambda d: EpsSchedule(base=float(d["base"]))),
+        i_max=_field(doc, "i_max", int),
+        exponent_cap=_field(doc, "exponent_cap", int),
     )
+    witnesses = lambda ws: tuple(map(SelectionWitness.from_dict, ws))
     prev = state.initial
-    for rd in doc["rounds"]:
-        phi = ShearMap("phi", state.dim, _func_from_dict(rd["phi"]))
-        psi = ShearMap("psi", state.dim, _func_from_dict(rd["psi"]))
+    for n, rd in enumerate(_field(doc, "rounds", list)):
+        def get(key, convert, where=f"rounds[{n}]."):
+            return _field(rd, key, convert, where)
         rec = PushOutRound(
-            index=int(rd["index"]), phi=phi, psi=psi,
-            phi_witnesses=tuple(SelectionWitness.from_dict(w)
-                                for w in rd["phi_witnesses"]),
-            psi_witnesses=tuple(SelectionWitness.from_dict(w)
-                                for w in rd["psi_witnesses"]),
+            index=get("index", int),
+            phi=ShearMap("phi", state.dim, get("phi", _func_from_dict)),
+            psi=ShearMap("psi", state.dim, get("psi", _func_from_dict)),
+            phi_witnesses=get("phi_witnesses", witnesses),
+            psi_witnesses=get("psi_witnesses", witnesses),
             shells_before=prev,
-            shells_mid=_shells_from_dict(rd["mid"]),
-            shells_after=_shells_from_dict(rd["after"]),
-            eps=float(rd["eps"]), id_bound=float(rd["id_bound"]))
+            shells_mid=get("mid", _shells_from_dict),
+            shells_after=get("after", _shells_from_dict),
+            eps=get("eps", float), id_bound=get("id_bound", float))
         state.rounds.append(rec)
         prev = rec.shells_after
     return state

@@ -2,12 +2,12 @@
 
 Two representations carry the whole package:
 
-* ``ScaledComplex`` -- a complex number stored as log-magnitude plus phase.
-  The push-out recursion produces magnitudes like (4/3)**N with N in the
-  tens of thousands, far beyond float range; all of its bookkeeping happens
-  in the log domain.  The log-magnitude is kept in extended precision
-  (``np.longdouble``) so that round-tripping values near the edge of native
-  float range stays well below 1e-14 relative error.
+* ``ScaledComplex`` -- a complex number stored as log-magnitude plus phase,
+  whose one operation is addition (``scaled_add``).  It carries a single
+  push-out orbit point, whose magnitudes like (4/3)**N with N in the tens
+  of thousands lie far beyond float range; batches of points add with
+  ``scaled_sum_arrays``.  The log-magnitude is kept in ``np.longdouble``, so
+  values near the edge of native float range round-trip well below 1e-14.
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
@@ -118,12 +118,9 @@ class ScaledComplex:
 
     def __init__(self, log_mag, phase: float = 0.0):
         lm = np.longdouble(log_mag)
-        if lm == NEG_INF:
-            object.__setattr__(self, "log_mag", np.longdouble(NEG_INF))
-            object.__setattr__(self, "phase", 0.0)
-        else:
-            object.__setattr__(self, "log_mag", lm)
-            object.__setattr__(self, "phase", wrap_phase(phase))
+        object.__setattr__(self, "log_mag", lm)
+        object.__setattr__(self, "phase",
+                           0.0 if lm == NEG_INF else wrap_phase(phase))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaledComplex is immutable")
@@ -133,10 +130,6 @@ class ScaledComplex:
     @classmethod
     def zero(cls) -> "ScaledComplex":
         return cls(NEG_INF, 0.0)
-
-    @classmethod
-    def one(cls) -> "ScaledComplex":
-        return cls(0.0, 0.0)
 
     @classmethod
     def from_complex(cls, z: complex) -> "ScaledComplex":
@@ -166,31 +159,8 @@ class ScaledComplex:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __mul__(self, other: "ScaledComplex") -> "ScaledComplex":
-        if self.is_zero or other.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(self.log_mag + other.log_mag,
-                             self.phase + other.phase)
-
-    def __neg__(self) -> "ScaledComplex":
-        if self.is_zero:
-            return self
-        return ScaledComplex(self.log_mag, self.phase + math.pi)
-
     def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
         return scaled_add(self, other)
-
-    def __sub__(self, other: "ScaledComplex") -> "ScaledComplex":
-        return scaled_add(self, -other)
-
-    def pow_int(self, k: int) -> "ScaledComplex":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        if k == 0:
-            return ScaledComplex.one()
-        if self.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(self.log_mag * k, self.phase * k)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -206,29 +176,12 @@ class ScaledComplex:
         return hash((float(self.log_mag), self.phase))
 
 
-def scaled_pow(base_num: float, base_den: float, exponent: int) -> ScaledComplex:
-    """(base_num / base_den) ** exponent as a ScaledComplex.
-
-    Both base parts must be positive; the exponent is a nonnegative integer.
-    The result has phase 0 and log-magnitude exponent*(ln num - ln den).
-    """
-    if base_num <= 0 or base_den <= 0:
-        raise ValueError("scaled_pow requires positive base parts")
-    exponent = int(exponent)
-    if exponent < 0:
-        raise ValueError("scaled_pow requires a nonnegative exponent")
-    if exponent == 0:
-        return ScaledComplex.one()
-    log_ratio = np.log(np.longdouble(base_num)) - np.log(np.longdouble(base_den))
-    return ScaledComplex(log_ratio * exponent, 0.0)
-
-
 def scaled_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
     """Exact-to-rounding complex sum, safe for any magnitudes.
 
     The larger log-magnitude is factored out, so the native-complex sum of
     the normalized parts never overflows.  Exact cancellation yields the
-    zero sentinel.
+    zero sentinel; a NaN log-magnitude propagates.
     """
     if a.is_zero:
         return b
@@ -237,12 +190,14 @@ def scaled_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
     # exact cancellation: equal magnitude, exactly opposite (wrapped) phase
     if a.log_mag == b.log_mag and wrap_phase(a.phase + math.pi) == b.phase:
         return ScaledComplex.zero()
-    if a.log_mag >= b.log_mag:
-        hi, lo = a, b
+    hi, lo = (a, b) if a.log_mag >= b.log_mag else (b, a)
+    scale = float(lo.log_mag - hi.log_mag)  # <= 0, or NaN
+    if scale > -_NATIVE_LOG_LIMIT:
+        lo_mag = math.exp(scale)
+    elif scale == scale or hi.log_mag == lo.log_mag:
+        lo_mag = 0.0  # lo underflows beside hi, or both are +inf
     else:
-        hi, lo = b, a
-    scale = float(lo.log_mag - hi.log_mag)  # <= 0
-    lo_mag = math.exp(scale) if scale > -_NATIVE_LOG_LIMIT else 0.0
+        lo_mag = math.nan  # a NaN summand propagates
     s = cmath.rect(1.0, hi.phase) + cmath.rect(lo_mag, lo.phase)
     if s == 0:
         return ScaledComplex.zero()
@@ -265,7 +220,9 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     In shear sums nearly every row has a single summand that survives.
 
     A sum with a +inf log-magnitude summand is +inf with the phase of the
-    first such summand along ``axis``, as the ``scaled_add`` fold gives.
+    first such summand along ``axis``, as the ``scaled_add`` fold gives.  A
+    NaN log-magnitude, or a NaN phase on a summand that does not underflow,
+    makes the sum's log-magnitude NaN.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -279,9 +236,8 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     total = np.sum(scaled, axis=axis)
     hi = np.squeeze(hi_safe, axis=axis)
     mag = np.abs(total)
-    with np.errstate(divide="ignore"):
-        out_log = np.where(mag > 0.0, hi + np.log(np.where(mag > 0, mag, 1.0)),
-                           NEG_INF)
+    zero = mag == 0.0  # a NaN total stays NaN
+    out_log = np.where(zero, NEG_INF, hi + np.log(np.where(zero, 1.0, mag)))
     out_phase = np.angle(total)
     if top.any():
         first = np.argmax(np.isposinf(log_mags), axis=axis, keepdims=True)

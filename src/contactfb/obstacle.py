@@ -117,20 +117,21 @@ def contains(K: ShellUnion, p, eta: float = 0.0) -> bool:
     return False
 
 
-def membership_margin(K: ShellUnion, p) -> float:
-    """Largest log-domain slack with which p sits inside some shell of K.
+def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:
+    """(m,) largest log-domain slacks with which points, given as an (m, dim)
+    array of coordinate log-moduli, sit inside some shell of K.
 
-    Positive iff p is strictly inside a shell (all three log inequalities
-    strict); used to assert sampled containment with margin.
+    Positive iff the point is strictly inside a shell (all three log
+    inequalities strict); used to assert sampled containment with margin.
     """
-    p = list(p)
-    log_max = max(_coord_log_mag(p[d]) for d in K.shell_dims)
-    log_disk = _coord_log_mag(p[K.disk_dim])
-    best = -math.inf
+    log_mag = np.asarray(log_mag, dtype=np.float64)
+    log_max = np.max(log_mag[:, list(K.shell_dims)], axis=1)
+    log_disk = log_mag[:, K.disk_dim]
+    best = np.full(log_mag.shape[0], -math.inf)
     for s in K.shells:
-        slack = min(log_max - s.log_a, s.log_b - log_max,
-                    s.log_c - log_disk)
-        best = max(best, slack)
+        slack = np.minimum(np.minimum(log_max - s.log_a, s.log_b - log_max),
+                           s.log_c - log_disk)
+        best = np.maximum(best, slack)
     return best
 
 

@@ -156,6 +156,30 @@ class TestClassify:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("content, named", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ("drop-dim", "missing key 'dim'"),
+    ])
+    def test_bad_state_exits_two(self, saved_state, tmp_path, capsys,
+                                 content, named):
+        state = tmp_path / "state.json"
+        if content == "drop-dim":
+            doc = json.loads(open(saved_state).read())
+            del doc["dim"]
+            state.write_text(json.dumps(doc))
+        elif content is not None:
+            state.write_text(content)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n")
+        assert main(["classify", "--state", str(state),
+                     "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert "state invalid" in captured.err and named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestPlanPath:
     def test_endpoint_reached(self, capsys):
         code = main(["plan-path", "--from", "0,0,0", "--to", "1,2,3"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contactfb.numeric import (
     CPolynomial,
@@ -21,7 +21,6 @@ from contactfb.numeric import (
     poly_mul_capped,
     sample_polydisk,
     scaled_add,
-    scaled_pow,
     scaled_sum_arrays,
     wrap_phase,
 )
@@ -46,11 +45,8 @@ class TestScaledComplex:
         assert z.to_complex() == 0j
         assert z.phase == 0.0
 
-    def test_one(self):
-        assert ScaledComplex.one().to_complex() == 1 + 0j
-
     def test_immutable(self):
-        z = ScaledComplex.one()
+        z = ScaledComplex(0.0, 0.0)
         with pytest.raises(AttributeError):
             z.phase = 1.0
 
@@ -75,17 +71,6 @@ class TestScaledComplex:
 
     @given(nonzero_complex, nonzero_complex)
     @settings(max_examples=200)
-    @example(a=1.0058899955420254e-161, b=(1+1j)*1.0058899955420254e-161)
-    def test_mul_matches_native(self, a, b):
-        got = (ScaledComplex.from_complex(a) *
-               ScaledComplex.from_complex(b)).to_complex()
-        want = a * b
-        # a product can be subnormal even when both factors are normal; the
-        # native oracle then keeps only a few bits, so allow 4 subnormal ulps
-        assert cmath.isclose(got, want, rel_tol=1e-12, abs_tol=2.0 ** -1072)
-
-    @given(nonzero_complex, nonzero_complex)
-    @settings(max_examples=200)
     def test_add_matches_native(self, a, b):
         got = (ScaledComplex.from_complex(a) +
                ScaledComplex.from_complex(b)).to_complex()
@@ -94,8 +79,8 @@ class TestScaledComplex:
 
     def test_add_exact_cancellation(self):
         a = ScaledComplex.from_complex(3 + 4j)
-        assert (a - a).is_zero
-        assert (a + (-a)).is_zero
+        assert (a + ScaledComplex(a.log_mag, a.phase + math.pi)).is_zero
+        assert (a + ScaledComplex.from_complex(-3 - 4j)).is_zero
 
     def test_add_huge_disparity(self):
         big = ScaledComplex(5e4, 0.3)
@@ -104,27 +89,11 @@ class TestScaledComplex:
         assert float(s.log_mag) == pytest.approx(5e4)
         assert s.phase == pytest.approx(0.3)
 
-    @given(nonzero_complex, st.integers(min_value=0, max_value=20))
-    @settings(max_examples=200)
-    def test_pow_int(self, z, k):
-        got = ScaledComplex.from_complex(z).pow_int(k)
-        want_log = k * math.log(abs(z))
-        assert float(got.log_mag) == pytest.approx(want_log, abs=1e-9)
-
-    def test_pow_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledComplex.one().pow_int(-1)
-
-    def test_scaled_pow(self):
-        v = scaled_pow(4, 3, 6)
-        assert v.to_complex().real == pytest.approx((4 / 3) ** 6, rel=1e-12)
-        # far beyond native range, exact in the log domain
-        v = scaled_pow(4, 3, 10 ** 5)
-        assert float(v.log_mag) == pytest.approx(1e5 * math.log(4 / 3))
-        with pytest.raises(ValueError):
-            scaled_pow(-1, 3, 2)
-        with pytest.raises(ValueError):
-            scaled_pow(4, 3, -2)
+    def test_add_nan_propagates(self):
+        nan, one = ScaledComplex(math.nan, 0.0), ScaledComplex(0.0, 0.0)
+        assert math.isnan((nan + one).log_mag)
+        assert math.isnan((one + nan).log_mag)
+        assert math.isnan((one + ScaledComplex(0.0, math.nan)).log_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +207,28 @@ class TestLogHelpers:
                     acc = acc + ScaledComplex(top_lm[r, c], top_ph[r, c])
             assert acc.log_mag == math.inf
             assert acc.phase == pytest.approx(want_top[1][r], abs=1e-15)
-        all_lm = np.vstack([lm, top_lm])
-        all_ph = np.vstack([ph, top_ph])
+        # rows holding a NaN log-magnitude (beside finite, zero or +inf
+        # summands) or a NaN phase on a summand that does not underflow
+        nan_rows = 60
+        nan_lm = rng.uniform(-5.0, 5.0, (nan_rows, terms))
+        nan_ph = rng.uniform(-math.pi, math.pi, (nan_rows, terms))
+        nan_lm[:10] = NEG_INF
+        nan_lm[10:20:2, 0] = math.inf
+        at = rng.integers(0, terms, nan_rows)
+        nan_lm[np.arange(0, nan_rows, 2), at[::2]] = math.nan
+        nan_ph[np.arange(1, nan_rows, 2), at[1::2]] = math.nan
+        nan_lm[np.arange(1, nan_rows, 2), at[1::2]] = rng.uniform(-5.0, 5.0, 30)
+        all_lm = np.vstack([lm, top_lm, nan_lm])
+        all_ph = np.vstack([ph, top_ph, nan_ph])
+        top = slice(rows, rows + inf_rows)
         for axis, t in ((-1, lambda a: a), (0, np.transpose)):
             got = scaled_sum_arrays(t(all_lm), t(all_ph), axis=axis)
             want = self._dense_scaled_sum(t(lm), t(ph), axis=axis)
             for g, w, w_top in zip(got, want, want_top):
                 assert np.array_equal(g[:rows], w)
                 assert np.array_equal(np.signbit(g[:rows]), np.signbit(w))
-                assert np.array_equal(g[rows:], w_top)
+                assert np.array_equal(g[top], w_top)
+            assert np.isnan(got[0][rows + inf_rows:]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -84,17 +84,46 @@ class TestMembership:
         with pytest.raises(ValueError):
             contains(self.K, [1j, 1j, 1j], eta=-0.1)
 
+    @staticmethod
+    def _log_rows(points):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.array(points, dtype=np.complex128)))
+
+    def _point_margin(self, p):
+        """Reference: the per-point slack over the linear radii."""
+        mx = max(abs(p[0]), abs(p[1]))
+        log_mx = math.log(mx) if mx > 0 else NEG_INF
+        log_z = math.log(abs(p[2])) if p[2] != 0 else NEG_INF
+        return max(min(log_mx - math.log(a), math.log(b) - log_mx,
+                       math.log(c) - log_z)
+                   for a, b, c in self.K.linear_shells())
+
     def test_margin_sign(self):
         inside = [complex(1.5), 0j, complex(2.0)]
         outside = [complex(3.0), 0j, 0j]
-        assert membership_margin(self.K, inside) > 0
-        assert membership_margin(self.K, outside) < 0
+        got = membership_margin(self.K, self._log_rows([inside]))
+        assert got.shape == (1,) and got[0] > 0
+        assert membership_margin(self.K, self._log_rows([outside]))[0] < 0
 
     def test_margin_is_log_slack(self):
         p = [complex(1.5), 0j, 0j]
         want = min(math.log(1.5) - math.log(1.0),
                    math.log(2.0) - math.log(1.5))
-        assert membership_margin(self.K, p) == pytest.approx(want)
+        got = membership_margin(self.K, self._log_rows([p]))
+        assert got[0] == pytest.approx(want)
+
+    def test_margin_rows_match_per_point_slack(self):
+        rng = np.random.default_rng(8)
+        pts = (np.exp(rng.uniform(-1.0, 3.5, (40, 3)))
+               * np.exp(1j * rng.uniform(-math.pi, math.pi, (40, 3))))
+        pts[::5, 1] = 0.0   # zero coordinates: log -inf
+        pts[1::7, 2] = 0.0
+        pts[3] = 0.0
+        got = membership_margin(self.K, self._log_rows(pts))
+        assert got.shape == (40,)
+        for g, p in zip(got, pts):
+            assert g == pytest.approx(self._point_margin(p), rel=1e-12)
+        assert (got > 0).any() and (got < 0).any()
 
 
 class TestStandardObstacle:
