@@ -66,21 +66,26 @@ def _cmd_classify(args) -> int:
     except (ValueError, OSError) as e:
         print(f"state invalid: {e}", file=sys.stderr)
         return 2
+    try:
+        with open(args.points, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, rec) for rec in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        print(f"points invalid: {e}", file=sys.stderr)
+        return 2
     verdicts = []
-    with open(args.points, newline="") as fh:
-        reader = csv.reader(fh)
-        for rec in reader:
-            if not rec or rec[0].startswith("#"):
-                continue
-            try:
-                coords = [complex(tok.replace(" ", "")) for tok in rec]
-                if len(coords) != state.dim:
-                    raise ValueError(f"expected {state.dim} coordinates, "
-                                     f"got {len(coords)}")
-                verdicts.append(omega_membership(state, coords))
-            except (ValueError, OverflowError) as e:
-                print(f"row {reader.line_num} {rec!r}: {e}", file=sys.stderr)
-                return 2
+    for line_num, rec in rows:
+        if not rec or rec[0].startswith("#"):
+            continue
+        try:
+            coords = [complex(tok.replace(" ", "")) for tok in rec]
+            if len(coords) != state.dim:
+                raise ValueError(f"expected {state.dim} coordinates, "
+                                 f"got {len(coords)}")
+            verdicts.append(omega_membership(state, coords))
+        except (ValueError, OverflowError) as e:
+            print(f"row {line_num} {rec!r}: {e}", file=sys.stderr)
+            return 2
     writer = csv.writer(sys.stdout)
     writer.writerow(["point_index", "classification"])
     for idx, verdict in enumerate(verdicts):

@@ -53,17 +53,18 @@ class ConfigError(ValueError):
 
 
 def _num(value, fieldname: str) -> float:
-    """Accept JSON numbers or decimal strings."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{fieldname}: expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{fieldname}: not a decimal number: {value!r}")
-    raise ConfigError(f"{fieldname}: expected a number or decimal string")
+    """Accept finite JSON numbers or decimal strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{fieldname}: expected a number or decimal string")
+    try:
+        v = float(value)
+    except ValueError:
+        raise ConfigError(f"{fieldname}: not a decimal number: {value!r}")
+    except OverflowError:  # an integer beyond float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{fieldname}: must be a finite number")
+    return v
 
 
 def _int(value, fieldname: str, minimum: int = 1) -> int:
@@ -117,6 +118,14 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _expect(value, kind: type, fieldname: str):
+    """value itself, required to be a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{fieldname}: expected {what}")
+    return value
+
+
 def validate_config(path: str) -> ExperimentConfig:
     """Parse, default, and invariant-check a config file."""
     with open(path) as fh:
@@ -131,19 +140,20 @@ def validate_config(path: str) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported value {version!r}")
 
-    samples = doc.get("samples", {})
-    budget = doc.get("budget", {})
-    sched = doc.get("schedule", {"kind": "desk"})
-    kind = sched.get("kind", "desk")
+    d = ExperimentConfig()
+    samples = _expect(doc.get("samples", {}), dict, "samples")
+    budget = _expect(doc.get("budget", {}), dict, "budget")
+    sched = _expect(doc.get("schedule", {}), dict, "schedule")
+    kind = sched.get("kind", d.schedule_kind)
     explicit = ()
     if kind == "explicit":
-        shells = sched.get("shells")
+        shells = _expect(sched.get("shells", []), list, "schedule.shells")
         if not shells:
             raise ConfigError("schedule.shells: required for explicit kind")
         parsed = []
         prev_b = 0.0
         for i, row in enumerate(shells, start=1):
-            if len(row) != 3:
+            if not isinstance(row, list) or len(row) != 3:
                 raise ConfigError(f"schedule.shells[{i}]: expected [a, b, c]")
             a = _num(row[0], f"schedule.shells[{i}].a")
             b = _num(row[1], f"schedule.shells[{i}].b")
@@ -161,36 +171,41 @@ def validate_config(path: str) -> ExperimentConfig:
     elif kind != "desk":
         raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
 
-    n0 = tuple(_int(v, "lemma_n0[]") for v in doc.get("lemma_n0", (1, 2, 3)))
+    def opt(section, label, attr=None, parse=_int, **kw):
+        key = label.rpartition(".")[2]
+        return parse(section.get(key, getattr(d, attr or key)), label, **kw)
+
+    n0 = tuple(_int(v, "lemma_n0[]") for v in _expect(
+        doc.get("lemma_n0", list(d.lemma_n0)), list, "lemma_n0"))
     cfg = ExperimentConfig(
-        n=_int(doc.get("n", 1), "n"),
-        i_max=_int(doc.get("i_max", 6), "i_max"),
-        k_max=_int(doc.get("k_max", 6), "k_max"),
-        pushout_dim=_int(doc.get("pushout_dim", 2), "pushout_dim", minimum=2),
-        eps_base=_num(doc.get("eps_base", 0.5), "eps_base"),
-        seed=_int(doc.get("seed", 0), "seed", minimum=0),
-        margin=_num(doc.get("margin", 1e-6), "margin"),
+        n=opt(doc, "n"),
+        i_max=opt(doc, "i_max"),
+        k_max=opt(doc, "k_max"),
+        pushout_dim=opt(doc, "pushout_dim", minimum=2),
+        eps_base=opt(doc, "eps_base", parse=_num),
+        seed=opt(doc, "seed", minimum=0),
+        margin=opt(doc, "margin", parse=_num),
         schedule_kind=kind,
         explicit_shells=explicit,
-        lemma_disks=_int(samples.get("lemma_disks", 60), "samples.lemma_disks"),
+        lemma_disks=opt(samples, "samples.lemma_disks"),
         lemma_n0=n0,
-        samples_per_shell=_int(samples.get("per_shell", 200),
-                               "samples.per_shell"),
-        identity_samples=_int(samples.get("identity", 1000),
-                              "samples.identity"),
-        divergence_samples=_int(samples.get("divergence", 100),
-                                "samples.divergence"),
-        restarts=_int(budget.get("restarts", 8), "budget.restarts"),
-        iterations=_int(budget.get("iterations", 40), "budget.iterations"),
-        degree=_int(budget.get("degree", 4), "budget.degree"),
-        lambda_budget=_num(budget.get("lambda_budget", 1e3),
-                           "budget.lambda_budget"),
+        samples_per_shell=opt(samples, "samples.per_shell",
+                              "samples_per_shell"),
+        identity_samples=opt(samples, "samples.identity", "identity_samples"),
+        divergence_samples=opt(samples, "samples.divergence",
+                               "divergence_samples"),
+        restarts=opt(budget, "budget.restarts"),
+        iterations=opt(budget, "budget.iterations"),
+        degree=opt(budget, "budget.degree"),
+        lambda_budget=opt(budget, "budget.lambda_budget", parse=_num),
         raw=doc,
     )
     if not (0 < cfg.eps_base < 1):
         raise ConfigError("eps_base: must lie in (0, 1)")
     if cfg.margin <= 0:
         raise ConfigError("margin: must be positive")
+    if cfg.lambda_budget <= 0:
+        raise ConfigError("budget.lambda_budget: must be positive")
     return cfg
 
 

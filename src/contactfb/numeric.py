@@ -87,22 +87,6 @@ def log_sub(la: float, lb: float) -> float:
     return la + math.log1p(-math.exp(lb - la))
 
 
-def log_shift(lx: float, delta: float) -> float:
-    """log(max(exp(lx) + delta, 0)) for a small linear shift delta.
-
-    Used to apply linear membership tolerances to radii that may be far
-    beyond native float range, where the shift is negligible.
-    """
-    if delta == 0.0:
-        return lx
-    if lx == NEG_INF:
-        return math.log(delta) if delta > 0 else NEG_INF
-    if lx > _NATIVE_LOG_LIMIT:
-        return lx  # |delta| is negligible at this magnitude
-    x = math.exp(lx) + delta
-    return math.log(x) if x > 0 else NEG_INF
-
-
 # ---------------------------------------------------------------------------
 # ScaledComplex
 # ---------------------------------------------------------------------------
@@ -440,21 +424,6 @@ class CPolynomial:
             dacc = dacc * z + acc
             acc = acc * z + c
         return acc, dacc
-
-    def eval_many(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Horner evaluation of p and p' at many points.
-
-        Returns (values, derivatives) as complex128 arrays of the shape of
-        ``points``; both are zero for the zero polynomial.
-        """
-        points = np.asarray(points, dtype=np.complex128)
-        flat = points.ravel()
-        values = np.zeros_like(flat)
-        derivs = np.zeros_like(flat)
-        for c in reversed(self.coeffs):
-            derivs = derivs * flat + values
-            values = values * flat + c
-        return values.reshape(points.shape), derivs.reshape(points.shape)
 
     def sup_bound(self, R: float) -> float:
         """Certified upper bound sum_k |c_k| R^k for sup over |z| <= R."""

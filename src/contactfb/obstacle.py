@@ -1,4 +1,4 @@
-"""Obstacle cylinder unions, membership tests, and the derivative-bound
+"""Obstacle cylinder unions, point membership, and the derivative-bound
 certificate for horizontal disks avoiding them.
 
 A shell union is a finite list of cylinders
@@ -7,7 +7,13 @@ A shell union is a finite list of cylinders
 
 where the polydisk factor lives on ``shell_dims`` (max-norm) and the disk
 factor on ``disk_dim``.  The standard obstacle has the degenerate bands
-a_i = b_i = 2^(i-1) on the 2n (x, y)-coordinates and c_i = C_i on z.
+a_i = b_i = 2^(i-1) on the 2n (x, y)-coordinates and the fixed heights
+c_i = n * 2^(3i+1) on z.
+
+Each question is decided one way: point membership by ``membership_margin``
+on coordinate log-moduli, disk avoidance by certificate only
+(``certify_avoidance``), so a disk is 'certified' or 'uncertified' and only
+a certified disk passes ``verify_disk_estimate``.
 
 Radii are stored as natural logs so the same type can describe the shell
 unions produced by the push-out recursion, whose radii overflow any native
@@ -21,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import HolomorphicCurve, horizontality_residual
-from .numeric import NEG_INF, ScaledComplex, log_shift
+from .contact import (HolomorphicCurve, horizontality_residual,
+                      legendrian_from_xy)
+from .numeric import CPolynomial, NEG_INF
 
 DEFAULT_AVOIDANCE_MARGIN = 1e-6
 
@@ -72,12 +79,11 @@ class ShellUnion:
             prev_b = s.log_b
 
     @classmethod
-    def from_linear(cls, shells, shell_dims, disk_dim,
-                    orientation: str = "vertical") -> "ShellUnion":
+    def from_linear(cls, shells, shell_dims, disk_dim) -> "ShellUnion":
         bands = tuple(
             ShellBand(math.log(a), math.log(b), math.log(c))
             for a, b, c in shells)
-        return cls(bands, tuple(shell_dims), disk_dim, orientation)
+        return cls(bands, tuple(shell_dims), disk_dim)
 
     @property
     def dim(self) -> int:
@@ -87,42 +93,12 @@ class ShellUnion:
         return tuple((s.a, s.b, s.c) for s in self.shells)
 
 
-def _coord_log_mag(value) -> float:
-    if isinstance(value, ScaledComplex):
-        return value.abs_log()
-    m = abs(complex(value))
-    return math.log(m) if m > 0 else NEG_INF
-
-
-def contains(K: ShellUnion, p, eta: float = 0.0) -> bool:
-    """Closed-set membership of p in K, inflated by the linear tolerance eta.
-
-    p is a flat coordinate sequence of complex or ScaledComplex values.
-    Member iff for some shell: a_i - eta <= maxnorm(shell coords) <= b_i +
-    eta and |p[disk_dim]| <= c_i + eta.
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    p = list(p)
-    if len(p) < K.dim:
-        raise ValueError("point has too few coordinates for this shell union")
-    log_max = max(_coord_log_mag(p[d]) for d in K.shell_dims)
-    log_disk = _coord_log_mag(p[K.disk_dim])
-    for s in K.shells:
-        lo = log_shift(s.log_a, -eta)
-        hi = log_shift(s.log_b, eta)
-        cap = log_shift(s.log_c, eta)
-        if lo <= log_max <= hi and log_disk <= cap:
-            return True
-    return False
-
-
 def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:
     """(m,) largest log-domain slacks with which points, given as an (m, dim)
     array of coordinate log-moduli, sit inside some shell of K.
 
-    Positive iff the point is strictly inside a shell (all three log
-    inequalities strict); used to assert sampled containment with margin.
+    Nonnegative iff the point lies in the closed set K (a zero coordinate
+    has log-modulus -inf), positive iff it is strictly inside a shell.
     """
     log_mag = np.asarray(log_mag, dtype=np.float64)
     log_max = np.max(log_mag[:, list(K.shell_dims)], axis=1)
@@ -139,36 +115,20 @@ def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:
 # the standard obstacle
 # ---------------------------------------------------------------------------
 
-def hyperbolic_height_rule(n: int):
-    """The height schedule C_N = n * 2^(3N+1) (smallest certified choice)."""
-    return lambda N: n * 2.0 ** (3 * N + 1)
-
-
-def standard_obstacle(n: int, i_max: int, C_rule=None,
-                      require_hyperbolic: bool = True) -> ShellUnion:
+def standard_obstacle(n: int, i_max: int) -> ShellUnion:
     """Standard obstacle in C^(2n+1): degenerate bands a_i = b_i = 2^(i-1)
-    on the 2n (x, y)-coordinates, height c_i = C_i on z, truncated at i_max.
-
-    With require_hyperbolic the schedule must satisfy C_N >= n*2^(3N+1),
-    the constant under which the derivative-bound certificate is valid.
+    on the 2n (x, y)-coordinates, height c_i = n * 2^(3i+1) on z, truncated
+    at i_max.  These heights are the hyperbolicity constants under which
+    the derivative-bound certificate is valid.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if C_rule is None:
-        C_rule = hyperbolic_height_rule(n)
     shells = []
     for N in range(1, i_max + 1):
-        c = float(C_rule(N))
-        if c <= 0:
-            raise ValueError(f"invalid height schedule: C_{N} = {c}")
-        if require_hyperbolic and c < n * 2.0 ** (3 * N + 1):
-            raise ValueError(
-                f"C_{N} = {c} violates the hyperbolicity constant "
-                f"{n * 2.0 ** (3 * N + 1)}")
         r = 2.0 ** (N - 1)
-        shells.append((r, r, c))
+        shells.append((r, r, n * 2.0 ** (3 * N + 1)))
     return ShellUnion.from_linear(shells, tuple(range(2 * n)), 2 * n)
 
 
@@ -257,37 +217,16 @@ def certify_avoidance(components, K: ShellUnion,
                           failed_shells=tuple(failed))
 
 
-def boundary_circle_points(n_angles: int, radii) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    unit = np.exp(1j * angles)
-    return np.concatenate([r * unit for r in radii])
-
-
-def sampled_hit(components, K: ShellUnion, n_angles: int = 4096,
-                radii=None) -> bool:
-    """Sampled (non-certified) intersection test on boundary circles."""
-    if radii is None:
-        radii = [0.1 * k for k in range(1, 11)]
-    pts = boundary_circle_points(n_angles, radii)
-    mags = {}
-    for d in set((*K.shell_dims, K.disk_dim)):
-        vals, _ = components[d].eval_many(pts)
-        mags[d] = np.abs(vals)
-    maxnorm = np.max(np.stack([mags[d] for d in K.shell_dims]), axis=0)
-    disk = mags[K.disk_dim]
-    for s in K.shells:
-        if np.any((maxnorm >= s.a) & (maxnorm <= s.b) & (disk <= s.c)):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # the disk-estimate verifier
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DiskEstimateReport:
-    avoidance: str                      # 'certified' | 'sampled-only' | 'fails'
+    """Outcome of ``verify_disk_estimate``: ``avoidance`` is 'certified' or
+    'uncertified', and ``passed`` is ``bounds_hold`` and 'certified'."""
+
+    avoidance: str
     routes: tuple[str, ...]
     derivatives: dict
     certificate: BoundCertificate
@@ -296,15 +235,14 @@ class DiskEstimateReport:
 
 
 def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
-                         samples: int = 4096,
                          margin: float = DEFAULT_AVOIDANCE_MARGIN) -> DiskEstimateReport:
     """Check the first-derivative bounds for one horizontal disk against K.
 
     Preconditions: the horizontality residual of f is the zero polynomial
     and f(0) has max-norm < 2^N0.  The avoidance verdict is 'certified'
-    when coefficient-sum bounds show every shell is missed by ``margin``,
-    'sampled-only' when certification fails but dense boundary-circle
-    sampling finds no hit, and 'fails' when a sampled point lands in K.
+    when coefficient-sum bounds show every shell is missed by ``margin``
+    and 'uncertified' otherwise; an uncertified disk does not pass, since
+    the bounds are proved only for disks that avoid K.
     """
     if not horizontality_residual(f).is_zero:
         raise ValueError("curve is not horizontal (nonzero residual)")
@@ -314,12 +252,7 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
     cert = BoundCertificate(N0=N0, n=f.n)
 
     check = certify_avoidance(f.components, K, margin)
-    if check.certified:
-        avoidance = "certified"
-    elif sampled_hit(f.components, K, n_angles=samples):
-        avoidance = "fails"
-    else:
-        avoidance = "sampled-only"
+    avoidance = "certified" if check.certified else "uncertified"
 
     d0 = f.derivative_at(0.0)
     derivs = {
@@ -330,20 +263,22 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
     bounds_hold = (all(v < cert.bound_xy for v in derivs["x"])
                    and all(v < cert.bound_xy for v in derivs["y"])
                    and derivs["z"] < cert.bound_z)
-    passed = bounds_hold and avoidance != "fails"
     return DiskEstimateReport(avoidance=avoidance, routes=check.routes,
                               derivatives=derivs, certificate=cert,
-                              bounds_hold=bounds_hold, passed=passed)
+                              bounds_hold=bounds_hold,
+                              passed=bounds_hold and check.certified)
 
 
 # ---------------------------------------------------------------------------
 # random avoiding disks (rejection sampler for the property suites)
 # ---------------------------------------------------------------------------
 
+_SAMPLER_DEGREE = 8
+_SAMPLER_MAX_TRIES = 200000
+
+
 def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
-                          seed: int, degree: int = 8,
-                          margin: float = DEFAULT_AVOIDANCE_MARGIN,
-                          max_tries: int = 200000):
+                          seed: int, margin: float = DEFAULT_AVOIDANCE_MARGIN):
     """Rejection-sample horizontal polynomial disks with certified avoidance
     of K and center inside the 2^N0 polydisk.
 
@@ -352,18 +287,14 @@ def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
     certifier accepts at a healthy rate while rejection still happens.
     Returns a list of HolomorphicCurve.
     """
-    from .contact import legendrian_from_xy  # local import, no cycle
-    from .numeric import CPolynomial
-
     rng = np.random.default_rng(seed)
-    radii = [s.a for s in K.shells]
+    # radial slots for the marked coordinate: inside the first shell or in
+    # one of the gaps (2^(i-1), 2^i) up to 2^N0
+    slots = [s.a for s in K.shells if s.a <= 2.0 ** N0]
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < _SAMPLER_MAX_TRIES:
         tries += 1
-        # radial slot for the marked coordinate: inside the first shell or
-        # in one of the gaps (2^(i-1), 2^i) up to 2^N0
-        slots = [r for r in radii if r <= 2.0 ** N0]
         slot = int(rng.integers(0, len(slots) + 1))  # 0 = innermost hole
         lo = 0.0 if slot == 0 else slots[slot - 1]
         hi = slots[slot] if slot < len(slots) else min(2.0 ** N0, 2 * lo or 1.0)
@@ -374,21 +305,16 @@ def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
                                            hi - base)
         marked = int(rng.integers(0, 2 * n))
 
-        def rand_poly(center_mag, is_marked):
+        def rand_poly(center_mag):
             c0 = center_mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
             coeffs = [complex(c0)]
-            scale = amp
-            for k in range(1, degree + 1):
-                coeffs.append(complex(scale * (rng.normal() + 1j * rng.normal())
+            for k in range(1, _SAMPLER_DEGREE + 1):
+                coeffs.append(complex(amp * (rng.normal() + 1j * rng.normal())
                                       / (3.0 ** k)))
             return CPolynomial(coeffs)
 
-        polys = []
-        for d in range(2 * n):
-            if d == marked:
-                polys.append(rand_poly(base, True))
-            else:
-                polys.append(rand_poly(rng.uniform(0.0, base), False))
+        polys = [rand_poly(base if d == marked else rng.uniform(0.0, base))
+                 for d in range(2 * n)]
         xs = polys[0::2]
         ys = polys[1::2]
         z0 = rng.uniform(0, 0.5 * 2.0 ** N0) * np.exp(

@@ -49,6 +49,32 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"schedule": 5}, "schedule: expected an object"),
+        ({"samples": []}, "samples: expected an object"),
+        ({"lemma_n0": 5}, "lemma_n0: expected a list"),
+        ({"schedule": {"kind": "explicit", "shells": [5]}},
+         "schedule.shells[1]: expected [a, b, c]"),
+        ('{"seed": 1e400}', "seed: must be a finite number"),
+        ({"i_max": "inf"}, "i_max: must be a finite number"),
+        ({"margin": "nan"}, "margin: must be a finite number"),
+        ({"budget": {"lambda_budget": "nan"}},
+         "budget.lambda_budget: must be a finite number"),
+        ({"budget": {"lambda_budget": -1}},
+         "budget.lambda_budget: must be positive"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        args = [command, "--config", str(cfg)]
+        if command == "run":
+            args += ["--suite", "lemma"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config invalid: {named}\n"
+        assert captured.out == ""
+
     def test_decimal_strings_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps_base": "0.25", "k_max": "3"}))
@@ -155,6 +181,14 @@ class TestClassify:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_missing_points_exits_two(self, saved_state, tmp_path, capsys):
+        assert main(["classify", "--state", saved_state,
+                     "--points", str(tmp_path / "nope.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("points invalid: ")
+        assert "No such file" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content, named", [
         (None, "No such file"),

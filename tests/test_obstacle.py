@@ -12,11 +12,8 @@ from contactfb.obstacle import (
     ShellBand,
     ShellUnion,
     certify_avoidance,
-    contains,
-    hyperbolic_height_rule,
     membership_margin,
     random_avoiding_disks,
-    sampled_hit,
     standard_obstacle,
     verify_disk_estimate,
 )
@@ -53,36 +50,32 @@ class TestShellUnion:
 class TestMembership:
     K = ShellUnion.from_linear([(1, 2, 5), (4, 8, 20)], (0, 1), 2)
 
-    def _linear_member(self, p, eta=0.0):
+    def _linear_member(self, p):
         mx = max(abs(p[0]), abs(p[1]))
         for a, b, c in self.K.linear_shells():
-            if a - eta <= mx <= b + eta and abs(p[2]) <= c + eta:
+            if a <= mx <= b and abs(p[2]) <= c:
                 return True
         return False
 
-    @given(st.lists(st.floats(0, 10), min_size=3, max_size=3),
-           st.floats(0, 0.5))
+    @given(st.lists(st.floats(0, 10), min_size=3, max_size=3))
     @settings(max_examples=300)
-    def test_matches_linear_oracle(self, mags, eta):
+    def test_matches_linear_oracle(self, mags):
         p = [complex(m, 0) for m in mags]
         # skip knife-edge cases where float log round-trips flip the verdict
         for m in mags:
             for bound in (1, 2, 4, 8, 5, 20):
                 if m != 0 and abs(m - bound) < 1e-9:
                     return
-            if eta > 0 and any(abs(m - b - eta) < 1e-9 or abs(m - b + eta) < 1e-9
-                               for b in (1, 2, 4, 8, 5, 20)):
-                return
-        assert contains(self.K, p, eta) == self._linear_member(p, eta)
+        got = membership_margin(self.K, self._log_rows([p]))[0] >= 0
+        assert got == self._linear_member(p)
 
     def test_scaled_coordinates(self):
-        p = [ScaledComplex.from_complex(1.5), ScaledComplex.zero(),
-             ScaledComplex.from_complex(3.0)]
-        assert contains(self.K, p)
-
-    def test_eta_negative_rejected(self):
-        with pytest.raises(ValueError):
-            contains(self.K, [1j, 1j, 1j], eta=-0.1)
+        # log radii and coordinates far beyond native float range
+        K = ShellUnion((ShellBand(1e6, 2e6, 1e5),), (0, 1), 2)
+        p = [ScaledComplex(1.5e6, 0.3), ScaledComplex.zero(),
+             ScaledComplex(9e4, -1.0)]
+        logs = np.array([[float(c.abs_log()) for c in p]])
+        assert membership_margin(K, logs)[0] == pytest.approx(1e4)
 
     @staticmethod
     def _log_rows(points):
@@ -135,18 +128,10 @@ class TestStandardObstacle:
         assert K.shell_dims == (0, 1) and K.disk_dim == 2
 
     def test_height_rule(self):
-        rule = hyperbolic_height_rule(2)
-        assert rule(1) == 2 * 2 ** 4
-        assert rule(3) == 2 * 2 ** 10
-
-    def test_undersized_heights_rejected(self):
-        with pytest.raises(ValueError, match="violates"):
-            standard_obstacle(1, 2, C_rule=lambda N: 1.0)
-
-    def test_custom_rule_allowed_when_unchecked(self):
-        K = standard_obstacle(1, 2, C_rule=lambda N: 1.0,
-                              require_hyperbolic=False)
-        assert K.linear_shells()[0][2] == 1.0
+        # C_N = n * 2^(3N+1) with n = 2
+        heights = [c for _, _, c in standard_obstacle(2, 3).linear_shells()]
+        assert heights == pytest.approx([2 * 2 ** 4, 2 * 2 ** 7, 2 * 2 ** 10],
+                                        rel=1e-14)
 
     def test_n2_dims(self):
         K = standard_obstacle(2, 2)
@@ -200,21 +185,6 @@ class TestCertifyAvoidance:
         assert not certify_avoidance(comps, self.K, margin=1e-2).certified
 
 
-class TestSampledHit:
-    # a widened union: degenerate bands have measure zero, so sampled hit
-    # detection is only meaningful against bands of positive thickness
-    K = ShellUnion.from_linear([(0.9, 1.1, 16)], (0, 1), 2)
-
-    def test_hit_detected(self):
-        # disk passing straight through the shell
-        comps = [CPolynomial([0, 1.5]), CPolynomial([0]), CPolynomial([0])]
-        assert sampled_hit(comps, self.K)
-
-    def test_miss(self):
-        comps = [CPolynomial([0, 0.5]), CPolynomial([0]), CPolynomial([0])]
-        assert not sampled_hit(comps, self.K)
-
-
 class TestVerifyDiskEstimate:
     K = standard_obstacle(1, 4)
 
@@ -226,20 +196,24 @@ class TestVerifyDiskEstimate:
         assert rep.derivatives["x"][0] == 0.5
 
     def test_hitting_disk_fails(self):
-        # widened bands so the sampled intersection is actually observable
         K = ShellUnion.from_linear([(0.9, 1.1, 16), (1.9, 2.1, 128)],
                                    (0, 1), 2)
         f = legendrian_from_xy([CPolynomial([0, 1.5])], [CPolynomial([0])], 0)
         rep = verify_disk_estimate(f, K, N0=1)
-        assert rep.avoidance == "fails"
-        assert not rep.passed
+        assert rep.avoidance == "uncertified"
+        assert rep.bounds_hold and not rep.passed
 
-    def test_degenerate_crossing_is_sampled_only(self):
-        # crossing a measure-zero band cannot be witnessed by sampling; the
-        # verdict stays honest at 'sampled-only' rather than 'certified'
+    def test_degenerate_crossing_fails(self):
+        # x = 1.5 zeta crosses the measure-zero band |x| = 1 of shell 1:
+        # f(2/3) = (1, 0, 0) lies in K, so the disk must not pass
         f = legendrian_from_xy([CPolynomial([0, 1.5])], [CPolynomial([0])], 0)
+        hit = [complex(c) for c in f.at(2 / 3).flat()]
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(np.array([hit])))
+        assert membership_margin(self.K, logs)[0] >= 0
         rep = verify_disk_estimate(f, self.K, N0=1)
-        assert rep.avoidance == "sampled-only"
+        assert rep.avoidance == "uncertified"
+        assert not rep.passed
 
     def test_center_precondition(self):
         f = legendrian_from_xy([CPolynomial([5.0])], [CPolynomial([0])], 0)
