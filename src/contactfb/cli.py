@@ -12,6 +12,7 @@ Exit code is 0 only when every executed check passed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -27,8 +28,12 @@ from .fatou_bieberbach import load_state, omega_membership
 
 
 def _parse_point(text: str) -> ContactPoint:
-    """Comma-separated complex coordinates, e.g. '0,0,1' or '1+2j,0,0'."""
+    """Comma-separated finite complex coordinates, e.g. '0,0,1' or
+    '1+2j,0,0'."""
     coords = [complex(tok.strip().replace(" ", "")) for tok in text.split(",")]
+    for j, c in enumerate(coords):
+        if not cmath.isfinite(c):
+            raise ValueError(f"coordinate {j} is not finite")
     return ContactPoint.from_flat(coords)
 
 

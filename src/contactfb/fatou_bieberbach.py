@@ -418,8 +418,7 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
                             slacks=slacks)
 
 
-def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int,
-                 exponent_cap: int):
+def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int):
     """Select all exponents of one shear stage; returns the shear function,
     the witnesses, and the certified output bands (alpha_i, beta_i)."""
     terms: list[tuple[float, int]] = []
@@ -428,8 +427,7 @@ def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int,
     for i in range(1, schedule.count + 1):
         partial = ShearFunction(tuple(terms))
         w = select_exponent(i, schedule, partial, eps,
-                            m_floor=m_floor_base + i,
-                            exponent_cap=exponent_cap, min_exponent=prev_N)
+                            m_floor=m_floor_base + i, min_exponent=prev_N)
         terms.append((w.log_r, w.N))
         witnesses.append(w)
         prev_N = w.N
@@ -489,28 +487,18 @@ class PushOutRound:
         return self.psi.apply_logpolar(lm, ph)
 
 
-def _vertical_dims(dim: int):
-    return tuple(range(dim - 1)), dim - 1
-
-
-def _horizontal_dims(dim: int):
-    return tuple(range(1, dim)), 0
-
-
 @dataclass
 class PushOutState:
     """Evolving state of the push-out recursion.
 
     ``initial`` must be a vertical shell union (shell block on the first
     dim-1 coordinates, disk on the last) with a_1 > 1; rounds are appended
-    by :func:`build_shear_round`.
+    by :func:`build_shear_round`, every exponent below ``EXPONENT_CAP``.
     """
 
     dim: int
     initial: ShellUnion
     eps_schedule: EpsSchedule = field(default_factory=EpsSchedule)
-    i_max: int | None = None
-    exponent_cap: int = EXPONENT_CAP
     rounds: list[PushOutRound] = field(default_factory=list)
 
     def __post_init__(self):
@@ -522,8 +510,6 @@ class PushOutState:
         if self.initial.shells[0].log_a <= 0.0:
             raise ValueError("initial schedule needs a_1 > 1 "
                              "(dilate coordinates first)")
-        if self.i_max is None:
-            self.i_max = len(self.initial.shells)
 
     @property
     def k(self) -> int:
@@ -537,9 +523,6 @@ class PushOutState:
         for r in self.rounds:
             maps.extend((r.phi, r.psi))
         return maps
-
-    def eps_tail(self, k: int) -> float:
-        return self.eps_schedule.tail(k)
 
     def orbit_logs(self, log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """(m, k) array of per-round log max-norms of the points given by
@@ -563,25 +546,22 @@ def build_shear_round(state: PushOutState):
     K = state.current_shells()
     dim = state.dim
 
-    # phi stage: identity on k*polydisk, pinches vertical shells
-    sched_phi = StageSchedule.from_shell_union(K, math.log(k), dim)
-    f, wit_phi, alphas, betas = _build_stage(sched_phi, eps_k, k, state.exponent_cap)
-    phi = ShearMap("phi", dim, f)
-    h_dims, h_disk = _horizontal_dims(dim)
-    L = ShellUnion(
-        tuple(ShellBand(a, b, K.shells[i].log_b)
-              for i, (a, b) in enumerate(zip(alphas, betas))),
-        h_dims, h_disk, orientation="horizontal")
-
-    # psi stage: identity on (k+1)*polydisk (alpha_1 > M_1 >= k+1 clears it)
-    sched_psi = StageSchedule.from_shell_union(L, math.log(k + 1.0), dim)
-    g, wit_psi, alphas2, betas2 = _build_stage(sched_psi, eps_k, k, state.exponent_cap)
-    psi = ShearMap("psi", dim, g)
-    v_dims, v_disk = _vertical_dims(dim)
-    K_next = ShellUnion(
-        tuple(ShellBand(a, b, L.shells[i].log_b)
-              for i, (a, b) in enumerate(zip(alphas2, betas2))),
-        v_dims, v_disk, orientation="vertical")
+    # phi: identity on the k-polydisk, pinches the vertical shells into a
+    # horizontal union (disk on the first coordinate); psi: identity on the
+    # (k+1)-polydisk (alpha_1 > M_1 >= k+1 clears it), pinches them back
+    unions, maps, witnesses = [K], [], []
+    for kind, radius, disk in (("phi", k, 0), ("psi", k + 1.0, dim - 1)):
+        prev = unions[-1]
+        sched = StageSchedule.from_shell_union(prev, math.log(radius), dim)
+        func, wit, alphas, betas = _build_stage(sched, eps_k, k)
+        maps.append(ShearMap(kind, dim, func))
+        witnesses.append(wit)
+        unions.append(ShellUnion(
+            tuple(ShellBand(a, b, s.log_b)
+                  for a, b, s in zip(alphas, betas, prev.shells)),
+            tuple(d for d in range(dim) if d != disk), disk))
+    _, L, K_next = unions
+    phi, psi = maps
 
     # certified disjointness from the (k+1)-polydisk
     if not K_next.shells[0].log_a > math.log(k + 1.0):
@@ -590,8 +570,8 @@ def build_shear_round(state: PushOutState):
             1, "disjointness")
 
     # certified identity-approximation bound on the k-polydisk
-    sup_f = math.exp(f.sup_log(math.log(k)))
-    sup_g = math.exp(g.sup_log(math.log(k + sup_f)))
+    sup_f = math.exp(phi.func.sup_log(math.log(k)))
+    sup_g = math.exp(psi.func.sup_log(math.log(k + sup_f)))
     id_bound = sup_f + sup_g
     if not id_bound < eps_k:
         raise SelectionError(
@@ -599,7 +579,7 @@ def build_shear_round(state: PushOutState):
             0, "identity")
 
     rec = PushOutRound(index=k, phi=phi, psi=psi,
-                       phi_witnesses=wit_phi, psi_witnesses=wit_psi,
+                       phi_witnesses=witnesses[0], psi_witnesses=witnesses[1],
                        shells_before=K, shells_mid=L, shells_after=K_next,
                        eps=eps_k, id_bound=id_bound)
     state.rounds.append(rec)
@@ -607,40 +587,36 @@ def build_shear_round(state: PushOutState):
 
 
 def build_pushout(initial: ShellUnion, dim: int, k_max: int,
-                  eps_schedule: EpsSchedule | None = None,
-                  exponent_cap: int = EXPONENT_CAP) -> PushOutState:
+                  eps_schedule: EpsSchedule | None = None) -> PushOutState:
     """Run the recursion for k_max rounds starting from ``initial``."""
     state = PushOutState(dim=dim, initial=initial,
-                         eps_schedule=eps_schedule or EpsSchedule(),
-                         exponent_cap=exponent_cap)
+                         eps_schedule=eps_schedule or EpsSchedule())
     for _ in range(k_max):
         build_shear_round(state)
     return state
 
 
-def enclose_degenerate(K: ShellUnion, widen: float = 0.1,
-                       dilation: float = 2.0) -> ShellUnion:
+def enclose_degenerate(K: ShellUnion) -> ShellUnion:
     """Proper interleaved enclosure of a (possibly degenerate a_i = b_i)
     schedule, dilated so that a_1 > 1 as the recursion requires.
 
-    Each band (a, b) widens multiplicatively to (a (1-widen), b (1+widen));
-    all radii and heights then scale by ``dilation``.
+    Each band (a, b) widens by 10 % to (0.9 a, 1.1 b); all radii and
+    heights then double.  The bands must still interleave and a_1 must end
+    above 1 (so the input needs a_1 > 1/1.8).
     """
-    if not (0 < widen < 1):
-        raise ValueError("widen must lie in (0, 1)")
-    ld = math.log(dilation)
+    ld = math.log(2.0)
     bands = []
     prev_b = NEG_INF
     for s in K.shells:
-        la = s.log_a + math.log1p(-widen) + ld
-        lb = s.log_b + math.log1p(widen) + ld
+        la = s.log_a + math.log1p(-0.1) + ld
+        lb = s.log_b + math.log1p(0.1) + ld
         if not (prev_b < la):
             raise ValueError("widened bands no longer interleave")
         bands.append(ShellBand(la, lb, s.log_c + ld))
         prev_b = lb
-    out = ShellUnion(tuple(bands), K.shell_dims, K.disk_dim, K.orientation)
+    out = ShellUnion(tuple(bands), K.shell_dims, K.disk_dim)
     if out.shells[0].log_a <= 0.0:
-        raise ValueError("dilation too small: need a_1 > 1 after enclosure")
+        raise ValueError("a_1 too small: need a_1 > 1 after enclosure")
     return out
 
 
@@ -652,7 +628,7 @@ def desk_schedule(dim: int = 2, i_max: int = 6) -> ShellUnion:
         [(2.0 ** (i - 1), 2.0 ** (i - 1), 2.0 ** (3 * i))
          for i in range(1, i_max + 1)],
         tuple(range(dim - 1)), dim - 1)
-    return enclose_degenerate(degenerate, widen=0.1, dilation=2.0)
+    return enclose_degenerate(degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +739,7 @@ def omega_membership(state: PushOutState, p) -> str:
             lm = _maxnorm_log(pt)
             escaped = escaped or lm > math.log(j + 1.0)
         if lm < 5.0:  # only small points can certify; avoids exp overflow
-            if math.exp(lm) + state.eps_tail(j) < max(j, 1):
+            if math.exp(lm) + state.eps_schedule.tail(j) < max(j, 1):
                 return "in_omega_certified"
     return "escaped" if escaped else "undecided"
 
@@ -777,7 +753,7 @@ def fb_map_eval(state: PushOutState, p):
     for r in state.rounds:
         pt = r.apply_scaled(pt)
     value = tuple(v.to_complex() for v in pt)
-    return value, state.eps_tail(state.k)
+    return value, state.eps_schedule.tail(state.k)
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +773,7 @@ def _shells_to_dict(K: ShellUnion) -> dict:
 def _shells_from_dict(d: dict) -> ShellUnion:
     bands = tuple(ShellBand(float(a), float(b), float(c))
                   for a, b, c in d["bands"])
-    return ShellUnion(bands, tuple(d["shell_dims"]), d["disk_dim"],
-                      d["orientation"])
+    return ShellUnion(bands, tuple(d["shell_dims"]), d["disk_dim"])
 
 
 def _func_to_dict(f: ShearFunction) -> dict:
@@ -815,8 +790,8 @@ def state_to_dict(state: PushOutState) -> dict:
     return {
         "version": STATE_FORMAT_VERSION,
         "dim": state.dim,
-        "i_max": state.i_max,
-        "exponent_cap": state.exponent_cap,
+        "i_max": len(state.initial.shells),
+        "exponent_cap": EXPONENT_CAP,
         "eps_schedule": {"kind": "geometric", "base": repr(state.eps_schedule.base)},
         "initial": _shells_to_dict(state.initial),
         "rounds": [
@@ -847,21 +822,35 @@ def _field(doc, key: str, convert, where: str = ""):
                          f"{type(e).__name__}: {e}") from None
 
 
+def _derived(doc, key: str, want, where: str = "") -> None:
+    """A stored value the construction determines must equal ``want``."""
+    got = _field(doc, key, type(want), where)
+    if got != want:
+        raise ValueError(f"state: '{where}{key}' is {got!r}, expected {want!r}")
+
+
+def _shells_field(doc, key: str, where: str = "") -> ShellUnion:
+    K = _field(doc, key, _shells_from_dict, where)
+    _derived(doc[key], "orientation", K.orientation, f"{where}{key}.")
+    return K
+
+
 def state_from_dict(doc: dict) -> PushOutState:
     """Inverse of ``state_to_dict``; raises ValueError naming the first
-    missing or mistyped key."""
+    missing or mistyped key, or the first stored ``orientation``, ``i_max``
+    or ``exponent_cap`` that differs from what the construction gives."""
     if not isinstance(doc, dict):
         raise ValueError("state: expected a JSON object")
     if doc.get("version") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version {doc.get('version')}")
     state = PushOutState(
         dim=_field(doc, "dim", int),
-        initial=_field(doc, "initial", _shells_from_dict),
+        initial=_shells_field(doc, "initial"),
         eps_schedule=_field(doc, "eps_schedule",
                             lambda d: EpsSchedule(base=float(d["base"]))),
-        i_max=_field(doc, "i_max", int),
-        exponent_cap=_field(doc, "exponent_cap", int),
     )
+    _derived(doc, "i_max", len(state.initial.shells))
+    _derived(doc, "exponent_cap", EXPONENT_CAP)
     witnesses = lambda ws: tuple(map(SelectionWitness.from_dict, ws))
     prev = state.initial
     for n, rd in enumerate(_field(doc, "rounds", list)):
@@ -874,8 +863,8 @@ def state_from_dict(doc: dict) -> PushOutState:
             phi_witnesses=get("phi_witnesses", witnesses),
             psi_witnesses=get("psi_witnesses", witnesses),
             shells_before=prev,
-            shells_mid=get("mid", _shells_from_dict),
-            shells_after=get("after", _shells_from_dict),
+            shells_mid=_shells_field(rd, "mid", f"rounds[{n}]."),
+            shells_after=_shells_field(rd, "after", f"rounds[{n}]."),
             eps=get("eps", float), id_bound=get("id_bound", float))
         state.rounds.append(rec)
         prev = rec.shells_after

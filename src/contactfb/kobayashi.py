@@ -5,22 +5,26 @@ over horizontal disks f with f(0) = p, f'(0) = lambda v.  Upper bounds come
 from explicit certified disks (a witnessed feasible point of the infimum);
 lower bounds come from the derivative-bound certificate of the obstacle
 module, which caps |lambda v_coord| for every disk avoiding the standard
-obstacle.  The distance estimator integrates the directed upper bounds
-along a constructive horizontal path.
+obstacle.  The distance estimator integrates the full-space directed upper
+bound along a constructive horizontal path.
 
-The disk searches score candidates in complex128 and certify the returned
-witness exactly: each candidate is a list of float coefficient lists whose
-z component comes from a float convolution, scored by the same
-coefficient-sum routes as ``obstacle.certify_avoidance``.  Only the best
-float-certified candidate is rebuilt as an exact ``CPolynomial`` disk (with
-an identically-zero horizontality residual) and re-certified; if exact
-certification rejects it, the next-best stored candidate is tried.
+The complement-domain disk search scores candidates in complex128 and
+certifies the returned witness exactly: each candidate is a list of float
+coefficient lists whose z component comes from a float convolution, scored
+by the same coefficient-sum routes as ``obstacle.certify_avoidance``.  Only
+the best float-certified candidate is rebuilt as an exact ``CPolynomial``
+disk (with an identically-zero horizontality residual) and re-certified; if
+exact certification rejects it, the next-best stored candidate is tried.
+
+The contrapositive of the derivative bound is closed-form: a disk centred
+at the origin certifies only by the 'inside' route, so |x_1'(0)| < a_1 -
+margin, and an exact linear disk comes within an ulp of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,16 @@ from .obstacle import (
 #: the best is rebuilt first, the rest are fallbacks.
 CANDIDATE_STORE_SIZE = 8
 
+#: Pattern search: weight of the certification shortfall in the score, and
+#: the first and smallest coordinate step.
+PENALTY_WEIGHT = 50.0
+INIT_STEP = 0.5
+MIN_STEP = 1e-3
+
+#: Candidates, one ulp apart from the closed form down, that
+#: ``max_certified_x_derivative`` tries before it reports that none certifies.
+MAX_STEP_DOWNS = 64
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -61,9 +75,6 @@ class SearchBudget:
     degree: int = 4
     lambda_budget: float = 1e3
     margin: float = DEFAULT_AVOIDANCE_MARGIN
-    penalty_weight: float = 50.0
-    init_step: float = 0.5
-    min_step: float = 1e-3
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
@@ -171,7 +182,7 @@ def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget,
     score, key = evaluate(x)
     if key is not None:
         store.offer(key, x)
-    step = budget.init_step
+    step = INIT_STEP
     for _ in range(budget.iterations):
         improved = False
         for j in range(x.size):
@@ -186,19 +197,8 @@ def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget,
                     improved = True
         if not improved:
             step *= 0.5
-            if step < budget.min_step:
+            if step < MIN_STEP:
                 break
-
-
-def _first_certified(store: _CandidateStore, build, K: ShellUnion,
-                     margin: float):
-    """(key, exact disk) of the best stored candidate whose exact rebuild
-    ``build(x)`` passes ``certify_avoidance``; None if none does."""
-    for key, x in store.items:
-        f = build(x)
-        if certify_avoidance(f.components, K, margin).certified:
-            return key, f
-    return None
 
 
 def _disk_xy(p: ContactPoint, u: TangentVector, lam: float, free,
@@ -275,28 +275,25 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
         xs, ys = _disk_xy(p, u, math.exp(log_lam), vals[1:], degree)
         certified, shortfall = _certification_shortfall(
             _float_legendrian(xs, ys, p.z), K, radii, budget.margin)
-        score = log_lam - budget.penalty_weight * shortfall
+        score = log_lam - PENALTY_WEIGHT * shortfall
         return score, (log_lam if certified else None)
-
-    def build(params):
-        return _build_disk(p, u, math.exp(params[0]), params[1:], degree)
 
     store = _CandidateStore()
     for r in range(budget.restarts):
+        x0 = np.zeros(n_params)
         if r == 0:
-            x0 = np.zeros(n_params)
             x0[0] = -0.5
         else:
             rng = np.random.default_rng([seed, r])
-            x0 = np.zeros(n_params)
             x0[0] = rng.uniform(-3.0, 0.5)
             x0[1:] = 0.1 * rng.standard_normal(n_params - 1)
         _pattern_search(evaluate, x0, budget, store)
-    best = _first_certified(store, build, K, budget.margin)
-    if best is None:
-        return math.inf, None
-    log_lam, witness = best
-    return scale / math.exp(log_lam), witness
+    # exact re-certification, best stored candidate first
+    for log_lam, x in store.items:
+        witness = _build_disk(p, u, math.exp(x[0]), x[1:], degree)
+        if certify_avoidance(witness.components, K, budget.margin).certified:
+            return scale / math.exp(log_lam), witness
+    return math.inf, None
 
 
 def directed_norm_lower(p: ContactPoint, v: TangentVector,
@@ -342,19 +339,15 @@ def directed_norm_bracket(p: ContactPoint, v: TangentVector, K: ShellUnion,
 # ---------------------------------------------------------------------------
 
 def cck_distance_upper(p: ContactPoint, q: ContactPoint,
-                       domain: str = "full_space",
-                       K: ShellUnion | None = None,
-                       budget: SearchBudget | None = None,
-                       seed: int = 0, nodes: int = 64):
-    """Upper bound for the horizontal-path distance from p to q.
+                       budget: SearchBudget | None = None, nodes: int = 64):
+    """Upper bound for the horizontal-path distance from p to q in the full
+    space.
 
-    Builds a piecewise-polynomial horizontal path, applies the directed
-    upper-bound estimator at composite midpoint nodes of each segment, and
+    Builds a piecewise-polynomial horizontal path, applies the full-space
+    directed upper bound at composite midpoint nodes of each segment, and
     sums the quadrature.  Valid up to quadrature error; the node count is
     reported with the value.  Returns (value, node_count).
     """
-    if budget is None:
-        budget = SearchBudget()
     if p.flat() == q.flat():
         return 0.0, 0
     plan = chow_path(p, q)
@@ -368,66 +361,35 @@ def cck_distance_upper(p: ContactPoint, q: ContactPoint,
             vel = seg.derivative_at(t)
             if vel.maxnorm() == 0.0:
                 continue
-            upper, _ = directed_norm_upper(pt, vel, domain, K, budget,
-                                           seed=seed + used)
-            if not math.isfinite(upper):
-                return math.inf, used
+            upper, _ = directed_norm_upper(pt, vel, "full_space",
+                                           budget=budget)
             total += upper * h
             used += 1
     return total, used
 
 
 # ---------------------------------------------------------------------------
-# contrapositive derivative search
+# the contrapositive of the derivative bound, in closed form
 # ---------------------------------------------------------------------------
 
-def max_certified_x_derivative(K: ShellUnion, n: int = 1, N0: int = 1,
-                               budget: SearchBudget | None = None,
-                               seed: int = 0) -> float:
-    """Largest |x_1'(0)| the optimizer can certify over avoiding horizontal
-    disks centered at the origin.
+def max_certified_x_derivative(K: ShellUnion, n: int = 1,
+                               margin: float = DEFAULT_AVOIDANCE_MARGIN):
+    """(value, witness): the supremum of |x_1'(0)| over horizontal disks
+    centred at the origin whose avoidance of K certifies.
 
-    This is the contrapositive of the derivative-bound certificate: with
-    the standard obstacle it can never reach 2^(N0+1).  Free parameters
-    are all xy coefficients up to the budget degree; every candidate is
-    centered at the origin, inside the 2^N0 polydisk for any N0.
+    At f(0) = 0 every inf bound is <= 0, so only the 'inside' route can
+    certify, and its sup bound sum_k |c_k| >= |x_1'(0)|: a certified disk
+    has |x_1'(0)| < a_1 - margin.  The witness is the exact linear disk
+    x_1 = value * zeta (other components zero) for the largest float value
+    below a_1 - margin, within ``MAX_STEP_DOWNS`` ulps, that certifies;
+    (0.0, None) if none does.
     """
-    if budget is None:
-        budget = SearchBudget()
-    degree = budget.degree
-    n_params = 2 * degree * 2 * n  # all coefficients of powers 1..degree
-
-    radii = K.linear_shells()
-
-    def coeffs(params):
-        xs, ys = [], []
-        pos = 0
-        for _ in range(n):
-            for out in (xs, ys):
-                c = [0j]
-                for _ in range(degree):
-                    c.append(complex(params[pos], params[pos + 1]))
-                    pos += 2
-                out.append(c)
-        return xs, ys
-
-    def evaluate(params):
-        xs, ys = coeffs(params.tolist())
-        target = abs(xs[0][1])
-        certified, shortfall = _certification_shortfall(
-            _float_legendrian(xs, ys, 0j), K, radii, budget.margin)
-        score = target - budget.penalty_weight * shortfall
-        return score, (target if certified else None)
-
-    def build(params):
-        xs, ys = coeffs(params)
-        return legendrian_from_xy([CPolynomial(c) for c in xs],
-                                  [CPolynomial(c) for c in ys], 0j)
-
-    store = _CandidateStore()
-    for r in range(budget.restarts):
-        rng = np.random.default_rng([seed, r])
-        x0 = 0.2 * rng.standard_normal(n_params)
-        _pattern_search(evaluate, x0, budget, store)
-    best = _first_certified(store, build, K, budget.margin)
-    return 0.0 if best is None else best[0]
+    zero = CPolynomial([0])
+    lam = math.nextafter(K.shells[0].a - margin, 0.0)
+    for _ in range(MAX_STEP_DOWNS):
+        f = legendrian_from_xy([CPolynomial([0, lam])] + [zero] * (n - 1),
+                               [zero] * n, 0j)
+        if certify_avoidance(f.components, K, margin).certified:
+            return lam, f
+        lam = math.nextafter(lam, 0.0)
+    return 0.0, None

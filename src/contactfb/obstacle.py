@@ -62,7 +62,6 @@ class ShellUnion:
     shells: tuple[ShellBand, ...]
     shell_dims: tuple[int, ...]
     disk_dim: int
-    orientation: str = "vertical"
 
     def __post_init__(self):
         if self.disk_dim in self.shell_dims:
@@ -88,6 +87,12 @@ class ShellUnion:
     @property
     def dim(self) -> int:
         return max((*self.shell_dims, self.disk_dim)) + 1
+
+    @property
+    def orientation(self) -> str:
+        """'vertical' when the disk factor is the last coordinate, else
+        'horizontal'."""
+        return "vertical" if self.disk_dim == self.dim - 1 else "horizontal"
 
     def linear_shells(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((s.a, s.b, s.c) for s in self.shells)

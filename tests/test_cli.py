@@ -62,6 +62,8 @@ class TestValidate:
          "budget.lambda_budget: must be a finite number"),
         ({"budget": {"lambda_budget": -1}},
          "budget.lambda_budget: must be positive"),
+        ({"schedule": {"kind": "explicit", "shells": [[0.5, 0.6, 1]]}},
+         "schedule.shells[1].a: must be > 1"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -131,6 +133,32 @@ class TestRun:
         assert code == 1
         assert any(ln.startswith("FAIL kobayashi/full-space-degeneration")
                    for ln in out.splitlines())
+
+    @pytest.mark.parametrize("suite, doc, errors", [
+        # past round 40 the push-out's log radii leave float64 range
+        ("pushout", {"k_max": 45}, {"pushout/error:SelectionError"}),
+        # the heights 2^(3i) overflow while each suite sets up
+        ("all", {"i_max": 400, "k_max": 1},
+         {f"{s}/error:OverflowError" for s in ("lemma", "pushout",
+                                                "kobayashi")}),
+    ])
+    def test_suite_error_is_a_failed_check(self, tmp_path, capsys, suite,
+                                           doc, errors):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--suite", suite, "--config", str(cfg),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        failed = {ln.split()[1] for ln in captured.out.splitlines()
+                  if ln.startswith("FAIL ") and "/error:" in ln}
+        assert failed == errors
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["passed"] is False
+        assert {c["name"] for c in report["checks"]
+                if "/error:" in c["name"]} == errors
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -251,3 +279,10 @@ class TestPlanPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert needle in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("frm", ["nan,0,0", "inf,0,0"])
+    def test_non_finite_point_exits_two(self, capsys, frm):
+        assert main(["plan-path", "--from", frm, "--to", "0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid point: coordinate 0 is not finite\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,14 +265,12 @@ class TestDeskSchedule:
         assert K.shell_dims == (0, 1) and K.disk_dim == 2
 
     def test_enclosure_validation(self):
-        K = ShellUnion.from_linear([(1, 1, 5)], (0,), 1)
-        with pytest.raises(ValueError):
-            enclose_degenerate(K, widen=1.5)
+        # 0.5 widens to 0.45 and doubles to 0.9 <= 1
         with pytest.raises(ValueError, match="a_1 > 1"):
-            enclose_degenerate(K, widen=0.1, dilation=1.0)
+            enclose_degenerate(ShellUnion.from_linear([(0.5, 0.5, 5)], (0,), 1))
         with pytest.raises(ValueError, match="interleave"):
             enclose_degenerate(ShellUnion.from_linear(
-                [(1, 1, 5), (1.05, 1.05, 10)], (0,), 1), widen=0.1)
+                [(1, 1, 5), (1.05, 1.05, 10)], (0,), 1))
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +409,7 @@ class TestOrbits:
         logs = (math.log(first) if first > 0 else NEG_INF,) + rec.log_maxnorms
         for j in range(state.k + 1):
             if logs[j] < 5.0 and \
-                    math.exp(logs[j]) + state.eps_tail(j) < max(j, 1):
+                    math.exp(logs[j]) + state.eps_schedule.tail(j) < max(j, 1):
                 return "in_omega_certified"
         return "escaped" if rec.first_escape is not None else "undecided"
 
@@ -523,6 +522,23 @@ class TestSerialization:
         doc = state_to_dict(built_state)
         doc["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            state_from_dict(doc)
+
+    @pytest.mark.parametrize("named, path, value", [
+        ("initial.orientation", ("initial",), "horizontal"),
+        ("rounds[0].mid.orientation", ("rounds", 0, "mid"), "vertical"),
+        ("rounds[2].after.orientation", ("rounds", 2, "after"), "horizontal"),
+        ("i_max", (), 3),
+        ("exponent_cap", (), EXPONENT_CAP + 1),
+    ])
+    def test_tampered_derived_field_named(self, built_state, named, path,
+                                          value):
+        doc = state_to_dict(built_state)
+        node = doc
+        for key in path:
+            node = node[key]
+        node[named.rpartition(".")[2]] = value
+        with pytest.raises(ValueError, match=re.escape(f"'{named}' is")):
             state_from_dict(doc)
 
     def test_witnesses_survive(self, built_state):

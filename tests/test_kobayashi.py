@@ -7,6 +7,7 @@ from contactfb import kobayashi
 from contactfb.contact import (
     ContactPoint,
     TangentVector,
+    horizontality_residual,
     is_horizontal,
     legendrian_from_xy,
 )
@@ -152,7 +153,7 @@ class TestDistanceUpper:
 
     def test_full_space_small(self):
         q = ContactPoint((0j,), (0j,), 1 + 0j)
-        got, nodes = cck_distance_upper(ORIGIN, q, "full_space", nodes=32)
+        got, nodes = cck_distance_upper(ORIGIN, q, nodes=32)
         assert 0 < got <= 1e-2
         assert nodes > 0
 
@@ -173,11 +174,49 @@ class TestDistanceUpper:
         assert large == pytest.approx(small / 100.0, rel=1e-12)
 
 
+def _linear_origin_disk(n, lam):
+    """x_1 = lam * zeta, every other component zero."""
+    zero = CPolynomial([0])
+    return legendrian_from_xy([CPolynomial([0, lam])] + [zero] * (n - 1),
+                              [zero] * n, 0j)
+
+
 class TestContrapositiveSearch:
     def test_never_reaches_certificate_bound(self):
         K = standard_obstacle(1, 4)
-        best = max_certified_x_derivative(K, n=1, N0=1, budget=SMALL, seed=0)
+        best, witness = max_certified_x_derivative(K, n=1)
         assert 0.0 < best < 4.0  # the certified cap 2^(N0+1)
+        assert abs(witness.components[0].eval_deriv(0.0)[1]) == best
+
+    @pytest.mark.parametrize("n, i_max", [(1, 4), (2, 6)])
+    def test_closed_form_is_tight(self, n, i_max):
+        K = standard_obstacle(n, i_max)
+        margin = DEFAULT_AVOIDANCE_MARGIN
+        value, witness = max_certified_x_derivative(K, n=n)
+        assert value == math.nextafter(1.0 - 1e-6, 0.0)
+        assert horizontality_residual(witness).is_zero
+        assert witness.at(0.0).maxnorm() == 0.0
+        assert certify_avoidance(witness.components, K, margin).certified
+        above = _linear_origin_disk(n, math.nextafter(value, math.inf))
+        assert not certify_avoidance(above.components, K, margin).certified
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_random_certified_disks_stay_below(self, n):
+        K = standard_obstacle(n, 6)
+        value, _ = max_certified_x_derivative(K, n=n)
+        rng = np.random.default_rng(70 + n)
+        certified = 0
+        for _ in range(300):
+            total = rng.uniform(0.3, 1.3)  # target coefficient sum
+            coeffs = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(
+                size=(2 * n, 4))
+            coeffs *= total / np.abs(coeffs).sum(axis=1, keepdims=True)
+            polys = [CPolynomial([0j, *row]) for row in coeffs.tolist()]
+            f = legendrian_from_xy(polys[0::2], polys[1::2], 0j)
+            if certify_avoidance(f.components, K).certified:
+                certified += 1
+                assert abs(f.components[0].eval_deriv(0.0)[1]) <= value
+        assert 0 < certified < 300
 
 
 class TestFloatScorer:
@@ -294,14 +333,14 @@ class TestExactRecertification:
                             lambda components, K, margin: _reject(K))
         assert directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
                                    budget=SMALL, seed=1) == (math.inf, None)
-        assert max_certified_x_derivative(self.K, n=1, N0=1, budget=SMALL,
-                                          seed=0) == 0.0
+        assert max_certified_x_derivative(self.K, n=1) == (0.0, None)
 
 
 class TestGoldenValues:
-    """Search results pinned bit for bit.  The values were recorded when
+    """Results pinned bit for bit.  The search values were recorded when
     every candidate was built and scored as an exact polynomial disk; the
-    complex128 scorer must follow the same search trajectories."""
+    complex128 scorer must follow the same search trajectories.  The
+    contrapositive is the closed form a_1 - margin, one ulp down."""
 
     DEG4 = SearchBudget(restarts=2, iterations=20, degree=4)
 
@@ -324,6 +363,5 @@ class TestGoldenValues:
             assert certify_avoidance(witness.components, K).certified
 
     def test_max_certified_x_derivative(self):
-        got = max_certified_x_derivative(standard_obstacle(1, 4), n=1, N0=1,
-                                         budget=SMALL, seed=0)
-        assert got == 0.8697755697639087
+        got, _ = max_certified_x_derivative(standard_obstacle(1, 4), n=1)
+        assert got == 0.9999989999999999  # nextafter(1 - 1e-6, 0)
