@@ -156,8 +156,7 @@ def is_horizontal(f: HolomorphicCurve) -> bool:
     return horizontality_residual(f).is_zero
 
 
-def legendrian_from_xy(x_polys, y_polys, z0=0,
-                       cap: int = DEGREE_CAP) -> HolomorphicCurve:
+def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:
     """Horizontal curve with prescribed x and y components.
 
     The z component is the exact antiderivative of -sum_j x_j y_j' with
@@ -170,10 +169,10 @@ def legendrian_from_xy(x_polys, y_polys, z0=0,
         raise ValueError("x and y component counts differ")
     integrand = CPolynomial()
     for xj, yj in zip(x_polys, y_polys):
-        integrand = integrand - poly_mul_capped(xj, yj.derivative(), cap)
+        integrand = integrand - poly_mul_capped(xj, yj.derivative())
     z = integrand.antiderivative(z0)
-    if z.degree > cap:
-        raise DegreeCapError(f"z degree {z.degree} exceeds cap {cap}")
+    if z.degree > DEGREE_CAP:
+        raise DegreeCapError(f"z degree {z.degree} exceeds cap {DEGREE_CAP}")
     comps = []
     for xj, yj in zip(x_polys, y_polys):
         comps.extend((xj, yj))

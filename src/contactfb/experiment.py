@@ -95,15 +95,14 @@ class ExperimentConfig:
     samples_per_shell: int = 200
     identity_samples: int = 1000
     divergence_samples: int = 100
+    # restarts and iterations are unread; see kobayashi.SearchBudget
     restarts: int = 8
     iterations: int = 40
-    degree: int = 4
     lambda_budget: float = 1e3
     raw: dict = field(default_factory=dict, repr=False)
 
     def budget(self) -> SearchBudget:
-        return SearchBudget(restarts=self.restarts, iterations=self.iterations,
-                            degree=self.degree, lambda_budget=self.lambda_budget,
+        return SearchBudget(lambda_budget=self.lambda_budget,
                             margin=self.margin)
 
     def pushout_initial(self) -> ShellUnion:
@@ -143,6 +142,10 @@ def validate_config(path: str) -> ExperimentConfig:
     d = ExperimentConfig()
     samples = _expect(doc.get("samples", {}), dict, "samples")
     budget = _expect(doc.get("budget", {}), dict, "budget")
+    for key in ("restarts", "iterations", "degree"):
+        if key in budget:
+            raise ConfigError(f"budget.{key}: no longer a setting; the "
+                              "directed-norm bound runs no search")
     sched = _expect(doc.get("schedule", {}), dict, "schedule")
     kind = sched.get("kind", d.schedule_kind)
     explicit = ()
@@ -196,9 +199,6 @@ def validate_config(path: str) -> ExperimentConfig:
         identity_samples=opt(samples, "samples.identity", "identity_samples"),
         divergence_samples=opt(samples, "samples.divergence",
                                "divergence_samples"),
-        restarts=opt(budget, "budget.restarts"),
-        iterations=opt(budget, "budget.iterations"),
-        degree=opt(budget, "budget.degree"),
         lambda_budget=opt(budget, "budget.lambda_budget", parse=_num),
         raw=doc,
     )
@@ -208,6 +208,13 @@ def validate_config(path: str) -> ExperimentConfig:
         raise ConfigError("margin: must be positive")
     if cfg.lambda_budget <= 0:
         raise ConfigError("budget.lambda_budget: must be positive")
+    try:
+        height = cfg.n * 2.0 ** (3 * cfg.i_max + 1)
+    except OverflowError:
+        height = math.inf
+    if not math.isfinite(height):
+        raise ConfigError("i_max: the obstacle heights n*2^(3*i_max+1) "
+                          "overflow float64")
     return cfg
 
 
@@ -404,7 +411,7 @@ def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:
     def bracket():
         lower, _ = directed_norm_lower(p0, v, K)
         upper, _ = directed_norm_upper(p0, v, "complement", K,
-                                       budget=cfg.budget(), seed=cfg.seed)
+                                       budget=cfg.budget())
         ok = (lower == 0.25) and (upper <= 1.2) and (lower <= upper)
         return ok, upper, upper - lower
     _timed(checks, "kobayashi/origin-bracket", bracket)

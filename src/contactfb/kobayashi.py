@@ -1,32 +1,23 @@
 """Numerical bracketing of the directed Kobayashi norm and distance.
 
 The directed norm of a tangent direction v at p is the infimum of 1/|lambda|
-over horizontal disks f with f(0) = p, f'(0) = lambda v.  Upper bounds come
-from explicit certified disks (a witnessed feasible point of the infimum);
-lower bounds come from the derivative-bound certificate of the obstacle
-module, which caps |lambda v_coord| for every disk avoiding the standard
-obstacle.  The distance estimator integrates the full-space directed upper
-bound along a constructive horizontal path.
-
-The complement-domain disk search scores candidates in complex128 and
-certifies the returned witness exactly: each candidate is a list of float
-coefficient lists whose z component comes from a float convolution, scored
-by the same coefficient-sum routes as ``obstacle.certify_avoidance``.  Only
-the best float-certified candidate is rebuilt as an exact ``CPolynomial``
-disk (with an identically-zero horizontality residual) and re-certified; if
-exact certification rejects it, the next-best stored candidate is tried.
-
-The contrapositive of the derivative bound is closed-form: a disk centred
-at the origin certifies only by the 'inside' route, so |x_1'(0)| < a_1 -
-margin, and an exact linear disk comes within an ulp of it.
+over horizontal disks f with f(0) = p, f'(0) = lambda v.  Lower bounds come
+from the derivative-bound certificate of the obstacle module, which caps
+|lambda v_coord| for every disk avoiding the standard obstacle.  Upper
+bounds come from explicit certified disks.  Avoidance is certified by
+coefficient sums, which a coefficient of degree >= 2 only loosens, so the
+best such disk is linear: x_j = p_xj + lambda u_xj zeta (likewise y_j), z by
+exact integration.  Its route bounds are monotone in lambda, so
+``_largest_certified_scaling`` bisects for the largest certified scaling in
+complex128 and re-certifies that disk exactly.  The contrapositive of the
+derivative bound is the case p = 0, u = e_x1.  The distance estimator
+integrates the full-space upper bound along a constructive horizontal path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .contact import (
     ContactPoint,
@@ -44,32 +35,23 @@ from .obstacle import (
     ShellUnion,
     avoidance_routes,
     certify_avoidance,
+    check_disk_dim,
 )
 
-#: Float-certified candidates a search keeps for exact re-certification;
-#: the best is rebuilt first, the rest are fallbacks.
-CANDIDATE_STORE_SIZE = 8
-
-#: Pattern search: weight of the certification shortfall in the score, and
-#: the first and smallest coordinate step.
-PENALTY_WEIGHT = 50.0
-INIT_STEP = 0.5
-MIN_STEP = 1e-3
-
-#: Candidates, one ulp apart from the closed form down, that
-#: ``max_certified_x_derivative`` tries before it reports that none certifies.
+#: Scalings, one ulp apart from the bisection's end down, that are rebuilt
+#: exactly before ``_largest_certified_scaling`` reports that none certifies.
 MAX_STEP_DOWNS = 64
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Deterministic budget for the disk searches.
+    """Limits of the directed-norm upper bound: the complement domain
+    bisects the scaling |lambda| over [0, lambda_budget], the full space
+    uses lambda_budget itself; ``margin`` is the avoidance margin."""
 
-    ``lambda_budget`` caps the scaling |lambda| (and is the value used
-    directly in the unconstrained full-space case); the pattern search runs
-    ``restarts`` independent seeded starts of at most ``iterations`` sweeps.
-    """
-
+    # Unread: perfbench/ still passes restarts, iterations and degree here,
+    # a seed to directed_norm_bracket and restarts and iterations to
+    # ExperimentConfig; ROADMAP item 6's benchmark change removes them.
     restarts: int = 32
     iterations: int = 60
     degree: int = 4
@@ -77,10 +59,6 @@ class SearchBudget:
     margin: float = DEFAULT_AVOIDANCE_MARGIN
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1:
-            raise ValueError("restarts and iterations must be >= 1")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
         if self.lambda_budget <= 0:
             raise ValueError("lambda_budget must be positive")
 
@@ -142,101 +120,71 @@ def _certification_shortfall(components, K: ShellUnion, radii, margin: float):
 
 
 # ---------------------------------------------------------------------------
-# deterministic multi-start pattern search
+# the largest certified linear disk
 # ---------------------------------------------------------------------------
 
-class _CandidateStore:
-    """The CANDIDATE_STORE_SIZE best float-certified points, by key.
-
-    Holds one point per key, the first one found with it, best key first.
-    """
-
-    def __init__(self):
-        self.items: list[tuple[float, np.ndarray]] = []
-
-    def offer(self, key: float, x: np.ndarray) -> None:
-        items = self.items
-        if len(items) == CANDIDATE_STORE_SIZE and key <= items[-1][0]:
-            return
-        i = len(items)
-        while i > 0 and items[i - 1][0] < key:
-            i -= 1
-        if i > 0 and items[i - 1][0] == key:
-            return
-        items.insert(i, (key, x))
-        del items[CANDIDATE_STORE_SIZE:]
-
-
-def _pattern_search(evaluate, x0: np.ndarray, budget: SearchBudget,
-                    store: _CandidateStore) -> None:
-    """Coordinate-wise pattern search maximizing a nonsmooth score.
-
-    Search in complex128, certify the returned witness exactly:
-    ``evaluate(x) -> (score, key)`` scores a point from float coefficients,
-    with key None for points that do not float-certify.  Every certified
-    point seen anywhere along the search (accepted or not) is offered to
-    ``store``, which keeps the best by key; the caller rebuilds the
-    winner as an exact disk and re-certifies it.
-    """
-    x = np.array(x0, dtype=np.float64)
-    score, key = evaluate(x)
-    if key is not None:
-        store.offer(key, x)
-    step = INIT_STEP
-    for _ in range(budget.iterations):
-        improved = False
-        for j in range(x.size):
-            for sgn in (1.0, -1.0):
-                y = x.copy()
-                y[j] += sgn * step
-                s, k = evaluate(y)
-                if k is not None:
-                    store.offer(k, y)
-                if s > score:
-                    x, score = y, s
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < MIN_STEP:
-                break
-
-
-def _disk_xy(p: ContactPoint, u: TangentVector, lam: float, free,
-             degree: int):
-    """x and y coefficient lists of the disk with f(0) = p, linear xy-part
-    lam*u and free coefficients (re, im pairs) for powers 2..degree."""
-    xs, ys = [], []
-    pos = 0
-    for j in range(p.n):
-        for out, base, vel in ((xs, p.x[j], u.x[j]), (ys, p.y[j], u.y[j])):
-            coeffs = [base, lam * vel]
-            for _ in range(degree - 1):
-                coeffs.append(complex(free[pos], free[pos + 1]))
-                pos += 2
-            out.append(coeffs)
+def _linear_xy(p: ContactPoint, u: TangentVector, lam: float):
+    """x and y coefficient lists of the linear disk p + lam*u*zeta."""
+    xs = [[pj, lam * uj] for pj, uj in zip(p.x, u.x)]
+    ys = [[pj, lam * uj] for pj, uj in zip(p.y, u.y)]
     return xs, ys
 
 
-def _build_disk(p: ContactPoint, u: TangentVector, lam: float,
-                free, degree: int) -> HolomorphicCurve:
-    """Horizontal disk with f(0) = p, linear xy-part lam*u, and free higher
-    coefficients; z is determined by exact integration."""
-    xs, ys = _disk_xy(p, u, lam, free, degree)
+def _linear_disk(p, u, lam: float) -> HolomorphicCurve:
+    """The exact horizontal disk of ``_linear_xy``, z by integration."""
+    xs, ys = _linear_xy(p, u, lam)
     return legendrian_from_xy([CPolynomial(c) for c in xs],
                               [CPolynomial(c) for c in ys], p.z)
+
+
+def _largest_certified_scaling(p: ContactPoint, u: TangentVector,
+                               K: ShellUnion, margin: float, cap: float):
+    """(lam, witness): the largest lam in [0, cap] whose exact linear disk
+    ``_linear_disk(p, u, lam)`` certifies avoidance of K, with that disk.
+
+    The complex128 verdict bisects [0, cap] until the midpoint rounds onto
+    an end, so the ends are adjacent floats; the certified end is rebuilt
+    exactly and re-certified, one ulp lower at a time for at most
+    ``MAX_STEP_DOWNS`` scalings.  Returns (0.0, None) if no positive
+    scaling certifies.
+    """
+    check_disk_dim(2 * p.n + 1, K)
+    radii = K.linear_shells()
+
+    def certifies(lam):
+        xs, ys = _linear_xy(p, u, lam)
+        return _certification_shortfall(_float_legendrian(xs, ys, p.z), K,
+                                         radii, margin)[0]
+
+    lo, hi = (cap, cap) if certifies(cap) else (0.0, cap)
+    mid = lo + (hi - lo) / 2
+    while lo < mid < hi:
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + (hi - lo) / 2
+    lam = lo
+    for _ in range(MAX_STEP_DOWNS):
+        if lam <= 0.0:
+            break
+        witness = _linear_disk(p, u, lam)
+        if certify_avoidance(witness.components, K, margin).certified:
+            return lam, witness
+        lam = math.nextafter(lam, 0.0)
+    return 0.0, None
 
 
 def directed_norm_upper(p: ContactPoint, v: TangentVector,
                         domain: str = "complement",
                         K: ShellUnion | None = None,
-                        budget: SearchBudget | None = None,
-                        seed: int = 0):
+                        budget: SearchBudget | None = None):
     """Certified upper bound for the directed norm at (p, v), with witness.
 
     In the full space every direction admits a straight horizontal disk at
     any scaling, so the bound is maxnorm(v) / lambda_budget.  In the
-    complement of K a multi-start pattern search maximizes the scaling over
-    disks with certified avoidance; only certified disks are ever returned.
+    complement of K the witness is the largest certified linear disk with
+    scaling at most lambda_budget; only certified disks are ever returned.
     Returns (upper, witness_disk); (inf, None) if nothing certifies.
     """
     if budget is None:
@@ -256,44 +204,13 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
 
     if domain == "full_space":
         lam = budget.lambda_budget
-        witness = _build_disk(p, u, lam, np.zeros(0), 1)
-        return scale / lam, witness
+        return scale / lam, _linear_disk(p, u, lam)
 
     if K is None:
         raise ValueError("complement domain requires the shell union K")
-    degree = budget.degree
-    n_params = 1 + 2 * (degree - 1) * 2 * p.n  # log-lambda + free coeffs
-
-    log_cap = math.log(budget.lambda_budget)
-    radii = K.linear_shells()
-
-    def evaluate(params):
-        vals = params.tolist()
-        log_lam = vals[0]
-        if log_lam > log_cap:
-            return -math.inf, None
-        xs, ys = _disk_xy(p, u, math.exp(log_lam), vals[1:], degree)
-        certified, shortfall = _certification_shortfall(
-            _float_legendrian(xs, ys, p.z), K, radii, budget.margin)
-        score = log_lam - PENALTY_WEIGHT * shortfall
-        return score, (log_lam if certified else None)
-
-    store = _CandidateStore()
-    for r in range(budget.restarts):
-        x0 = np.zeros(n_params)
-        if r == 0:
-            x0[0] = -0.5
-        else:
-            rng = np.random.default_rng([seed, r])
-            x0[0] = rng.uniform(-3.0, 0.5)
-            x0[1:] = 0.1 * rng.standard_normal(n_params - 1)
-        _pattern_search(evaluate, x0, budget, store)
-    # exact re-certification, best stored candidate first
-    for log_lam, x in store.items:
-        witness = _build_disk(p, u, math.exp(x[0]), x[1:], degree)
-        if certify_avoidance(witness.components, K, budget.margin).certified:
-            return scale / math.exp(log_lam), witness
-    return math.inf, None
+    lam, witness = _largest_certified_scaling(p, u, K, budget.margin,
+                                              budget.lambda_budget)
+    return (math.inf, None) if witness is None else (scale / lam, witness)
 
 
 def directed_norm_lower(p: ContactPoint, v: TangentVector,
@@ -327,9 +244,9 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
 def directed_norm_bracket(p: ContactPoint, v: TangentVector, K: ShellUnion,
                           budget: SearchBudget | None = None,
                           seed: int = 0) -> NormBracket:
-    """Two-sided estimate in the complement domain."""
+    """Two-sided estimate in the complement domain (``seed`` is unread)."""
     lower, cert = directed_norm_lower(p, v, K)
-    upper, witness = directed_norm_upper(p, v, "complement", K, budget, seed)
+    upper, witness = directed_norm_upper(p, v, "complement", K, budget)
     return NormBracket(lower=lower, upper=upper, lower_certificate=cert,
                        upper_witness=witness)
 
@@ -369,7 +286,7 @@ def cck_distance_upper(p: ContactPoint, q: ContactPoint,
 
 
 # ---------------------------------------------------------------------------
-# the contrapositive of the derivative bound, in closed form
+# the contrapositive of the derivative bound
 # ---------------------------------------------------------------------------
 
 def max_certified_x_derivative(K: ShellUnion, n: int = 1,
@@ -379,17 +296,12 @@ def max_certified_x_derivative(K: ShellUnion, n: int = 1,
 
     At f(0) = 0 every inf bound is <= 0, so only the 'inside' route can
     certify, and its sup bound sum_k |c_k| >= |x_1'(0)|: a certified disk
-    has |x_1'(0)| < a_1 - margin.  The witness is the exact linear disk
-    x_1 = value * zeta (other components zero) for the largest float value
-    below a_1 - margin, within ``MAX_STEP_DOWNS`` ulps, that certifies;
-    (0.0, None) if none does.
+    has |x_1'(0)| < a_1 - margin.  The witness is the largest certified
+    linear disk x_1 = value * zeta, other components zero: value is the
+    largest float below a_1 - margin; (0.0, None) if none certifies.
     """
-    zero = CPolynomial([0])
-    lam = math.nextafter(K.shells[0].a - margin, 0.0)
-    for _ in range(MAX_STEP_DOWNS):
-        f = legendrian_from_xy([CPolynomial([0, lam])] + [zero] * (n - 1),
-                               [zero] * n, 0j)
-        if certify_avoidance(f.components, K, margin).certified:
-            return lam, f
-        lam = math.nextafter(lam, 0.0)
-    return 0.0, None
+    zero = (0j,) * n
+    origin = ContactPoint(zero, zero, 0j)
+    e_x1 = TangentVector((1 + 0j,) + zero[1:], zero, 0j)
+    return _largest_certified_scaling(origin, e_x1, K, margin,
+                                      K.shells[0].a)

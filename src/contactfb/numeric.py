@@ -456,12 +456,11 @@ def coeff_inf_lower_bound(coeffs) -> float:
     return abs(coeffs[0]) - math.fsum(abs(c) for c in coeffs[1:])
 
 
-def poly_mul_capped(a: CPolynomial, b: CPolynomial,
-                    cap: int = DEGREE_CAP) -> CPolynomial:
-    """Product with a degree-cap check."""
-    if not (a.is_zero or b.is_zero) and a.degree + b.degree > cap:
-        raise DegreeCapError(
-            f"product degree {a.degree + b.degree} exceeds cap {cap}")
+def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:
+    """Product with a check against ``DEGREE_CAP``."""
+    if not (a.is_zero or b.is_zero) and a.degree + b.degree > DEGREE_CAP:
+        raise DegreeCapError(f"product degree {a.degree + b.degree} "
+                             f"exceeds cap {DEGREE_CAP}")
     return a * b
 
 

@@ -208,10 +208,18 @@ def avoidance_routes(sup_max: float, inf_best: float, inf_disk: float,
     return routes, shortfalls
 
 
+def check_disk_dim(dim: int, K: ShellUnion) -> None:
+    """Raise ValueError unless a disk in C^dim can be checked against K."""
+    if dim != K.dim:
+        raise ValueError(f"dimension mismatch: the disk has {dim} "
+                         f"components, K lives in C^{K.dim}")
+
+
 def certify_avoidance(components, K: ShellUnion,
                       margin: float = DEFAULT_AVOIDANCE_MARGIN) -> AvoidanceCheck:
     """Certified check that the image of the closed unit disk misses K."""
     components = list(components)
+    check_disk_dim(len(components), K)
     sup_max = max(components[d].sup_bound(1.0) for d in K.shell_dims)
     inf_best = max(components[d].inf_lower_bound() for d in K.shell_dims)
     inf_disk = components[K.disk_dim].inf_lower_bound()

@@ -268,10 +268,9 @@ def test_criterion_6_kobayashi_brackets():
     K = standard_obstacle(1, 6)
     p = ContactPoint((0j,), (0j,), 0j)
     v = TangentVector((1 + 0j,), (0j,), 0j)
-    budget = SearchBudget(restarts=8, iterations=40, degree=4,
-                          lambda_budget=1e3)
+    budget = SearchBudget(lambda_budget=1e3)
     lower, _ = directed_norm_lower(p, v, K)
-    upper, witness = directed_norm_upper(p, v, "complement", K, budget, seed=0)
+    upper, witness = directed_norm_upper(p, v, "complement", K, budget)
     full, _ = directed_norm_upper(p, v, "full_space", budget=budget)
     ok = (lower == 0.25 and upper <= 1.2 and lower <= upper
           and witness is not None and full <= 1e-2)

@@ -15,7 +15,6 @@ def write_config(path, **overrides):
         "samples": {"lemma_disks": 5, "per_shell": 20, "identity": 50,
                     "divergence": 20},
         "lemma_n0": [1],
-        "budget": {"restarts": 2, "iterations": 12, "degree": 2},
     }
     doc.update(overrides)
     path.write_text(json.dumps(doc))
@@ -64,6 +63,23 @@ class TestValidate:
          "budget.lambda_budget: must be positive"),
         ({"schedule": {"kind": "explicit", "shells": [[0.5, 0.6, 1]]}},
          "schedule.shells[1].a: must be > 1"),
+        # the heights n*2^(3*i_max+1) leave float64 range
+        ({"i_max": 341}, "i_max: the obstacle heights n*2^(3*i_max+1) "
+                         "overflow float64"),
+        ({"i_max": 400}, "i_max: the obstacle heights n*2^(3*i_max+1) "
+                         "overflow float64"),
+        ({"n": 8, "i_max": 340}, "i_max: the obstacle heights "
+                                 "n*2^(3*i_max+1) overflow float64"),
+        # settings of the pattern search the bisection replaced
+        ({"budget": {"restarts": 2}},
+         "budget.restarts: no longer a setting; the directed-norm bound "
+         "runs no search"),
+        ({"budget": {"iterations": 12}},
+         "budget.iterations: no longer a setting; the directed-norm bound "
+         "runs no search"),
+        ({"budget": {"degree": 2}},
+         "budget.degree: no longer a setting; the directed-norm bound "
+         "runs no search"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -76,6 +92,13 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.err == f"config invalid: {named}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("doc", [{"i_max": 340}, {"n": 7, "i_max": 340}])
+    def test_largest_i_max_accepted(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["i_max"] == 340
 
     def test_decimal_strings_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -126,8 +149,7 @@ class TestRun:
         # a tiny scaling budget cannot push the full-space bound under the
         # degeneration threshold, so that check fails
         cfg = write_config(tmp_path / "cfg.json",
-                           budget={"restarts": 2, "iterations": 10,
-                                   "degree": 2, "lambda_budget": 10})
+                           budget={"lambda_budget": 10})
         code = main(["run", "--suite", "kobayashi", "--config", cfg])
         out = capsys.readouterr().out
         assert code == 1
@@ -137,10 +159,6 @@ class TestRun:
     @pytest.mark.parametrize("suite, doc, errors", [
         # past round 40 the push-out's log radii leave float64 range
         ("pushout", {"k_max": 45}, {"pushout/error:SelectionError"}),
-        # the heights 2^(3i) overflow while each suite sets up
-        ("all", {"i_max": 400, "k_max": 1},
-         {f"{s}/error:OverflowError" for s in ("lemma", "pushout",
-                                                "kobayashi")}),
     ])
     def test_suite_error_is_a_failed_check(self, tmp_path, capsys, suite,
                                            doc, errors):

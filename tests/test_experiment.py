@@ -33,3 +33,12 @@ def test_containment_margin_matches_scalar_images():
         assert want > 0.0
         assert got[name] == pytest.approx(want, rel=1e-12)
     assert report.passed
+
+
+def test_suite_error_is_a_failed_check():
+    # validate_config refuses i_max = 400; built directly, every suite
+    # overflows while it sets up and is recorded as a failed check
+    report = run_experiment(ExperimentConfig(i_max=400, k_max=1), "all")
+    assert not report.passed
+    assert {c.name for c in report.checks} == {
+        f"{s}/error:OverflowError" for s in ("lemma", "pushout", "kobayashi")}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactfb import kobayashi
 from contactfb.contact import (
@@ -30,15 +31,11 @@ from contactfb.obstacle import (
 
 ORIGIN = ContactPoint((0j,), (0j,), 0j)
 X_DIR = TangentVector((1 + 0j,), (0j,), 0j)
-SMALL = SearchBudget(restarts=4, iterations=25, degree=2)
+SMALL = SearchBudget(lambda_budget=1e3)
 
 
 class TestSearchBudget:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(restarts=0)
-        with pytest.raises(ValueError):
-            SearchBudget(degree=0)
         with pytest.raises(ValueError):
             SearchBudget(lambda_budget=0.0)
 
@@ -99,7 +96,7 @@ class TestUpperBound:
 
     def test_complement_witness_certified(self):
         upper, witness = directed_norm_upper(ORIGIN, X_DIR, "complement",
-                                             self.K, budget=SMALL, seed=1)
+                                             self.K, budget=SMALL)
         assert math.isfinite(upper)
         assert witness is not None
         assert is_horizontal(witness)
@@ -110,16 +107,16 @@ class TestUpperBound:
 
     def test_exact_homogeneity(self):
         u1, _ = directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
-                                    budget=SMALL, seed=2)
+                                    budget=SMALL)
         u2, _ = directed_norm_upper(ORIGIN, X_DIR.scaled(2.0), "complement",
-                                    self.K, budget=SMALL, seed=2)
+                                    self.K, budget=SMALL)
         assert u2 == 2.0 * u1
 
     def test_deterministic(self):
         a, _ = directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
-                                   budget=SMALL, seed=5)
+                                   budget=SMALL)
         b, _ = directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
-                                   budget=SMALL, seed=5)
+                                   budget=SMALL)
         assert a == b
 
     def test_domain_validation(self):
@@ -133,12 +130,20 @@ class TestUpperBound:
         with pytest.raises(ValueError, match="not horizontal"):
             directed_norm_upper(ORIGIN, bad, "full_space")
 
+    @pytest.mark.parametrize("n_K", [2, 3])
+    def test_rejects_obstacle_of_another_dimension(self, n_K):
+        with pytest.raises(ValueError, match=rf"3 components.*C\^{2*n_K+1}"):
+            directed_norm_upper(ORIGIN, X_DIR, "complement",
+                                standard_obstacle(n_K, 4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            max_certified_x_derivative(standard_obstacle(n_K, 4), n=1)
+
 
 class TestBracket:
     K = standard_obstacle(1, 4)
 
     def test_origin_bracket(self):
-        b = directed_norm_bracket(ORIGIN, X_DIR, self.K, budget=SMALL, seed=3)
+        b = directed_norm_bracket(ORIGIN, X_DIR, self.K, budget=SMALL)
         assert b.lower == 0.25
         assert b.lower <= b.upper
         assert b.upper <= 1.2
@@ -282,21 +287,6 @@ class TestFloatScorer:
         assert {"inside", "outside", "z_escape", "uncertified"} <= routes
 
 
-class TestCandidateStore:
-    def test_sorted_bounded_first_found_wins_ties(self):
-        store = kobayashi._CandidateStore()
-        for i, key in enumerate([1.0, 3.0, 2.0, 3.0] + [0.5] * 3
-                                + [float(k) for k in range(4, 12)]):
-            store.offer(key, np.array([float(i)]))
-        keys = [k for k, _ in store.items]
-        assert len(keys) == kobayashi.CANDIDATE_STORE_SIZE
-        assert keys == sorted(set(keys), reverse=True)
-        store = kobayashi._CandidateStore()
-        store.offer(3.0, np.array([0.0]))
-        store.offer(3.0, np.array([1.0]))
-        assert [x[0] for _, x in store.items] == [0.0]
-
-
 def _reject(K):
     shells = tuple(range(1, len(K.shells) + 1))
     return AvoidanceCheck(certified=False,
@@ -304,12 +294,79 @@ def _reject(K):
                           failed_shells=shells)
 
 
+P1 = ContactPoint((1.5 + 0.2j,), (0.3j,), 0.1 + 0j)
+V1 = TangentVector((0.5j,), (1 + 0j,), -(1.5 + 0.2j))
+P2 = ContactPoint((0.4 + 0j, 0.2j), (0.1 + 0j, 2.6 + 0j), 0.5j)
+V2 = TangentVector((1 + 0j, 0j), (0.3j, 1 + 0j), -(0.4 * 0.3j + 0.2j))
+# (p, v, K, upper) pinned bit for bit; the search that preceded the
+# bisection returned 1.0019550335910028, 1.027940369248658 and
+# 1.6681558753166803 on the same cases
+GOLDEN = [
+    (ORIGIN, X_DIR, standard_obstacle(1, 4), 1.0000010000010002),
+    (P1, V1, standard_obstacle(1, 4), 1.027275383989232),
+    (P2, V2, standard_obstacle(2, 4), 1.666669444449075),
+]
+
+
+def _scaling(p, v, K, cap=1e3):
+    u = v.scaled(1.0 / v.maxnorm())
+    lam, witness = kobayashi._largest_certified_scaling(
+        p, u, K, DEFAULT_AVOIDANCE_MARGIN, cap)
+    return u, lam, witness
+
+
+class TestLargestCertifiedScaling:
+    @pytest.mark.parametrize("p, v, K, _", GOLDEN)
+    def test_tight_to_one_ulp(self, p, v, K, _):
+        u, lam, witness = _scaling(p, v, K)
+        assert 0.0 < lam < 1e3
+        assert horizontality_residual(witness).is_zero
+        assert witness.at(0.0).flat() == p.flat()
+        assert certify_avoidance(witness.components, K).certified
+        above = kobayashi._linear_disk(p, u, math.nextafter(lam, math.inf))
+        assert not certify_avoidance(above.components, K).certified
+
+    def test_cap_is_returned_when_it_certifies(self):
+        K = standard_obstacle(1, 4)
+        assert _scaling(ORIGIN, X_DIR, K, cap=0.5)[1] == 0.5
+
+    def test_center_on_a_shell_certifies_nothing(self):
+        K = standard_obstacle(1, 4)
+        p = ContactPoint((2 + 0j,), (0j,), 0j)
+        assert _scaling(p, X_DIR, K)[1:] == (0.0, None)
+        assert directed_norm_upper(p, X_DIR, "complement", K) == (math.inf,
+                                                                   None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mags=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+                          st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+           phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 4),
+           frac=st.floats(0.0, 2.0), ulps=st.integers(0, 3))
+    def test_no_certified_scaling_above(self, mags, phases, frac, ulps):
+        # a random linear disk with scaling at most the cap certifies only
+        # if its scaling is <= lam; the trial lies in [0, 2 lam], or 1-3
+        # ulps above lam
+        x, y, vx, vy = (m * complex(math.cos(t), math.sin(t))
+                        for m, t in zip(mags, phases))
+        p = ContactPoint((x,), (y,), 0.5 * x)
+        v = TangentVector((vx + 0.1,), (vy,), -x * vy)
+        K = standard_obstacle(1, 4)
+        u, lam, _ = _scaling(p, v, K)
+        trial = lam if ulps else frac * lam
+        for _ in range(ulps):
+            trial = math.nextafter(trial, math.inf)
+        f = kobayashi._linear_disk(p, u, trial)
+        if trial <= 1e3 and certify_avoidance(f.components, K).certified:
+            assert trial <= lam
+
+
 class TestExactRecertification:
     K = standard_obstacle(1, 4)
 
-    def test_falls_back_to_next_candidate(self, monkeypatch):
+    def test_steps_down_one_ulp(self, monkeypatch):
         upper0, winner = directed_norm_upper(ORIGIN, X_DIR, "complement",
-                                             self.K, budget=SMALL, seed=1)
+                                             self.K, budget=SMALL)
+        lam0 = winner.components[0].eval_deriv(0.0)[1].real
         rejected = []
 
         def reject_first(components, K, margin=DEFAULT_AVOIDANCE_MARGIN):
@@ -320,45 +377,28 @@ class TestExactRecertification:
 
         monkeypatch.setattr(kobayashi, "certify_avoidance", reject_first)
         upper, witness = directed_norm_upper(ORIGIN, X_DIR, "complement",
-                                             self.K, budget=SMALL, seed=1)
+                                             self.K, budget=SMALL)
         assert rejected == [winner.components]
-        assert math.isfinite(upper) and upper > upper0
-        assert is_horizontal(witness)
+        lam = witness.components[0].eval_deriv(0.0)[1].real
+        assert lam == math.nextafter(lam0, 0.0)
+        assert upper == 1.0 / lam >= upper0
         assert certify_avoidance(witness.components, self.K).certified
-        lam = abs(witness.components[0].eval_deriv(0.0)[1])
-        assert upper == pytest.approx(1.0 / lam, rel=1e-12)
 
     def test_nothing_certifies(self, monkeypatch):
         monkeypatch.setattr(kobayashi, "certify_avoidance",
                             lambda components, K, margin: _reject(K))
         assert directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
-                                   budget=SMALL, seed=1) == (math.inf, None)
+                                   budget=SMALL) == (math.inf, None)
         assert max_certified_x_derivative(self.K, n=1) == (0.0, None)
 
 
 class TestGoldenValues:
-    """Results pinned bit for bit.  The search values were recorded when
-    every candidate was built and scored as an exact polynomial disk; the
-    complex128 scorer must follow the same search trajectories.  The
-    contrapositive is the closed form a_1 - margin, one ulp down."""
-
-    DEG4 = SearchBudget(restarts=2, iterations=20, degree=4)
+    """Results pinned bit for bit: the largest certified linear disk, and
+    the contrapositive a_1 - margin one ulp down."""
 
     def test_directed_norm_upper(self):
-        K1 = standard_obstacle(1, 4)
-        K2 = standard_obstacle(2, 4)
-        p1 = ContactPoint((1.5 + 0.2j,), (0.3j,), 0.1 + 0j)
-        v1 = TangentVector((0.5j,), (1 + 0j,), -(1.5 + 0.2j))
-        p2 = ContactPoint((0.4 + 0j, 0.2j), (0.1 + 0j, 2.6 + 0j), 0.5j)
-        v2 = TangentVector((1 + 0j, 0j), (0.3j, 1 + 0j), -(0.4 * 0.3j + 0.2j))
-        cases = [
-            (ORIGIN, X_DIR, K1, SMALL, 1, 1.0019550335910028),
-            (p1, v1, K1, self.DEG4, 4, 1.027940369248658),
-            (p2, v2, K2, self.DEG4, 2, 1.6681558753166803),
-        ]
-        for p, v, K, budget, seed, want in cases:
-            upper, witness = directed_norm_upper(p, v, "complement", K,
-                                                 budget, seed=seed)
+        for p, v, K, want in GOLDEN:
+            upper, witness = directed_norm_upper(p, v, "complement", K)
             assert upper == want
             assert certify_avoidance(witness.components, K).certified
 

@@ -184,6 +184,21 @@ class TestCertifyAvoidance:
         assert certify_avoidance(comps, self.K, margin=1e-6).certified
         assert not certify_avoidance(comps, self.K, margin=1e-2).certified
 
+    @pytest.mark.parametrize("n_disk, n_K", [(2, 1), (1, 2)])
+    def test_dimension_mismatch_named(self, n_disk, n_K):
+        # an n=2 disk against an n=1 obstacle used to certify with y_2 and
+        # z ignored; the reverse used to raise a bare IndexError
+        zero = CPolynomial([0])
+        f = legendrian_from_xy([CPolynomial([0, 0.5])] + [zero] * (n_disk - 1),
+                               [zero] * n_disk, 0)
+        K = standard_obstacle(n_K, 4)
+        named = (f"the disk has {2 * n_disk + 1} components, "
+                 f"K lives in C\\^{2 * n_K + 1}")
+        with pytest.raises(ValueError, match=named):
+            certify_avoidance(f.components, K)
+        with pytest.raises(ValueError, match=named):
+            verify_disk_estimate(f, K, N0=1)
+
 
 class TestVerifyDiskEstimate:
     K = standard_obstacle(1, 4)
