@@ -159,6 +159,9 @@ class TestRun:
     @pytest.mark.parametrize("suite, doc, errors", [
         # past round 40 the push-out's log radii leave float64 range
         ("pushout", {"k_max": 45}, {"pushout/error:SelectionError"}),
+        # at the largest i_max validate accepts, the push-out's radii leave
+        # float64 range; the other suites of "all" still run and pass
+        ("all", {"i_max": 340, "k_max": 1}, {"pushout/error:SelectionError"}),
     ])
     def test_suite_error_is_a_failed_check(self, tmp_path, capsys, suite,
                                            doc, errors):
