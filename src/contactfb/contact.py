@@ -8,7 +8,6 @@ automorphisms act on flat coordinate tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +140,14 @@ def alpha0_eval(p: ContactPoint, v: TangentVector) -> complex:
     return v.z + sum(xj * vyj for xj, vyj in zip(p.x, v.y))
 
 
+def check_horizontal(p: ContactPoint, v: TangentVector) -> None:
+    """Raise ValueError unless v lies in the kernel of alpha0 at p, to
+    absolute ``KERNEL_TOL``."""
+    defect = alpha0_eval(p, v)
+    if abs(defect) > KERNEL_TOL:
+        raise ValueError(f"direction is not horizontal: alpha0(v) = {defect!r}")
+
+
 def horizontality_residual(f: HolomorphicCurve) -> CPolynomial:
     """The exact coefficient-level polynomial z' + sum_j x_j * y_j'.
 
@@ -187,12 +194,7 @@ def legendrian_line(p: ContactPoint, nu: TangentVector) -> HolomorphicCurve:
     z = p_z + nu_z*t - sum_j nu_xj*nu_yj*t^2/2.  Requires nu in the kernel
     of the contact form at p (checked to absolute 1e-12).
     """
-    if p.n != nu.n:
-        raise ValueError("dimension mismatch between point and vector")
-    defect = alpha0_eval(p, nu)
-    if abs(defect) > KERNEL_TOL:
-        raise ValueError(
-            f"velocity is not horizontal at p: alpha0(v) = {defect!r}")
+    check_horizontal(p, nu)
     xs = tuple(CPolynomial([pj, vj]) for pj, vj in zip(p.x, nu.x))
     ys = tuple(CPolynomial([pj, vj]) for pj, vj in zip(p.y, nu.y))
     # Rebuild z by exact integration of -sum x_j y_j'; this both matches the
@@ -244,63 +246,40 @@ def composition_jacobian(maps, p: ContactPoint) -> np.ndarray:
 # constructive horizontal path planner
 # ---------------------------------------------------------------------------
 
-def _segment(xs, ys, z_poly) -> HolomorphicCurve:
-    comps = []
-    for xj, yj in zip(xs, ys):
-        comps.extend((xj, yj))
-    comps.append(z_poly)
-    return HolomorphicCurve(tuple(comps))
-
-
 def chow_path(p: ContactPoint, q: ContactPoint) -> PathPlan:
-    """Piecewise-polynomial horizontal path from p to q.
+    """Piecewise-affine horizontal path from p to q.
 
     Per block j: move x_j with y and z frozen (horizontal since y' = z' = 0),
-    then move y_j with x_j held, z following by exact integration of
-    z' = -x_j y_j'.  The leftover z-displacement is then corrected by one
-    rectangular loop in the (x_1, y_1) block whose side product equals the
-    required correction.  At most 2n + 4 <= 4n + 2 segments; every segment
-    has an identically-zero horizontality residual by construction.
+    then move y_j with x_j held, z following z' = -x_j y_j'.  The leftover
+    z-displacement is then corrected by one rectangular loop in the
+    (x_1, y_1) block whose side product equals the required correction.
+    At most 2n + 4 <= 4n + 2 segments, each built by ``legendrian_from_xy``,
+    so every horizontality residual is identically zero.
     """
     if p.n != q.n:
         raise ValueError("dimension mismatch between endpoints")
-    n = p.n
     cur_x = list(p.x)
     cur_y = list(p.y)
     cur_z = complex(p.z)
     segments: list[HolomorphicCurve] = []
 
-    def const_polys(vals):
-        return [CPolynomial([v]) for v in vals]
-
-    def add_x_move(j, target):
-        nonlocal cur_x
-        if target == cur_x[j]:
+    def add_move(block, j, target):
+        """Move coordinate j of ``block`` (cur_x or cur_y) to target."""
+        nonlocal cur_z
+        if target == block[j]:
             return
-        xs = const_polys(cur_x)
-        xs[j] = CPolynomial([cur_x[j], target - cur_x[j]])
-        segments.append(_segment(xs, const_polys(cur_y), CPolynomial([cur_z])))
-        cur_x[j] = target
+        xs = [CPolynomial([v]) for v in cur_x]
+        ys = [CPolynomial([v]) for v in cur_y]
+        (xs if block is cur_x else ys)[j] = CPolynomial(
+            [block[j], target - block[j]])
+        seg = legendrian_from_xy(xs, ys, cur_z)
+        segments.append(seg)
+        block[j] = target
+        cur_z = seg.z(1.0)
 
-    def add_y_move(j, target):
-        nonlocal cur_y, cur_z
-        if target == cur_y[j]:
-            return
-        dy = target - cur_y[j]
-        ys = const_polys(cur_y)
-        ys[j] = CPolynomial([cur_y[j], dy])
-        # z' = -x_j * dy, with x_j constant along this segment; the product
-        # is formed at the exact coefficient level so the residual vanishes
-        # identically, not just to float rounding
-        integrand = -(CPolynomial([cur_x[j]]) * CPolynomial([dy]))
-        z_poly = integrand.antiderivative(cur_z)
-        segments.append(_segment(const_polys(cur_x), ys, z_poly))
-        cur_y[j] = target
-        cur_z = z_poly(1.0)
-
-    for j in range(n):
-        add_x_move(j, q.x[j])
-        add_y_move(j, q.y[j])
+    for j in range(p.n):
+        add_move(cur_x, j, q.x[j])
+        add_move(cur_y, j, q.y[j])
 
     delta = q.z - cur_z
     if delta != 0:
@@ -310,9 +289,9 @@ def chow_path(p: ContactPoint, q: ContactPoint) -> PathPlan:
         s = -delta
         base_x = cur_x[0]
         base_y = cur_y[0]
-        add_x_move(0, base_x + s)
-        add_y_move(0, base_y + 1)
-        add_x_move(0, base_x)
-        add_y_move(0, base_y)
+        add_move(cur_x, 0, base_x + s)
+        add_move(cur_y, 0, base_y + 1)
+        add_move(cur_x, 0, base_x)
+        add_move(cur_y, 0, base_y)
 
     return PathPlan(tuple(segments))

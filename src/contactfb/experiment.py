@@ -22,9 +22,10 @@ import numpy as np
 from .contact import ContactPoint, TangentVector
 from .fatou_bieberbach import (
     EpsSchedule,
-    PushOutState,
+    SelectionError,
     build_pushout,
     desk_schedule,
+    first_escape_round,
     omega_membership,
     state_to_dict,
 )
@@ -215,6 +216,12 @@ def validate_config(path: str) -> ExperimentConfig:
     if not math.isfinite(height):
         raise ConfigError("i_max: the obstacle heights n*2^(3*i_max+1) "
                           "overflow float64")
+    try:  # round 1 of the push-out; it takes well under a millisecond
+        build_pushout(cfg.pushout_initial(), cfg.pushout_dim, 1,
+                      EpsSchedule(cfg.eps_base))
+    except SelectionError as e:
+        field = "i_max" if kind == "desk" else "schedule.shells"
+        raise ConfigError(f"{field}: push-out round 1 fails: {e}")
     return cfg
 
 
@@ -381,11 +388,10 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
         with open(os.path.join(out_dir, "pushout_state.json"), "w") as fh:
             json.dump(state_to_dict(state), fh, indent=1)
         _write_orbit_csv(os.path.join(out_dir, "orbits.csv"),
-                         state, div_lm, div_ph, logs)
+                         div_lm, div_ph, logs)
 
 
-def _write_orbit_csv(path: str, state: PushOutState, log_mag, phase,
-                     logs) -> None:
+def _write_orbit_csv(path: str, log_mag, phase, logs) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["point_index", "coordinates", "round",
@@ -394,13 +400,11 @@ def _write_orbit_csv(path: str, state: PushOutState, log_mag, phase,
                                              phase.tolist())):
             coords = ";".join(repr(lm) + "@" + repr(ph)
                               for lm, ph in zip(lms, phs))
-            escaped = None
-            for k in range(1, state.k + 1):
-                if escaped is None and logs[idx, k - 1] > math.log(k + 1.0):
-                    escaped = k
-            cls = "escaped" if escaped is not None else "bounded-so-far"
-            for k in range(1, state.k + 1):
-                w.writerow([idx, coords, k, repr(float(logs[idx, k - 1])), cls])
+            row = logs[idx].tolist()
+            cls = ("escaped" if first_escape_round(row) is not None
+                   else "bounded-so-far")
+            for k, lm in enumerate(row, start=1):
+                w.writerow([idx, coords, k, repr(lm), cls])
 
 
 def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:
@@ -423,7 +427,7 @@ def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:
 
     def distance():
         q = ContactPoint((0j,), (0j,), 1 + 0j)
-        d, nodes = cck_distance_upper(p0, q, budget=cfg.budget())
+        d = cck_distance_upper(p0, q, budget=cfg.budget())
         return d <= 1e-2, d, 1e-2 - d
     _timed(checks, "kobayashi/full-space-distance", distance)
 

@@ -697,18 +697,24 @@ class OrbitRecord:
     classification: str  # 'escaped' | 'bounded-so-far'
 
 
+def first_escape_round(logs) -> int | None:
+    """The first round j (counted from 1) whose log max-norm ``logs[j-1]``
+    exceeds log(j + 1), the escape radius after round j; None if none does."""
+    for j, lm in enumerate(logs, start=1):
+        if lm > math.log(j + 1.0):
+            return j
+    return None
+
+
 def compose_orbit(state: PushOutState, p) -> OrbitRecord:
     """Track |Theta_j(p)| through the built rounds in scaled arithmetic;
     the escape radius after round j is j + 1."""
     pt = _as_scaled_point(p, state.dim)
     logs = []
-    first_escape = None
-    for j, r in enumerate(state.rounds, start=1):
+    for r in state.rounds:
         pt = r.apply_scaled(pt)
-        lm = _maxnorm_log(pt)
-        logs.append(lm)
-        if first_escape is None and lm > math.log(j + 1.0):
-            first_escape = j
+        logs.append(_maxnorm_log(pt))
+    first_escape = first_escape_round(logs)
     classification = "escaped" if first_escape is not None else "bounded-so-far"
     return OrbitRecord(log_maxnorms=tuple(logs), first_escape=first_escape,
                        classification=classification)

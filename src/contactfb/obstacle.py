@@ -180,32 +180,25 @@ class AvoidanceCheck:
 
 def avoidance_routes(sup_max: float, inf_best: float, inf_disk: float,
                      radii, margin: float):
-    """(routes, shortfalls) per shell from the three coefficient-sum bounds.
+    """Per-shell routes from the three coefficient-sum bounds.
 
     ``sup_max`` is the largest sup bound of the shell coordinates on the
     closed unit disk, ``inf_best`` their largest certified inf, ``inf_disk``
     the certified inf of the disk coordinate, and ``radii`` is
     ``K.linear_shells()``.  Each route needs a strict inequality; a shell
-    none of them certifies is 'uncertified'.  The shortfall is the smallest
-    amount by which any route misses, zero for a certified shell.
+    none of them certifies is 'uncertified'.
     """
     routes = []
-    shortfalls = []
     for a, b, c in radii:
-        lo, hi, cap = a - margin, b + margin, c + margin
-        if sup_max < lo:
+        if sup_max < a - margin:
             routes.append("inside")
-        elif inf_best > hi:
+        elif inf_best > b + margin:
             routes.append("outside")
-        elif inf_disk > cap:
+        elif inf_disk > c + margin:
             routes.append("z_escape")
         else:
             routes.append("uncertified")
-        inside = max(0.0, sup_max - lo)
-        outside = max(0.0, hi - inf_best) if math.isfinite(b) else math.inf
-        z_esc = max(0.0, cap - inf_disk) if math.isfinite(c) else math.inf
-        shortfalls.append(min(inside, outside, z_esc))
-    return routes, shortfalls
+    return routes
 
 
 def check_disk_dim(dim: int, K: ShellUnion) -> None:
@@ -223,8 +216,8 @@ def certify_avoidance(components, K: ShellUnion,
     sup_max = max(components[d].sup_bound(1.0) for d in K.shell_dims)
     inf_best = max(components[d].inf_lower_bound() for d in K.shell_dims)
     inf_disk = components[K.disk_dim].inf_lower_bound()
-    routes, _ = avoidance_routes(sup_max, inf_best, inf_disk,
-                                 K.linear_shells(), margin)
+    routes = avoidance_routes(sup_max, inf_best, inf_disk,
+                              K.linear_shells(), margin)
     failed = [i for i, r in enumerate(routes, start=1) if r == "uncertified"]
     return AvoidanceCheck(certified=not failed, routes=tuple(routes),
                           failed_shells=tuple(failed))

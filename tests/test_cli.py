@@ -80,6 +80,17 @@ class TestValidate:
         ({"budget": {"degree": 2}},
          "budget.degree: no longer a setting; the directed-norm bound "
          "runs no search"),
+        # round 1 of the push-out needs an exponent above EXPONENT_CAP
+        ({"i_max": 9}, "i_max: push-out round 1 fails: shell 9: exponent "
+                       "2236409 exceeds cap 1000000 (binding inequality: "
+                       "pinching)"),
+        ({"i_max": 9, "pushout_dim": 3},
+         "i_max: push-out round 1 fails: shell 9: exponent 2236409 exceeds "
+         "cap 1000000 (binding inequality: pinching)"),
+        ({"schedule": {"kind": "explicit",
+                       "shells": [[2, 2, 5], [2.0000001, 1e10, 8]]}},
+         "schedule.shells: push-out round 1 fails: shell 2: exponent "
+         "8164540037 exceeds cap 1000000 (binding inequality: pinching)"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -93,12 +104,18 @@ class TestValidate:
         assert captured.err == f"config invalid: {named}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("doc", [{"i_max": 340}, {"n": 7, "i_max": 340}])
+    @pytest.mark.parametrize("doc", [
+        # the desk schedule's round 1 builds up to i_max = 8
+        {"i_max": 8},
+        # an explicit schedule leaves i_max to the obstacle heights alone
+        {"n": 7, "i_max": 340,
+         "schedule": {"kind": "explicit", "shells": [[2, 3, 5]]}},
+    ])
     def test_largest_i_max_accepted(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(cfg)]) == 0
-        assert json.loads(capsys.readouterr().out)["i_max"] == 340
+        assert json.loads(capsys.readouterr().out)["i_max"] == doc["i_max"]
 
     def test_decimal_strings_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -159,9 +176,8 @@ class TestRun:
     @pytest.mark.parametrize("suite, doc, errors", [
         # past round 40 the push-out's log radii leave float64 range
         ("pushout", {"k_max": 45}, {"pushout/error:SelectionError"}),
-        # at the largest i_max validate accepts, the push-out's radii leave
-        # float64 range; the other suites of "all" still run and pass
-        ("all", {"i_max": 340, "k_max": 1}, {"pushout/error:SelectionError"}),
+        # the same through "all": the other suites still run and pass
+        ("all", {"k_max": 45}, {"pushout/error:SelectionError"}),
     ])
     def test_suite_error_is_a_failed_check(self, tmp_path, capsys, suite,
                                            doc, errors):

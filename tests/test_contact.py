@@ -199,7 +199,75 @@ class TestPullback:
         assert np.array_equal(jac, np.eye(3))
 
 
+def _hand_built_chow_path(p, q):
+    """The planner as it was before every segment came from
+    ``legendrian_from_xy``: components assembled by hand, z integrated
+    separately on y-moves.  Kept as the reference."""
+    cur_x, cur_y, cur_z = list(p.x), list(p.y), complex(p.z)
+    segments = []
+
+    def segment(xs, ys, z_poly):
+        comps = []
+        for xj, yj in zip(xs, ys):
+            comps.extend((xj, yj))
+        comps.append(z_poly)
+        return HolomorphicCurve(tuple(comps))
+
+    def const_polys(vals):
+        return [CPolynomial([v]) for v in vals]
+
+    def add_x_move(j, target):
+        if target == cur_x[j]:
+            return
+        xs = const_polys(cur_x)
+        xs[j] = CPolynomial([cur_x[j], target - cur_x[j]])
+        segments.append(segment(xs, const_polys(cur_y), CPolynomial([cur_z])))
+        cur_x[j] = target
+
+    def add_y_move(j, target):
+        nonlocal cur_z
+        if target == cur_y[j]:
+            return
+        dy = target - cur_y[j]
+        ys = const_polys(cur_y)
+        ys[j] = CPolynomial([cur_y[j], dy])
+        integrand = -(CPolynomial([cur_x[j]]) * CPolynomial([dy]))
+        z_poly = integrand.antiderivative(cur_z)
+        segments.append(segment(const_polys(cur_x), ys, z_poly))
+        cur_y[j] = target
+        cur_z = z_poly(1.0)
+
+    for j in range(p.n):
+        add_x_move(j, q.x[j])
+        add_y_move(j, q.y[j])
+    delta = q.z - cur_z
+    if delta != 0:
+        base_x, base_y = cur_x[0], cur_y[0]
+        add_x_move(0, base_x - delta)
+        add_y_move(0, base_y + 1)
+        add_x_move(0, base_x)
+        add_y_move(0, base_y)
+    return tuple(segments)
+
+
 class TestChowPath:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_hand_built_segments(self, n):
+        rng = np.random.default_rng(90 + n)
+        for trial in range(60):
+            p = ContactPoint.from_flat(
+                [complex(*rng.standard_normal(2)) for _ in range(2 * n + 1)])
+            q = list(rng.standard_normal(2 * n + 1)
+                     + 1j * rng.standard_normal(2 * n + 1))
+            # share some x, y or z coordinates with p, including signed zeros
+            for d, c in enumerate(p.flat()):
+                if rng.random() < 0.3:
+                    q[d] = c
+                if trial % 10 == 0 and rng.random() < 0.3:
+                    q[d] = complex(-0.0, -0.0)
+            q = ContactPoint.from_flat(q)
+            assert chow_path(p, q).segments == _hand_built_chow_path(p, q)
+
     @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_reaches_target_with_zero_residuals(self, n, seed):

@@ -22,6 +22,7 @@ from contactfb.fatou_bieberbach import (
     desk_schedule,
     enclose_degenerate,
     fb_map_eval,
+    first_escape_round,
     omega_membership,
     orbit_logs_batch,
     select_exponent,
@@ -363,6 +364,15 @@ class TestOrbits:
         # log max-norms increase monotonically once escaped
         logs = rec.log_maxnorms
         assert all(a < b for a, b in zip(logs, logs[1:]))
+
+    def test_first_escape_round(self, built_state):
+        # the escape radius after round j is j + 1
+        assert first_escape_round([]) is None
+        assert first_escape_round([math.log(2.0), math.log(3.0)]) is None
+        assert first_escape_round([0.5, 1.2, 9.0]) == 2
+        assert first_escape_round(np.array([NEG_INF, 5.0])) == 2
+        rec = compose_orbit(built_state, [2.0 + 0j, 0j])
+        assert rec.first_escape == first_escape_round(rec.log_maxnorms)
 
     def test_batch_matches_scalar(self, built_state):
         rng = np.random.default_rng(7)

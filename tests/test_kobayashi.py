@@ -8,6 +8,7 @@ from contactfb import kobayashi
 from contactfb.contact import (
     ContactPoint,
     TangentVector,
+    chow_path,
     horizontality_residual,
     is_horizontal,
     legendrian_from_xy,
@@ -151,31 +152,84 @@ class TestBracket:
         assert b.upper_witness is not None
 
 
+def _quadrature_distance(p, q, budget=None, nodes=64):
+    """The composite-midpoint quadrature that estimated the distance before
+    the exact segment sum, kept as the reference."""
+    total = 0.0
+    for seg in chow_path(p, q).segments:
+        h = 1.0 / nodes
+        for m in range(nodes):
+            t = (m + 0.5) * h
+            pt = seg.at(t)
+            vel = seg.derivative_at(t)
+            if vel.maxnorm() == 0.0:
+                continue
+            upper, _ = directed_norm_upper(pt, vel, "full_space",
+                                           budget=budget)
+            total += upper * h
+    return total
+
+
+def _random_point(rng, n):
+    return ContactPoint.from_flat(
+        [complex(a, b) for a, b in zip(rng.standard_normal(2 * n + 1),
+                                       rng.standard_normal(2 * n + 1))])
+
+
 class TestDistanceUpper:
     def test_same_point_zero(self):
-        got, nodes = cck_distance_upper(ORIGIN, ORIGIN)
-        assert got == 0.0 and nodes == 0
+        assert cck_distance_upper(ORIGIN, ORIGIN) == 0.0
+        p = ContactPoint((1 + 2j, 0.5j), (-3 + 0j, 1 + 0j), 0.25 + 0j)
+        assert cck_distance_upper(p, p) == 0.0
 
     def test_full_space_small(self):
         q = ContactPoint((0j,), (0j,), 1 + 0j)
-        got, nodes = cck_distance_upper(ORIGIN, q, nodes=32)
+        got = cck_distance_upper(ORIGIN, q)
         assert 0 < got <= 1e-2
-        assert nodes > 0
 
-    def test_triangle_inequality_up_to_quadrature(self):
+    def test_pure_z_displacement_is_exact(self):
+        # four unit moves of the loop, each bounded by 1 / lambda_budget;
+        # the 64-node quadrature gave 0.004000000000000003
+        q = ContactPoint((0j,), (0j,), 1 + 0j)
+        assert cck_distance_upper(ORIGIN, q) == 0.004
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_sum_of_segment_bounds(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(20):
+            p, q = _random_point(rng, n), _random_point(rng, n)
+            bounds = []
+            for seg in chow_path(p, q).segments:
+                # the velocity of an affine segment is its t-coefficient
+                vel = TangentVector.from_flat(
+                    [c.coeffs[1] if c.degree >= 1 else 0j
+                     for c in seg.components])
+                bounds.append(directed_norm_upper(seg.at(0.5), vel,
+                                                  "full_space")[0])
+            assert cck_distance_upper(p, q) == math.fsum(bounds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_quadrature(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(4):
+            p, q = _random_point(rng, n), _random_point(rng, n)
+            want = _quadrature_distance(p, q)
+            assert cck_distance_upper(p, q) == pytest.approx(want, rel=1e-13)
+
+    def test_triangle_inequality_at_a_corner(self):
         q = ContactPoint((1 + 0j,), (0j,), 0j)
         r = ContactPoint((1 + 0j,), (1 + 0j,), 0j)
-        d_pq, _ = cck_distance_upper(ORIGIN, q, nodes=16)
-        d_qr, _ = cck_distance_upper(q, r, nodes=16)
-        d_pr, _ = cck_distance_upper(ORIGIN, r, nodes=16)
-        assert d_pr <= 2.0 * (d_pq + d_qr)
+        d_pq = cck_distance_upper(ORIGIN, q)
+        d_qr = cck_distance_upper(q, r)
+        d_pr = cck_distance_upper(ORIGIN, r)
+        assert d_pr <= d_pq + d_qr
 
     def test_scales_with_lambda_budget(self):
         q = ContactPoint((2 + 0j,), (0j,), 0j)
-        small, _ = cck_distance_upper(ORIGIN, q, nodes=8,
-                                      budget=SearchBudget(lambda_budget=1e2))
-        large, _ = cck_distance_upper(ORIGIN, q, nodes=8,
-                                      budget=SearchBudget(lambda_budget=1e4))
+        small = cck_distance_upper(ORIGIN, q,
+                                   budget=SearchBudget(lambda_budget=1e2))
+        large = cck_distance_upper(ORIGIN, q,
+                                   budget=SearchBudget(lambda_budget=1e4))
         assert large == pytest.approx(small / 100.0, rel=1e-12)
 
 
@@ -224,21 +278,40 @@ class TestContrapositiveSearch:
         assert 0 < certified < 300
 
 
+def _parent_float_legendrian(xs, ys, z0):
+    """The any-degree complex128 convolution that scored disks before the
+    float path was reduced to linear disks, kept as the reference."""
+    size = max(len(x) + len(y) - 2 for x, y in zip(xs, ys))
+    integrand = [0j] * size
+    for x, y in zip(xs, ys):
+        for m in range(1, len(y)):
+            dy = m * y[m]
+            for i, xi in enumerate(x):
+                integrand[i + m - 1] -= xi * dy
+    comps = []
+    for x, y in zip(xs, ys):
+        comps.extend((x, y))
+    comps.append([complex(z0)]
+                 + [c / (k + 1) for k, c in enumerate(integrand)])
+    return comps
+
+
 class TestFloatScorer:
-    """The complex128 scorer of the searches against the exact certifier."""
+    """The complex128 linear disk of the bisection against the exact one."""
 
     def test_boundary_disk_is_not_certified(self):
         # sup_max == a_1 - margin: the strict 'inside' route fails on shell 1
         K = standard_obstacle(1, 6)
         margin = DEFAULT_AVOIDANCE_MARGIN
-        x0 = K.linear_shells()[0][0] - margin
-        f = legendrian_from_xy([CPolynomial([x0])], [CPolynomial([0])], 0)
+        p = ContactPoint((K.linear_shells()[0][0] - margin,), (0j,), 0j)
+        f = kobayashi._linear_disk(p, X_DIR, 0.0)
         check = certify_avoidance(f.components, K, margin)
         assert not check.certified and check.failed_shells == (1,)
-        comps = kobayashi._float_legendrian([[complex(x0)]], [[0j]], 0j)
+        comps = kobayashi._float_linear_disk(p, X_DIR, 0.0)
         got = kobayashi._certification_shortfall(comps, K, K.linear_shells(),
                                                  margin)
-        assert got == (False, 0.0)
+        assert got[0] is False
+        assert tuple(got[1]) == check.routes
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_agrees_with_exact_certifier(self, n):
@@ -246,41 +319,39 @@ class TestFloatScorer:
         radii = K.linear_shells()
         margin = DEFAULT_AVOIDANCE_MARGIN
         rng = np.random.default_rng(40 + n)
+
+        def rand_complex(mag):
+            return complex(mag * np.exp(1j * rng.uniform(-math.pi, math.pi)))
+
         verdicts, routes = set(), set()
         for _ in range(150):
             r, _, c_i = radii[int(rng.integers(len(radii)))]
             marked = int(rng.integers(2 * n))
-            lists = []
-            for d in range(2 * n):
-                mag = (r * (1 + rng.uniform(-0.05, 0.05)) if d == marked
-                       else rng.uniform(0.0, r))
-                phase = rng.uniform(-math.pi, math.pi)
-                c = [complex(mag * np.exp(1j * phase))]
-                for k in range(1, 5):
-                    tail = rng.normal() + 1j * rng.normal()
-                    c.append(complex(0.02 * r * tail / 3.0 ** k))
-                lists.append(c)
-            xs, ys = lists[0::2], lists[1::2]
+            center = [rand_complex(r * (1 + rng.uniform(-0.05, 0.05))
+                                   if d == marked else rng.uniform(0.0, r))
+                      for d in range(2 * n)]
             # half the centers sit near the height c_i, where z_escape decides
             z_mag = (c_i * (1 + rng.uniform(-0.05, 0.05)) if rng.random() < 0.5
                      else rng.uniform(0.0, 1.0))
-            z0 = complex(z_mag * np.exp(1j * rng.uniform(-math.pi, math.pi)))
-            comps = kobayashi._float_legendrian(xs, ys, z0)
-            f = legendrian_from_xy([CPolynomial(c) for c in xs],
-                                   [CPolynomial(c) for c in ys], z0)
+            p = ContactPoint(center[0::2], center[1::2], rand_complex(z_mag))
+            u = TangentVector.from_flat(
+                [rand_complex(rng.uniform(0.0, 1.0)) for _ in range(2 * n)]
+                + [0j])
+            lam = 0.02 * r * rng.uniform(0.0, 1.0)
+            comps = kobayashi._float_linear_disk(p, u, lam)
+            f = kobayashi._linear_disk(p, u, lam)
+            scale = max(abs(c) for comp in comps for c in comp)
+            for got_c, exact in zip(comps, f.components):
+                want = list(exact.coeffs) + [0j] * (len(got_c)
+                                                    - len(exact.coeffs))
+                assert len(got_c) == len(want)
+                for a, b in zip(got_c, want):
+                    assert abs(a - b) <= 1e-12 * scale
+            xs, ys = kobayashi._linear_xy(p, u, lam)
+            assert comps == _parent_float_legendrian(xs, ys, p.z)
             check = certify_avoidance(f.components, K, margin)
             got = kobayashi._certification_shortfall(comps, K, radii, margin)
-            # the scorer on the exact disk's rounded coefficients
-            want = kobayashi._certification_shortfall(
-                [list(c.coeffs) for c in f.components], K, radii, margin)
-            assert want[0] == got[0] == check.certified
-            scale = max(abs(c) for comp in comps for c in comp)
-            assert abs(got[1] - want[1]) <= 1e-12 * scale
-            exact_z = f.components[-1].coeffs
-            assert len(exact_z) <= len(comps[-1])
-            for k, c in enumerate(comps[-1]):
-                want_c = exact_z[k] if k < len(exact_z) else 0j
-                assert abs(c - want_c) <= 1e-12 * scale
+            assert got[0] == check.certified
             verdicts.add(got[0])
             routes.update(check.routes)
         assert verdicts == {True, False}
