@@ -22,12 +22,14 @@ import numpy as np
 from .contact import ContactPoint, TangentVector
 from .fatou_bieberbach import (
     EpsSchedule,
+    PushOutState,
     SelectionError,
     build_pushout,
+    build_shear_round,
     desk_schedule,
     first_escape_round,
     omega_membership,
-    state_to_dict,
+    save_state,
 )
 from .kobayashi import (
     SearchBudget,
@@ -216,12 +218,19 @@ def validate_config(path: str) -> ExperimentConfig:
     if not math.isfinite(height):
         raise ConfigError("i_max: the obstacle heights n*2^(3*i_max+1) "
                           "overflow float64")
-    try:  # round 1 of the push-out; it takes well under a millisecond
-        build_pushout(cfg.pushout_initial(), cfg.pushout_dim, 1,
-                      EpsSchedule(cfg.eps_base))
+    # every push-out round, so that the pushout suite cannot fail in one;
+    # the desk schedule leaves float64 range by round 40 (about 20 ms)
+    state = PushOutState(cfg.pushout_dim, cfg.pushout_initial(),
+                         EpsSchedule(cfg.eps_base))
+    try:
+        for _ in range(cfg.k_max):
+            build_shear_round(state)
     except SelectionError as e:
-        field = "i_max" if kind == "desk" else "schedule.shells"
-        raise ConfigError(f"{field}: push-out round 1 fails: {e}")
+        if state.k:
+            field = "k_max"
+        else:
+            field = "i_max" if kind == "desk" else "schedule.shells"
+        raise ConfigError(f"{field}: push-out round {state.k + 1} fails: {e}")
     return cfg
 
 
@@ -385,8 +394,7 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
     _timed(checks, "pushout/origin-certified", origin)
 
     if out_dir:
-        with open(os.path.join(out_dir, "pushout_state.json"), "w") as fh:
-            json.dump(state_to_dict(state), fh, indent=1)
+        save_state(state, os.path.join(out_dir, "pushout_state.json"))
         _write_orbit_csv(os.path.join(out_dir, "orbits.csv"),
                          div_lm, div_ph, logs)
 

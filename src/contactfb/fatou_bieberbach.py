@@ -33,6 +33,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .numeric import (
 from .obstacle import ShellBand, ShellUnion
 
 EXPONENT_CAP = 10 ** 6
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 #: Largest log-distance the term radius r_i is placed above b_{i-1}.  For
 #: narrow gaps r_i is the geometric mean of b_{i-1} and a_i; for the
@@ -303,24 +304,6 @@ class SelectionWitness:
     beta_prev_log: float
     slacks: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "N": self.N,
-            "log_r": repr(self.log_r),
-            "M_log": repr(self.M_log),
-            "alpha_log": repr(self.alpha_log),
-            "beta_prev_log": repr(self.beta_prev_log),
-            "slacks": {k: repr(v) for k, v in self.slacks.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectionWitness":
-        return cls(i=int(d["i"]), N=int(d["N"]), log_r=float(d["log_r"]),
-                   M_log=float(d["M_log"]), alpha_log=float(d["alpha_log"]),
-                   beta_prev_log=float(d["beta_prev_log"]),
-                   slacks={k: float(v) for k, v in d["slacks"].items()})
-
 
 def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
                     eps: float, m_floor: int | None = None,
@@ -383,13 +366,14 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
         raise SelectionError(f"shell {i}: a log-domain quantity is beyond "
                              "float64 range", i, "representation")
 
-    # tail-control bound
+    # tail-control bound; the loops stop past the cap, where a float
+    # product may no longer change when n grows by 1
     n1 = max(1, math.floor(-log_t1 / gap_in) + 1)
-    while n1 * (log_b_prev - log_r) >= log_t1:
+    while n1 <= exponent_cap and n1 * (log_b_prev - log_r) >= log_t1:
         n1 += 1
 
     n3 = max(1, math.floor(rhs_strict / gap_out) + 1)
-    while n3 * gap_out <= rhs_strict:
+    while n3 <= exponent_cap and n3 * gap_out <= rhs_strict:
         n3 += 1
 
     N = max(n1, n3, min_exponent)
@@ -437,6 +421,10 @@ def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int):
     betas = [_bump(log_add(func.sup_log(schedule.log_b[i]),
                            schedule.log_offset[i]), 1e-9)
              for i in range(schedule.count)]
+    for i, (a, b) in enumerate(zip(alphas, betas), start=1):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise SelectionError(f"shell {i}: the output band ({a}, {b}) is "
+                                 "beyond float64 range", i, "representation")
     return func, tuple(witnesses), tuple(alphas), tuple(betas)
 
 
@@ -507,6 +495,8 @@ class PushOutState:
         if self.initial.shell_dims != tuple(range(self.dim - 1)) or \
                 self.initial.disk_dim != self.dim - 1:
             raise ValueError("initial shell union must be vertical in dim")
+        if not self.initial.shells:
+            raise ValueError("initial shell union has no shells")
         if self.initial.shells[0].log_a <= 0.0:
             raise ValueError("initial schedule needs a_1 > 1 "
                              "(dilate coordinates first)")
@@ -766,54 +756,24 @@ def fb_map_eval(state: PushOutState, p):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _shells_to_dict(K: ShellUnion) -> dict:
-    return {
-        "bands": [[repr(s.log_a), repr(s.log_b), repr(s.log_c)]
-                  for s in K.shells],
-        "shell_dims": list(K.shell_dims),
-        "disk_dim": K.disk_dim,
-        "orientation": K.orientation,
-    }
-
-
-def _shells_from_dict(d: dict) -> ShellUnion:
-    bands = tuple(ShellBand(float(a), float(b), float(c))
-                  for a, b, c in d["bands"])
-    return ShellUnion(bands, tuple(d["shell_dims"]), d["disk_dim"])
-
-
-def _func_to_dict(f: ShearFunction) -> dict:
-    return {"terms": [[repr(log_r), N] for log_r, N in f.terms]}
-
-
-def _func_from_dict(d: dict) -> ShearFunction:
-    return ShearFunction(tuple((float(lr), int(N)) for lr, N in d["terms"]))
+def _terms_doc(func: ShearFunction) -> list:
+    return [[repr(log_r), N] for log_r, N in func.terms]
 
 
 def state_to_dict(state: PushOutState) -> dict:
-    """Versioned JSON-ready document; floats stored as repr strings so a
-    reload reproduces the construction bit for bit."""
+    """Versioned JSON-ready document of what the construction is built from
+    and what the builder chose: dim, the eps base, the initial bands
+    (log a, log b, log c) and each round's phi and psi terms (log r, N).
+    Floats are repr strings, so they reload bit for bit; the bands, witnesses
+    and bounds of every round are rebuilt on load."""
     return {
         "version": STATE_FORMAT_VERSION,
         "dim": state.dim,
-        "i_max": len(state.initial.shells),
-        "exponent_cap": EXPONENT_CAP,
-        "eps_schedule": {"kind": "geometric", "base": repr(state.eps_schedule.base)},
-        "initial": _shells_to_dict(state.initial),
-        "rounds": [
-            {
-                "index": r.index,
-                "eps": repr(r.eps),
-                "id_bound": repr(r.id_bound),
-                "phi": _func_to_dict(r.phi.func),
-                "psi": _func_to_dict(r.psi.func),
-                "mid": _shells_to_dict(r.shells_mid),
-                "after": _shells_to_dict(r.shells_after),
-                "phi_witnesses": [w.as_dict() for w in r.phi_witnesses],
-                "psi_witnesses": [w.as_dict() for w in r.psi_witnesses],
-            }
-            for r in state.rounds
-        ],
+        "eps_base": repr(state.eps_schedule.base),
+        "initial": [[repr(s.log_a), repr(s.log_b), repr(s.log_c)]
+                    for s in state.initial.shells],
+        "rounds": [{"phi": _terms_doc(r.phi.func),
+                    "psi": _terms_doc(r.psi.func)} for r in state.rounds],
     }
 
 
@@ -823,57 +783,74 @@ def _field(doc, key: str, convert, where: str = ""):
         raise ValueError(f"state: missing key '{where}{key}'")
     try:
         return convert(doc[key])
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"state: bad value for '{where}{key}': "
                          f"{type(e).__name__}: {e}") from None
 
 
-def _derived(doc, key: str, want, where: str = "") -> None:
-    """A stored value the construction determines must equal ``want``."""
-    got = _field(doc, key, type(want), where)
-    if got != want:
-        raise ValueError(f"state: '{where}{key}' is {got!r}, expected {want!r}")
+def _typed(value, kind):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
-def _shells_field(doc, key: str, where: str = "") -> ShellUnion:
-    K = _field(doc, key, _shells_from_dict, where)
-    _derived(doc[key], "orientation", K.orientation, f"{where}{key}.")
-    return K
+def _float(value) -> float:
+    """A finite float stored as a decimal string."""
+    x = float(_typed(value, str))
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
+def _stored_terms(value) -> list:
+    """Stored [log_r, N] pairs in the form ``_terms_doc`` writes, so that
+    equal lists mean equal exponents and bit-identical radii."""
+    out = []
+    for term in _typed(value, list):
+        log_r, N = _typed(term, list)
+        out.append([repr(_float(log_r)), _typed(N, int)])
+    return out
 
 
 def state_from_dict(doc: dict) -> PushOutState:
-    """Inverse of ``state_to_dict``; raises ValueError naming the first
-    missing or mistyped key, or the first stored ``orientation``, ``i_max``
-    or ``exponent_cap`` that differs from what the construction gives."""
+    """Inverse of ``state_to_dict``: rebuild the construction from the
+    stored inputs with one ``build_shear_round`` per stored round, and check
+    that each round chooses exactly the stored terms.
+
+    Raises ValueError naming the first missing, mistyped or invalid key, a
+    round that fails to build, or the first term whose exponent or log
+    radius (any bit of it) differs from the rebuilt one."""
     if not isinstance(doc, dict):
         raise ValueError("state: expected a JSON object")
-    if doc.get("version") != STATE_FORMAT_VERSION:
-        raise ValueError(f"unsupported state format version {doc.get('version')}")
-    state = PushOutState(
-        dim=_field(doc, "dim", int),
-        initial=_shells_field(doc, "initial"),
-        eps_schedule=_field(doc, "eps_schedule",
-                            lambda d: EpsSchedule(base=float(d["base"]))),
-    )
-    _derived(doc, "i_max", len(state.initial.shells))
-    _derived(doc, "exponent_cap", EXPONENT_CAP)
-    witnesses = lambda ws: tuple(map(SelectionWitness.from_dict, ws))
-    prev = state.initial
-    for n, rd in enumerate(_field(doc, "rounds", list)):
-        def get(key, convert, where=f"rounds[{n}]."):
-            return _field(rd, key, convert, where)
-        rec = PushOutRound(
-            index=get("index", int),
-            phi=ShearMap("phi", state.dim, get("phi", _func_from_dict)),
-            psi=ShearMap("psi", state.dim, get("psi", _func_from_dict)),
-            phi_witnesses=get("phi_witnesses", witnesses),
-            psi_witnesses=get("psi_witnesses", witnesses),
-            shells_before=prev,
-            shells_mid=_shells_field(rd, "mid", f"rounds[{n}]."),
-            shells_after=_shells_field(rd, "after", f"rounds[{n}]."),
-            eps=get("eps", float), id_bound=get("id_bound", float))
-        state.rounds.append(rec)
-        prev = rec.shells_after
+    version = doc.get("version")
+    if version != STATE_FORMAT_VERSION:
+        raise ValueError(f"state: format version {version!r} is not "
+                         f"supported (only {STATE_FORMAT_VERSION} is); rerun "
+                         "`contactfb run` to write the state again")
+    dim = _field(doc, "dim", lambda v: _typed(v, int))
+    if dim < 2:
+        raise ValueError(f"state: bad value for 'dim': {dim} is below 2")
+    eps_schedule = _field(doc, "eps_base", lambda v: EpsSchedule(_float(v)))
+    state = _field(doc, "initial", lambda bands: PushOutState(
+        dim, ShellUnion(tuple(ShellBand(*map(_float, _typed(b, list)))
+                              for b in _typed(bands, list)),
+                        tuple(range(dim - 1)), dim - 1),
+        eps_schedule))
+    for n, rd in enumerate(_field(doc, "rounds", lambda v: _typed(v, list))):
+        stored = {kind: _field(rd, kind, _stored_terms, f"rounds[{n}].")
+                  for kind in ("phi", "psi")}
+        try:  # edited inputs can also leave float range or round eps to 0
+            rec = build_shear_round(state)
+        except (SelectionError, ValueError, ArithmeticError) as e:
+            raise ValueError(f"state: 'rounds[{n}]': push-out round {n + 1} "
+                             f"fails to build: {e}") from None
+        for kind, want in stored.items():
+            built = _terms_doc(getattr(rec, kind).func)
+            for j, (w, b) in enumerate(zip_longest(want, built)):
+                if w != b:
+                    raise ValueError(
+                        f"state: 'rounds[{n}].{kind}' term {j} is {w}, but "
+                        f"the stored inputs build {b}")
     return state
 
 

@@ -88,12 +88,6 @@ class ShellUnion:
     def dim(self) -> int:
         return max((*self.shell_dims, self.disk_dim)) + 1
 
-    @property
-    def orientation(self) -> str:
-        """'vertical' when the disk factor is the last coordinate, else
-        'horizontal'."""
-        return "vertical" if self.disk_dim == self.dim - 1 else "horizontal"
-
     def linear_shells(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((s.a, s.b, s.c) for s in self.shells)
 

@@ -3,8 +3,14 @@ import math
 
 import pytest
 
+from contactfb import experiment
 from contactfb.cli import main
-from contactfb.fatou_bieberbach import build_pushout, desk_schedule, save_state
+from contactfb.fatou_bieberbach import (
+    SelectionError,
+    build_pushout,
+    desk_schedule,
+    save_state,
+)
 
 
 def write_config(path, **overrides):
@@ -91,6 +97,14 @@ class TestValidate:
                        "shells": [[2, 2, 5], [2.0000001, 1e10, 8]]}},
          "schedule.shells: push-out round 1 fails: shell 2: exponent "
          "8164540037 exceeds cap 1000000 (binding inequality: pinching)"),
+        # a later round leaves float64 range
+        ({"k_max": 45}, "k_max: push-out round 40 fails: shell 6: a "
+                        "log-domain quantity is beyond float64 range"),
+        # one shell lasts 120 rounds, then its upper band bound overflows
+        ({"schedule": {"kind": "explicit", "shells": [[2, 2, 5]]},
+          "k_max": 200},
+         "k_max: push-out round 121 fails: shell 1: the output band "
+         "(4.884178339119542e+307, nan) is beyond float64 range"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -174,13 +188,16 @@ class TestRun:
                    for ln in out.splitlines())
 
     @pytest.mark.parametrize("suite, doc, errors", [
-        # past round 40 the push-out's log radii leave float64 range
-        ("pushout", {"k_max": 45}, {"pushout/error:SelectionError"}),
+        # validate builds every round, so the push-out suite is made to fail
+        ("pushout", {"k_max": 2}, {"pushout/error:SelectionError"}),
         # the same through "all": the other suites still run and pass
-        ("all", {"k_max": 45}, {"pushout/error:SelectionError"}),
+        ("all", {"k_max": 2}, {"pushout/error:SelectionError"}),
     ])
-    def test_suite_error_is_a_failed_check(self, tmp_path, capsys, suite,
-                                           doc, errors):
+    def test_suite_error_is_a_failed_check(self, tmp_path, capsys,
+                                           monkeypatch, suite, doc, errors):
+        def fail(*args, **kwargs):
+            raise SelectionError("round 1: injected", 1, "representation")
+        monkeypatch.setattr(experiment, "build_pushout", fail)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
@@ -259,13 +276,20 @@ class TestClassify:
         (None, "No such file"),
         ("{not json", "Expecting property name"),
         ("drop-dim", "missing key 'dim'"),
+        ("phi-exponent-1", "'rounds[0].phi' term 0 is"),
+        ("version-1", "format version 1 is not supported"),
     ])
     def test_bad_state_exits_two(self, saved_state, tmp_path, capsys,
                                  content, named):
         state = tmp_path / "state.json"
-        if content == "drop-dim":
+        if content in ("drop-dim", "phi-exponent-1", "version-1"):
             doc = json.loads(open(saved_state).read())
-            del doc["dim"]
+            if content == "drop-dim":
+                del doc["dim"]
+            elif content == "phi-exponent-1":
+                doc["rounds"][0]["phi"][0][1] = 1
+            else:
+                doc["version"] = 1
             state.write_text(json.dumps(doc))
         elif content is not None:
             state.write_text(content)

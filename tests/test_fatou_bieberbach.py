@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -23,8 +24,10 @@ from contactfb.fatou_bieberbach import (
     enclose_degenerate,
     fb_map_eval,
     first_escape_round,
+    load_state,
     omega_membership,
     orbit_logs_batch,
+    save_state,
     select_exponent,
     state_from_dict,
     state_to_dict,
@@ -200,6 +203,17 @@ class TestSelectExponent:
                             exponent_cap=3)
         assert ei.value.shell_index == 1
         assert ei.value.binding in ("tail-control", "pinching")
+
+    @pytest.mark.parametrize("log_offset", [1e20, 1e300])
+    def test_far_above_cap_raises(self, log_offset):
+        # past 2^53 the product n * gap no longer changes when n grows by
+        # 1, so the search must stop at the cap rather than count up to n
+        sched = StageSchedule(log_base=0.0, log_a=(math.log(2.0),),
+                              log_b=(math.log(4.0),), log_offset=(log_offset,),
+                              log_r=(math.log(1.5),))
+        with pytest.raises(SelectionError) as ei:
+            select_exponent(1, sched, ShearFunction(()), eps=0.5)
+        assert ei.value.binding == "pinching"
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -517,16 +531,53 @@ class TestStateValidation:
             assert r.phi.dim == 3 and r.psi.dim == 3
 
 
+def _nudge(text):
+    """The repr of the next float above the stored one."""
+    return repr(math.nextafter(float(text), math.inf))
+
+
+def _edited(doc, path, change):
+    """A deep copy of ``doc`` with the value at ``path`` replaced by
+    change(value)."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    return doc
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for j, value in enumerate(node):
+            yield from _leaves(value, path + (j,))
+    else:
+        yield path, node
+
+
 class TestSerialization:
     def test_round_trip_identical(self, built_state, tmp_path):
         doc = state_to_dict(built_state)
         text = json.dumps(doc)
         restored = state_from_dict(json.loads(text))
         assert state_to_dict(restored) == doc
+        assert restored == built_state
         # functional equality on a sample orbit
         rec_a = compose_orbit(built_state, [2.0 + 0j, 0j])
         rec_b = compose_orbit(restored, [2.0 + 0j, 0j])
         assert rec_a.log_maxnorms == rec_b.log_maxnorms
+
+    def test_stores_only_inputs_and_terms(self, built_state):
+        doc = state_to_dict(built_state)
+        assert set(doc) == {"version", "dim", "eps_base", "initial", "rounds"}
+        assert doc["version"] == 2
+        assert len(doc["initial"]) == len(built_state.initial.shells)
+        for rd, r in zip(doc["rounds"], built_state.rounds):
+            assert set(rd) == {"phi", "psi"}
+            assert rd["psi"] == [[repr(lr), N] for lr, N in r.psi.func.terms]
 
     def test_version_checked(self, built_state):
         doc = state_to_dict(built_state)
@@ -534,22 +585,56 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             state_from_dict(doc)
 
-    @pytest.mark.parametrize("named, path, value", [
-        ("initial.orientation", ("initial",), "horizontal"),
-        ("rounds[0].mid.orientation", ("rounds", 0, "mid"), "vertical"),
-        ("rounds[2].after.orientation", ("rounds", 2, "after"), "horizontal"),
-        ("i_max", (), 3),
-        ("exponent_cap", (), EXPONENT_CAP + 1),
+    @pytest.mark.parametrize("path, change, named", [
+        pytest.param(("rounds", 0, "phi", 0, 1), lambda N: 1,
+                     "'rounds[0].phi' term 0 is", id="phi-exponent-1"),
+        pytest.param(("rounds", 2, "psi", 1, 0), _nudge,
+                     "'rounds[2].psi' term 1 is", id="psi-log-r-ulp"),
+        pytest.param(("initial", 0, 0), _nudge,
+                     "'rounds[0].phi' term 0 is", id="initial-band-ulp"),
+        pytest.param(("initial", 1), lambda band: band[::-1],
+                     "bad value for 'initial': ValueError: shell 2",
+                     id="initial-band-reversed"),
+        pytest.param(("initial", 0, 0), lambda la: "-0.1",
+                     "bad value for 'initial': ValueError: initial schedule "
+                     "needs a_1 > 1", id="initial-a1-below-1"),
+        pytest.param(("initial", 3, 2), lambda lc: "1e300",
+                     "'rounds[0]': push-out round 1 fails to build: shell 4: "
+                     "exponent", id="initial-height-1e300"),
+        pytest.param(("initial",), lambda bands: [],
+                     "bad value for 'initial': ValueError: initial shell "
+                     "union has no shells", id="initial-empty"),
+        pytest.param(("rounds",), lambda rounds: rounds + rounds[-1:],
+                     "'rounds[3].phi' term 0 is", id="extra-round"),
+        pytest.param(("rounds", 1, "psi", 2), lambda term: term + [1],
+                     "bad value for 'rounds[1].psi'", id="term-too-long"),
+        pytest.param(("rounds", 1), lambda rd: {"phi": rd["phi"]},
+                     "missing key 'rounds[1].psi'", id="round-without-psi"),
+        pytest.param(("dim",), lambda dim: 1, "'dim': 1 is below 2",
+                     id="dim-1"),
+        pytest.param(("eps_base",), lambda base: "1.5",
+                     "bad value for 'eps_base'", id="eps-base-1.5"),
+        pytest.param(("version",), lambda v: 1,
+                     "format version 1 is not supported", id="version-1"),
     ])
-    def test_tampered_derived_field_named(self, built_state, named, path,
-                                          value):
-        doc = state_to_dict(built_state)
-        node = doc
-        for key in path:
-            node = node[key]
-        node[named.rpartition(".")[2]] = value
-        with pytest.raises(ValueError, match=re.escape(f"'{named}' is")):
+    def test_tampered_field_named(self, built_state, path, change, named):
+        doc = _edited(state_to_dict(built_state), path, change)
+        with pytest.raises(ValueError, match=re.escape(named)):
             state_from_dict(doc)
+
+    def test_every_mistyped_value_named(self, built_state):
+        # each stored string read as a number, each stored int as a string
+        doc = state_to_dict(built_state)
+        for path, value in _leaves(doc):
+            if path == ("version",):
+                continue
+            named = f"'{path[0]}'" if path[0] != "rounds" \
+                else f"'rounds[{path[1]}].{path[2]}'"
+            bad = _edited(doc, path,
+                          float if isinstance(value, str) else str)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad value for {named}: TypeError: expected ")):
+                state_from_dict(bad)
 
     def test_witnesses_survive(self, built_state):
         doc = state_to_dict(built_state)
@@ -557,6 +642,33 @@ class TestSerialization:
         for ra, rb in zip(built_state.rounds, restored.rounds):
             assert ra.phi_witnesses == rb.phi_witnesses
             assert ra.psi_witnesses == rb.psi_witnesses
+            assert ra.shells_before == rb.shells_before
+            assert ra.shells_mid == rb.shells_mid
+            assert ra.shells_after == rb.shells_after
+            assert ra.id_bound == rb.id_bound
+
+    @pytest.mark.parametrize("dim, k", [(2, 39), (3, 33)])
+    def test_round_trip_at_representation_limit(self, dim, k, tmp_path):
+        # the deepest states the builder produces: round k + 1 would need
+        # log radii beyond float64
+        state = build_pushout(desk_schedule(dim, 6), dim=dim, k_max=k)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        restored = load_state(path)
+        assert state_to_dict(restored) == state_to_dict(state)
+        assert restored == state
+        for ra, rb in zip(state.rounds, restored.rounds):
+            assert ra.phi_witnesses + ra.psi_witnesses == \
+                rb.phi_witnesses + rb.psi_witnesses
+            assert (ra.shells_mid, ra.shells_after) == \
+                (rb.shells_mid, rb.shells_after)
+        # one more stored round cannot be built, and is named
+        doc = _edited(state_to_dict(state), ("rounds",),
+                      lambda rounds: rounds + rounds[-1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"'rounds[{k}]': push-out round {k + 1} fails to build: "
+                "shell")):
+            state_from_dict(doc)
 
 
 class TestBuildRoundIncremental:
