@@ -222,15 +222,20 @@ def validate_config(path: str) -> ExperimentConfig:
     # the desk schedule leaves float64 range by round 40 (about 20 ms)
     state = PushOutState(cfg.pushout_dim, cfg.pushout_initial(),
                          EpsSchedule(cfg.eps_base))
-    try:
-        for _ in range(cfg.k_max):
+    for k in range(1, cfg.k_max + 1):
+        # select_exponent takes the log of eps_k
+        if state.eps_schedule.eps(k) == 0.0:
+            field = "k_max" if k > 1 else "eps_base"
+            raise ConfigError(f"{field}: push-out round {k} fails: eps_{k} = "
+                              f"eps_base * 2^-{k} underflows to 0")
+        try:
             build_shear_round(state)
-    except SelectionError as e:
-        if state.k:
-            field = "k_max"
-        else:
-            field = "i_max" if kind == "desk" else "schedule.shells"
-        raise ConfigError(f"{field}: push-out round {state.k + 1} fails: {e}")
+        except SelectionError as e:
+            if k > 1:
+                field = "k_max"
+            else:
+                field = "i_max" if kind == "desk" else "schedule.shells"
+            raise ConfigError(f"{field}: push-out round {k} fails: {e}")
     return cfg
 
 

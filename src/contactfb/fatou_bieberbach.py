@@ -24,7 +24,11 @@ The shear maps have three evaluation paths, one job each: scalar
 reference; log-polar arrays (``apply_logpolar``) for batches at any
 magnitude, with complex coordinates as batch intake; native complex128
 (``apply_native``, ``jacobian``) for points in float range: sampled
-identity checks and pullbacks.
+identity checks and pullbacks.  Each sums the terms of a shear function in
+one pass: the scalar path in Python floats relative to its largest term,
+building one ``ScaledComplex``; the log-polar path with the terms on axis 0,
+so ``scaled_sum_arrays`` reduces elementwise over contiguous rows; the
+native path over a leading terms axis, adding the terms in order.
 """
 
 from __future__ import annotations
@@ -33,18 +37,19 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
 from .numeric import (
+    _EXP_UNDERFLOW_LOG,
     NEG_INF,
     ScaledComplex,
     log_add,
     log_sub,
     log_sum,
     scaled_sum_arrays,
-    wrap_phase,
 )
 from .obstacle import ShellBand, ShellUnion
 
@@ -105,23 +110,60 @@ class ShearFunction:
         """log f(R) = log sup_{|z|<=R} |f|, exact up to rounding."""
         return log_sum(N * (log_R - log_r) for log_r, N in self.terms)
 
+    @cached_property
+    def _term_arrays(self):
+        """(log r_j, N_j, log N_j - log r_j) as float arrays over the terms."""
+        log_r = np.array([log_r for log_r, _ in self.terms], dtype=np.float64)
+        N = np.array([N for _, N in self.terms], dtype=np.float64)
+        lead = np.array([math.log(N) - log_r for log_r, N in self.terms],
+                        dtype=np.float64)
+        return log_r, N, lead
+
+    def _term_columns(self, ndim: int):
+        """The term arrays shaped (terms, 1, ..., 1) to broadcast against
+        an array of ``ndim`` dimensions."""
+        shape = (-1,) + (1,) * ndim
+        return tuple(a.reshape(shape) for a in self._term_arrays)
+
     def eval_scaled(self, zeta: ScaledComplex) -> ScaledComplex:
+        """f(zeta) in one pass: the largest term is factored out, the terms
+        that do not underflow beside it are added as native complex numbers,
+        and one ``ScaledComplex`` is built from the sum.
+
+        Agrees with the ``scaled_add`` fold of the terms to rounding.  As in
+        that fold, a NaN log-modulus propagates and a +inf term makes the
+        value +inf with the phase of the first such term.  Two terms of
+        equal log-modulus and opposite rounded phase, which the fold's exact
+        cancellation rule turns into zero, leave a value at rounding level.
+        """
         if self.is_zero or zeta.is_zero:
             return ScaledComplex.zero()
-        lz = zeta.abs_log()
-        acc = ScaledComplex.zero()
-        for log_r, N in self.terms:
-            term = ScaledComplex(N * (lz - log_r), wrap_phase(N * zeta.phase))
-            acc = acc + term
-        return acc
+        lz, phase = zeta.abs_log(), zeta.phase
+        if math.isnan(lz):
+            return ScaledComplex(math.nan, math.nan)
+        lms = [N * (lz - log_r) for log_r, N in self.terms]
+        hi = max(lms)
+        if hi == math.inf:
+            return ScaledComplex(math.inf,
+                                 self.terms[lms.index(math.inf)][1] * phase)
+        if hi == NEG_INF:  # every term underflowed
+            return ScaledComplex.zero()
+        s = 0j
+        for lm, (_, N) in zip(lms, self.terms):
+            d = lm - hi
+            if d > _EXP_UNDERFLOW_LOG:
+                s += cmath.rect(math.exp(d), N * phase)
+        if s == 0:
+            return ScaledComplex.zero()
+        return ScaledComplex(hi + np.log(np.longdouble(abs(s))),
+                             math.atan2(s.imag, s.real))
 
     def eval_logpolar(self, log_mag: np.ndarray, phase: np.ndarray):
         """Vectorized evaluation on points given in log-polar form."""
         if self.is_zero:
             return (np.full_like(log_mag, NEG_INF), np.zeros_like(phase))
-        lm = [N * (log_mag - log_r) for log_r, N in self.terms]
-        ph = [N * phase for _, N in self.terms]
-        return scaled_sum_arrays(np.stack(lm, axis=-1), np.stack(ph, axis=-1))
+        log_r, N, _ = self._term_columns(np.ndim(log_mag))
+        return scaled_sum_arrays(N * (log_mag - log_r), N * phase, axis=0)
 
     @staticmethod
     def _native_polar(z):
@@ -130,27 +172,34 @@ class ShearFunction:
         lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
         return z, lz, np.angle(z)
 
+    @staticmethod
+    def _native_term_sum(lm, ph):
+        """Sum over axis 0 of the terms with log-moduli ``lm`` and phases
+        ``ph``; a term below exp's underflow is an exact zero."""
+        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
+        # cumsum adds the terms in order for any point shape (np.sum would
+        # reassociate a reduction along a contiguous axis); adding 0.0 gives
+        # the zero signs of a sum started from 0
+        return np.cumsum(mag * np.exp(1j * ph), axis=0)[-1] + 0.0
+
     def eval_native(self, z):
         """Native-complex values (vectorized); underflows gracefully."""
         z, lz, az = self._native_polar(z)
-        total = np.zeros_like(z)
-        for log_r, N in self.terms:
-            lm = N * (lz - log_r)
-            mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
-            total = total + mag * np.exp(1j * (N * az))
-        return total
+        if self.is_zero:
+            return np.zeros_like(z)
+        log_r, N, _ = self._term_columns(z.ndim)
+        return self._native_term_sum(N * (lz - log_r), N * az)
 
     def deriv_native(self, z):
         """f'(z) = sum N_j / r_j * (z / r_j)^(N_j - 1), vectorized."""
         z, lz, az = self._native_polar(z)
-        total = np.zeros_like(z)
-        for log_r, N in self.terms:
-            lm = math.log(N) - log_r + (N - 1) * (lz - log_r)
-            if N == 1:
-                lm = np.full_like(lz, math.log(N) - log_r)
-            mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
-            total = total + mag * np.exp(1j * ((N - 1) * az))
-        return total
+        if self.is_zero:
+            return np.zeros_like(z)
+        log_r, N, lead = self._term_columns(z.ndim)
+        # an N = 1 term is the constant 1 / r: its log|z / r| is left out,
+        # so z = 0 gives no 0 * -inf
+        lm = lead + (N - 1) * np.where(N == 1, 0.0, lz - log_r)
+        return self._native_term_sum(lm, (N - 1) * az)
 
 
 @dataclass(frozen=True)
@@ -200,9 +249,8 @@ class ShearMap:
             dst = range(0, self.dim - 1)
         for s, d in zip(src, dst):
             f_lm, f_ph = self.func.eval_logpolar(log_mag[:, s], phase[:, s])
-            lm, ph = scaled_sum_arrays(
-                np.stack([log_mag[:, d], f_lm], axis=-1),
-                np.stack([phase[:, d], f_ph], axis=-1))
+            lm, ph = scaled_sum_arrays(np.stack([log_mag[:, d], f_lm]),
+                                       np.stack([phase[:, d], f_ph]), axis=0)
             out_lm[:, d] = lm
             out_ph[:, d] = ph
         return out_lm, out_ph

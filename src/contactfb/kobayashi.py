@@ -239,14 +239,14 @@ def cck_distance_upper(p: ContactPoint, q: ContactPoint,
     space.
 
     Every segment of ``chow_path(p, q)`` is affine in t on [0, 1], so its
-    velocity is constant and the length bound is exactly the sum, over
-    segments, of the full-space directed upper bound at the segment start;
-    0.0 when p = q.
+    velocity v is constant and the length bound is exactly the sum, over
+    segments, of the full-space directed upper bound maxnorm(v) /
+    lambda_budget (``directed_norm_upper``'s value, without its witness
+    disk); 0.0 when p = q.
     """
-    return math.fsum(
-        directed_norm_upper(seg.at(0.0), seg.derivative_at(0.0),
-                            "full_space", budget=budget)[0]
-        for seg in chow_path(p, q).segments)
+    lam = (budget or SearchBudget()).lambda_budget
+    return math.fsum(seg.derivative_at(0.0).maxnorm() / lam
+                     for seg in chow_path(p, q).segments)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,12 @@ class TestValidate:
           "k_max": 200},
          "k_max: push-out round 121 fails: shell 1: the output band "
          "(4.884178339119542e+307, nan) is beyond float64 range"),
+        # eps_k = eps_base * 2^-k underflows to 0 before a round it sets
+        ({"eps_base": 5e-324}, "eps_base: push-out round 1 fails: eps_1 = "
+                               "eps_base * 2^-1 underflows to 0"),
+        ({"eps_base": 1e-323, "i_max": 1, "k_max": 3},
+         "k_max: push-out round 2 fails: eps_2 = eps_base * 2^-2 "
+         "underflows to 0"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import json
 import math
@@ -5,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from contactfb.fatou_bieberbach import (
     EXPONENT_CAP,
@@ -32,7 +34,7 @@ from contactfb.fatou_bieberbach import (
     state_from_dict,
     state_to_dict,
 )
-from contactfb.numeric import NEG_INF, ScaledComplex
+from contactfb.numeric import NEG_INF, ScaledComplex, wrap_phase
 from contactfb.obstacle import ShellUnion, membership_margin
 
 
@@ -41,6 +43,48 @@ from contactfb.obstacle import ShellUnion, membership_margin
 REF = StageSchedule(log_base=0.0, log_a=(math.log(2.0),),
                     log_b=(math.log(4.0),), log_offset=(0.0,),
                     log_offset_base=NEG_INF, log_r=(math.log(1.5),))
+
+
+def _fold_eval_scaled(f, zeta):
+    """f(zeta) as a ``scaled_add`` fold over the terms: the evaluation the
+    one-pass ``ShearFunction.eval_scaled`` replaced, kept as its reference."""
+    if f.is_zero or zeta.is_zero:
+        return ScaledComplex.zero()
+    lz = zeta.abs_log()
+    acc = ScaledComplex.zero()
+    for log_r, N in f.terms:
+        with np.errstate(invalid="ignore"):  # inf - inf beside a +inf term
+            acc = acc + ScaledComplex(N * (lz - log_r),
+                                      wrap_phase(N * zeta.phase))
+    return acc
+
+
+def _term_loop_native(f, z, deriv=False):
+    """``eval_native`` (or ``deriv_native``) as a loop over the terms, the
+    form the term-broadcast versions replaced, kept as their reference."""
+    z = np.asarray(z, dtype=np.complex128)
+    lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+    az = np.angle(z)
+    total = np.zeros_like(z)
+    for log_r, N in f.terms:
+        if deriv:
+            with np.errstate(invalid="ignore"):  # 0 * -inf, replaced below
+                lm = math.log(N) - log_r + (N - 1) * (lz - log_r)
+            if N == 1:
+                lm = np.full_like(lz, math.log(N) - log_r)
+            ph = (N - 1) * az
+        else:
+            lm, ph = N * (lz - log_r), N * az
+        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
+        total = total + mag * np.exp(1j * ph)
+    return total
+
+
+# small exponents keep the fold's phase reduction (fmod by the float 2*pi)
+# within 4e-15 of the exact one
+term_lists = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 16)),
+                      min_size=1, max_size=8).map(
+    lambda ts: tuple(sorted(ts, key=lambda t: t[1])))
 
 
 class TestShearFunction:
@@ -85,6 +129,74 @@ class TestShearFunction:
             assert out_lm[i] == pytest.approx(float(w.log_mag), rel=1e-12)
             assert math.cos(out_ph[i]) == pytest.approx(math.cos(w.phase),
                                                         abs=1e-10)
+
+    @settings(max_examples=400, deadline=None)
+    @given(term_lists, st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
+    def test_scaled_matches_fold(self, terms, log_mag, phase):
+        f = ShearFunction(terms)
+        zeta = ScaledComplex(log_mag, phase)
+        got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
+        # away from cancellation, where both sums are rounding noise
+        assume(float(want.log_mag) > f.sup_log(log_mag) - math.log(10.0))
+        assert float(got.log_mag) == pytest.approx(float(want.log_mag),
+                                                   rel=1e-13, abs=1e-13)
+        assert cmath.isclose(cmath.rect(1.0, got.phase),
+                             cmath.rect(1.0, want.phase), abs_tol=1e-13)
+
+    def test_scaled_matches_fold_on_built_rounds(self, built_state):
+        rng = np.random.default_rng(23)
+        funcs = [m.func for m in built_state.theta_maps()]
+        for lm, ph in zip(rng.uniform(-2.0, 4.0, 60),
+                          rng.uniform(-math.pi, math.pi, 60)):
+            zeta = ScaledComplex(lm, ph)
+            for f in funcs:
+                got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
+                assert float(got.log_mag) == pytest.approx(
+                    float(want.log_mag), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("terms,zeta", [
+        (((0.0, 1), (0.0, 3)), ScaledComplex.zero()),
+        # every term's log-modulus is -inf
+        (((1e308, 1), (1e308, 2)), ScaledComplex(-1e308, 0.5)),
+        (((0.0, 1), (0.5, 3)), ScaledComplex(math.nan, 0.5)),
+        (((0.0, 1), (0.5, 3)), ScaledComplex(math.inf, 0.5)),
+        # terms 2 and 3 overflow to +inf: the value takes term 2's phase
+        (((0.0, 1), (0.0, 1000), (0.0, 2000)), ScaledComplex(1e306, 0.5)),
+    ], ids=["zero", "underflow", "nan", "inf", "overflow"])
+    def test_scaled_edge_values_match_fold(self, terms, zeta):
+        f = ShearFunction(terms)
+        got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
+        assert got.is_zero == want.is_zero
+        assert math.isnan(got.log_mag) == math.isnan(want.log_mag)
+        if not math.isnan(want.log_mag):
+            assert got.log_mag == want.log_mag
+            assert got.phase == pytest.approx(want.phase, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (7, 1), (5, 3)])
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_native_equals_term_loop(self, shape, deriv):
+        # five terms: np.sum would reassociate them for a single point; odd
+        # exponents make every term at z = -0.0 - 0.0j a zero of sign -1
+        f = ShearFunction(((math.log(0.7), 1), (math.log(1.5), 3),
+                           (math.log(1.6), 5), (math.log(2.5), 7),
+                           (math.log(3.0), 9)))
+        method = f.deriv_native if deriv else f.eval_native
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            z = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
+            z = np.where(rng.random(shape) < 0.2, complex(-0.0, -0.0), z)
+            got = method(z)
+            want = _term_loop_native(f, z, deriv)
+            assert np.shape(got) == np.shape(want) == shape
+            assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                                  np.atleast_1d(want).view(np.uint64))
+
+    def test_linear_term_derivative_at_zero(self):
+        # the N = 1 term contributes exactly 1 / r, with no 0 * -inf
+        f = ShearFunction(((math.log(2.0), 1), (math.log(3.0), 4)))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = f.deriv_native(np.array([0j, complex(-0.0, 0.0)]))
+        assert np.array_equal(got, np.exp([-math.log(2.0)] * 2))
 
     def test_exponent_order_enforced(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -396,7 +508,7 @@ class TestOrbits:
         for row, p in zip(batch, pts):
             rec = compose_orbit(built_state, p)
             for got, want in zip(row, rec.log_maxnorms):
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_batch_empty(self, built_state):
         out = orbit_logs_batch(built_state, [])

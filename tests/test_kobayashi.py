@@ -208,6 +208,15 @@ class TestDistanceUpper:
                                                   "full_space")[0])
             assert cck_distance_upper(p, q) == math.fsum(bounds)
 
+    def test_builds_no_witness_disk(self, monkeypatch):
+        q = ContactPoint((1 + 1j,), (0.5j,), 2 + 0j)
+        want = cck_distance_upper(ORIGIN, q)
+
+        def no_disk(*args):
+            raise AssertionError("the distance built a witness disk")
+        monkeypatch.setattr(kobayashi, "_linear_disk", no_disk)
+        assert cck_distance_upper(ORIGIN, q) == want
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_quadrature(self, n):
         rng = np.random.default_rng(80 + n)

@@ -31,6 +31,15 @@ finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
 # precision below the normal float range
 nonzero_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                      min_magnitude=1e-300, max_magnitude=1e6)
+# summands anywhere from far below the underflow cut to +inf, exact zeros,
+# NaN, and values right at the cut beside a summand at 0
+summand_logs = st.one_of(
+    st.floats(-2000.0, 50.0),
+    st.sampled_from([NEG_INF, math.inf, math.nan, 0.0, -745.0, -745.14,
+                     -746.0, -800.0]))
+summand_phases = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +230,24 @@ class TestLogHelpers:
                 assert np.array_equal(np.signbit(g[:rows]), np.signbit(w))
                 assert np.array_equal(g[top], w_top)
             assert np.isnan(got[0][rows + inf_rows:]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda terms: st.lists(
+        st.lists(st.tuples(summand_logs, summand_phases),
+                 min_size=terms, max_size=terms),
+        min_size=1, max_size=6)))
+    def test_scaled_sum_arrays_axis0_equals_transposed(self, rows):
+        # summands on axis 0 of a C-ordered array sum in the same order as
+        # on the last axis of its transpose, which is the same memory
+        lm = np.array([[s[0] for s in row] for row in rows]).T.copy()
+        ph = np.array([[s[1] for s in row] for row in rows]).T.copy()
+        with np.errstate(invalid="ignore"):
+            got = scaled_sum_arrays(lm, ph, axis=0)
+            want = scaled_sum_arrays(lm.T, ph.T, axis=-1)
+        for g, w in zip(got, want):
+            assert g.shape == (len(rows),)
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 # ---------------------------------------------------------------------------
