@@ -18,17 +18,20 @@ Every inequality is certified with explicit slack from coefficient-sum
 bounds; magnitudes are handled in the log domain throughout because band
 radii overflow native floats after two rounds.
 
-The shear maps have three evaluation paths, one job each: scalar
-``ScaledComplex`` (``apply_scaled``) for single points (``compose_orbit``,
-``omega_membership``, ``fb_map_eval``) and as the batch paths' test
-reference; log-polar arrays (``apply_logpolar``) for batches at any
-magnitude, with complex coordinates as batch intake; native complex128
-(``apply_native``, ``jacobian``) for points in float range: sampled
-identity checks and pullbacks.  Each sums the terms of a shear function in
-one pass: the scalar path in Python floats relative to its largest term,
-building one ``ScaledComplex``; the log-polar path with the terms on axis 0,
-so ``scaled_sum_arrays`` reduces elementwise over contiguous rows; the
-native path over a leading terms axis, adding the terms in order.
+Points beyond float range are carried in log-polar form: the log-moduli
+and the phases of their coordinates.  Both paths at any magnitude read
+complex coordinates through one intake, ``_point_arrays``, and sum by one
+rule (``scaled_sum_arrays``, with ``polar_sum`` as its one-row form):
+
+* single points (``apply_scaled``), two float lists each: ``compose_orbit``,
+  ``omega_membership`` and ``fb_map_eval``;
+* batches (``apply_logpolar``), two (m, dim) arrays whose rows are such
+  lists, with the terms of a shear function on axis 0, so the sums run
+  elementwise over contiguous rows.
+
+A third path, native complex128 (``apply_native``, ``jacobian``), serves
+points in float range: sampled identity checks and pullbacks.  Every path
+adds the terms of a shear function in order.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from itertools import zip_longest
 import numpy as np
 
 from .numeric import (
-    _EXP_UNDERFLOW_LOG,
     NEG_INF,
-    ScaledComplex,
     log_add,
     log_sub,
     log_sum,
+    polar_sum,
     scaled_sum_arrays,
 )
 from .obstacle import ShellBand, ShellUnion
@@ -125,38 +127,14 @@ class ShearFunction:
         shape = (-1,) + (1,) * ndim
         return tuple(a.reshape(shape) for a in self._term_arrays)
 
-    def eval_scaled(self, zeta: ScaledComplex) -> ScaledComplex:
-        """f(zeta) in one pass: the largest term is factored out, the terms
-        that do not underflow beside it are added as native complex numbers,
-        and one ``ScaledComplex`` is built from the sum.
-
-        Agrees with the ``scaled_add`` fold of the terms to rounding.  As in
-        that fold, a NaN log-modulus propagates and a +inf term makes the
-        value +inf with the phase of the first such term.  Two terms of
-        equal log-modulus and opposite rounded phase, which the fold's exact
-        cancellation rule turns into zero, leave a value at rounding level.
-        """
-        if self.is_zero or zeta.is_zero:
-            return ScaledComplex.zero()
-        lz, phase = zeta.abs_log(), zeta.phase
-        if math.isnan(lz):
-            return ScaledComplex(math.nan, math.nan)
-        lms = [N * (lz - log_r) for log_r, N in self.terms]
-        hi = max(lms)
-        if hi == math.inf:
-            return ScaledComplex(math.inf,
-                                 self.terms[lms.index(math.inf)][1] * phase)
-        if hi == NEG_INF:  # every term underflowed
-            return ScaledComplex.zero()
-        s = 0j
-        for lm, (_, N) in zip(lms, self.terms):
-            d = lm - hi
-            if d > _EXP_UNDERFLOW_LOG:
-                s += cmath.rect(math.exp(d), N * phase)
-        if s == 0:
-            return ScaledComplex.zero()
-        return ScaledComplex(hi + np.log(np.longdouble(abs(s))),
-                             math.atan2(s.imag, s.real))
+    def eval_scaled(self, lz: float, phase: float) -> tuple[float, float]:
+        """f at one point of log-modulus ``lz`` and phase ``phase``, as
+        (log_mag, phase): one ``polar_sum`` over the terms, by the rules of
+        ``eval_logpolar``."""
+        if self.is_zero:
+            return NEG_INF, 0.0
+        return polar_sum([N * (lz - log_r) for log_r, N in self.terms],
+                         [N * phase for _, N in self.terms])
 
     def eval_logpolar(self, log_mag: np.ndarray, phase: np.ndarray):
         """Vectorized evaluation on points given in log-polar form."""
@@ -222,18 +200,25 @@ class ShearMap:
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
 
-    # -- scaled (scalar point) ------------------------------------------
-
-    def apply_scaled(self, point):
-        pt = _as_scaled_point(point, self.dim)
-        out = list(pt)
+    def _pairs(self):
+        """(source, destination) coordinate pairs: z_dst += f(z_src)."""
         if self.kind == "phi":
-            for j in range(1, self.dim):
-                out[j] = pt[j] + self.func.eval_scaled(pt[j - 1])
-        else:
-            for j in range(self.dim - 1):
-                out[j] = pt[j] + self.func.eval_scaled(pt[j + 1])
-        return out
+            return zip(range(0, self.dim - 1), range(1, self.dim))
+        return zip(range(1, self.dim), range(0, self.dim - 1))
+
+    # -- single log-polar points -------------------------------------------
+
+    # The name is kept because perfbench/tracer.py patches this method by
+    # name; ROADMAP item 6 renames it together with its tracer span.
+    def apply_scaled(self, log_mag: list, phase: list):
+        """Action on one point given by the lists of its coordinates'
+        log-moduli and phases (one row of ``apply_logpolar``'s arrays)."""
+        out_lm, out_ph = list(log_mag), list(phase)
+        for s, d in self._pairs():
+            f_lm, f_ph = self.func.eval_scaled(log_mag[s], phase[s])
+            out_lm[d], out_ph[d] = polar_sum([log_mag[d], f_lm],
+                                             [phase[d], f_ph])
+        return out_lm, out_ph
 
     # -- log-polar batches ------------------------------------------------
 
@@ -241,13 +226,7 @@ class ShearMap:
         """Batched action on points stored as (m, dim) log-polar arrays."""
         out_lm = log_mag.copy()
         out_ph = phase.copy()
-        if self.kind == "phi":
-            src = range(0, self.dim - 1)
-            dst = range(1, self.dim)
-        else:
-            src = range(1, self.dim)
-            dst = range(0, self.dim - 1)
-        for s, d in zip(src, dst):
+        for s, d in self._pairs():
             f_lm, f_ph = self.func.eval_logpolar(log_mag[:, s], phase[:, s])
             lm, ph = scaled_sum_arrays(np.stack([log_mag[:, d], f_lm]),
                                        np.stack([phase[:, d], f_ph]), axis=0)
@@ -515,8 +494,8 @@ class PushOutRound:
     eps: float
     id_bound: float
 
-    def apply_scaled(self, point):
-        return self.psi.apply_scaled(self.phi.apply_scaled(point))
+    def apply_scaled(self, log_mag: list, phase: list):
+        return self.psi.apply_scaled(*self.phi.apply_scaled(log_mag, phase))
 
     def apply_logpolar(self, log_mag, phase):
         lm, ph = self.phi.apply_logpolar(log_mag, phase)
@@ -673,32 +652,13 @@ def desk_schedule(dim: int = 2, i_max: int = 6) -> ShellUnion:
 # orbits, membership, and the limit map
 # ---------------------------------------------------------------------------
 
-def _is_finite(v) -> bool:
-    """True for a finite coordinate; the ScaledComplex zero counts."""
-    if isinstance(v, ScaledComplex):
-        return v.log_mag < math.inf and math.isfinite(v.phase)
-    return cmath.isfinite(complex(v))
-
-
-def _as_scaled_point(p, dim: int):
-    pt = []
-    for j, v in enumerate(p):
-        if not _is_finite(v):
-            raise ValueError(f"coordinate {j} is not finite: {v!r}")
-        pt.append(v if isinstance(v, ScaledComplex)
-                  else ScaledComplex.from_complex(v))
-    if len(pt) != dim:
-        raise ValueError("point dimension mismatch")
-    return pt
-
-
 def _point_arrays(points, dim: int):
     """(m, dim) float64 log-magnitude and phase arrays of a batch of points
-    with complex coordinates, read as ``ScaledComplex.from_complex`` reads
-    them: the modulus is ``hypot`` (as ``abs`` of a Python complex), its log
-    is taken in ``np.longdouble`` and rounded once, and the phase comes from
-    ``math.atan2`` (``np.arctan2`` may round differently) with -pi mapped to
-    pi; zero is (-inf, 0).
+    with complex coordinates: the modulus is ``hypot`` (as ``abs`` of a
+    Python complex), its log is taken in ``np.longdouble`` and rounded once,
+    and the phase comes from ``math.atan2`` (``np.arctan2`` may round
+    differently) with -pi mapped to pi; zero is (-inf, 0).  Single points
+    come in as a batch of one, whose errors name only the coordinate.
     """
     rows = [tuple(p) for p in points]
     if any(len(p) != dim for p in rows):
@@ -708,7 +668,8 @@ def _point_arrays(points, dim: int):
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         n = int(bad[0])
-        raise ValueError(f"point {n // dim}, coordinate {n % dim} "
+        where = f"point {n // dim}, " if len(rows) > 1 else ""
+        raise ValueError(f"{where}coordinate {n % dim} "
                          f"is not finite: {flat[n]!r}")
     with np.errstate(over="ignore", divide="ignore"):
         mag = np.hypot(z.real, z.imag)
@@ -722,8 +683,10 @@ def _point_arrays(points, dim: int):
     return lm.reshape(-1, dim), ph.reshape(-1, dim)
 
 
-def _maxnorm_log(pt) -> float:
-    return max(v.abs_log() for v in pt)
+def _point_lists(p, dim: int):
+    """The log-moduli and phases of one point, as lists of floats."""
+    lm, ph = _point_arrays([p], dim)
+    return lm[0].tolist(), ph[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -745,13 +708,13 @@ def first_escape_round(logs) -> int | None:
 
 
 def compose_orbit(state: PushOutState, p) -> OrbitRecord:
-    """Track |Theta_j(p)| through the built rounds in scaled arithmetic;
-    the escape radius after round j is j + 1."""
-    pt = _as_scaled_point(p, state.dim)
+    """Track |Theta_j(p)| through the built rounds in log-polar form; the
+    escape radius after round j is j + 1."""
+    lm, ph = _point_lists(p, state.dim)
     logs = []
     for r in state.rounds:
-        pt = r.apply_scaled(pt)
-        logs.append(_maxnorm_log(pt))
+        lm, ph = r.apply_scaled(lm, ph)
+        logs.append(max(lm))
     first_escape = first_escape_round(logs)
     classification = "escaped" if first_escape is not None else "bounded-so-far"
     return OrbitRecord(log_maxnorms=tuple(logs), first_escape=first_escape,
@@ -774,13 +737,13 @@ def omega_membership(state: PushOutState, p) -> str:
     'undecided' otherwise.  Rounds are applied only until the first
     certifying j: the escape verdict matters only when none certifies.
     """
-    pt = _as_scaled_point(p, state.dim)
-    lm = _maxnorm_log(pt)
+    log_mag, phase = _point_lists(p, state.dim)
+    lm = max(log_mag)
     escaped = False
     for j in range(state.k + 1):
         if j > 0:
-            pt = state.rounds[j - 1].apply_scaled(pt)
-            lm = _maxnorm_log(pt)
+            log_mag, phase = state.rounds[j - 1].apply_scaled(log_mag, phase)
+            lm = max(log_mag)
             escaped = escaped or lm > math.log(j + 1.0)
         if lm < 5.0:  # only small points can certify; avoids exp overflow
             if math.exp(lm) + state.eps_schedule.tail(j) < max(j, 1):
@@ -793,10 +756,10 @@ def fb_map_eval(state: PushOutState, p):
     tail of the remaining rounds as the error bound."""
     if omega_membership(state, p) != "in_omega_certified":
         raise ValueError("point is not certified inside the domain")
-    pt = _as_scaled_point(p, state.dim)
+    lm, ph = _point_lists(p, state.dim)
     for r in state.rounds:
-        pt = r.apply_scaled(pt)
-    value = tuple(v.to_complex() for v in pt)
+        lm, ph = r.apply_scaled(lm, ph)
+    value = tuple(cmath.rect(math.exp(a), b) for a, b in zip(lm, ph))
     return value, state.eps_schedule.tail(state.k)
 
 

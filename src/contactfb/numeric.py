@@ -1,17 +1,15 @@
-"""Extended-range complex arithmetic and exact dense polynomial calculus.
+"""Log-polar complex sums and exact dense polynomial calculus.
 
 Two representations carry the whole package:
 
-* ``ScaledComplex`` -- a complex number stored as log-magnitude plus phase,
-  whose one operation is addition (``scaled_add``).  It carries a single
-  push-out orbit point, whose magnitudes like (4/3)**N with N in the tens
-  of thousands lie far beyond float range; batches of points add with
-  ``scaled_sum_arrays``.  A sum of many terms, such as a shear function's
-  value, is best formed in one pass relative to its largest term and built
-  into one ``ScaledComplex``, not folded with ``scaled_add``, whose every
-  step costs a ``np.longdouble`` logarithm.  The log-magnitude is kept in
-  ``np.longdouble``, so values near the edge of native float range
-  round-trip well below 1e-14.
+* log-polar points -- a complex number as its log-modulus and phase, with
+  -inf for zero.  A push-out orbit point, whose magnitudes like (4/3)**N
+  with N in the tens of thousands lie far beyond float range, is two float
+  lists (the log-moduli and the phases of its coordinates); a batch of
+  points is two (m, dim) arrays, whose rows are such lists.  The one
+  operation is the sum: ``scaled_sum_arrays`` along an axis of arrays, and
+  ``polar_sum`` over one row in Python floats, by the same rules.  Each
+  factors out the largest summand, so no step overflows.
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
@@ -24,7 +22,6 @@ Two representations carry the whole package:
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from fractions import Fraction
@@ -38,25 +35,12 @@ NEG_INF = float("-inf")
 #: grow the degree (products, antiderivatives of products).
 DEGREE_CAP = 64
 
-# Magnitudes with |log| below this convert to/from native floats safely.
-_NATIVE_LOG_LIMIT = 690.0
-
 # exp(x) is exactly 0.0 for every float x below about -745.13.
 _EXP_UNDERFLOW_LOG = -746.0
 
 
 class DegreeCapError(ValueError):
     """Raised when a construction would exceed the polynomial degree cap."""
-
-
-def wrap_phase(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    phi = math.fmod(float(phi), 2.0 * math.pi)
-    if phi > math.pi:
-        phi -= 2.0 * math.pi
-    elif phi <= -math.pi:
-        phi += 2.0 * math.pi
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -92,106 +76,8 @@ def log_sub(la: float, lb: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ScaledComplex
+# log-polar sums
 # ---------------------------------------------------------------------------
-
-class ScaledComplex:
-    """Complex number stored as (log-magnitude, phase).
-
-    ``log_mag`` is an ``np.longdouble``; ``-inf`` is the zero sentinel, in
-    which case the phase is 0 by convention.  Values are immutable.
-    """
-
-    __slots__ = ("log_mag", "phase")
-
-    def __init__(self, log_mag, phase: float = 0.0):
-        lm = np.longdouble(log_mag)
-        object.__setattr__(self, "log_mag", lm)
-        object.__setattr__(self, "phase",
-                           0.0 if lm == NEG_INF else wrap_phase(phase))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaledComplex is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ScaledComplex":
-        return cls(NEG_INF, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ScaledComplex":
-        z = complex(z)
-        if z == 0:
-            return cls.zero()
-        return cls(np.log(np.longdouble(abs(z))), math.atan2(z.imag, z.real))
-
-    # -- predicates and conversions ------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == NEG_INF
-
-    def to_complex(self) -> complex:
-        """Native complex value; raises OverflowError beyond float range."""
-        if self.is_zero:
-            return 0j
-        if self.log_mag > _NATIVE_LOG_LIMIT:
-            raise OverflowError("magnitude exceeds native float range")
-        mag = float(np.exp(self.log_mag))
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
-
-    def abs_log(self) -> float:
-        """log of the modulus as a plain float (-inf for zero)."""
-        return float(self.log_mag)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
-        return scaled_add(self, other)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "ScaledComplex(zero)"
-        return f"ScaledComplex(log_mag={float(self.log_mag)!r}, phase={self.phase!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScaledComplex):
-            return NotImplemented
-        return self.log_mag == other.log_mag and self.phase == other.phase
-
-    def __hash__(self) -> int:
-        return hash((float(self.log_mag), self.phase))
-
-
-def scaled_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
-    """Exact-to-rounding complex sum, safe for any magnitudes.
-
-    The larger log-magnitude is factored out, so the native-complex sum of
-    the normalized parts never overflows.  Exact cancellation yields the
-    zero sentinel; a NaN log-magnitude propagates.
-    """
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    # exact cancellation: equal magnitude, exactly opposite (wrapped) phase
-    if a.log_mag == b.log_mag and wrap_phase(a.phase + math.pi) == b.phase:
-        return ScaledComplex.zero()
-    hi, lo = (a, b) if a.log_mag >= b.log_mag else (b, a)
-    scale = float(lo.log_mag - hi.log_mag)  # <= 0, or NaN
-    if scale > -_NATIVE_LOG_LIMIT:
-        lo_mag = math.exp(scale)
-    elif scale == scale or hi.log_mag == lo.log_mag:
-        lo_mag = 0.0  # lo underflows beside hi, or both are +inf
-    else:
-        lo_mag = math.nan  # a NaN summand propagates
-    s = cmath.rect(1.0, hi.phase) + cmath.rect(lo_mag, lo.phase)
-    if s == 0:
-        return ScaledComplex.zero()
-    return ScaledComplex(hi.log_mag + np.log(np.longdouble(abs(s))),
-                         math.atan2(s.imag, s.real))
-
 
 def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     """Vectorized complex sum in the log domain.
@@ -201,24 +87,18 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     -inf marking exact zeros.  Used by the orbit classifier, which pushes
     thousands of points through shear maps at once.
 
-    Put the few summands on axis 0 of a C-ordered array (shape (terms,
-    points)): the max and the sum then run elementwise over contiguous
-    rows, adding the summands in order.  Along a short contiguous last
-    axis numpy runs one small reduction per row: the max and the sum take
-    10 to 40 times longer, and from four summands on the sum is
-    reassociated.  The order follows the memory layout, so ``axis=0`` on an
-    array and ``axis=-1`` on its transpose give bit-identical results.
-
     Each summand is scaled by the largest one, exp(log_mag - max).  Only
     summands with a scaled log above ``_EXP_UNDERFLOW_LOG`` are
     exponentiated; the rest (and the -inf zeros) are exact zeros, which
     change no nonzero sum, so the result is the one the dense sum gives.
     In shear sums nearly every row has a single summand that survives.
+    The summands are added in order along ``axis`` whatever the memory
+    layout, so a value does not depend on the batch it is computed in.
 
     A sum with a +inf log-magnitude summand is +inf with the phase of the
-    first such summand along ``axis``, as the ``scaled_add`` fold gives.  A
-    NaN log-magnitude, or a NaN phase on a summand that does not underflow,
-    makes the sum's log-magnitude NaN.
+    first such summand along ``axis``.  A NaN log-magnitude, or a NaN phase
+    on a summand that does not underflow, makes the sum's log-magnitude
+    NaN.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -227,9 +107,13 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
     hi_safe = np.where(np.isneginf(hi) | top, 0.0, hi)
     d = log_mags - hi_safe
     live = ~(d <= _EXP_UNDERFLOW_LOG) & ~top  # NaN stays live and propagates
-    scaled = np.zeros_like(d, dtype=np.complex128)  # same layout, same sum order
+    scaled = np.zeros_like(d, dtype=np.complex128)
     scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
-    total = np.sum(scaled, axis=axis)
+    # np.sum would reassociate a reduction along a contiguous axis
+    rows = np.moveaxis(scaled, axis, 0)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
     hi = np.squeeze(hi_safe, axis=axis)
     mag = np.abs(total)
     zero = mag == 0.0  # a NaN total stays NaN
@@ -242,6 +126,30 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
         out_phase = np.where(top, np.squeeze(
             np.take_along_axis(phases, first, axis=axis), axis=axis), out_phase)
     return out_log, out_phase
+
+
+def polar_sum(log_mags: list, phases: list) -> tuple[float, float]:
+    """One row of ``scaled_sum_arrays`` in Python floats: the (log_mag,
+    phase) of the sum of the summands with these log-moduli and phases.
+
+    The rules are the same: the largest summand is factored out, a summand
+    whose scaled log is at most ``_EXP_UNDERFLOW_LOG`` is an exact zero,
+    and the rest are added in order.  A +inf summand makes the sum +inf
+    with the phase of the first one, a NaN log-modulus propagates, and a
+    sum of zeros only is (-inf, 0.0).  For the few summands of a single
+    point this costs far less than a one-row array.
+    """
+    hi = max(log_mags)
+    if math.isinf(hi) and not any(lm != lm for lm in log_mags):
+        return (hi, phases[log_mags.index(hi)]) if hi > 0 else (NEG_INF, 0.0)
+    total = 0j
+    for lm, ph in zip(log_mags, phases):
+        d = lm - hi
+        if not d <= _EXP_UNDERFLOW_LOG:  # NaN stays live and propagates
+            total += math.exp(d) * complex(math.cos(ph), math.sin(ph))
+    mag = abs(total)
+    return (hi + math.log(mag) if mag else NEG_INF,
+            math.atan2(total.imag, total.real))
 
 
 # ---------------------------------------------------------------------------

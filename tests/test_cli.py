@@ -269,6 +269,19 @@ class TestClassify:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_bad_cell_names_no_point(self, saved_state, tmp_path, capsys,
+                                     cell):
+        # the row names the point; the error names only the coordinate
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0,0\n2.0,{cell}\n")
+        assert main(["classify", "--state", saved_state,
+                     "--points", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("row 2 ")
+        assert ": coordinate 1 is not finite" in err
+        assert "point 0" not in err
+
     def test_missing_points_exits_two(self, saved_state, tmp_path, capsys):
         assert main(["classify", "--state", saved_state,
                      "--points", str(tmp_path / "nope.csv")]) == 2

@@ -17,8 +17,8 @@ from contactfb.fatou_bieberbach import (
     ShearFunction,
     ShearMap,
     StageSchedule,
-    _as_scaled_point,
     _point_arrays,
+    _point_lists,
     build_pushout,
     build_shear_round,
     compose_orbit,
@@ -34,7 +34,7 @@ from contactfb.fatou_bieberbach import (
     state_from_dict,
     state_to_dict,
 )
-from contactfb.numeric import NEG_INF, ScaledComplex, wrap_phase
+from contactfb.numeric import NEG_INF, polar_sum
 from contactfb.obstacle import ShellUnion, membership_margin
 
 
@@ -45,18 +45,18 @@ REF = StageSchedule(log_base=0.0, log_a=(math.log(2.0),),
                     log_offset_base=NEG_INF, log_r=(math.log(1.5),))
 
 
-def _fold_eval_scaled(f, zeta):
-    """f(zeta) as a ``scaled_add`` fold over the terms: the evaluation the
-    one-pass ``ShearFunction.eval_scaled`` replaced, kept as its reference."""
-    if f.is_zero or zeta.is_zero:
-        return ScaledComplex.zero()
-    lz = zeta.abs_log()
-    acc = ScaledComplex.zero()
+def _fold_eval_scaled(f, lz, phase):
+    """f at (lz, phase) as a pairwise ``polar_sum`` fold over the terms,
+    the reference for the one-pass ``ShearFunction.eval_scaled``."""
+    acc = (NEG_INF, 0.0)
     for log_r, N in f.terms:
-        with np.errstate(invalid="ignore"):  # inf - inf beside a +inf term
-            acc = acc + ScaledComplex(N * (lz - log_r),
-                                      wrap_phase(N * zeta.phase))
+        acc = polar_sum([acc[0], N * (lz - log_r)], [acc[1], N * phase])
     return acc
+
+
+def _to_complex(log_mag, phase):
+    """The native complex value of a log-polar coordinate."""
+    return cmath.rect(math.exp(log_mag), phase)
 
 
 def _term_loop_native(f, z, deriv=False):
@@ -80,8 +80,6 @@ def _term_loop_native(f, z, deriv=False):
     return total
 
 
-# small exponents keep the fold's phase reduction (fmod by the float 2*pi)
-# within 4e-15 of the exact one
 term_lists = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 16)),
                       min_size=1, max_size=8).map(
     lambda ts: tuple(sorted(ts, key=lambda t: t[1])))
@@ -92,11 +90,11 @@ class TestShearFunction:
         f = ShearFunction(())
         assert f.is_zero
         assert f.sup_log(3.0) == NEG_INF
-        assert f.eval_scaled(ScaledComplex.from_complex(2.0)).is_zero
+        assert f.eval_scaled(math.log(2.0), 0.0) == (NEG_INF, 0.0)
 
     def test_single_term_value(self):
         f = ShearFunction(((math.log(1.5), 6),))
-        got = f.eval_scaled(ScaledComplex.from_complex(2.5)).to_complex()
+        got = _to_complex(*f.eval_scaled(math.log(2.5), 0.0))
         want = (2.5 / 1.5) ** 6
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -113,7 +111,8 @@ class TestShearFunction:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if z == 0:
                 continue
-            got = f.eval_scaled(ScaledComplex.from_complex(z)).to_complex()
+            (lz,), (phase,) = _point_lists([z], 1)
+            got = _to_complex(*f.eval_scaled(lz, phase))
             want = complex(f.eval_native(z))
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -124,53 +123,63 @@ class TestShearFunction:
         ph = rng.uniform(-math.pi, math.pi, size=10)
         out_lm, out_ph = f.eval_logpolar(lm, ph)
         for i in range(10):
-            z = ScaledComplex(float(lm[i]), float(ph[i]))
-            w = f.eval_scaled(z)
-            assert out_lm[i] == pytest.approx(float(w.log_mag), rel=1e-12)
-            assert math.cos(out_ph[i]) == pytest.approx(math.cos(w.phase),
+            w_lm, w_ph = f.eval_scaled(float(lm[i]), float(ph[i]))
+            assert out_lm[i] == pytest.approx(w_lm, rel=1e-12)
+            assert math.cos(out_ph[i]) == pytest.approx(math.cos(w_ph),
                                                         abs=1e-10)
+
+    def test_logpolar_value_independent_of_batch(self):
+        # five terms: np.sum would reassociate them for a one-point batch,
+        # whose term axis is contiguous, but not inside a larger batch
+        f = ShearFunction(tuple((0.1 * j, 3) for j in range(5)))
+        rng = np.random.default_rng(19)
+        lm = rng.uniform(-1.0, 2.0, 2000)
+        ph = rng.uniform(-math.pi, math.pi, 2000)
+        all_lm, all_ph = f.eval_logpolar(lm, ph)
+        for i in range(2000):
+            one_lm, one_ph = f.eval_logpolar(lm[i:i + 1], ph[i:i + 1])
+            assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
 
     @settings(max_examples=400, deadline=None)
     @given(term_lists, st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
     def test_scaled_matches_fold(self, terms, log_mag, phase):
         f = ShearFunction(terms)
-        zeta = ScaledComplex(log_mag, phase)
-        got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
+        got = f.eval_scaled(log_mag, phase)
+        want = _fold_eval_scaled(f, log_mag, phase)
         # away from cancellation, where both sums are rounding noise
-        assume(float(want.log_mag) > f.sup_log(log_mag) - math.log(10.0))
-        assert float(got.log_mag) == pytest.approx(float(want.log_mag),
-                                                   rel=1e-13, abs=1e-13)
-        assert cmath.isclose(cmath.rect(1.0, got.phase),
-                             cmath.rect(1.0, want.phase), abs_tol=1e-13)
+        assume(want[0] > f.sup_log(log_mag) - math.log(10.0))
+        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
+        assert cmath.isclose(cmath.rect(1.0, got[1]),
+                             cmath.rect(1.0, want[1]), abs_tol=1e-13)
 
     def test_scaled_matches_fold_on_built_rounds(self, built_state):
         rng = np.random.default_rng(23)
         funcs = [m.func for m in built_state.theta_maps()]
         for lm, ph in zip(rng.uniform(-2.0, 4.0, 60),
                           rng.uniform(-math.pi, math.pi, 60)):
-            zeta = ScaledComplex(lm, ph)
             for f in funcs:
-                got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
-                assert float(got.log_mag) == pytest.approx(
-                    float(want.log_mag), rel=1e-13, abs=1e-13)
+                got = f.eval_scaled(lm, ph)
+                want = _fold_eval_scaled(f, lm, ph)
+                assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("terms,zeta", [
-        (((0.0, 1), (0.0, 3)), ScaledComplex.zero()),
+        (((0.0, 1), (0.0, 3)), (NEG_INF, 0.0)),
         # every term's log-modulus is -inf
-        (((1e308, 1), (1e308, 2)), ScaledComplex(-1e308, 0.5)),
-        (((0.0, 1), (0.5, 3)), ScaledComplex(math.nan, 0.5)),
-        (((0.0, 1), (0.5, 3)), ScaledComplex(math.inf, 0.5)),
+        (((1e308, 1), (1e308, 2)), (-1e308, 0.5)),
+        (((0.0, 1), (0.5, 3)), (math.nan, 0.5)),
+        (((0.0, 1), (0.5, 3)), (math.inf, 0.5)),
         # terms 2 and 3 overflow to +inf: the value takes term 2's phase
-        (((0.0, 1), (0.0, 1000), (0.0, 2000)), ScaledComplex(1e306, 0.5)),
+        (((0.0, 1), (0.0, 1000), (0.0, 2000)), (1e306, 0.5)),
     ], ids=["zero", "underflow", "nan", "inf", "overflow"])
     def test_scaled_edge_values_match_fold(self, terms, zeta):
         f = ShearFunction(terms)
-        got, want = f.eval_scaled(zeta), _fold_eval_scaled(f, zeta)
-        assert got.is_zero == want.is_zero
-        assert math.isnan(got.log_mag) == math.isnan(want.log_mag)
-        if not math.isnan(want.log_mag):
-            assert got.log_mag == want.log_mag
-            assert got.phase == pytest.approx(want.phase, abs=1e-15)
+        got = f.eval_scaled(*zeta)
+        assert np.array_equal(got, _fold_eval_scaled(f, *zeta),
+                              equal_nan=True)
+        # and the batch path on the same point
+        with np.errstate(over="ignore"):
+            lm, ph = f.eval_logpolar(np.array([zeta[0]]), np.array([zeta[1]]))
+        assert np.array_equal(got, (lm[0], ph[0]), equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (7, 1), (5, 3)])
     @pytest.mark.parametrize("deriv", [False, True])
@@ -217,17 +226,17 @@ class TestShearMap:
 
     def test_phi_action(self):
         m = ShearMap("phi", 2, self.F)
-        out = m.apply_scaled([ScaledComplex.from_complex(2.5),
-                              ScaledComplex.zero()])
-        assert out[0].to_complex() == 2.5
-        assert out[1].to_complex() == pytest.approx((2.5 / 1.5) ** 6, rel=1e-12)
+        lm, ph = m.apply_scaled([math.log(2.5), NEG_INF], [0.0, 0.0])
+        assert (lm[0], ph[0]) == (math.log(2.5), 0.0)
+        assert _to_complex(lm[1], ph[1]) == pytest.approx((2.5 / 1.5) ** 6,
+                                                          rel=1e-12)
 
     def test_psi_action(self):
         m = ShearMap("psi", 2, self.F)
-        out = m.apply_scaled([ScaledComplex.zero(),
-                              ScaledComplex.from_complex(2.5)])
-        assert out[0].to_complex() == pytest.approx((2.5 / 1.5) ** 6, rel=1e-12)
-        assert out[1].to_complex() == 2.5
+        lm, ph = m.apply_scaled([NEG_INF, math.log(2.5)], [0.0, 0.0])
+        assert _to_complex(lm[0], ph[0]) == pytest.approx((2.5 / 1.5) ** 6,
+                                                          rel=1e-12)
+        assert (lm[1], ph[1]) == (math.log(2.5), 0.0)
 
     @pytest.mark.parametrize("kind,dim", [("phi", 2), ("psi", 2),
                                           ("phi", 3), ("psi", 3)])
@@ -246,15 +255,36 @@ class TestShearMap:
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_rejects_bad_points(self, kind):
+        # a single point reaches apply_scaled through the intake, which
+        # names the bad coordinate, and only the coordinate
         m = ShearMap(kind, 2, self.F)
-        with pytest.raises(ValueError, match="coordinate 0 is not finite"):
-            m.apply_scaled([complex("nan"), 0j])
-        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
-            m.apply_scaled([1j, complex("inf")])
-        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
-            m.apply_scaled([1j, ScaledComplex(math.inf, 0.0)])
+        for p, j in (([complex("nan"), 0j], 0), ([1j, complex("inf")], 1)):
+            with pytest.raises(ValueError,
+                               match=f"^coordinate {j} is not finite"):
+                m.apply_scaled(*_point_lists(p, m.dim))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            m.apply_scaled([1j, 0j, 0j])
+            m.apply_scaled(*_point_lists([1j, 0j, 0j], m.dim))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1]), st.integers(0, 5), st.data())
+    def test_scaled_equals_logpolar_rows(self, built_rounds, which, n, data):
+        # the single-point path gives the batch path's rows, to rounding
+        r = built_rounds[which][n % len(built_rounds[which])]
+        dim = r.phi.dim
+        lm = data.draw(st.lists(st.floats(-3.0, 4.0), min_size=dim,
+                                max_size=dim))
+        ph = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=dim,
+                                max_size=dim))
+        got_lm, got_ph = r.apply_scaled(lm, ph)
+        want_lm, want_ph = r.apply_logpolar(np.array([lm]), np.array([ph]))
+        # the paths' exp, log and atan2 may differ by an ulp, and psi
+        # multiplies such a difference in its source coordinate by N
+        n_max = max(N for m in (r.phi, r.psi) for _, N in m.func.terms)
+        tol = 8 * n_max * 2.0 ** -52
+        assert got_lm == pytest.approx(want_lm[0].tolist(), rel=tol, abs=tol)
+        for g, w in zip(got_ph, want_ph[0]):
+            assert cmath.isclose(cmath.rect(1.0, g), cmath.rect(1.0, w),
+                                 abs_tol=tol)
 
     def test_jacobian_unit_determinant(self):
         for kind in ("phi", "psi"):
@@ -405,26 +435,29 @@ def built_state():
     return build_pushout(desk_schedule(2, 4), dim=2, k_max=3)
 
 
+@pytest.fixture(scope="module")
+def built_rounds():
+    """The rounds of built push-outs in dims 2 and 3."""
+    return (build_pushout(desk_schedule(2, 4), dim=2, k_max=3).rounds,
+            build_pushout(desk_schedule(3, 3), dim=3, k_max=2).rounds)
+
+
 def _sample_shell_points(K, count, rng, dim):
-    """Random points inside a vertical shell union, one shell at a time."""
+    """Random points inside a vertical shell union, one shell at a time, as
+    (log-moduli, phases) list pairs."""
     pts = []
     shells = K.shells
     for _ in range(count):
         s = shells[rng.integers(len(shells))]
         lm = rng.uniform(s.log_a, s.log_b)
-        ph = rng.uniform(-math.pi, math.pi)
-        p = [ScaledComplex(lm, ph)]
-        for _ in range(dim - 2):
-            p.append(ScaledComplex(lm - rng.uniform(0.5, 2.0),
-                                   rng.uniform(-math.pi, math.pi)))
-        lz = s.log_c - rng.uniform(0.5, 3.0)
-        p.append(ScaledComplex(lz, rng.uniform(-math.pi, math.pi)))
-        pts.append(p)
+        lms = [lm] + [lm - rng.uniform(0.5, 2.0) for _ in range(dim - 2)]
+        lms.append(s.log_c - rng.uniform(0.5, 3.0))
+        pts.append((lms, [rng.uniform(-math.pi, math.pi) for _ in lms]))
     return pts
 
 
 def _abs_logs(points):
-    return np.array([[float(c.abs_log()) for c in p] for p in points])
+    return np.array([lm for lm, _ in points])
 
 
 class TestRoundContracts:
@@ -447,8 +480,8 @@ class TestRoundContracts:
         for r in built_state.rounds:
             pts = _sample_shell_points(r.shells_before, 40, rng,
                                        built_state.dim)
-            mids = [r.phi.apply_scaled(p) for p in pts]
-            outs = [r.psi.apply_scaled(m) for m in mids]
+            mids = [r.phi.apply_scaled(*p) for p in pts]
+            outs = [r.psi.apply_scaled(*m) for m in mids]
             assert (membership_margin(r.shells_mid, _abs_logs(mids)) >= 0).all()
             assert (membership_margin(r.shells_after, _abs_logs(outs))
                     >= 0).all()
@@ -459,12 +492,12 @@ class TestRoundContracts:
             radius = float(r.index)
             for _ in range(40):
                 lm = math.log(radius) - rng.uniform(0.0, 5.0)
-                p = [ScaledComplex(lm + rng.uniform(-1, 0),
-                                   rng.uniform(-math.pi, math.pi))
-                     for _ in range(built_state.dim)]
-                q = r.apply_scaled(p)
-                diff = max(abs(a.to_complex() - b.to_complex())
-                           for a, b in zip(p, q))
+                p = ([lm + rng.uniform(-1, 0) for _ in range(built_state.dim)],
+                     [rng.uniform(-math.pi, math.pi)
+                      for _ in range(built_state.dim)])
+                q = r.apply_scaled(*p)
+                diff = max(abs(_to_complex(*a) - _to_complex(*b))
+                           for a, b in zip(zip(*p), zip(*q)))
                 assert diff < r.eps
 
     def test_witness_sandwiches(self, built_state):
@@ -521,11 +554,18 @@ class TestOrbits:
         pts += [(0j, 0j), (complex(-1, -0.0), 0j), (complex(-0.0, 0.0), -2.5),
                 (complex(-1, -0.0), complex(-3, -0.0)), (1e-310 + 0j, -1e300j),
                 (complex(0.0, -0.0), 2.0), (5e-324j, complex(-2.0, 1e-320))]
-        # the intake reads every coordinate as from_complex does
+        # the batch reads every point as the single-point intake does, and
+        # every coordinate by the documented rule
         lm, ph = _point_arrays(pts, 2)
-        ref = [_as_scaled_point(p, 2) for p in pts]
-        assert np.array_equal(lm, [[float(v.log_mag) for v in p] for p in ref])
-        assert np.array_equal(ph, [[v.phase for v in p] for p in ref])
+        ref = [_point_lists(p, 2) for p in pts]
+        assert np.array_equal(lm, [r[0] for r in ref])
+        assert np.array_equal(ph, [r[1] for r in ref])
+        for row_lm, row_ph, p in zip(lm, ph, pts):
+            for got_lm, got_ph, z in zip(row_lm, row_ph, p):
+                want_lm = float(np.log(np.longdouble(abs(z)))) if z else NEG_INF
+                want_ph = math.atan2(z.imag, z.real) if z else 0.0
+                assert got_lm == want_lm
+                assert got_ph == (math.pi if want_ph == -math.pi else want_ph)
         assert ph[pts.index((complex(-1, -0.0), 0j)), 0] == math.pi
 
     def test_state_orbit_logs_equals_batch(self, built_state):
@@ -556,7 +596,7 @@ class TestOrbits:
         annulus = (np.exp(rng.uniform(math.log(0.25), K.shells[0].log_a,
                                       (120, 2)))
                    * np.exp(1j * rng.uniform(-math.pi, math.pi, (120, 2))))
-        shells = [tuple(v.to_complex() for v in p)
+        shells = [tuple(map(_to_complex, *p))
                   for p in _sample_shell_points(K, 60, rng, 2)]
         pts = ([tuple(complex(a, b) for a, b in p) for p in polydisk]
                + [tuple(p) for p in annulus] + shells)
@@ -568,16 +608,13 @@ class TestOrbits:
         assert {"in_omega_certified", "escaped"} <= seen
 
     @pytest.mark.parametrize("bad", [
-        complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0),
-        ScaledComplex(math.inf, 0.0), ScaledComplex(1.0, math.nan)])
+        complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
     def test_non_finite_coordinates_rejected(self, built_state, bad):
         p = (0.5 + 0j, bad)
-        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
-            compose_orbit(built_state, p)
-        with pytest.raises(ValueError, match="coordinate 1 is not finite"):
-            omega_membership(built_state, p)
-        if isinstance(bad, ScaledComplex):
-            return  # batch intake takes complex coordinates only
+        for single in (compose_orbit, omega_membership, fb_map_eval):
+            with pytest.raises(ValueError,
+                               match="^coordinate 1 is not finite"):
+                single(built_state, p)
         with pytest.raises(ValueError,
                            match="point 1, coordinate 1 is not finite"):
             orbit_logs_batch(built_state, [(0j, 0j), p])
@@ -607,6 +644,18 @@ class TestOrbits:
         drift = max(abs(v) for v in value)
         assert drift < 1e-3 + sum(r.eps for r in built_state.rounds)
 
+    def test_fb_map_eval_matches_native(self, built_state):
+        # certified points stay in float range, where the native path runs
+        rng = np.random.default_rng(41)
+        maps = built_state.theta_maps()
+        for a, b, c, d in rng.uniform(-0.17, 0.17, (20, 4)):
+            p = (complex(a, b), complex(c, d))
+            value, _ = fb_map_eval(built_state, p)
+            vec = np.array(p)
+            for m in maps:
+                vec = m.apply_native(vec)
+            assert value == pytest.approx(tuple(vec), rel=1e-12, abs=1e-15)
+
     def test_fb_map_eval_rejects_uncertified(self, built_state):
         with pytest.raises(ValueError, match="not certified"):
             fb_map_eval(built_state, [2.0 + 0j, 0j])
@@ -614,12 +663,11 @@ class TestOrbits:
     def test_cauchy_differences(self, built_state):
         # partial compositions at a certified point form a Cauchy sequence
         # with per-round increments below eps_{k}
-        p = [ScaledComplex.from_complex(1e-2), ScaledComplex.zero()]
-        prev = [v.to_complex() for v in p]
-        pt = p
+        lm, ph = _point_lists([1e-2, 0j], 2)
+        prev = [1e-2, 0j]
         for r in built_state.rounds:
-            pt = r.apply_scaled(pt)
-            cur = [v.to_complex() for v in pt]
+            lm, ph = r.apply_scaled(lm, ph)
+            cur = list(map(_to_complex, lm, ph))
             diff = max(abs(a - b) for a, b in zip(cur, prev))
             assert diff < r.eps
             prev = cur

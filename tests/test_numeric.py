@@ -1,27 +1,26 @@
 import cmath
+import functools
 import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactfb.numeric import (
     CPolynomial,
     DEGREE_CAP,
     DegreeCapError,
     NEG_INF,
-    ScaledComplex,
     log_add,
     log_sub,
     log_sum,
     monomial,
     poly_mul_capped,
+    polar_sum,
     sample_polydisk,
-    scaled_add,
     scaled_sum_arrays,
-    wrap_phase,
 )
 from contactfb.obstacle import random_avoiding_disks, standard_obstacle
 
@@ -35,73 +34,92 @@ nonzero_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
 # NaN, and values right at the cut beside a summand at 0
 summand_logs = st.one_of(
     st.floats(-2000.0, 50.0),
-    st.sampled_from([NEG_INF, math.inf, math.nan, 0.0, -745.0, -745.14,
-                     -746.0, -800.0]))
+    st.sampled_from([NEG_INF, math.inf, math.nan, 0.0, -745.0,
+                     -745.1332191019411, -745.14, -746.0, -800.0]))
 summand_phases = st.one_of(
     st.floats(-4.0, 4.0),
     st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.nan]))
 
 
 # ---------------------------------------------------------------------------
-# ScaledComplex
+# scaled complex numbers: (log-modulus, phase), added by polar_sum
 # ---------------------------------------------------------------------------
+
+def _polar(z: complex):
+    """(log|z|, arg z) of a nonzero complex number."""
+    return math.log(abs(z)), math.atan2(z.imag, z.real)
+
+
+def _row_sum(log_mags, phases):
+    """``scaled_sum_arrays`` on one row, as Python floats."""
+    with np.errstate(invalid="ignore"):
+        lm, ph = scaled_sum_arrays(np.array([log_mags], dtype=float),
+                                   np.array([phases], dtype=float))
+    return float(lm[0]), float(ph[0])
+
 
 class TestScaledComplex:
     def test_zero_sentinel(self):
-        z = ScaledComplex.zero()
-        assert z.is_zero
-        assert z.to_complex() == 0j
-        assert z.phase == 0.0
-
-    def test_immutable(self):
-        z = ScaledComplex(0.0, 0.0)
-        with pytest.raises(AttributeError):
-            z.phase = 1.0
-
-    @given(nonzero_complex)
-    @settings(max_examples=300)
-    def test_roundtrip(self, z):
-        back = ScaledComplex.from_complex(z).to_complex()
-        assert abs(back - z) <= 1e-14 * abs(z)
-
-    def test_roundtrip_extreme_magnitudes(self):
-        # near the edge of native float range the log-magnitude must keep
-        # enough precision for a 1e-14 relative round-trip
-        for mag in (1e-300, 1e-120, 1e120, 1e290):
-            for phase in (0.1, -2.5, 3.0):
-                z = cmath.rect(mag, phase)
-                back = ScaledComplex.from_complex(z).to_complex()
-                assert abs(back - z) <= 1e-14 * abs(z)
-
-    def test_to_complex_overflow(self):
-        with pytest.raises(OverflowError):
-            ScaledComplex(1e5, 0.0).to_complex()
+        assert polar_sum([NEG_INF], [0.7]) == (NEG_INF, 0.0)
+        assert polar_sum([NEG_INF, NEG_INF], [math.pi, -1.0]) == (NEG_INF, 0.0)
+        assert polar_sum([NEG_INF, 1.5], [2.0, 0.25]) == (1.5, 0.25)
 
     @given(nonzero_complex, nonzero_complex)
     @settings(max_examples=200)
     def test_add_matches_native(self, a, b):
-        got = (ScaledComplex.from_complex(a) +
-               ScaledComplex.from_complex(b)).to_complex()
+        (la, pa), (lb, pb) = _polar(a), _polar(b)
+        lm, ph = polar_sum([la, lb], [pa, pb])
+        got = cmath.rect(math.exp(lm), ph) if lm != NEG_INF else 0j
         want = a + b
         assert abs(got - want) <= 1e-12 * (abs(a) + abs(b))
 
     def test_add_exact_cancellation(self):
-        a = ScaledComplex.from_complex(3 + 4j)
-        assert (a + ScaledComplex(a.log_mag, a.phase + math.pi)).is_zero
-        assert (a + ScaledComplex.from_complex(-3 - 4j)).is_zero
+        # 2 + (-1 + sin(pi) i) + (-1 - sin(pi) i) is exactly zero
+        lm, ph = [math.log(2.0), 0.0, 0.0], [0.0, math.pi, -math.pi]
+        assert polar_sum(lm, ph)[0] == NEG_INF
+        assert _row_sum(lm, ph)[0] == NEG_INF
 
     def test_add_huge_disparity(self):
-        big = ScaledComplex(5e4, 0.3)
-        small = ScaledComplex(-5e4, 1.0)
-        s = big + small
-        assert float(s.log_mag) == pytest.approx(5e4)
-        assert s.phase == pytest.approx(0.3)
+        lm, ph = polar_sum([5e4, -5e4], [0.3, 1.0])
+        assert lm == pytest.approx(5e4)
+        assert ph == pytest.approx(0.3)
 
     def test_add_nan_propagates(self):
-        nan, one = ScaledComplex(math.nan, 0.0), ScaledComplex(0.0, 0.0)
-        assert math.isnan((nan + one).log_mag)
-        assert math.isnan((one + nan).log_mag)
-        assert math.isnan((one + ScaledComplex(0.0, math.nan)).log_mag)
+        for lm, ph in (([math.nan, 0.0], [0.0, 0.0]),
+                       ([0.0, math.nan], [0.0, 0.0]),
+                       ([0.0, 0.0], [0.0, math.nan]),
+                       ([math.inf, math.nan], [0.0, 0.0]),
+                       ([NEG_INF, math.nan], [0.0, 0.0])):
+            assert math.isnan(polar_sum(lm, ph)[0])
+            assert math.isnan(_row_sum(lm, ph)[0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda terms: st.tuples(
+        st.lists(summand_logs, min_size=terms, max_size=terms),
+        st.lists(summand_phases, min_size=terms, max_size=terms))))
+    @example(([0.0, math.inf, 1.0, math.inf], [0.5, -2.0, 1.0, 3.0]))
+    @example(([0.0, math.nan, 1.0], [0.5, -2.0, 1.0]))
+    @example(([math.nan, math.inf], [0.5, -2.0]))
+    @example(([NEG_INF, NEG_INF, NEG_INF], [0.5, -2.0, math.pi]))
+    @example(([0.0, -745.1332191019411, -745.14, -746.0],
+              [0.5, -2.0, 1.0, math.nan]))
+    @example(([0.0, -745.1332191019411], [0.5, math.nan]))
+    def test_polar_sum_equals_array_row(self, row):
+        log_mags, phases = row
+        got = polar_sum(log_mags, phases)
+        want = _row_sum(log_mags, phases)
+        if math.isnan(want[0]) or math.isinf(want[0]):
+            # +inf, NaN and zero sums follow the same rules exactly
+            assert np.array_equal(got, want, equal_nan=True)
+            return
+        # otherwise both are the sum relative to the largest summand, to
+        # the rounding of exp, log and the angle
+        hi = max(log_mags)
+        g = cmath.rect(math.exp(got[0] - hi), got[1])
+        w = cmath.rect(math.exp(want[0] - hi), want[1])
+        assert abs(g - w) <= 1e-14
+        if abs(w) >= 0.1:  # away from cancellation the logs agree too
+            assert got[0] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +151,30 @@ class TestLogHelpers:
             log_sub(1.0, 2.0)
         assert log_sub(2.0, NEG_INF) == 2.0
 
-    @given(st.floats(-10, 10))
-    def test_wrap_phase(self, phi):
-        w = wrap_phase(phi)
-        assert -math.pi < w <= math.pi
-        assert cmath.isclose(cmath.exp(1j * w), cmath.exp(1j * phi),
-                             abs_tol=1e-12)
-
     def test_scaled_sum_arrays_matches_scalar(self):
         rng = np.random.default_rng(3)
         lm = rng.uniform(-5, 5, (20, 4))
         ph = rng.uniform(-math.pi, math.pi, (20, 4))
         got_lm, got_ph = scaled_sum_arrays(lm, ph)
         for r in range(20):
-            acc = ScaledComplex.zero()
-            for c in range(4):
-                acc = acc + ScaledComplex(lm[r, c], ph[r, c])
-            assert got_lm[r] == pytest.approx(float(acc.log_mag), abs=1e-10)
-            assert got_ph[r] == pytest.approx(acc.phase, abs=1e-10)
+            want_lm, want_ph = polar_sum(lm[r].tolist(), ph[r].tolist())
+            assert got_lm[r] == pytest.approx(want_lm, abs=1e-10)
+            assert got_ph[r] == pytest.approx(want_ph, abs=1e-10)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_scaled_sum_arrays_row_independent_of_batch(self, axis):
+        # a lone row is contiguous along the summand axis, where np.sum
+        # would reassociate five summands
+        rng = np.random.default_rng(8)
+        lm = rng.uniform(-3.0, 3.0, (400, 5))
+        ph = rng.uniform(-math.pi, math.pi, (400, 5))
+        if axis == 0:
+            lm, ph = lm.T.copy(), ph.T.copy()
+        all_lm, all_ph = scaled_sum_arrays(lm, ph, axis=axis)
+        for i in range(400):
+            one = np.s_[:, i:i + 1] if axis == 0 else np.s_[i:i + 1]
+            one_lm, one_ph = scaled_sum_arrays(lm[one], ph[one], axis=axis)
+            assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
 
     def test_scaled_sum_arrays_zero_rows(self):
         lm = np.array([[NEG_INF, NEG_INF]])
@@ -160,12 +184,13 @@ class TestLogHelpers:
 
     @staticmethod
     def _dense_scaled_sum(log_mags, phases, axis=-1):
-        """Reference: every summand exponentiated, underflowed or not."""
+        """Reference: every summand exponentiated, underflowed or not, and
+        added in order along ``axis``."""
         hi = np.max(log_mags, axis=axis, keepdims=True)
         hi_safe = np.where(np.isneginf(hi), 0.0, hi)
         scaled = np.exp(log_mags - hi_safe) * np.exp(1j * phases)
         scaled = np.where(np.isneginf(log_mags), 0.0, scaled)
-        total = np.sum(scaled, axis=axis)
+        total = functools.reduce(np.add, np.moveaxis(scaled, axis, 0))
         hi = np.squeeze(hi_safe, axis=axis)
         mag = np.abs(total)
         with np.errstate(divide="ignore"):
@@ -201,13 +226,9 @@ class TestLogHelpers:
         first = np.argmax(np.isposinf(top_lm), axis=1)
         want_top = (np.full(inf_rows, math.inf),
                     top_ph[np.arange(inf_rows), first])
-        for r in range(inf_rows):  # the scalar fold agrees
-            acc = ScaledComplex.zero()
-            for c in range(terms):
-                with np.errstate(invalid="ignore"):  # inf - inf in the fold
-                    acc = acc + ScaledComplex(top_lm[r, c], top_ph[r, c])
-            assert acc.log_mag == math.inf
-            assert acc.phase == pytest.approx(want_top[1][r], abs=1e-15)
+        for r in range(inf_rows):  # the one-row sum agrees
+            assert polar_sum(top_lm[r].tolist(), top_ph[r].tolist()) == (
+                math.inf, want_top[1][r])
         # rows holding a NaN log-magnitude (beside finite, zero or +inf
         # summands) or a NaN phase on a summand that does not underflow
         nan_rows = 60
@@ -237,8 +258,8 @@ class TestLogHelpers:
                  min_size=terms, max_size=terms),
         min_size=1, max_size=6)))
     def test_scaled_sum_arrays_axis0_equals_transposed(self, rows):
-        # summands on axis 0 of a C-ordered array sum in the same order as
-        # on the last axis of its transpose, which is the same memory
+        # axis 0 of an array and the last axis of its transpose hold the
+        # same summands in the same order
         lm = np.array([[s[0] for s in row] for row in rows]).T.copy()
         ph = np.array([[s[1] for s in row] for row in rows]).T.copy()
         with np.errstate(invalid="ignore"):
