@@ -211,19 +211,19 @@ def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
     """alpha0 at Phi(p) applied to dPhi_p . v, where Phi is the composition
     of the given shear maps (applied left to right, i.e. maps[0] first).
 
-    Each map must expose ``apply_native(vec)`` and ``jacobian(vec)`` over
-    flat coordinate tuples; the empty sequence is the identity, for which
-    this reduces exactly to ``alpha0_eval``.  Raises OverflowError if the
-    point escapes native float range along the way.
+    Each map must expose ``tangent_step(vec, tan)``, which returns the
+    image of the flat complex128 point ``vec`` and the image of the tangent
+    vectors ``tan`` (one, or the columns of a (dim, c) array) under the
+    map's derivative at ``vec``; the empty sequence is the identity, for
+    which this reduces exactly to ``alpha0_eval``.  Raises OverflowError if
+    the point escapes native float range along the way.
     """
     if p.n != v.n:
         raise ValueError("dimension mismatch between point and vector")
     vec = np.asarray(p.flat(), dtype=np.complex128)
     tan = np.asarray(v.flat(), dtype=np.complex128)
     for m in maps:
-        jac = m.jacobian(vec)
-        tan = jac @ tan
-        vec = m.apply_native(vec)
+        vec, tan = m.tangent_step(vec, tan)
         if not np.all(np.isfinite(vec.view(np.float64))):
             raise OverflowError("point escaped native float range")
     q = ContactPoint.from_flat(vec.tolist())
@@ -232,13 +232,12 @@ def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
 
 
 def composition_jacobian(maps, p: ContactPoint) -> np.ndarray:
-    """Jacobian matrix of the composition at p (chain rule over shears)."""
+    """Jacobian matrix of the composition at p: the identity's columns
+    pushed through each map's ``tangent_step`` (the chain rule)."""
     vec = np.asarray(p.flat(), dtype=np.complex128)
-    dim = vec.size
-    jac = np.eye(dim, dtype=np.complex128)
+    jac = np.eye(vec.size, dtype=np.complex128)
     for m in maps:
-        jac = m.jacobian(vec) @ jac
-        vec = m.apply_native(vec)
+        vec, jac = m.tangent_step(vec, jac)
     return jac
 
 

@@ -330,20 +330,21 @@ def _lemma_checks(cfg: ExperimentConfig, checks: list) -> None:
 
 def _sample_shell_points(K: ShellUnion, per_shell: int, rng):
     """Random points of each cylinder of K (log-uniform in the magnitudes),
-    as (m, dim) log-magnitude and phase arrays, shell by shell."""
+    shell by shell, as coordinate-major (dim, m) log-magnitude and phase
+    arrays: row j holds coordinate j of every point."""
     lms, phases = [], []
     for s in K.shells:
         lm = rng.uniform(s.log_a, s.log_b, per_shell)
-        phases.append(rng.uniform(-math.pi, math.pi, (per_shell, K.dim)))
-        coords = np.empty((per_shell, K.dim))
-        coords[:, K.disk_dim] = s.log_c + np.log(np.sqrt(rng.random(per_shell)))
+        phases.append(rng.uniform(-math.pi, math.pi, (per_shell, K.dim)).T)
+        coords = np.empty((K.dim, per_shell))
+        coords[K.disk_dim] = s.log_c + np.log(np.sqrt(rng.random(per_shell)))
         for m in range(per_shell):
             block = rng.integers(0, len(K.shell_dims))
             for bi, d in enumerate(K.shell_dims):
-                coords[m, d] = lm[m] if bi == block else \
+                coords[d, m] = lm[m] if bi == block else \
                     lm[m] + math.log(rng.random() + 1e-12)
         lms.append(coords)
-    return np.concatenate(lms), np.concatenate(phases)
+    return np.concatenate(lms, axis=1), np.concatenate(phases, axis=1)
 
 
 def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
@@ -405,12 +406,15 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
 
 
 def _write_orbit_csv(path: str, log_mag, phase, logs) -> None:
+    """One row per point and round: the point's coordinates, read from the
+    columns of coordinate-major (dim, m) log-polar arrays, as
+    ``log_mag@phase`` entries, and its (m, k) ``logs`` row."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["point_index", "coordinates", "round",
                     "log_magnitude", "classification"])
-        for idx, (lms, phs) in enumerate(zip(log_mag.tolist(),
-                                             phase.tolist())):
+        for idx, (lms, phs) in enumerate(zip(log_mag.T.tolist(),
+                                             phase.T.tolist())):
             coords = ";".join(repr(lm) + "@" + repr(ph)
                               for lm, ph in zip(lms, phs))
             row = logs[idx].tolist()

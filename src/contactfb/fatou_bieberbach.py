@@ -20,17 +20,21 @@ radii overflow native floats after two rounds.
 
 Points beyond float range are carried in log-polar form: the log-moduli
 and the phases of their coordinates.  Both paths at any magnitude read
-complex coordinates through one intake, ``_point_arrays``, and sum by one
-rule (``scaled_sum_arrays``, with ``polar_sum`` as its one-row form):
+complex coordinates by one rule (``_point_arrays``, with ``_point_lists``
+as its one-point form) and sum by one rule (``scaled_sum_arrays``, with
+``polar_sum`` as its one-point form):
 
 * single points (``apply_scaled``), two float lists each: ``compose_orbit``,
   ``omega_membership`` and ``fb_map_eval``;
-* batches (``apply_logpolar``), two (m, dim) arrays whose rows are such
-  lists, with the terms of a shear function on axis 0, so the sums run
-  elementwise over contiguous rows.
+* batches (``apply_logpolar``), two coordinate-major (dim, m) arrays whose
+  columns are such lists: row j holds coordinate j of every point, and the
+  terms of a shear function go on a new leading axis, so every sum runs
+  elementwise over contiguous rows.  ``PushOutState.orbit_logs`` pushes a
+  batch through the rounds in blocks of ``ORBIT_BLOCK`` points.
 
-A third path, native complex128 (``apply_native``, ``jacobian``), serves
-points in float range: sampled identity checks and pullbacks.  Every path
+A third path, native complex128, serves points in float range:
+``apply_native`` for sampled identity checks, and ``tangent_step``, which
+carries a point and tangent vectors together, for pullbacks.  Every path
 adds the terms of a shear function in order.
 """
 
@@ -65,6 +69,12 @@ STATE_FORMAT_VERSION = 2
 #: exponents super-exponentially.  Keeping r_i within a bounded log-offset
 #: of b_{i-1} keeps the per-stage exponent growth geometric.
 R_LOG_OFFSET_CAP = 2.0
+
+#: Points per block of ``PushOutState.orbit_logs``.  A shear sum over the
+#: terms of a round (six for the default schedule) then makes (terms, block)
+#: float64 temporaries of 192 KiB, which stay in a core's L2 cache; a whole
+#: batch of 18 000 points would make them 864 KiB.
+ORBIT_BLOCK = 4096
 
 
 def _bump(x: float, nominal: float) -> float:
@@ -141,7 +151,7 @@ class ShearFunction:
         if self.is_zero:
             return (np.full_like(log_mag, NEG_INF), np.zeros_like(phase))
         log_r, N, _ = self._term_columns(np.ndim(log_mag))
-        return scaled_sum_arrays(N * (log_mag - log_r), N * phase, axis=0)
+        return scaled_sum_arrays(N * (log_mag - log_r), N * phase)
 
     @staticmethod
     def _native_polar(z):
@@ -168,16 +178,20 @@ class ShearFunction:
         log_r, N, _ = self._term_columns(z.ndim)
         return self._native_term_sum(N * (lz - log_r), N * az)
 
-    def deriv_native(self, z):
-        """f'(z) = sum N_j / r_j * (z / r_j)^(N_j - 1), vectorized."""
+    def eval_deriv_native(self, z):
+        """(f(z), f'(z)) from one polar intake of z, vectorized; f is
+        ``eval_native``'s value and f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1),
+        both formed from the shared log|z / r_j|."""
         z, lz, az = self._native_polar(z)
         if self.is_zero:
-            return np.zeros_like(z)
+            return np.zeros_like(z), np.zeros_like(z)
         log_r, N, lead = self._term_columns(z.ndim)
-        # an N = 1 term is the constant 1 / r: its log|z / r| is left out,
-        # so z = 0 gives no 0 * -inf
-        lm = lead + (N - 1) * np.where(N == 1, 0.0, lz - log_r)
-        return self._native_term_sum(lm, (N - 1) * az)
+        lzr = lz - log_r
+        # an N = 1 term of f' is the constant 1 / r: its log|z / r| is left
+        # out, so z = 0 gives no 0 * -inf
+        dlm = lead + (N - 1) * np.where(N == 1, 0.0, lzr)
+        return (self._native_term_sum(N * lzr, N * az),
+                self._native_term_sum(dlm, (N - 1) * az))
 
 
 @dataclass(frozen=True)
@@ -200,11 +214,18 @@ class ShearMap:
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
 
-    def _pairs(self):
-        """(source, destination) coordinate pairs: z_dst += f(z_src)."""
+    @cached_property
+    def _slices(self):
+        """(source, destination) coordinate slices: z_dst += f(z_src)."""
         if self.kind == "phi":
-            return zip(range(0, self.dim - 1), range(1, self.dim))
-        return zip(range(1, self.dim), range(0, self.dim - 1))
+            return slice(0, self.dim - 1), slice(1, self.dim)
+        return slice(1, self.dim), slice(0, self.dim - 1)
+
+    @cached_property
+    def _pairs(self):
+        """The (source, destination) coordinate pairs of ``_slices``."""
+        src, dst = self._slices
+        return tuple(zip(range(self.dim)[src], range(self.dim)[dst]))
 
     # -- single log-polar points -------------------------------------------
 
@@ -212,9 +233,9 @@ class ShearMap:
     # name; ROADMAP item 6 renames it together with its tracer span.
     def apply_scaled(self, log_mag: list, phase: list):
         """Action on one point given by the lists of its coordinates'
-        log-moduli and phases (one row of ``apply_logpolar``'s arrays)."""
+        log-moduli and phases (one column of ``apply_logpolar``'s arrays)."""
         out_lm, out_ph = list(log_mag), list(phase)
-        for s, d in self._pairs():
+        for s, d in self._pairs:
             f_lm, f_ph = self.func.eval_scaled(log_mag[s], phase[s])
             out_lm[d], out_ph[d] = polar_sum([log_mag[d], f_lm],
                                              [phase[d], f_ph])
@@ -223,40 +244,44 @@ class ShearMap:
     # -- log-polar batches ------------------------------------------------
 
     def apply_logpolar(self, log_mag: np.ndarray, phase: np.ndarray):
-        """Batched action on points stored as (m, dim) log-polar arrays."""
+        """Batched action on m points stored as coordinate-major (dim, m)
+        log-magnitude and phase arrays: row j holds coordinate j of every
+        point.  All destination rows are summed in one call."""
+        src, dst = self._slices
+        f_lm, f_ph = self.func.eval_logpolar(log_mag[src], phase[src])
         out_lm = log_mag.copy()
         out_ph = phase.copy()
-        for s, d in self._pairs():
-            f_lm, f_ph = self.func.eval_logpolar(log_mag[:, s], phase[:, s])
-            lm, ph = scaled_sum_arrays(np.stack([log_mag[:, d], f_lm]),
-                                       np.stack([phase[:, d], f_ph]), axis=0)
-            out_lm[:, d] = lm
-            out_ph[:, d] = ph
+        out_lm[dst], out_ph[dst] = scaled_sum_arrays(
+            np.stack([log_mag[dst], f_lm]), np.stack([phase[dst], f_ph]))
         return out_lm, out_ph
 
-    # -- native action and Jacobian (for pullbacks) -----------------------
+    # -- native action and tangent step (for pullbacks) -------------------
 
     def apply_native(self, vec: np.ndarray) -> np.ndarray:
         """Action on a point or on the rows of an (m, dim) array."""
         vec = np.asarray(vec, dtype=np.complex128)
+        src, dst = self._slices
         out = vec.copy()
-        if self.kind == "phi":
-            out[..., 1:] = vec[..., 1:] + self.func.eval_native(vec[..., :-1])
-        else:
-            out[..., :-1] = vec[..., :-1] + self.func.eval_native(vec[..., 1:])
+        out[..., dst] = vec[..., dst] + self.func.eval_native(vec[..., src])
         return out
 
-    def jacobian(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        jac = np.eye(self.dim, dtype=np.complex128)
-        dv = self.func.deriv_native(vec)
-        if self.kind == "phi":
-            for j in range(1, self.dim):
-                jac[j, j - 1] = dv[j - 1]
-        else:
-            for j in range(self.dim - 1):
-                jac[j, j + 1] = dv[j + 1]
-        return jac
+    def tangent_step(self, vec: np.ndarray, tan: np.ndarray):
+        """(image of the point ``vec``, image of ``tan`` under the derivative
+        at ``vec``), from one polar intake of the source coordinates.
+
+        ``vec`` is one native point of shape (dim,); ``tan`` is a tangent
+        vector of the same shape, or a (dim, c) array whose columns are
+        tangent vectors.  Both come back as new arrays:
+        z_dst + f(z_src) and t_dst + f'(z_src) t_src."""
+        src, dst = self._slices
+        f, df = self.func.eval_deriv_native(vec[src])
+        out_vec = vec.copy()
+        out_vec[dst] = vec[dst] + f
+        # f' scales the source coordinates of every tangent vector
+        scale = df.reshape(df.shape + (1,) * (tan.ndim - 1))
+        out_tan = tan.copy()
+        out_tan[dst] = tan[dst] + scale * tan[src]
+        return out_vec, out_tan
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +523,7 @@ class PushOutRound:
         return self.psi.apply_scaled(*self.phi.apply_scaled(log_mag, phase))
 
     def apply_logpolar(self, log_mag, phase):
+        """The round on coordinate-major (dim, m) log-polar arrays."""
         lm, ph = self.phi.apply_logpolar(log_mag, phase)
         return self.psi.apply_logpolar(lm, ph)
 
@@ -542,13 +568,21 @@ class PushOutState:
         return maps
 
     def orbit_logs(self, log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """(m, k) array of per-round log max-norms of the points given by
-        (m, dim) log-magnitude and phase arrays."""
-        out = np.empty((log_mag.shape[0], self.k))
-        for j, r in enumerate(self.rounds):
-            log_mag, phase = r.apply_logpolar(log_mag, phase)
-            out[:, j] = np.max(log_mag, axis=1)
-        return out
+        """(m, k) array of per-round log max-norms of the m points given by
+        coordinate-major (dim, m) log-magnitude and phase arrays.
+
+        Blocks of ``ORBIT_BLOCK`` points go through all rounds one after
+        the other, so the temporaries of each shear sum stay in cache; each
+        value is computed elementwise, so it does not depend on the block."""
+        m = log_mag.shape[1]
+        out = np.empty((self.k, m))
+        for lo in range(0, m, ORBIT_BLOCK):
+            block = slice(lo, lo + ORBIT_BLOCK)
+            lm, ph = log_mag[:, block], phase[:, block]
+            for j, r in enumerate(self.rounds):
+                lm, ph = r.apply_logpolar(lm, ph)
+                out[j, block] = np.max(lm, axis=0)
+        return out.T
 
 
 def build_shear_round(state: PushOutState):
@@ -653,12 +687,13 @@ def desk_schedule(dim: int = 2, i_max: int = 6) -> ShellUnion:
 # ---------------------------------------------------------------------------
 
 def _point_arrays(points, dim: int):
-    """(m, dim) float64 log-magnitude and phase arrays of a batch of points
-    with complex coordinates: the modulus is ``hypot`` (as ``abs`` of a
-    Python complex), its log is taken in ``np.longdouble`` and rounded once,
-    and the phase comes from ``math.atan2`` (``np.arctan2`` may round
-    differently) with -pi mapped to pi; zero is (-inf, 0).  Single points
-    come in as a batch of one, whose errors name only the coordinate.
+    """Coordinate-major (dim, m) float64 log-magnitude and phase arrays of
+    a batch of m points with complex coordinates: the modulus is ``hypot``
+    (as ``abs`` of a Python complex), its log is taken in ``np.longdouble``
+    and rounded once, and the phase comes from ``math.atan2``
+    (``np.arctan2`` may round differently) with -pi mapped to pi; zero is
+    (-inf, 0).  ``_point_lists`` reads one point by the same rules, and
+    the errors of a one-point batch name only the coordinate, as its do.
     """
     rows = [tuple(p) for p in points]
     if any(len(p) != dim for p in rows):
@@ -680,13 +715,35 @@ def _point_arrays(points, dim: int):
                    for x, y in zip(z.real.tolist(), z.imag.tolist())])
     ph[ph == -math.pi] = math.pi
     ph[mag == 0.0] = 0.0
-    return lm.reshape(-1, dim), ph.reshape(-1, dim)
+    return (np.ascontiguousarray(lm.reshape(-1, dim).T),
+            np.ascontiguousarray(ph.reshape(-1, dim).T))
 
 
 def _point_lists(p, dim: int):
-    """The log-moduli and phases of one point, as lists of floats."""
-    lm, ph = _point_arrays([p], dim)
-    return lm[0].tolist(), ph[0].tolist()
+    """The log-moduli and phases of one point, as lists of floats: a
+    column of ``_point_arrays``, bit for bit and with its error texts, read
+    with Python floats and numpy scalars."""
+    p = tuple(p)
+    if len(p) != dim:
+        raise ValueError("point dimension mismatch")
+    z = [complex(v) for v in p]
+    for n, w in enumerate(z):
+        if not cmath.isfinite(w):
+            raise ValueError(f"coordinate {n} is not finite: {p[n]!r}")
+    with np.errstate(over="ignore"):
+        mags = [np.hypot(w.real, w.imag) for w in z]
+    if math.inf in mags:  # as abs() of a Python complex raises
+        raise OverflowError("absolute value too large")
+    lm, ph = [], []
+    for w, mag in zip(z, mags):
+        if mag == 0.0:
+            lm.append(NEG_INF)
+            ph.append(0.0)
+        else:
+            lm.append(float(np.log(np.longdouble(mag))))
+            a = math.atan2(w.imag, w.real)
+            ph.append(math.pi if a == -math.pi else a)
+    return lm, ph
 
 
 @dataclass(frozen=True)

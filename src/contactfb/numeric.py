@@ -5,11 +5,12 @@ Two representations carry the whole package:
 * log-polar points -- a complex number as its log-modulus and phase, with
   -inf for zero.  A push-out orbit point, whose magnitudes like (4/3)**N
   with N in the tens of thousands lie far beyond float range, is two float
-  lists (the log-moduli and the phases of its coordinates); a batch of
-  points is two (m, dim) arrays, whose rows are such lists.  The one
-  operation is the sum: ``scaled_sum_arrays`` along an axis of arrays, and
-  ``polar_sum`` over one row in Python floats, by the same rules.  Each
-  factors out the largest summand, so no step overflows.
+  lists (the log-moduli and the phases of its coordinates); a batch of m
+  points is two coordinate-major (dim, m) arrays, whose columns are such
+  lists and whose rows each hold one coordinate of every point.  The one
+  operation is the sum: ``scaled_sum_arrays`` over the rows (axis 0) of
+  arrays, and ``polar_sum`` over one list in Python floats, by the same
+  rules.  Each factors out the largest summand, so no step overflows.
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
@@ -79,57 +80,55 @@ def log_sub(la: float, lb: float) -> float:
 # log-polar sums
 # ---------------------------------------------------------------------------
 
-def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray, axis: int = -1):
+def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray):
     """Vectorized complex sum in the log domain.
 
-    ``log_mags``/``phases`` hold the polar data of the summands along
-    ``axis``; returns (log_mag, phase) arrays of the summed values, with
-    -inf marking exact zeros.  Used by the orbit classifier, which pushes
-    thousands of points through shear maps at once.
+    ``log_mags``/``phases`` hold the polar data of the summands along axis
+    0; returns (log_mag, phase) arrays of the summed values, with -inf
+    marking exact zeros.  Used by the orbit classifier, which pushes
+    thousands of points through shear maps at once: each summand is then a
+    contiguous row over the points.
 
     Each summand is scaled by the largest one, exp(log_mag - max).  Only
     summands with a scaled log above ``_EXP_UNDERFLOW_LOG`` are
     exponentiated; the rest (and the -inf zeros) are exact zeros, which
     change no nonzero sum, so the result is the one the dense sum gives.
-    In shear sums nearly every row has a single summand that survives.
-    The summands are added in order along ``axis`` whatever the memory
-    layout, so a value does not depend on the batch it is computed in.
+    In shear sums nearly every point has a single summand that survives.
+    The summands are added in order, row by row, so a value does not depend
+    on the batch it is computed in.
 
     A sum with a +inf log-magnitude summand is +inf with the phase of the
-    first such summand along ``axis``.  A NaN log-magnitude, or a NaN phase
-    on a summand that does not underflow, makes the sum's log-magnitude
-    NaN.
+    first such summand.  A NaN log-magnitude, or a NaN phase on a summand
+    that does not underflow, makes the sum's log-magnitude NaN.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
-    hi = np.max(log_mags, axis=axis, keepdims=True)
-    top = np.isposinf(hi)
-    hi_safe = np.where(np.isneginf(hi) | top, 0.0, hi)
+    hi = np.max(log_mags, axis=0)
+    top = hi == np.inf
+    hi_safe = np.where((hi == NEG_INF) | top, 0.0, hi)
     d = log_mags - hi_safe
     live = ~(d <= _EXP_UNDERFLOW_LOG) & ~top  # NaN stays live and propagates
     scaled = np.zeros_like(d, dtype=np.complex128)
     scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
     # np.sum would reassociate a reduction along a contiguous axis
-    rows = np.moveaxis(scaled, axis, 0)
-    total = rows[0].copy()
-    for row in rows[1:]:
+    total = scaled[0].copy()
+    for row in scaled[1:]:
         total += row
-    hi = np.squeeze(hi_safe, axis=axis)
     mag = np.abs(total)
     zero = mag == 0.0  # a NaN total stays NaN
-    out_log = np.where(zero, NEG_INF, hi + np.log(np.where(zero, 1.0, mag)))
+    out_log = np.where(zero, NEG_INF,
+                       hi_safe + np.log(np.where(zero, 1.0, mag)))
     out_phase = np.angle(total)
     if top.any():
-        first = np.argmax(np.isposinf(log_mags), axis=axis, keepdims=True)
-        top = np.squeeze(top, axis=axis)
+        first = np.argmax(log_mags == np.inf, axis=0)
         out_log = np.where(top, np.inf, out_log)
-        out_phase = np.where(top, np.squeeze(
-            np.take_along_axis(phases, first, axis=axis), axis=axis), out_phase)
+        out_phase = np.where(top, np.take_along_axis(
+            phases, first[np.newaxis], axis=0)[0], out_phase)
     return out_log, out_phase
 
 
 def polar_sum(log_mags: list, phases: list) -> tuple[float, float]:
-    """One row of ``scaled_sum_arrays`` in Python floats: the (log_mag,
+    """One column of ``scaled_sum_arrays`` in Python floats: the (log_mag,
     phase) of the sum of the summands with these log-moduli and phases.
 
     The rules are the same: the largest summand is factored out, a summand
@@ -137,7 +136,7 @@ def polar_sum(log_mags: list, phases: list) -> tuple[float, float]:
     and the rest are added in order.  A +inf summand makes the sum +inf
     with the phase of the first one, a NaN log-modulus propagates, and a
     sum of zeros only is (-inf, 0.0).  For the few summands of a single
-    point this costs far less than a one-row array.
+    point this costs far less than a one-column array.
     """
     hi = max(log_mags)
     if math.isinf(hi) and not any(lm != lm for lm in log_mags):

@@ -93,16 +93,17 @@ class ShellUnion:
 
 
 def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:
-    """(m,) largest log-domain slacks with which points, given as an (m, dim)
-    array of coordinate log-moduli, sit inside some shell of K.
+    """(m,) largest log-domain slacks with which m points, given as a
+    coordinate-major (dim, m) array of coordinate log-moduli (row j holds
+    coordinate j of every point), sit inside some shell of K.
 
     Nonnegative iff the point lies in the closed set K (a zero coordinate
     has log-modulus -inf), positive iff it is strictly inside a shell.
     """
     log_mag = np.asarray(log_mag, dtype=np.float64)
-    log_max = np.max(log_mag[:, list(K.shell_dims)], axis=1)
-    log_disk = log_mag[:, K.disk_dim]
-    best = np.full(log_mag.shape[0], -math.inf)
+    log_max = np.max(log_mag[list(K.shell_dims)], axis=0)
+    log_disk = log_mag[K.disk_dim]
+    best = np.full(log_mag.shape[1], -math.inf)
     for s in K.shells:
         slack = np.minimum(np.minimum(log_max - s.log_a, s.log_b - log_max),
                            s.log_c - log_disk)

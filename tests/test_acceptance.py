@@ -123,21 +123,22 @@ def test_criterion_2_derivative_bound_suite():
 
 
 def _sample_vertical_union(K, per_shell, rng):
+    """Coordinate-major (2, m) log-moduli and phases of points of K."""
     lms, phs = [], []
     for s in K.shells:
-        lm = np.empty((per_shell, 2))
-        lm[:, 0] = rng.uniform(s.log_a, s.log_b, per_shell)
-        lm[:, 1] = s.log_c - rng.uniform(0.0, 3.0, per_shell)
+        lm = np.empty((2, per_shell))
+        lm[0] = rng.uniform(s.log_a, s.log_b, per_shell)
+        lm[1] = s.log_c - rng.uniform(0.0, 3.0, per_shell)
         lms.append(lm)
-        phs.append(rng.uniform(-np.pi, np.pi, (per_shell, 2)))
-    return np.concatenate(lms), np.concatenate(phs)
+        phs.append(rng.uniform(-np.pi, np.pi, (per_shell, 2)).T)
+    return np.concatenate(lms, axis=1), np.concatenate(phs, axis=1)
 
 
 def _vertical_margin(K, lm):
-    best = np.full(lm.shape[0], -np.inf)
+    best = np.full(lm.shape[1], -np.inf)
     for s in K.shells:
-        m = np.minimum.reduce([lm[:, 0] - s.log_a, s.log_b - lm[:, 0],
-                               s.log_c - lm[:, 1]])
+        m = np.minimum.reduce([lm[0] - s.log_a, s.log_b - lm[0],
+                               s.log_c - lm[1]])
         best = np.maximum(best, m)
     return best
 
@@ -187,10 +188,10 @@ def test_criterion_4_divergence_convergence():
     ok = True
     # 10^3 obstacle samples escape radius k+1 by round k, every k <= 6
     lm, ph = _sample_vertical_union(state.initial, 167, rng)
-    lm, ph = lm[:1000], ph[:1000]
+    lm, ph = lm[:, :1000], ph[:, :1000]
     for rnd in state.rounds:
         lm, ph = rnd.apply_logpolar(lm, ph)
-        ok = ok and bool(np.all(lm.max(axis=1) > math.log(rnd.index + 1.0)))
+        ok = ok and bool(np.all(lm.max(axis=0) > math.log(rnd.index + 1.0)))
     # origin and 10^2 small points: certified, bounded limit, Cauchy
     eps_total = sum(r.eps for r in state.rounds)
     points = [(0j, 0j)] + [tuple(p) for p in

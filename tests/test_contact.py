@@ -156,16 +156,13 @@ class TestLegendrianLine:
 
 
 class _LinearMap:
-    """Test double: invertible linear map with constant Jacobian."""
+    """Test double: invertible linear map, its own constant derivative."""
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=np.complex128)
 
-    def apply_native(self, vec):
-        return self.mat @ vec
-
-    def jacobian(self, vec):
-        return self.mat
+    def tangent_step(self, vec, tan):
+        return self.mat @ vec, self.mat @ tan
 
 
 class TestPullback:
@@ -197,6 +194,16 @@ class TestPullback:
         p = ContactPoint((1 + 0j,), (2 + 0j,), 3 + 0j)
         jac = composition_jacobian([], p)
         assert np.array_equal(jac, np.eye(3))
+
+    def test_composition_jacobian_chain_rule(self):
+        # the identity's columns pushed through two linear maps
+        a = np.eye(3, dtype=np.complex128)
+        a[2, 0] = 2.0
+        b = np.eye(3, dtype=np.complex128)
+        b[0, 1] = 1j
+        p = ContactPoint((1 + 0j,), (2 + 0j,), 3 + 0j)
+        jac = composition_jacobian([_LinearMap(a), _LinearMap(b)], p)
+        assert np.array_equal(jac, b @ a)
 
 
 def _hand_built_chow_path(p, q):

@@ -23,8 +23,9 @@ def test_containment_margin_matches_scalar_images():
     for rnd in state.rounds:
         lm, ph = _sample_shell_points(rnd.shells_before,
                                       cfg.samples_per_shell, rng)
-        img_lm = np.array([rnd.apply_scaled(lms, phs)[0]
-                           for lms, phs in zip(lm.tolist(), ph.tolist())])
+        # the points are the columns of the coordinate-major arrays
+        img_lm = np.array([rnd.apply_scaled(lms, phs)[0] for lms, phs
+                           in zip(lm.T.tolist(), ph.T.tolist())]).T
         want = float(np.min(membership_margin(rnd.shells_after, img_lm)))
         name = f"pushout/round{rnd.index}/containment"
         assert want > 0.0

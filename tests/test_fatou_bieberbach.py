@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from contactfb.contact import (
+    ContactPoint,
+    TangentVector,
+    alpha0_eval,
+    pullback_eval,
+)
 from contactfb.fatou_bieberbach import (
     EXPONENT_CAP,
+    ORBIT_BLOCK,
     EpsSchedule,
     PushOutState,
     SelectionError,
@@ -34,7 +41,7 @@ from contactfb.fatou_bieberbach import (
     state_from_dict,
     state_to_dict,
 )
-from contactfb.numeric import NEG_INF, polar_sum
+from contactfb.numeric import NEG_INF, polar_sum, scaled_sum_arrays
 from contactfb.obstacle import ShellUnion, membership_margin
 
 
@@ -60,8 +67,9 @@ def _to_complex(log_mag, phase):
 
 
 def _term_loop_native(f, z, deriv=False):
-    """``eval_native`` (or ``deriv_native``) as a loop over the terms, the
-    form the term-broadcast versions replaced, kept as their reference."""
+    """f (or f') as a loop over the terms, the form the term-broadcast
+    ``eval_native`` and ``eval_deriv_native`` replaced, kept as their
+    reference."""
     z = np.asarray(z, dtype=np.complex128)
     lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
     az = np.angle(z)
@@ -78,6 +86,40 @@ def _term_loop_native(f, z, deriv=False):
         mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
         total = total + mag * np.exp(1j * ph)
     return total
+
+
+def _row_major_orbit_logs(state, log_mag, phase):
+    """``PushOutState.orbit_logs`` on (m, dim) arrays whose rows are points:
+    the whole batch through each round, one coordinate pair at a time, the
+    form the coordinate-major blocks replaced, kept as their reference."""
+    out = np.empty((log_mag.shape[0], state.k))
+    for j, r in enumerate(state.rounds):
+        for m in (r.phi, r.psi):
+            new_lm, new_ph = log_mag.copy(), phase.copy()
+            for s, d in m._pairs:
+                f_lm, f_ph = m.func.eval_logpolar(log_mag[:, s], phase[:, s])
+                new_lm[:, d], new_ph[:, d] = scaled_sum_arrays(
+                    np.stack([log_mag[:, d], f_lm]),
+                    np.stack([phase[:, d], f_ph]))
+            log_mag, phase = new_lm, new_ph
+        out[:, j] = np.max(log_mag, axis=1)
+    return out
+
+
+def _jacobian_pullback(maps, p, v):
+    """``pullback_eval`` by each shear's dim x dim Jacobian matrix times the
+    tangent, the form ``tangent_step`` replaced, kept as its reference."""
+    vec = np.asarray(p.flat(), dtype=np.complex128)
+    tan = np.asarray(v.flat(), dtype=np.complex128)
+    for m in maps:
+        jac = np.eye(m.dim, dtype=np.complex128)
+        _, dv = m.func.eval_deriv_native(vec)
+        for s, d in m._pairs:
+            jac[d, s] = dv[s]
+        tan = jac @ tan
+        vec = m.apply_native(vec)
+    return alpha0_eval(ContactPoint.from_flat(vec.tolist()),
+                       TangentVector.from_flat(tan.tolist()))
 
 
 term_lists = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 16)),
@@ -189,22 +231,25 @@ class TestShearFunction:
         f = ShearFunction(((math.log(0.7), 1), (math.log(1.5), 3),
                            (math.log(1.6), 5), (math.log(2.5), 7),
                            (math.log(3.0), 9)))
-        method = f.deriv_native if deriv else f.eval_native
+        methods = [lambda z: f.eval_deriv_native(z)[deriv]]
+        if not deriv:
+            methods.append(f.eval_native)
         rng = np.random.default_rng(31)
         for _ in range(40):
             z = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
             z = np.where(rng.random(shape) < 0.2, complex(-0.0, -0.0), z)
-            got = method(z)
             want = _term_loop_native(f, z, deriv)
-            assert np.shape(got) == np.shape(want) == shape
-            assert np.array_equal(np.atleast_1d(got).view(np.uint64),
-                                  np.atleast_1d(want).view(np.uint64))
+            for method in methods:
+                got = method(z)
+                assert np.shape(got) == np.shape(want) == shape
+                assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                                      np.atleast_1d(want).view(np.uint64))
 
     def test_linear_term_derivative_at_zero(self):
         # the N = 1 term contributes exactly 1 / r, with no 0 * -inf
         f = ShearFunction(((math.log(2.0), 1), (math.log(3.0), 4)))
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            got = f.deriv_native(np.array([0j, complex(-0.0, 0.0)]))
+            _, got = f.eval_deriv_native(np.array([0j, complex(-0.0, 0.0)]))
         assert np.array_equal(got, np.exp([-math.log(2.0)] * 2))
 
     def test_exponent_order_enforced(self):
@@ -217,8 +262,8 @@ class TestShearFunction:
         # f = (z/2)^3: f'(z) = 3 z^2 / 8
         f = ShearFunction(((math.log(2.0), 3),))
         z = 1.5 + 0.5j
-        assert complex(f.deriv_native(z)) == pytest.approx(3 * z ** 2 / 8,
-                                                           rel=1e-12)
+        _, df = f.eval_deriv_native(z)
+        assert complex(df) == pytest.approx(3 * z ** 2 / 8, rel=1e-12)
 
 
 class TestShearMap:
@@ -276,7 +321,10 @@ class TestShearMap:
         ph = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=dim,
                                 max_size=dim))
         got_lm, got_ph = r.apply_scaled(lm, ph)
-        want_lm, want_ph = r.apply_logpolar(np.array([lm]), np.array([ph]))
+        # a one-point batch is one column
+        want_lm, want_ph = r.apply_logpolar(np.array([lm]).T,
+                                            np.array([ph]).T)
+        want_lm, want_ph = want_lm.T, want_ph.T
         # the paths' exp, log and atan2 may differ by an ulp, and psi
         # multiplies such a difference in its source coordinate by N
         n_max = max(N for m in (r.phi, r.psi) for _, N in m.func.terms)
@@ -287,11 +335,27 @@ class TestShearMap:
                                  abs_tol=tol)
 
     def test_jacobian_unit_determinant(self):
+        # the Jacobian is the identity's columns after one tangent step
         for kind in ("phi", "psi"):
             m = ShearMap(kind, 3, self.F)
             vec = np.array([1.2 + 0.3j, -0.7j, 0.4 + 0j])
-            det = np.linalg.det(m.jacobian(vec))
+            out, jac = m.tangent_step(vec, np.eye(3, dtype=np.complex128))
+            assert np.array_equal(out, m.apply_native(vec))
+            det = np.linalg.det(jac)
             assert det == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_tangent_step_columns_equal_single_vectors(self, kind):
+        m = ShearMap(kind, 4, ShearFunction(((math.log(1.5), 3),
+                                              (math.log(2.5), 7))))
+        rng = np.random.default_rng(29)
+        vec = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4)
+        tans = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        out, got = m.tangent_step(vec, tans)
+        for c in range(5):
+            one_out, one = m.tangent_step(vec, tans[:, c])
+            assert np.array_equal(one_out, out)
+            assert np.array_equal(one, got[:, c])
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -457,7 +521,8 @@ def _sample_shell_points(K, count, rng, dim):
 
 
 def _abs_logs(points):
-    return np.array([lm for lm, _ in points])
+    """Coordinate-major (dim, m) log-moduli of (log-moduli, phases) pairs."""
+    return np.array([lm for lm, _ in points]).T
 
 
 class TestRoundContracts:
@@ -554,19 +619,39 @@ class TestOrbits:
         pts += [(0j, 0j), (complex(-1, -0.0), 0j), (complex(-0.0, 0.0), -2.5),
                 (complex(-1, -0.0), complex(-3, -0.0)), (1e-310 + 0j, -1e300j),
                 (complex(0.0, -0.0), 2.0), (5e-324j, complex(-2.0, 1e-320))]
-        # the batch reads every point as the single-point intake does, and
-        # every coordinate by the documented rule
+        # the batch reads every coordinate by the documented rule
         lm, ph = _point_arrays(pts, 2)
-        ref = [_point_lists(p, 2) for p in pts]
-        assert np.array_equal(lm, [r[0] for r in ref])
-        assert np.array_equal(ph, [r[1] for r in ref])
-        for row_lm, row_ph, p in zip(lm, ph, pts):
-            for got_lm, got_ph, z in zip(row_lm, row_ph, p):
+        assert lm.shape == ph.shape == (2, len(pts))
+        for col_lm, col_ph, p in zip(lm.T, ph.T, pts):
+            for got_lm, got_ph, z in zip(col_lm, col_ph, p):
                 want_lm = float(np.log(np.longdouble(abs(z)))) if z else NEG_INF
                 want_ph = math.atan2(z.imag, z.real) if z else 0.0
                 assert got_lm == want_lm
                 assert got_ph == (math.pi if want_ph == -math.pi else want_ph)
-        assert ph[pts.index((complex(-1, -0.0), 0j)), 0] == math.pi
+        assert ph[0, pts.index((complex(-1, -0.0), 0j))] == math.pi
+        # 12 000 more points, moduli log-uniform from 1e-300 to 1e300, with
+        # zeros of every sign and points on the negative real axis
+        z = (10.0 ** rng.uniform(-300, 300, (12000, 2))
+             * np.exp(1j * rng.uniform(-math.pi, math.pi, (12000, 2))))
+        kind = rng.integers(0, 12, z.shape)
+        z[kind == 1] = 0j
+        z[kind == 2] = complex(-0.0, -0.0)
+        z[kind == 3] = complex(-0.0, 0.0)
+        z[kind == 4] = -np.abs(z[kind == 4])
+        z[kind == 5] = np.conj(-np.abs(z[kind == 5]))
+        pts += [tuple(map(complex, p)) for p in z]
+        # the single-point intake reads every point as a column of the
+        # batch, bit for bit, and so do one-point batches
+        lm, ph = _point_arrays(pts, 2)
+        ref = [_point_lists(p, 2) for p in pts]
+        for got, want in ((lm, [r[0] for r in ref]),
+                          (ph, [r[1] for r in ref])):
+            assert np.array_equal(np.ascontiguousarray(got.T).view(np.uint64),
+                                  np.array(want).view(np.uint64))
+        for n in range(0, len(pts), 97):
+            one_lm, one_ph = _point_arrays([pts[n]], 2)
+            assert np.array_equal(one_lm[:, 0], lm[:, n])
+            assert np.array_equal(one_ph[:, 0], ph[:, n])
 
     def test_state_orbit_logs_equals_batch(self, built_state):
         rng = np.random.default_rng(13)
@@ -576,6 +661,39 @@ class TestOrbits:
         got = built_state.orbit_logs(lm, ph)
         assert np.array_equal(got, orbit_logs_batch(built_state, pts))
         assert np.array_equal((lm, ph), _point_arrays(pts, 2))  # unchanged
+
+    @pytest.mark.parametrize("dim,k_max", [(2, 3), (3, 2)])
+    def test_blocks_equal_row_major_whole_batch(self, dim, k_max):
+        # two full blocks and a partial one: the obstacle, the polydisk,
+        # the annulus between, zero coordinates of both signs
+        state = build_pushout(desk_schedule(dim, 4), dim=dim, k_max=k_max)
+        K = state.initial
+        rng = np.random.default_rng(dim)
+        m = 2 * ORBIT_BLOCK + 17
+        shell = rng.integers(0, len(K.shells), m)
+        log_a = np.array([s.log_a for s in K.shells])[shell]
+        log_b = np.array([s.log_b for s in K.shells])[shell]
+        log_c = np.array([s.log_c for s in K.shells])[shell]
+        lm = np.empty((m, dim))
+        lm[:, :-1] = rng.uniform(log_a, log_b, (dim - 1, m)).T
+        lm[:, -1] = log_c - rng.uniform(0.0, 4.0, m)
+        pop = rng.integers(0, 3, m)
+        lm[pop == 1] = rng.uniform(-6.0, math.log(0.25),
+                                   (np.sum(pop == 1), dim))
+        lm[pop == 2] = rng.uniform(math.log(0.25), K.shells[0].log_a,
+                                   (np.sum(pop == 2), dim))
+        z = np.exp(lm) * np.exp(1j * rng.uniform(-math.pi, math.pi, (m, dim)))
+        z[rng.random((m, dim)) < 0.05] = 0j
+        z[rng.random((m, dim)) < 0.05] = complex(-0.0, -0.0)
+        pts = [tuple(map(complex, p)) for p in z]
+        got = orbit_logs_batch(state, pts)
+        lm, ph = _point_arrays(pts, dim)
+        want = _row_major_orbit_logs(state, lm.T.copy(), ph.T.copy())
+        assert got.shape == (m, state.k)
+        assert np.array_equal(got, want)
+        assert np.isinf(got).any() and (got > 10.0).any()
+        for n in range(0, m, 61):
+            assert np.array_equal(orbit_logs_batch(state, [pts[n]])[0], got[n])
 
     @staticmethod
     def _full_orbit_membership(state, p):
@@ -625,6 +743,13 @@ class TestOrbits:
             omega_membership(built_state, p)
         with pytest.raises(OverflowError):
             orbit_logs_batch(built_state, [p])
+        # every coordinate is checked for finiteness before any modulus
+        p = (complex(1.5e308, 1.5e308), complex(math.nan, 0.0))
+        for read in (lambda: _point_lists(p, 2),
+                     lambda: _point_arrays([p], 2)):
+            with pytest.raises(ValueError,
+                               match="^coordinate 1 is not finite"):
+                read()
 
     def test_membership_origin_certified(self, built_state):
         assert omega_membership(built_state, [0j, 0j]) == "in_omega_certified"
@@ -671,6 +796,52 @@ class TestOrbits:
             diff = max(abs(a - b) for a, b in zip(cur, prev))
             assert diff < r.eps
             prev = cur
+
+
+@pytest.fixture(scope="module")
+def dim3_maps():
+    """The shear maps of built dim-3 push-outs."""
+    return [build_pushout(desk_schedule(3, i), dim=3, k_max=k).theta_maps()
+            for i, k in ((6, 6), (3, 2))]
+
+
+def _pullback_input(rng, n):
+    """A point of the 0.9-polydisk in C^(2n+1) and a tangent vector there."""
+    dim = 2 * n + 1
+    p = (rng.uniform(0.0, 0.9, dim)
+         * np.exp(1j * rng.uniform(-math.pi, math.pi, dim)))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return (ContactPoint.from_flat(p.tolist()),
+            TangentVector.from_flat(v.tolist()))
+
+
+class TestPullback:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+    def test_dim3_equals_jacobian_product(self, dim3_maps, which, seed):
+        # in dim 3 the tangent step gives the matrix product bit for bit
+        maps = dim3_maps[which]
+        p, v = _pullback_input(np.random.default_rng(seed), 1)
+        got = pullback_eval(maps, p, v)
+        want = _jacobian_pullback(maps, p, v)
+        assert np.array_equal(np.array([got]).view(np.uint64),
+                              np.array([want]).view(np.uint64))
+
+    def test_dim5_close_to_jacobian_product(self):
+        # a 5 x 5 product may add its terms in another order (and fuse
+        # them): the values agree to 1e-15 relative, most of them exactly
+        maps = build_pushout(desk_schedule(5, 6), dim=5, k_max=6).theta_maps()
+        rng = np.random.default_rng(55)
+        differ = 0
+        for _ in range(400):
+            p, v = _pullback_input(rng, 2)
+            got = pullback_eval(maps, p, v)
+            want = _jacobian_pullback(maps, p, v)
+            assert abs(got - want) <= 1e-15 * abs(want)
+            differ += got != want
+        print(f"dim 5: {differ} of 400 pullbacks differ from the "
+              "Jacobian product in some bit")
+        assert differ < 200
 
 
 class TestStateValidation:

@@ -51,10 +51,10 @@ def _polar(z: complex):
 
 
 def _row_sum(log_mags, phases):
-    """``scaled_sum_arrays`` on one row, as Python floats."""
+    """``scaled_sum_arrays`` on one column, as Python floats."""
     with np.errstate(invalid="ignore"):
-        lm, ph = scaled_sum_arrays(np.array([log_mags], dtype=float),
-                                   np.array([phases], dtype=float))
+        lm, ph = scaled_sum_arrays(np.array([log_mags], dtype=float).T,
+                                   np.array([phases], dtype=float).T)
     return float(lm[0]), float(ph[0])
 
 
@@ -155,43 +155,40 @@ class TestLogHelpers:
         rng = np.random.default_rng(3)
         lm = rng.uniform(-5, 5, (20, 4))
         ph = rng.uniform(-math.pi, math.pi, (20, 4))
-        got_lm, got_ph = scaled_sum_arrays(lm, ph)
+        got_lm, got_ph = scaled_sum_arrays(lm.T, ph.T)
         for r in range(20):
             want_lm, want_ph = polar_sum(lm[r].tolist(), ph[r].tolist())
             assert got_lm[r] == pytest.approx(want_lm, abs=1e-10)
             assert got_ph[r] == pytest.approx(want_ph, abs=1e-10)
 
-    @pytest.mark.parametrize("axis", [0, -1])
-    def test_scaled_sum_arrays_row_independent_of_batch(self, axis):
-        # a lone row is contiguous along the summand axis, where np.sum
-        # would reassociate five summands
+    def test_scaled_sum_arrays_column_independent_of_batch(self):
+        # a lone column (of five summands) is contiguous along the summand
+        # axis, where np.sum would reassociate the summands
         rng = np.random.default_rng(8)
-        lm = rng.uniform(-3.0, 3.0, (400, 5))
-        ph = rng.uniform(-math.pi, math.pi, (400, 5))
-        if axis == 0:
-            lm, ph = lm.T.copy(), ph.T.copy()
-        all_lm, all_ph = scaled_sum_arrays(lm, ph, axis=axis)
+        lm = rng.uniform(-3.0, 3.0, (5, 400))
+        ph = rng.uniform(-math.pi, math.pi, (5, 400))
+        all_lm, all_ph = scaled_sum_arrays(lm, ph)
         for i in range(400):
-            one = np.s_[:, i:i + 1] if axis == 0 else np.s_[i:i + 1]
-            one_lm, one_ph = scaled_sum_arrays(lm[one], ph[one], axis=axis)
+            one_lm, one_ph = scaled_sum_arrays(lm[:, i:i + 1].copy(),
+                                               ph[:, i:i + 1].copy())
             assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
 
     def test_scaled_sum_arrays_zero_rows(self):
-        lm = np.array([[NEG_INF, NEG_INF]])
-        ph = np.zeros((1, 2))
+        lm = np.array([[NEG_INF], [NEG_INF]])
+        ph = np.zeros((2, 1))
         out_lm, out_ph = scaled_sum_arrays(lm, ph)
         assert out_lm[0] == NEG_INF
 
     @staticmethod
-    def _dense_scaled_sum(log_mags, phases, axis=-1):
+    def _dense_scaled_sum(log_mags, phases):
         """Reference: every summand exponentiated, underflowed or not, and
-        added in order along ``axis``."""
-        hi = np.max(log_mags, axis=axis, keepdims=True)
+        added in order along axis 0."""
+        hi = np.max(log_mags, axis=0, keepdims=True)
         hi_safe = np.where(np.isneginf(hi), 0.0, hi)
         scaled = np.exp(log_mags - hi_safe) * np.exp(1j * phases)
         scaled = np.where(np.isneginf(log_mags), 0.0, scaled)
-        total = functools.reduce(np.add, np.moveaxis(scaled, axis, 0))
-        hi = np.squeeze(hi_safe, axis=axis)
+        total = functools.reduce(np.add, scaled)
+        hi = np.squeeze(hi_safe, axis=0)
         mag = np.abs(total)
         with np.errstate(divide="ignore"):
             out_log = np.where(mag > 0.0,
@@ -243,32 +240,14 @@ class TestLogHelpers:
         all_lm = np.vstack([lm, top_lm, nan_lm])
         all_ph = np.vstack([ph, top_ph, nan_ph])
         top = slice(rows, rows + inf_rows)
-        for axis, t in ((-1, lambda a: a), (0, np.transpose)):
-            got = scaled_sum_arrays(t(all_lm), t(all_ph), axis=axis)
-            want = self._dense_scaled_sum(t(lm), t(ph), axis=axis)
-            for g, w, w_top in zip(got, want, want_top):
-                assert np.array_equal(g[:rows], w)
-                assert np.array_equal(np.signbit(g[:rows]), np.signbit(w))
-                assert np.array_equal(g[top], w_top)
-            assert np.isnan(got[0][rows + inf_rows:]).all()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 9).flatmap(lambda terms: st.lists(
-        st.lists(st.tuples(summand_logs, summand_phases),
-                 min_size=terms, max_size=terms),
-        min_size=1, max_size=6)))
-    def test_scaled_sum_arrays_axis0_equals_transposed(self, rows):
-        # axis 0 of an array and the last axis of its transpose hold the
-        # same summands in the same order
-        lm = np.array([[s[0] for s in row] for row in rows]).T.copy()
-        ph = np.array([[s[1] for s in row] for row in rows]).T.copy()
-        with np.errstate(invalid="ignore"):
-            got = scaled_sum_arrays(lm, ph, axis=0)
-            want = scaled_sum_arrays(lm.T, ph.T, axis=-1)
-        for g, w in zip(got, want):
-            assert g.shape == (len(rows),)
-            assert np.array_equal(g, w, equal_nan=True)
-            assert np.array_equal(np.signbit(g), np.signbit(w))
+        # the summands of a point go down a column
+        got = scaled_sum_arrays(all_lm.T, all_ph.T)
+        want = self._dense_scaled_sum(lm.T, ph.T)
+        for g, w, w_top in zip(got, want, want_top):
+            assert np.array_equal(g[:rows], w)
+            assert np.array_equal(np.signbit(g[:rows]), np.signbit(w))
+            assert np.array_equal(g[top], w_top)
+        assert np.isnan(got[0][rows + inf_rows:]).all()
 
 
 # ---------------------------------------------------------------------------

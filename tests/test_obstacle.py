@@ -66,19 +66,20 @@ class TestMembership:
             for bound in (1, 2, 4, 8, 5, 20):
                 if m != 0 and abs(m - bound) < 1e-9:
                     return
-        got = membership_margin(self.K, self._log_rows([p]))[0] >= 0
+        got = membership_margin(self.K, self._coordinate_logs([p]))[0] >= 0
         assert got == self._linear_member(p)
 
     def test_scaled_coordinates(self):
         # log radii and coordinates far beyond native float range
         K = ShellUnion((ShellBand(1e6, 2e6, 1e5),), (0, 1), 2)
-        logs = np.array([[1.5e6, NEG_INF, 9e4]])
+        logs = np.array([[1.5e6], [NEG_INF], [9e4]])
         assert membership_margin(K, logs)[0] == pytest.approx(1e4)
 
     @staticmethod
-    def _log_rows(points):
+    def _coordinate_logs(points):
+        """Coordinate-major (dim, m) log-moduli of the points."""
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(np.array(points, dtype=np.complex128)))
+            return np.log(np.abs(np.array(points, dtype=np.complex128))).T
 
     def _point_margin(self, p):
         """Reference: the per-point slack over the linear radii."""
@@ -92,15 +93,16 @@ class TestMembership:
     def test_margin_sign(self):
         inside = [complex(1.5), 0j, complex(2.0)]
         outside = [complex(3.0), 0j, 0j]
-        got = membership_margin(self.K, self._log_rows([inside]))
+        got = membership_margin(self.K, self._coordinate_logs([inside]))
         assert got.shape == (1,) and got[0] > 0
-        assert membership_margin(self.K, self._log_rows([outside]))[0] < 0
+        outside_logs = self._coordinate_logs([outside])
+        assert membership_margin(self.K, outside_logs)[0] < 0
 
     def test_margin_is_log_slack(self):
         p = [complex(1.5), 0j, 0j]
         want = min(math.log(1.5) - math.log(1.0),
                    math.log(2.0) - math.log(1.5))
-        got = membership_margin(self.K, self._log_rows([p]))
+        got = membership_margin(self.K, self._coordinate_logs([p]))
         assert got[0] == pytest.approx(want)
 
     def test_margin_rows_match_per_point_slack(self):
@@ -110,7 +112,7 @@ class TestMembership:
         pts[::5, 1] = 0.0   # zero coordinates: log -inf
         pts[1::7, 2] = 0.0
         pts[3] = 0.0
-        got = membership_margin(self.K, self._log_rows(pts))
+        got = membership_margin(self.K, self._coordinate_logs(pts))
         assert got.shape == (40,)
         for g, p in zip(got, pts):
             assert g == pytest.approx(self._point_margin(p), rel=1e-12)
@@ -222,7 +224,7 @@ class TestVerifyDiskEstimate:
         f = legendrian_from_xy([CPolynomial([0, 1.5])], [CPolynomial([0])], 0)
         hit = [complex(c) for c in f.at(2 / 3).flat()]
         with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(np.array([hit])))
+            logs = np.log(np.abs(np.array([hit]))).T
         assert membership_margin(self.K, logs)[0] >= 0
         rep = verify_disk_estimate(f, self.K, N0=1)
         assert rep.avoidance == "uncertified"
