@@ -8,6 +8,7 @@ automorphisms act on flat coordinate tuples.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,21 +213,22 @@ def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
     of the given shear maps (applied left to right, i.e. maps[0] first).
 
     Each map must expose ``tangent_step(vec, tan)``, which returns the
-    image of the flat complex128 point ``vec`` and the image of the tangent
-    vectors ``tan`` (one, or the columns of a (dim, c) array) under the
-    map's derivative at ``vec``; the empty sequence is the identity, for
-    which this reduces exactly to ``alpha0_eval``.  Raises OverflowError if
-    the point escapes native float range along the way.
+    image of the flat point ``vec`` (a list of Python complex numbers) as
+    such a list, and the image of the complex128 tangent vectors ``tan``
+    (one, or the columns of a (dim, c) array) under the map's derivative at
+    ``vec``; the empty sequence is the identity, for which this reduces
+    exactly to ``alpha0_eval``.  Raises OverflowError if the point escapes
+    native float range along the way.
     """
     if p.n != v.n:
         raise ValueError("dimension mismatch between point and vector")
-    vec = np.asarray(p.flat(), dtype=np.complex128)
+    vec = list(p.flat())
     tan = np.asarray(v.flat(), dtype=np.complex128)
     for m in maps:
         vec, tan = m.tangent_step(vec, tan)
-        if not np.all(np.isfinite(vec.view(np.float64))):
+        if not all(map(cmath.isfinite, vec)):
             raise OverflowError("point escaped native float range")
-    q = ContactPoint.from_flat(vec.tolist())
+    q = ContactPoint.from_flat(vec)
     w = TangentVector.from_flat(tan.tolist())
     return alpha0_eval(q, w)
 
@@ -234,8 +236,8 @@ def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
 def composition_jacobian(maps, p: ContactPoint) -> np.ndarray:
     """Jacobian matrix of the composition at p: the identity's columns
     pushed through each map's ``tangent_step`` (the chain rule)."""
-    vec = np.asarray(p.flat(), dtype=np.complex128)
-    jac = np.eye(vec.size, dtype=np.complex128)
+    vec = list(p.flat())
+    jac = np.eye(len(vec), dtype=np.complex128)
     for m in maps:
         vec, jac = m.tangent_step(vec, jac)
     return jac

@@ -331,18 +331,26 @@ def _lemma_checks(cfg: ExperimentConfig, checks: list) -> None:
 def _sample_shell_points(K: ShellUnion, per_shell: int, rng):
     """Random points of each cylinder of K (log-uniform in the magnitudes),
     shell by shell, as coordinate-major (dim, m) log-magnitude and phase
-    arrays: row j holds coordinate j of every point."""
+    arrays: row j holds coordinate j of every point.
+
+    One shell coordinate takes the band's log-modulus; with several, a
+    random one takes it and each other one lies below it, drawn point by
+    point (``rng.integers(0, 1)`` draws nothing, so one shell coordinate
+    needs no per-point draws)."""
     lms, phases = [], []
     for s in K.shells:
         lm = rng.uniform(s.log_a, s.log_b, per_shell)
         phases.append(rng.uniform(-math.pi, math.pi, (per_shell, K.dim)).T)
         coords = np.empty((K.dim, per_shell))
         coords[K.disk_dim] = s.log_c + np.log(np.sqrt(rng.random(per_shell)))
-        for m in range(per_shell):
-            block = rng.integers(0, len(K.shell_dims))
-            for bi, d in enumerate(K.shell_dims):
-                coords[d, m] = lm[m] if bi == block else \
-                    lm[m] + math.log(rng.random() + 1e-12)
+        if len(K.shell_dims) == 1:
+            coords[K.shell_dims[0]] = lm
+        else:
+            for m in range(per_shell):
+                block = rng.integers(0, len(K.shell_dims))
+                for bi, d in enumerate(K.shell_dims):
+                    coords[d, m] = lm[m] if bi == block else \
+                        lm[m] + math.log(rng.random() + 1e-12)
         lms.append(coords)
     return np.concatenate(lms, axis=1), np.concatenate(phases, axis=1)
 

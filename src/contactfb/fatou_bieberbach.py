@@ -36,6 +36,14 @@ A third path, native complex128, serves points in float range:
 ``apply_native`` for sampled identity checks, and ``tangent_step``, which
 carries a point and tangent vectors together, for pullbacks.  Every path
 adds the terms of a shear function in order.
+
+``tangent_step`` carries one point as Python complex numbers, and
+``eval_deriv_point`` gives it the values of the array path bit for bit
+with a few numpy calls on all terms at once.  numpy keeps every operation
+whose result differs from Python's on some hosts (the intake's abs, log
+and angle, exp, and the complex products, which numpy may fuse); Python
+does only the exact IEEE real arithmetic on log-moduli and phases and the
+in-order sums, where both give the same bits.
 """
 
 from __future__ import annotations
@@ -124,12 +132,10 @@ class ShearFunction:
 
     @cached_property
     def _term_arrays(self):
-        """(log r_j, N_j, log N_j - log r_j) as float arrays over the terms."""
+        """(log r_j, N_j) as float arrays over the terms."""
         log_r = np.array([log_r for log_r, _ in self.terms], dtype=np.float64)
         N = np.array([N for _, N in self.terms], dtype=np.float64)
-        lead = np.array([math.log(N) - log_r for log_r, N in self.terms],
-                        dtype=np.float64)
-        return log_r, N, lead
+        return log_r, N
 
     def _term_columns(self, ndim: int):
         """The term arrays shaped (terms, 1, ..., 1) to broadcast against
@@ -150,48 +156,70 @@ class ShearFunction:
         """Vectorized evaluation on points given in log-polar form."""
         if self.is_zero:
             return (np.full_like(log_mag, NEG_INF), np.zeros_like(phase))
-        log_r, N, _ = self._term_columns(np.ndim(log_mag))
+        log_r, N = self._term_columns(np.ndim(log_mag))
         return scaled_sum_arrays(N * (log_mag - log_r), N * phase)
 
-    @staticmethod
-    def _native_polar(z):
-        """(z, log|z|, arg z) of native complex input; log 0 is -inf."""
+    def eval_native(self, z):
+        """Native-complex values (vectorized), with the terms on a new
+        leading axis; log 0 is -inf, and a term below exp's underflow is an
+        exact zero."""
         z = np.asarray(z, dtype=np.complex128)
+        if self.is_zero:
+            return np.zeros_like(z)
         lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
-        return z, lz, np.angle(z)
-
-    @staticmethod
-    def _native_term_sum(lm, ph):
-        """Sum over axis 0 of the terms with log-moduli ``lm`` and phases
-        ``ph``; a term below exp's underflow is an exact zero."""
+        log_r, N = self._term_columns(z.ndim)
+        lm, ph = N * (lz - log_r), N * np.angle(z)
         mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
         # cumsum adds the terms in order for any point shape (np.sum would
         # reassociate a reduction along a contiguous axis); adding 0.0 gives
         # the zero signs of a sum started from 0
         return np.cumsum(mag * np.exp(1j * ph), axis=0)[-1] + 0.0
 
-    def eval_native(self, z):
-        """Native-complex values (vectorized); underflows gracefully."""
-        z, lz, az = self._native_polar(z)
-        if self.is_zero:
-            return np.zeros_like(z)
-        log_r, N, _ = self._term_columns(z.ndim)
-        return self._native_term_sum(N * (lz - log_r), N * az)
+    @cached_property
+    def _point_terms(self):
+        """(log r_j, N_j, N_j - 1, log N_j - log r_j) as Python floats, one
+        tuple per term."""
+        return tuple((log_r, float(N), float(N - 1), math.log(N) - log_r)
+                     for log_r, N in self.terms)
 
-    def eval_deriv_native(self, z):
-        """(f(z), f'(z)) from one polar intake of z, vectorized; f is
-        ``eval_native``'s value and f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1),
-        both formed from the shared log|z / r_j|."""
-        z, lz, az = self._native_polar(z)
+    def eval_deriv_point(self, zs):
+        """(f(z), f'(z)) for each of the complex numbers ``zs``, as two lists
+        of Python complex, bit for bit the values of ``eval_native`` and of
+        f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1) formed by the same rules.
+
+        numpy keeps every operation whose result differs from Python's: the
+        intake (abs, log, angle), exp and the complex products of the terms,
+        one call each over all terms of f and f'.  Python does the exact
+        IEEE real arithmetic on the log-moduli and phases and adds each sum
+        in order, as ``eval_native`` does."""
         if self.is_zero:
-            return np.zeros_like(z), np.zeros_like(z)
-        log_r, N, lead = self._term_columns(z.ndim)
-        lzr = lz - log_r
-        # an N = 1 term of f' is the constant 1 / r: its log|z / r| is left
-        # out, so z = 0 gives no 0 * -inf
-        dlm = lead + (N - 1) * np.where(N == 1, 0.0, lzr)
-        return (self._native_term_sum(N * lzr, N * az),
-                self._native_term_sum(dlm, (N - 1) * az))
+            return [0j] * len(zs), [0j] * len(zs)
+        z = np.array(zs, dtype=np.complex128)
+        mag = np.abs(z)
+        polar = [(NEG_INF if a == 0.0 else lz, az) for a, lz, az in zip(
+            mag.tolist(), np.log(np.maximum(mag, 1e-320)).tolist(),
+            np.angle(z).tolist())]
+        terms = self._point_terms
+        # one row of terms per sum: f at each z, then f' at each z; an N = 1
+        # term of f' is the constant 1 / r: its log|z / r| is left out, so
+        # z = 0 gives no 0 * -inf
+        lms = [N * (lz - log_r) for lz, _ in polar for log_r, N, _, _ in terms]
+        lms += [lead + N1 * (0.0 if N1 == 0.0 else lz - log_r)
+                for lz, _ in polar for log_r, _, N1, lead in terms]
+        phs = [N * az for _, az in polar for _, N, _, _ in terms]
+        phs += [N1 * az for _, az in polar for _, _, N1, _ in terms]
+        # a term below exp's underflow is an exact zero, as exp(-inf)
+        lms = [NEG_INF if x < -745.0 else min(x, 700.0) for x in lms]
+        values = (np.exp(lms) * np.exp(1j * np.array(phs))).tolist()
+        sums = []
+        for lo in range(0, len(values), len(terms)):
+            # adding in order from 0j gives the value and zero signs of a
+            # cumsum plus 0.0
+            acc = 0j
+            for v in values[lo:lo + len(terms)]:
+                acc += v
+            sums.append(acc)
+        return sums[:len(zs)], sums[len(zs):]
 
 
 @dataclass(frozen=True)
@@ -265,20 +293,24 @@ class ShearMap:
         out[..., dst] = vec[..., dst] + self.func.eval_native(vec[..., src])
         return out
 
-    def tangent_step(self, vec: np.ndarray, tan: np.ndarray):
+    def tangent_step(self, vec, tan: np.ndarray):
         """(image of the point ``vec``, image of ``tan`` under the derivative
-        at ``vec``), from one polar intake of the source coordinates.
+        at ``vec``): z_dst + f(z_src) and t_dst + f'(z_src) t_src, from one
+        ``eval_deriv_point`` call on the source coordinates.
 
-        ``vec`` is one native point of shape (dim,); ``tan`` is a tangent
-        vector of the same shape, or a (dim, c) array whose columns are
-        tangent vectors.  Both come back as new arrays:
-        z_dst + f(z_src) and t_dst + f'(z_src) t_src."""
+        ``vec`` is one point, a sequence of dim complex numbers, and comes
+        back as a new list of them (the sums are exact IEEE additions, the
+        same in Python as in numpy).  ``tan`` is a complex128 tangent vector
+        of shape (dim,), or a (dim, c) array whose columns are tangent
+        vectors, and comes back as a new array; the product f' t_src stays
+        one numpy call, since numpy's complex product may round otherwise
+        than Python's."""
         src, dst = self._slices
-        f, df = self.func.eval_deriv_native(vec[src])
-        out_vec = vec.copy()
-        out_vec[dst] = vec[dst] + f
+        f, df = self.func.eval_deriv_point(vec[src])
+        out_vec = list(vec)
+        out_vec[dst] = [z + w for z, w in zip(vec[dst], f)]
         # f' scales the source coordinates of every tangent vector
-        scale = df.reshape(df.shape + (1,) * (tan.ndim - 1))
+        scale = np.array(df).reshape((-1,) + (1,) * (tan.ndim - 1))
         out_tan = tan.copy()
         out_tan[dst] = tan[dst] + scale * tan[src]
         return out_vec, out_tan

@@ -162,7 +162,7 @@ class _LinearMap:
         self.mat = np.asarray(mat, dtype=np.complex128)
 
     def tangent_step(self, vec, tan):
-        return self.mat @ vec, self.mat @ tan
+        return (self.mat @ vec).tolist(), self.mat @ tan
 
 
 class TestPullback:

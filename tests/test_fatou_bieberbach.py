@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contactfb.contact import (
     ContactPoint,
@@ -68,8 +68,8 @@ def _to_complex(log_mag, phase):
 
 def _term_loop_native(f, z, deriv=False):
     """f (or f') as a loop over the terms, the form the term-broadcast
-    ``eval_native`` and ``eval_deriv_native`` replaced, kept as their
-    reference."""
+    ``eval_native`` replaced, kept as its reference and as that of
+    ``eval_deriv_point``."""
     z = np.asarray(z, dtype=np.complex128)
     lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
     az = np.angle(z)
@@ -106,6 +106,61 @@ def _row_major_orbit_logs(state, log_mag, phase):
     return out
 
 
+def _array_eval_deriv(f, z):
+    """(f(z), f'(z)) broadcast over the terms on a new leading axis, the
+    form ``ShearFunction.eval_deriv_point`` replaced, kept as its
+    reference."""
+    z = np.asarray(z, dtype=np.complex128)
+    lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+    az = np.angle(z)
+    if f.is_zero:
+        return np.zeros_like(z), np.zeros_like(z)
+    shape = (-1,) + (1,) * z.ndim
+    log_r = np.array([t[0] for t in f.terms]).reshape(shape)
+    N = np.array([float(t[1]) for t in f.terms]).reshape(shape)
+    lead = np.array([math.log(n) - lr for lr, n in f.terms]).reshape(shape)
+    lzr = lz - log_r
+
+    def term_sum(lm, ph):
+        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
+        return np.cumsum(mag * np.exp(1j * ph), axis=0)[-1] + 0.0
+
+    dlm = lead + (N - 1) * np.where(N == 1, 0.0, lzr)
+    return term_sum(N * lzr, N * az), term_sum(dlm, (N - 1) * az)
+
+
+def _array_tangent_step(m, vec, tan):
+    """``ShearMap.tangent_step`` on a complex128 point array by
+    ``_array_eval_deriv``, the form the single-point step replaced, kept as
+    its reference."""
+    vec = np.asarray(vec, dtype=np.complex128)
+    src, dst = m._slices
+    f, df = _array_eval_deriv(m.func, vec[src])
+    out_vec = vec.copy()
+    out_vec[dst] = vec[dst] + f
+    scale = df.reshape(df.shape + (1,) * (tan.ndim - 1))
+    out_tan = tan.copy()
+    out_tan[dst] = tan[dst] + scale * tan[src]
+    return out_vec, out_tan
+
+
+def _bits(values):
+    """The bit patterns of complex values, to compare them exactly."""
+    return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(
+        np.uint64)
+
+
+def _array_pullback(maps, p, v):
+    """``pullback_eval`` carrying the point as a complex128 array through
+    ``_array_tangent_step``, kept as its reference."""
+    vec = np.asarray(p.flat(), dtype=np.complex128)
+    tan = np.asarray(v.flat(), dtype=np.complex128)
+    for m in maps:
+        vec, tan = _array_tangent_step(m, vec, tan)
+    return alpha0_eval(ContactPoint.from_flat(vec.tolist()),
+                       TangentVector.from_flat(tan.tolist()))
+
+
 def _jacobian_pullback(maps, p, v):
     """``pullback_eval`` by each shear's dim x dim Jacobian matrix times the
     tangent, the form ``tangent_step`` replaced, kept as its reference."""
@@ -113,7 +168,7 @@ def _jacobian_pullback(maps, p, v):
     tan = np.asarray(v.flat(), dtype=np.complex128)
     for m in maps:
         jac = np.eye(m.dim, dtype=np.complex128)
-        _, dv = m.func.eval_deriv_native(vec)
+        _, dv = _array_eval_deriv(m.func, vec)
         for s, d in m._pairs:
             jac[d, s] = dv[s]
         tan = jac @ tan
@@ -121,6 +176,21 @@ def _jacobian_pullback(maps, p, v):
     return alpha0_eval(ContactPoint.from_flat(vec.tolist()),
                        TangentVector.from_flat(tan.tolist()))
 
+
+# terms whose log-moduli reach past exp's underflow (N (log|z| - log r)
+# below -745) and past the clamp at 700, with many N = 1 terms
+shear_terms = st.lists(
+    st.tuples(st.floats(-3.0, 3.0),
+              st.one_of(st.just(1), st.integers(1, 400))),
+    max_size=6).map(lambda ts: tuple(sorted(ts, key=lambda t: t[1])))
+# zeros of both signs, the negative real axis from both sides (phase +-pi)
+# and moduli from 3e-4 to 3e3
+coordinates = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0), complex(-1.5, 0.0),
+                     complex(-1.5, -0.0)]),
+    st.builds(lambda lm, ph: cmath.rect(math.exp(lm), ph),
+              st.floats(-8.0, 8.0), st.floats(-math.pi, math.pi)))
 
 term_lists = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 16)),
                       min_size=1, max_size=8).map(
@@ -231,7 +301,10 @@ class TestShearFunction:
         f = ShearFunction(((math.log(0.7), 1), (math.log(1.5), 3),
                            (math.log(1.6), 5), (math.log(2.5), 7),
                            (math.log(3.0), 9)))
-        methods = [lambda z: f.eval_deriv_native(z)[deriv]]
+        def point(z):  # one eval_deriv_point call on all entries
+            return np.reshape(f.eval_deriv_point(z.ravel().tolist())[deriv],
+                              np.shape(z))
+        methods = [point]
         if not deriv:
             methods.append(f.eval_native)
         rng = np.random.default_rng(31)
@@ -242,15 +315,15 @@ class TestShearFunction:
             for method in methods:
                 got = method(z)
                 assert np.shape(got) == np.shape(want) == shape
-                assert np.array_equal(np.atleast_1d(got).view(np.uint64),
-                                      np.atleast_1d(want).view(np.uint64))
+                assert np.array_equal(_bits(got), _bits(want))
 
     def test_linear_term_derivative_at_zero(self):
         # the N = 1 term contributes exactly 1 / r, with no 0 * -inf
         f = ShearFunction(((math.log(2.0), 1), (math.log(3.0), 4)))
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            _, got = f.eval_deriv_native(np.array([0j, complex(-0.0, 0.0)]))
-        assert np.array_equal(got, np.exp([-math.log(2.0)] * 2))
+            _, got = f.eval_deriv_point([0j, complex(-0.0, 0.0)])
+        want = np.exp([-math.log(2.0)] * 2).astype(np.complex128)
+        assert np.array_equal(_bits(got), _bits(want))
 
     def test_exponent_order_enforced(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -262,8 +335,8 @@ class TestShearFunction:
         # f = (z/2)^3: f'(z) = 3 z^2 / 8
         f = ShearFunction(((math.log(2.0), 3),))
         z = 1.5 + 0.5j
-        _, df = f.eval_deriv_native(z)
-        assert complex(df) == pytest.approx(3 * z ** 2 / 8, rel=1e-12)
+        _, (df,) = f.eval_deriv_point([z])
+        assert df == pytest.approx(3 * z ** 2 / 8, rel=1e-12)
 
 
 class TestShearMap:
@@ -343,6 +416,33 @@ class TestShearMap:
             assert np.array_equal(out, m.apply_native(vec))
             det = np.linalg.det(jac)
             assert det == pytest.approx(1.0, rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["phi", "psi"]), st.sampled_from([2, 3, 5]),
+           shear_terms, st.lists(coordinates, min_size=5, max_size=5),
+           st.sampled_from([0, 1, 4]), st.integers(0, 2 ** 32 - 1))
+    # an N = 1 term, a term that underflows at 1e-3, is clamped at 1e3
+    # and is zero at the signed zeros
+    @example("phi", 5, ((0.0, 1), (0.5, 300)),
+             [1e-3, -1e3j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0)], 0, 0)
+    @example("psi", 3, ((0.0, 1), (0.5, 300)),
+             [1.0, 1e3 + 1e3j, complex(0.0, -0.0), 0j, 0j], 4, 1)
+    def test_tangent_step_equals_array_step(self, kind, dim, terms, coords,
+                                            columns, seed):
+        # the single-point step gives the term-broadcast step's bits: the
+        # image point and one tangent vector or the columns of a (dim, c)
+        # array
+        m = ShearMap(kind, dim, ShearFunction(terms))
+        vec = coords[:dim]
+        rng = np.random.default_rng(seed)
+        shape = (dim, columns) if columns else (dim,)
+        tan = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got_vec, got_tan = m.tangent_step(vec, tan)
+        want_vec, want_tan = _array_tangent_step(m, vec, tan)
+        assert type(got_vec) is list and len(got_vec) == dim
+        assert np.array_equal(_bits(got_vec), _bits(want_vec))
+        assert got_tan.shape == shape
+        assert np.array_equal(_bits(got_tan), _bits(want_tan))
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_tangent_step_columns_equal_single_vectors(self, kind):
@@ -826,6 +926,22 @@ class TestPullback:
         want = _jacobian_pullback(maps, p, v)
         assert np.array_equal(np.array([got]).view(np.uint64),
                               np.array([want]).view(np.uint64))
+
+    def test_rebuilt_states_alternate(self):
+        # two states' maps evaluated in turn, each state rebuilt afresh (so
+        # a new object may take the address of a freed one), give the
+        # reference's bits every time
+        docs = [state_to_dict(build_pushout(desk_schedule(3, i), dim=3,
+                                            k_max=k))
+                for i, k in ((6, 6), (3, 2))]
+        rng = np.random.default_rng(61)
+        inputs = [_pullback_input(rng, 1) for _ in range(3)]
+        for turn in range(8):
+            maps = state_from_dict(docs[turn % 2]).theta_maps()
+            for p, v in inputs:
+                got = pullback_eval(maps, p, v)
+                assert np.array_equal(_bits(got),
+                                      _bits(_array_pullback(maps, p, v)))
 
     def test_dim5_close_to_jacobian_product(self):
         # a 5 x 5 product may add its terms in another order (and fuse
