@@ -15,7 +15,9 @@ import argparse
 import cmath
 import csv
 import json
+import os
 import sys
+from dataclasses import fields
 
 from .contact import ContactPoint, chow_path
 from .experiment import (
@@ -43,7 +45,8 @@ def _cmd_validate(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"config invalid: {e}", file=sys.stderr)
         return 2
-    out = {k: v for k, v in vars(cfg).items() if k != "raw"}
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+           if f.name != "raw"}
     out["config_hash"] = cfg.config_hash()
     print(json.dumps(out, indent=1, default=str))
     return 0
@@ -55,6 +58,12 @@ def _cmd_run(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"config invalid: {e}", file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            print(f"out invalid: {args.out}: {e.strerror}", file=sys.stderr)
+            return 2
     report = run_experiment(cfg, args.suite, out_dir=args.out)
     for c in sorted(report.checks, key=lambda c: c.name):
         status = "PASS" if c.verdict else "FAIL"

@@ -16,6 +16,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .fatou_bieberbach import (
     PushOutState,
     SelectionError,
     build_pushout,
-    build_shear_round,
     desk_schedule,
     first_escape_round,
     omega_membership,
@@ -114,6 +114,13 @@ class ExperimentConfig:
         return ShellUnion.from_linear(
             self.explicit_shells, tuple(range(self.pushout_dim - 1)),
             self.pushout_dim - 1)
+
+    @cached_property
+    def pushout_state(self) -> PushOutState:
+        """The push-out of every ``k_max`` round, built once, on first use:
+        ``validate_config`` builds it, and the pushout suite reads it."""
+        return build_pushout(self.pushout_initial(), self.pushout_dim,
+                             self.k_max, EpsSchedule(self.eps_base))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
@@ -220,22 +227,16 @@ def validate_config(path: str) -> ExperimentConfig:
                           "overflow float64")
     # every push-out round, so that the pushout suite cannot fail in one;
     # the desk schedule leaves float64 range by round 40 (about 20 ms)
-    state = PushOutState(cfg.pushout_dim, cfg.pushout_initial(),
-                         EpsSchedule(cfg.eps_base))
-    for k in range(1, cfg.k_max + 1):
-        # select_exponent takes the log of eps_k
-        if state.eps_schedule.eps(k) == 0.0:
-            field = "k_max" if k > 1 else "eps_base"
-            raise ConfigError(f"{field}: push-out round {k} fails: eps_{k} = "
-                              f"eps_base * 2^-{k} underflows to 0")
-        try:
-            build_shear_round(state)
-        except SelectionError as e:
-            if k > 1:
-                field = "k_max"
-            else:
-                field = "i_max" if kind == "desk" else "schedule.shells"
-            raise ConfigError(f"{field}: push-out round {k} fails: {e}")
+    try:
+        cfg.pushout_state
+    except SelectionError as e:
+        if e.round > 1:
+            field = "k_max"
+        elif e.binding == "underflow":
+            field = "eps_base"
+        else:
+            field = "i_max" if kind == "desk" else "schedule.shells"
+        raise ConfigError(f"{field}: push-out round {e.round} fails: {e}")
     return cfg
 
 
@@ -356,8 +357,7 @@ def _sample_shell_points(K: ShellUnion, per_shell: int, rng):
 
 
 def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
-    state = build_pushout(cfg.pushout_initial(), cfg.pushout_dim, cfg.k_max,
-                          eps_schedule=EpsSchedule(cfg.eps_base))
+    state = cfg.pushout_state
     rng = np.random.default_rng(cfg.seed)
 
     for rnd in state.rounds:
@@ -433,9 +433,10 @@ def _write_orbit_csv(path: str, log_mag, phase, logs) -> None:
 
 
 def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:
-    K = standard_obstacle(1, cfg.i_max)
-    p0 = ContactPoint((0j,), (0j,), 0j)
-    v = TangentVector((1 + 0j,), (0j,), 0j)
+    K = standard_obstacle(cfg.n, cfg.i_max)
+    zeros = (0j,) * cfg.n
+    p0 = ContactPoint(zeros, zeros, 0j)
+    v = TangentVector((1 + 0j,) + zeros[1:], zeros, 0j)  # e_x1
 
     def bracket():
         lower, _ = directed_norm_lower(p0, v, K)
@@ -451,7 +452,7 @@ def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:
     _timed(checks, "kobayashi/full-space-degeneration", full_space)
 
     def distance():
-        q = ContactPoint((0j,), (0j,), 1 + 0j)
+        q = ContactPoint(zeros, zeros, 1 + 0j)
         d = cck_distance_upper(p0, q, budget=cfg.budget())
         return d <= 1e-2, d, 1e-2 - d
     _timed(checks, "kobayashi/full-space-distance", distance)

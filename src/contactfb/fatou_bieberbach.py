@@ -20,12 +20,13 @@ radii overflow native floats after two rounds.
 
 Points beyond float range are carried in log-polar form: the log-moduli
 and the phases of their coordinates.  Both paths at any magnitude read
-complex coordinates by one rule (``_point_arrays``, with ``_point_lists``
-as its one-point form) and sum by one rule (``scaled_sum_arrays``, with
-``polar_sum`` as its one-point form):
+complex coordinates by one rule (``_point_arrays``) and sum by one rule
+(``scaled_sum_arrays``, with ``polar_sum`` as its one-point form):
 
-* single points (``apply_scaled``), two float lists each: ``compose_orbit``,
-  ``omega_membership`` and ``fb_map_eval``;
+* single points (``apply_scaled``), two float lists each, read as column 0
+  of a one-point ``_point_arrays`` batch and walked through the rounds by
+  ``_point_orbit``: ``compose_orbit``, ``omega_membership`` and
+  ``fb_map_eval``;
 * batches (``apply_logpolar``), two coordinate-major (dim, m) arrays whose
   columns are such lists: row j holds coordinate j of every point, and the
   terms of a shear function go on a new leading axis, so every sum runs
@@ -91,7 +92,10 @@ def _bump(x: float, nominal: float) -> float:
 
 
 class SelectionError(RuntimeError):
-    """No admissible exponent below the cap; carries the binding inequality."""
+    """No admissible exponent below the cap; carries the binding inequality
+    and, when ``build_pushout`` raises it, the round it failed in."""
+
+    round: int | None = None
 
     def __init__(self, message: str, shell_index: int, binding: str):
         super().__init__(message)
@@ -551,9 +555,6 @@ class PushOutRound:
     eps: float
     id_bound: float
 
-    def apply_scaled(self, log_mag: list, phase: list):
-        return self.psi.apply_scaled(*self.phi.apply_scaled(log_mag, phase))
-
     def apply_logpolar(self, log_mag, phase):
         """The round on coordinate-major (dim, m) log-polar arrays."""
         lm, ph = self.phi.apply_logpolar(log_mag, phase)
@@ -626,6 +627,9 @@ def build_shear_round(state: PushOutState):
     """
     k = state.k + 1
     eps_k = state.eps_schedule.eps(k)
+    if eps_k == 0.0:  # select_exponent takes the log of eps_k
+        raise SelectionError(f"eps_{k} = eps_base * 2^-{k} underflows to 0",
+                             0, "underflow")
     K = state.current_shells()
     dim = state.dim
 
@@ -671,11 +675,16 @@ def build_shear_round(state: PushOutState):
 
 def build_pushout(initial: ShellUnion, dim: int, k_max: int,
                   eps_schedule: EpsSchedule | None = None) -> PushOutState:
-    """Run the recursion for k_max rounds starting from ``initial``."""
+    """Run the recursion for k_max rounds starting from ``initial``; a
+    round that fails raises ``SelectionError`` with its ``round`` set."""
     state = PushOutState(dim=dim, initial=initial,
                          eps_schedule=eps_schedule or EpsSchedule())
-    for _ in range(k_max):
-        build_shear_round(state)
+    for k in range(1, k_max + 1):
+        try:
+            build_shear_round(state)
+        except SelectionError as e:
+            e.round = k
+            raise
     return state
 
 
@@ -724,8 +733,7 @@ def _point_arrays(points, dim: int):
     (as ``abs`` of a Python complex), its log is taken in ``np.longdouble``
     and rounded once, and the phase comes from ``math.atan2``
     (``np.arctan2`` may round differently) with -pi mapped to pi; zero is
-    (-inf, 0).  ``_point_lists`` reads one point by the same rules, and
-    the errors of a one-point batch name only the coordinate, as its do.
+    (-inf, 0).  A one-point batch's errors name only the coordinate.
     """
     rows = [tuple(p) for p in points]
     if any(len(p) != dim for p in rows):
@@ -751,31 +759,14 @@ def _point_arrays(points, dim: int):
             np.ascontiguousarray(ph.reshape(-1, dim).T))
 
 
-def _point_lists(p, dim: int):
-    """The log-moduli and phases of one point, as lists of floats: a
-    column of ``_point_arrays``, bit for bit and with its error texts, read
-    with Python floats and numpy scalars."""
-    p = tuple(p)
-    if len(p) != dim:
-        raise ValueError("point dimension mismatch")
-    z = [complex(v) for v in p]
-    for n, w in enumerate(z):
-        if not cmath.isfinite(w):
-            raise ValueError(f"coordinate {n} is not finite: {p[n]!r}")
-    with np.errstate(over="ignore"):
-        mags = [np.hypot(w.real, w.imag) for w in z]
-    if math.inf in mags:  # as abs() of a Python complex raises
-        raise OverflowError("absolute value too large")
-    lm, ph = [], []
-    for w, mag in zip(z, mags):
-        if mag == 0.0:
-            lm.append(NEG_INF)
-            ph.append(0.0)
-        else:
-            lm.append(float(np.log(np.longdouble(mag))))
-            a = math.atan2(w.imag, w.real)
-            ph.append(math.pi if a == -math.pi else a)
-    return lm, ph
+def _point_orbit(state: PushOutState, p):
+    """The log-moduli and phases of p as lists: column 0 of a one-point
+    ``_point_arrays`` batch (round 0), then after each built round."""
+    lm, ph = (a[:, 0].tolist() for a in _point_arrays([p], state.dim))
+    yield lm, ph
+    for r in state.rounds:
+        lm, ph = r.psi.apply_scaled(*r.phi.apply_scaled(lm, ph))
+        yield lm, ph
 
 
 @dataclass(frozen=True)
@@ -799,11 +790,7 @@ def first_escape_round(logs) -> int | None:
 def compose_orbit(state: PushOutState, p) -> OrbitRecord:
     """Track |Theta_j(p)| through the built rounds in log-polar form; the
     escape radius after round j is j + 1."""
-    lm, ph = _point_lists(p, state.dim)
-    logs = []
-    for r in state.rounds:
-        lm, ph = r.apply_scaled(lm, ph)
-        logs.append(max(lm))
+    logs = [max(lm) for lm, _ in _point_orbit(state, p)][1:]
     first_escape = first_escape_round(logs)
     classification = "escaped" if first_escape is not None else "bounded-so-far"
     return OrbitRecord(log_maxnorms=tuple(logs), first_escape=first_escape,
@@ -817,6 +804,19 @@ def orbit_logs_batch(state: PushOutState, points) -> np.ndarray:
     return state.orbit_logs(*_point_arrays(points, state.dim))
 
 
+def _membership(state: PushOutState, orbit) -> str:
+    """``omega_membership``'s verdict on an orbit of (log-moduli, phases)
+    pairs from round 0, read only up to the first certifying round."""
+    logs = []
+    for j, (lm, _) in enumerate(orbit):
+        logs.append(max(lm))
+        # only small points can certify; avoids exp overflow
+        if logs[j] < 5.0 and \
+                math.exp(logs[j]) + state.eps_schedule.tail(j) < max(j, 1):
+            return "in_omega_certified"
+    return "undecided" if first_escape_round(logs[1:]) is None else "escaped"
+
+
 def omega_membership(state: PushOutState, p) -> str:
     """Conservative classification against the convergence domain.
 
@@ -826,28 +826,17 @@ def omega_membership(state: PushOutState, p) -> str:
     'undecided' otherwise.  Rounds are applied only until the first
     certifying j: the escape verdict matters only when none certifies.
     """
-    log_mag, phase = _point_lists(p, state.dim)
-    lm = max(log_mag)
-    escaped = False
-    for j in range(state.k + 1):
-        if j > 0:
-            log_mag, phase = state.rounds[j - 1].apply_scaled(log_mag, phase)
-            lm = max(log_mag)
-            escaped = escaped or lm > math.log(j + 1.0)
-        if lm < 5.0:  # only small points can certify; avoids exp overflow
-            if math.exp(lm) + state.eps_schedule.tail(j) < max(j, 1):
-                return "in_omega_certified"
-    return "escaped" if escaped else "undecided"
+    return _membership(state, _point_orbit(state, p))
 
 
 def fb_map_eval(state: PushOutState, p):
     """Value of the built composition at a certified point, with the Cauchy
-    tail of the remaining rounds as the error bound."""
-    if omega_membership(state, p) != "in_omega_certified":
+    tail of the remaining rounds as the error bound; the point is certified
+    and evaluated in one walk through the rounds."""
+    orbit = list(_point_orbit(state, p))
+    if _membership(state, orbit) != "in_omega_certified":
         raise ValueError("point is not certified inside the domain")
-    lm, ph = _point_lists(p, state.dim)
-    for r in state.rounds:
-        lm, ph = r.apply_scaled(lm, ph)
+    lm, ph = orbit[-1]
     value = tuple(cmath.rect(math.exp(a), b) for a, b in zip(lm, ph))
     return value, state.eps_schedule.tail(state.k)
 

@@ -28,7 +28,7 @@ from contactfb.contact import (
 from contactfb.fatou_bieberbach import (
     ShearFunction,
     StageSchedule,
-    _point_lists,
+    _point_arrays,
     build_pushout,
     desk_schedule,
     omega_membership,
@@ -200,10 +200,10 @@ def test_criterion_4_divergence_convergence():
         if omega_membership(state, p) != "in_omega_certified":
             ok = False
         init_norm = max(abs(c) for c in p)
-        lm, ph = _point_lists(p, 2)
+        lm, ph = (a[:, 0].tolist() for a in _point_arrays([p], 2))
         prev = list(p)
         for rnd in state.rounds:
-            lm, ph = rnd.apply_scaled(lm, ph)
+            lm, ph = rnd.psi.apply_scaled(*rnd.phi.apply_scaled(lm, ph))
             cur = [cmath.rect(math.exp(a), b) for a, b in zip(lm, ph)]
             step = max(abs(a - b) for a, b in zip(cur, prev))
             if not step < rnd.eps:  # Cauchy increments

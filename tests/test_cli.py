@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from contactfb import experiment
+from contactfb import experiment, fatou_bieberbach
 from contactfb.cli import main
 from contactfb.fatou_bieberbach import (
+    PushOutState,
     SelectionError,
     build_pushout,
     desk_schedule,
@@ -28,6 +29,22 @@ def write_config(path, **overrides):
 
 
 class TestValidate:
+    def test_default_output_exact(self, tmp_path, capsys):
+        # the config fields and the hash, and nothing cached on the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        want = {
+            "n": 1, "i_max": 6, "k_max": 6, "pushout_dim": 2,
+            "eps_base": 0.5, "seed": 0, "margin": 1e-06,
+            "schedule_kind": "desk", "explicit_shells": [],
+            "lemma_disks": 60, "lemma_n0": [1, 2, 3],
+            "samples_per_shell": 200, "identity_samples": 1000,
+            "divergence_samples": 100, "restarts": 8, "iterations": 40,
+            "lambda_budget": 1000.0, "config_hash": "44136fa355b3678a",
+        }
+        assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+
     def test_defaults_printed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
@@ -194,7 +211,8 @@ class TestRun:
                    for ln in out.splitlines())
 
     @pytest.mark.parametrize("suite, doc, errors", [
-        # validate builds every round, so the push-out suite is made to fail
+        # validate builds every round, and the push-out suite reads that
+        # state, so the suite is made to fail after its round checks
         ("pushout", {"k_max": 2}, {"pushout/error:SelectionError"}),
         # the same through "all": the other suites still run and pass
         ("all", {"k_max": 2}, {"pushout/error:SelectionError"}),
@@ -203,7 +221,7 @@ class TestRun:
                                            monkeypatch, suite, doc, errors):
         def fail(*args, **kwargs):
             raise SelectionError("round 1: injected", 1, "representation")
-        monkeypatch.setattr(experiment, "build_pushout", fail)
+        monkeypatch.setattr(PushOutState, "orbit_logs", fail)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
@@ -219,6 +237,45 @@ class TestRun:
         assert report["passed"] is False
         assert {c["name"] for c in report["checks"]
                 if "/error:" in c["name"]} == errors
+
+    def test_run_builds_each_round_once(self, tmp_path, capsys,
+                                        monkeypatch):
+        # validate builds the push-out and the suite reads that state;
+        # rounds are counted wherever a caller could build them
+        built = []
+        build = fatou_bieberbach.build_shear_round
+
+        def counting(state):
+            built.append(state.k + 1)
+            return build(state)
+        monkeypatch.setattr(fatou_bieberbach, "build_shear_round", counting)
+        monkeypatch.setattr(experiment, "build_shear_round", counting,
+                            raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        assert main(["run", "--suite", "pushout", "--config", str(cfg)]) == 0
+        assert built == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("case, reason", [
+        ("file", "File exists"),
+        # a dangling link: no directory can be created under it
+        ("dangling-link", "No such file or directory"),
+    ])
+    def test_bad_out_exits_two(self, tmp_path, capsys, case, reason):
+        if case == "file":
+            out = tmp_path / "out"
+            out.write_text("")
+        else:
+            (tmp_path / "link").symlink_to(tmp_path / "missing" / "dir")
+            out = tmp_path / "link" / "sub"
+        cfg = write_config(tmp_path / "cfg.json")
+        code = main(["run", "--suite", "lemma", "--config", cfg,
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        # refused before any suite runs
+        assert captured.out == ""
+        assert captured.err == f"out invalid: {out}: {reason}\n"
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from contactfb import experiment
 from contactfb.experiment import (
     ExperimentConfig,
     _sample_shell_points,
@@ -62,8 +63,9 @@ def test_containment_margin_matches_scalar_images():
         lm, ph = _sample_shell_points(rnd.shells_before,
                                       cfg.samples_per_shell, rng)
         # the points are the columns of the coordinate-major arrays
-        img_lm = np.array([rnd.apply_scaled(lms, phs)[0] for lms, phs
-                           in zip(lm.T.tolist(), ph.T.tolist())]).T
+        img_lm = np.array([
+            rnd.psi.apply_scaled(*rnd.phi.apply_scaled(lms, phs))[0]
+            for lms, phs in zip(lm.T.tolist(), ph.T.tolist())]).T
         want = float(np.min(membership_margin(rnd.shells_after, img_lm)))
         name = f"pushout/round{rnd.index}/containment"
         assert want > 0.0
@@ -78,3 +80,29 @@ def test_suite_error_is_a_failed_check():
     assert not report.passed
     assert {c.name for c in report.checks} == {
         f"{s}/error:OverflowError" for s in ("lemma", "pushout", "kobayashi")}
+
+
+def test_kobayashi_suite_in_dimension_n(monkeypatch):
+    # n = 2: the obstacle, the points and the direction live in C^5, and
+    # the bracket and distance are those of n = 1
+    values = {1: {c.name: (c.value, c.margin) for c in
+                  run_experiment(ExperimentConfig(n=1), "kobayashi").checks}}
+    seen = []
+    lower, upper = experiment.directed_norm_lower, \
+        experiment.directed_norm_upper
+
+    def record_lower(p, v, K):
+        seen.append(("lower", p.n, v.n, K.dim))
+        return lower(p, v, K)
+
+    def record_upper(p, v, domain, K=None, budget=None):
+        seen.append((domain, p.n, v.n, K.dim if K else None))
+        return upper(p, v, domain, K, budget=budget)
+    monkeypatch.setattr(experiment, "directed_norm_lower", record_lower)
+    monkeypatch.setattr(experiment, "directed_norm_upper", record_upper)
+    values[2] = {c.name: (c.value, c.margin) for c in
+                 run_experiment(ExperimentConfig(n=2), "kobayashi").checks}
+    assert seen == [("lower", 2, 2, 5), ("complement", 2, 2, 5),
+                    ("full_space", 2, 2, None)]
+    assert values[2] == values[1]
+    assert values[2]["kobayashi/origin-bracket"][0] == 1.0000010000010002

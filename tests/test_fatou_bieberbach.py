@@ -25,7 +25,6 @@ from contactfb.fatou_bieberbach import (
     ShearMap,
     StageSchedule,
     _point_arrays,
-    _point_lists,
     build_pushout,
     build_shear_round,
     compose_orbit,
@@ -59,6 +58,14 @@ def _fold_eval_scaled(f, lz, phase):
     for log_r, N in f.terms:
         acc = polar_sum([acc[0], N * (lz - log_r)], [acc[1], N * phase])
     return acc
+
+
+def _point_column(p, dim):
+    """The log-moduli and phases of the point p as lists of floats: column
+    0 of a one-point ``_point_arrays`` batch, as the single-point path
+    reads it."""
+    lm, ph = _point_arrays([p], dim)
+    return lm[:, 0].tolist(), ph[:, 0].tolist()
 
 
 def _to_complex(log_mag, phase):
@@ -223,7 +230,7 @@ class TestShearFunction:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if z == 0:
                 continue
-            (lz,), (phase,) = _point_lists([z], 1)
+            (lz,), (phase,) = _point_column([z], 1)
             got = _to_complex(*f.eval_scaled(lz, phase))
             want = complex(f.eval_native(z))
             assert got == pytest.approx(want, rel=1e-10)
@@ -379,9 +386,9 @@ class TestShearMap:
         for p, j in (([complex("nan"), 0j], 0), ([1j, complex("inf")], 1)):
             with pytest.raises(ValueError,
                                match=f"^coordinate {j} is not finite"):
-                m.apply_scaled(*_point_lists(p, m.dim))
+                m.apply_scaled(*_point_column(p, m.dim))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            m.apply_scaled(*_point_lists([1j, 0j, 0j], m.dim))
+            m.apply_scaled(*_point_column([1j, 0j, 0j], m.dim))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1]), st.integers(0, 5), st.data())
@@ -393,7 +400,7 @@ class TestShearMap:
                                 max_size=dim))
         ph = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=dim,
                                 max_size=dim))
-        got_lm, got_ph = r.apply_scaled(lm, ph)
+        got_lm, got_ph = r.psi.apply_scaled(*r.phi.apply_scaled(lm, ph))
         # a one-point batch is one column
         want_lm, want_ph = r.apply_logpolar(np.array([lm]).T,
                                             np.array([ph]).T)
@@ -660,7 +667,7 @@ class TestRoundContracts:
                 p = ([lm + rng.uniform(-1, 0) for _ in range(built_state.dim)],
                      [rng.uniform(-math.pi, math.pi)
                       for _ in range(built_state.dim)])
-                q = r.apply_scaled(*p)
+                q = r.psi.apply_scaled(*r.phi.apply_scaled(*p))
                 diff = max(abs(_to_complex(*a) - _to_complex(*b))
                            for a, b in zip(zip(*p), zip(*q)))
                 assert diff < r.eps
@@ -740,18 +747,13 @@ class TestOrbits:
         z[kind == 4] = -np.abs(z[kind == 4])
         z[kind == 5] = np.conj(-np.abs(z[kind == 5]))
         pts += [tuple(map(complex, p)) for p in z]
-        # the single-point intake reads every point as a column of the
-        # batch, bit for bit, and so do one-point batches
+        # a one-point batch, the single-point path's intake, reads every
+        # point as its column of the batch, bit for bit
         lm, ph = _point_arrays(pts, 2)
-        ref = [_point_lists(p, 2) for p in pts]
-        for got, want in ((lm, [r[0] for r in ref]),
-                          (ph, [r[1] for r in ref])):
-            assert np.array_equal(np.ascontiguousarray(got.T).view(np.uint64),
-                                  np.array(want).view(np.uint64))
-        for n in range(0, len(pts), 97):
-            one_lm, one_ph = _point_arrays([pts[n]], 2)
-            assert np.array_equal(one_lm[:, 0], lm[:, n])
-            assert np.array_equal(one_ph[:, 0], ph[:, n])
+        for n in range(0, len(pts), 7):
+            for got, want in zip(_point_column(pts[n], 2), (lm, ph)):
+                assert np.array_equal(np.array(got).view(np.uint64),
+                                      want[:, n].view(np.uint64))
 
     def test_state_orbit_logs_equals_batch(self, built_state):
         rng = np.random.default_rng(13)
@@ -839,13 +841,15 @@ class TestOrbits:
 
     def test_modulus_overflow_rejected(self, built_state):
         p = (complex(1.5e308, 1.5e308), 0j)  # finite, |z| beyond float range
-        with pytest.raises(OverflowError):
-            omega_membership(built_state, p)
+        for single in (compose_orbit, omega_membership):
+            with pytest.raises(OverflowError):
+                single(built_state, p)
         with pytest.raises(OverflowError):
             orbit_logs_batch(built_state, [p])
         # every coordinate is checked for finiteness before any modulus
         p = (complex(1.5e308, 1.5e308), complex(math.nan, 0.0))
-        for read in (lambda: _point_lists(p, 2),
+        for read in (lambda: compose_orbit(built_state, p),
+                     lambda: omega_membership(built_state, p),
                      lambda: _point_arrays([p], 2)):
             with pytest.raises(ValueError,
                                match="^coordinate 1 is not finite"):
@@ -888,10 +892,10 @@ class TestOrbits:
     def test_cauchy_differences(self, built_state):
         # partial compositions at a certified point form a Cauchy sequence
         # with per-round increments below eps_{k}
-        lm, ph = _point_lists([1e-2, 0j], 2)
+        lm, ph = _point_column([1e-2, 0j], 2)
         prev = [1e-2, 0j]
         for r in built_state.rounds:
-            lm, ph = r.apply_scaled(lm, ph)
+            lm, ph = r.psi.apply_scaled(*r.phi.apply_scaled(lm, ph))
             cur = list(map(_to_complex, lm, ph))
             diff = max(abs(a - b) for a, b in zip(cur, prev))
             assert diff < r.eps
@@ -1061,6 +1065,9 @@ class TestSerialization:
                      id="dim-1"),
         pytest.param(("eps_base",), lambda base: "1.5",
                      "bad value for 'eps_base'", id="eps-base-1.5"),
+        pytest.param(("eps_base",), lambda base: "5e-324",
+                     "'rounds[0]': push-out round 1 fails to build: eps_1 = "
+                     "eps_base * 2^-1 underflows to 0", id="eps-base-5e-324"),
         pytest.param(("version",), lambda v: 1,
                      "format version 1 is not supported", id="version-1"),
     ])
@@ -1130,6 +1137,21 @@ class TestBuildRoundIncremental:
         assert ei.value.binding == "representation"
         assert 1 <= ei.value.shell_index <= 6
         assert [r.index for r in state.rounds] == list(range(1, last + 1))
+
+    @pytest.mark.parametrize("i_max, base, k_max, failed, binding", [
+        (6, 0.5, 45, 40, "representation"),
+        # eps_k = base * 2^-k rounds to 0, whose log selection would take
+        (1, 5e-324, 1, 1, "underflow"),
+        (1, 1e-323, 3, 2, "underflow"),
+    ])
+    def test_build_pushout_names_failed_round(self, i_max, base, k_max,
+                                              failed, binding):
+        with pytest.raises(SelectionError) as ei:
+            build_pushout(desk_schedule(2, i_max), 2, k_max, EpsSchedule(base))
+        assert (ei.value.round, ei.value.binding) == (failed, binding)
+        if binding == "underflow":
+            assert str(ei.value) == (f"eps_{failed} = eps_base * 2^-{failed} "
+                                     "underflows to 0")
 
     def test_round_indices_and_eps(self):
         state = PushOutState(dim=2, initial=desk_schedule(2, 3))
