@@ -175,9 +175,9 @@ def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:
     y_polys = tuple(y_polys)
     if len(x_polys) != len(y_polys):
         raise ValueError("x and y component counts differ")
-    integrand = CPolynomial()
-    for xj, yj in zip(x_polys, y_polys):
-        integrand = integrand - poly_mul_capped(xj, yj.derivative())
+    terms = [poly_mul_capped(xj, yj.derivative())
+             for xj, yj in zip(x_polys, y_polys)]
+    integrand = -sum(terms[1:], terms[0]) if terms else CPolynomial()
     z = integrand.antiderivative(z0)
     if z.degree > DEGREE_CAP:
         raise DegreeCapError(f"z degree {z.degree} exceeds cap {DEGREE_CAP}")

@@ -36,6 +36,7 @@ from .obstacle import (
     avoidance_routes,
     certify_avoidance,
     check_disk_dim,
+    standard_obstacle,
 )
 
 #: Scalings, one ulp apart from the bisection's end down, that are rebuilt
@@ -205,12 +206,25 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
     for the minimal N0 >= 1 with p in the open 2^N0 polydisk, hence
     1/|lambda| > |v_coord| / bound for every coordinate.
     Returns (lower, certificate); 0 for the zero direction.
+
+    The lemma is about the standard obstacle, and a truncated one leaves
+    everything beyond its last shell free.  So the bound is issued only if
+    K equals ``standard_obstacle(p.n, i_max)`` band for band, on the radii
+    it keeps, with i_max its number of shells, and N0 < i_max; otherwise
+    the result is (0.0, None).  N0 < i_max is no wider than a
+    counterexample allows: at p = (3, 40, 0), v = e_x on
+    ``standard_obstacle(1, 6)`` (N0 = 6) the cap gives 1/128, while a
+    linear disk certifies the upper bound 1e-3.  The range that the
+    lemma's proof covers for a truncation is still open (ROADMAP item 1).
     """
     check_horizontal(p, v)
     m = p.maxnorm()
     N0 = 1
     while 2.0 ** N0 <= m:
         N0 += 1
+    i_max = len(K.shells)
+    if not (N0 < i_max and K == standard_obstacle(p.n, i_max)):
+        return 0.0, None
     cert = BoundCertificate(N0=N0, n=p.n)
     best = 0.0
     for coord in (*v.x, *v.y):
@@ -268,4 +282,4 @@ def max_certified_x_derivative(K: ShellUnion, n: int = 1,
     origin = ContactPoint(zero, zero, 0j)
     e_x1 = TangentVector((1 + 0j,) + zero[1:], zero, 0j)
     return _largest_certified_scaling(origin, e_x1, K, margin,
-                                      K.shells[0].a)
+                                      K.linear_shells()[0][0])

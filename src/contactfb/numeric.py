@@ -14,11 +14,15 @@ Two representations carry the whole package:
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
-  over one shared positive int denominator, reduced once per result.
-  Products, sums, derivatives and antiderivatives are then exact integer
-  work, which is what lets horizontality be verified as "the residual is
-  the identically-zero polynomial" with zero tolerance.  Evaluation and sup
-  bounds convert once to complex128 (correctly rounded).
+  over one shared positive int denominator.  Intake reads a Python complex
+  (the common case, tested first), an (re, im) pair or a rational exactly.
+  Each result is reduced once: the gcd of the denominator and the
+  numerators is taken pair by pair from the highest power down and stops
+  as soon as it reaches 1, which on products it usually does within the
+  top few pairs.  Products, sums, derivatives and antiderivatives are then
+  exact integer work, which is what lets horizontality be verified as "the
+  residual is the identically-zero polynomial" with zero tolerance.
+  Evaluation and sup bounds convert once to complex128 (correctly rounded).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -165,22 +168,28 @@ def _exact_real(x) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _exact_complex(c) -> tuple[int, int, int]:
-    """(re, im, den) with c == (re + im*1j) / den exactly and den > 0.
+def _exact_parts(c) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (numerator, positive denominator) pairs of the real and the
+    imaginary part of c, exactly.
 
-    ``c`` is an (re, im) pair of reals, a rational number (int, Fraction),
-    or anything ``complex()`` accepts, whose float parts are read exactly.
+    ``c`` is a Python complex (tested first: it is what the samplers and
+    the disk builders pass), an (re, im) pair of reals, a rational number
+    (int, Fraction), or anything else ``complex()`` accepts, whose float
+    parts are read exactly.
     """
+    if type(c) is complex:
+        return c.real.as_integer_ratio(), c.imag.as_integer_ratio()
     if isinstance(c, tuple):
-        (rn, rd), (im, id_) = _exact_real(c[0]), _exact_real(c[1])
-    elif isinstance(c, numbers.Rational):
-        (rn, rd), (im, id_) = _exact_real(c), (0, 1)
-    else:
-        z = complex(c)
-        (rn, rd), (im, id_) = (z.real.as_integer_ratio(),
-                               z.imag.as_integer_ratio())
-    if rd == id_:
-        return rn, im, rd
+        return _exact_real(c[0]), _exact_real(c[1])
+    if isinstance(c, numbers.Rational):
+        return _exact_real(c), (0, 1)
+    z = complex(c)
+    return z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+
+
+def _exact_complex(c) -> tuple[int, int, int]:
+    """(re, im, den) with c == (re + im*1j) / den exactly and den > 0."""
+    (rn, rd), (im, id_) = _exact_parts(c)
     den = math.lcm(rd, id_)
     return rn * (den // rd), im * (den // id_), den
 
@@ -201,10 +210,11 @@ class CPolynomial:
     __slots__ = ("_num", "_den", "_rat", "_coeffs")
 
     def __init__(self, coeffs=()):
-        parts = [_exact_complex(c) for c in coeffs]
-        den = math.lcm(*(d for _, _, d in parts))
-        self._store([(re * (den // d), im * (den // d))
-                     for re, im, d in parts], den)
+        # every part goes over the lcm of all the parts' denominators at once
+        parts = [_exact_parts(c) for c in coeffs]
+        den = math.lcm(*(d for part in parts for _, d in part))
+        self._store([(rn * (den // rd), im * (den // id_))
+                     for (rn, rd), (im, id_) in parts], den)
 
     @classmethod
     def _make(cls, num: list, den: int) -> "CPolynomial":
@@ -216,7 +226,12 @@ class CPolynomial:
     def _store(self, num: list, den: int) -> None:
         while num and num[-1] == (0, 0):
             num.pop()
-        g = math.gcd(den, *chain.from_iterable(num))
+        # gcd(den, every numerator), highest pair first; it is final at 1
+        g = den
+        for re, im in reversed(num):
+            if g == 1:
+                break
+            g = math.gcd(g, re, im)
         if g != 1:
             num = [(re // g, im // g) for re, im in num]
             den //= g
@@ -232,11 +247,14 @@ class CPolynomial:
 
     @property
     def coeffs(self) -> tuple[complex, ...]:
-        """complex128 view; int true division rounds correctly."""
+        """complex128 view; int true division rounds correctly, and a part
+        that underflows reads 0.0, never -0.0 (``eval_deriv`` relies on
+        this at z == 0)."""
         out = self._coeffs
         if out is None:
             den = self._den
-            out = tuple(complex(re / den, im / den) for re, im in self._num)
+            out = tuple(complex(re / den + 0.0, im / den + 0.0)
+                        for re, im in self._num)
             object.__setattr__(self, "_coeffs", out)
         return out
 
@@ -299,9 +317,9 @@ class CPolynomial:
         out_re = [0] * (len(a) + len(b) - 1)
         out_im = out_re[:]
         for i, (ar, ai) in enumerate(a):
-            for j, (br, bi) in enumerate(b):
-                out_re[i + j] += ar * br - ai * bi
-                out_im[i + j] += ar * bi + ai * br
+            for k, (br, bi) in enumerate(b, i):
+                out_re[k] += ar * br - ai * bi
+                out_im[k] += ar * bi + ai * br
         return CPolynomial._make(list(zip(out_re, out_im)),
                                  self._den * other._den)
 
@@ -335,8 +353,17 @@ class CPolynomial:
         return self.eval_deriv(z)[0]
 
     def eval_deriv(self, z: complex) -> tuple[complex, complex]:
-        """Horner evaluation of p(z) and p'(z)."""
+        """Horner evaluation of p(z) and p'(z).
+
+        At any zero z (of either sign in either part) Horner returns c_0
+        and c_1 bit for bit, so they are read directly: every product with
+        z is a signed zero, and adding a signed zero to a part changes it
+        only if the part is -0.0, which the view never holds.
+        """
         z = complex(z)
+        if z == 0:
+            c = self.coeffs
+            return (c[0] if c else 0j), (c[1] if len(c) > 1 else 0j)
         acc = 0j
         dacc = 0j
         for c in reversed(self.coeffs):
@@ -372,7 +399,7 @@ def coeff_inf_lower_bound(coeffs) -> float:
     """|c_0| - sum_{k>=1} |c_k| (exactly summed); 0 for no coefficients."""
     if not coeffs:
         return 0.0
-    return abs(coeffs[0]) - math.fsum(abs(c) for c in coeffs[1:])
+    return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
 
 
 def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:

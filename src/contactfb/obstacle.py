@@ -15,15 +15,20 @@ on coordinate log-moduli, disk avoidance by certificate only
 (``certify_avoidance``), so a disk is 'certified' or 'uncertified' and only
 a certified disk passes ``verify_disk_estimate``.
 
-Radii are stored as natural logs so the same type can describe the shell
-unions produced by the push-out recursion, whose radii overflow any native
-float within a few rounds.
+A union built from linear radii (``ShellUnion.from_linear``, as the
+standard obstacle is) keeps exactly those radii and derives its natural
+logs from them.  The certificate side (``certify_avoidance`` and the
+kobayashi bounds) reads the kept radii through ``linear_shells``; point
+membership reads the logs.  The push-out recursion's computed unions are
+log-only, because their radii overflow any native float within a few
+rounds; their linear radii are read through exp, once per union.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +41,9 @@ DEFAULT_AVOIDANCE_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class ShellBand:
-    """One cylinder, radii stored as natural logs."""
+    """One cylinder, radii stored as natural logs; ``a``, ``b`` and ``c``
+    read them back through exp, so they may differ from the radii a band
+    was built from in the last bits (the union keeps those)."""
 
     log_a: float
     log_b: float
@@ -57,13 +64,20 @@ class ShellBand:
 
 @dataclass(frozen=True)
 class ShellUnion:
-    """Finite union of shell-times-disk cylinders with an axis split."""
+    """Finite union of shell-times-disk cylinders with an axis split.
+
+    ``radii`` holds the linear (a, b, c) of each shell when the union was
+    built from them (``from_linear``), and is None for a log-only union.
+    """
 
     shells: tuple[ShellBand, ...]
     shell_dims: tuple[int, ...]
     disk_dim: int
+    radii: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
+        if self.radii is not None and len(self.radii) != len(self.shells):
+            raise ValueError("radii must give one (a, b, c) per shell")
         if self.disk_dim in self.shell_dims:
             raise ValueError("disk_dim must not appear in shell_dims")
         prev_b = NEG_INF
@@ -79,16 +93,25 @@ class ShellUnion:
 
     @classmethod
     def from_linear(cls, shells, shell_dims, disk_dim) -> "ShellUnion":
-        bands = tuple(
-            ShellBand(math.log(a), math.log(b), math.log(c))
-            for a, b, c in shells)
-        return cls(bands, tuple(shell_dims), disk_dim)
+        """The union of the given (a, b, c) shells, which it keeps as its
+        radii; the logs are derived from them."""
+        radii = tuple((a, b, c) for a, b, c in shells)
+        bands = tuple(ShellBand(math.log(a), math.log(b), math.log(c))
+                      for a, b, c in radii)
+        return cls(bands, tuple(shell_dims), disk_dim, radii)
 
     @property
     def dim(self) -> int:
         return max((*self.shell_dims, self.disk_dim)) + 1
 
     def linear_shells(self) -> tuple[tuple[float, float, float], ...]:
+        """The kept radii, or for a log-only union the exp of its logs."""
+        if self.radii is not None:
+            return self.radii
+        return self._exp_radii
+
+    @cached_property
+    def _exp_radii(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((s.a, s.b, s.c) for s in self.shells)
 
 
@@ -275,7 +298,22 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
 # ---------------------------------------------------------------------------
 
 _SAMPLER_DEGREE = 8
+# coefficient k of a proposal is drawn at scale 3^-k
+_SAMPLER_TAIL_SCALES = tuple(3.0 ** k for k in range(1, _SAMPLER_DEGREE + 1))
 _SAMPLER_MAX_TRIES = 200000
+
+
+def _proposal_poly(rng, center_mag: float, amp: float) -> CPolynomial:
+    """One proposed (x, y)-coordinate of degree ``_SAMPLER_DEGREE``: c_0 has
+    modulus ``center_mag`` and a uniform phase, and c_k = amp * (g + 1j*h)
+    / 3^k for standard normals g, h.  The normals of all k come from one
+    draw, in the order g_1, h_1, g_2, h_2, ...: the stream order and the
+    float arithmetic of one scalar draw per real part."""
+    c0 = center_mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    draws = iter(rng.normal(size=2 * _SAMPLER_DEGREE).tolist())
+    return CPolynomial([complex(c0)] + [
+        amp * (g + 1j * h) / scale
+        for scale, g, h in zip(_SAMPLER_TAIL_SCALES, draws, draws)])
 
 
 def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
@@ -290,7 +328,9 @@ def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
     """
     rng = np.random.default_rng(seed)
     # radial slots for the marked coordinate: inside the first shell or in
-    # one of the gaps (2^(i-1), 2^i) up to 2^N0
+    # one of the gaps (2^(i-1), 2^i) up to 2^N0.  They read the bands' exp
+    # of log radii, not K's kept radii, so seeded proposals stay as they
+    # were drawn; only the certificate reads the kept radii.
     slots = [s.a for s in K.shells if s.a <= 2.0 ** N0]
     out = []
     tries = 0
@@ -305,16 +345,8 @@ def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
         amp = rng.uniform(0.0, 0.35) * min(base - lo if slot else hi - base,
                                            hi - base)
         marked = int(rng.integers(0, 2 * n))
-
-        def rand_poly(center_mag):
-            c0 = center_mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            coeffs = [complex(c0)]
-            for k in range(1, _SAMPLER_DEGREE + 1):
-                coeffs.append(complex(amp * (rng.normal() + 1j * rng.normal())
-                                      / (3.0 ** k)))
-            return CPolynomial(coeffs)
-
-        polys = [rand_poly(base if d == marked else rng.uniform(0.0, base))
+        polys = [_proposal_poly(rng, base if d == marked
+                                else rng.uniform(0.0, base), amp)
                  for d in range(2 * n)]
         xs = polys[0::2]
         ys = polys[1::2]

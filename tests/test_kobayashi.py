@@ -26,6 +26,7 @@ from contactfb.numeric import CPolynomial
 from contactfb.obstacle import (
     DEFAULT_AVOIDANCE_MARGIN,
     AvoidanceCheck,
+    ShellUnion,
     certify_avoidance,
     standard_obstacle,
 )
@@ -79,6 +80,35 @@ class TestLowerBound:
         bad = TangentVector((0j,), (0j,), 1 + 0j)
         with pytest.raises(ValueError, match="not horizontal"):
             directed_norm_lower(ORIGIN, bad, self.K)
+
+    def test_last_covered_n0(self):
+        p = ContactPoint((7 + 0j,), (0j,), 0j)  # N0 = 3 = i_max - 1
+        lower, cert = directed_norm_lower(p, X_DIR, self.K)
+        assert (lower, cert.N0) == (1.0 / 16.0, 3)
+
+    @pytest.mark.parametrize("x", [8.0, 15.0, 40.0])  # N0 = 4, 4, 6
+    def test_no_bound_from_n0_at_or_beyond_i_max(self, x):
+        p = ContactPoint((complex(x),), (0j,), 0j)
+        assert directed_norm_lower(p, X_DIR, self.K) == (0.0, None)
+
+    @pytest.mark.parametrize("K", [
+        ShellUnion(standard_obstacle(1, 4).shells, (0, 1), 2),  # log-only
+        ShellUnion.from_linear([(1, 1, 16), (2, 2, 128), (4, 4, 1000),
+                                (8, 8, 8192)], (0, 1), 2),
+        ShellUnion.from_linear([(1, 1.5, 16), (2, 2, 128), (4, 4, 1024),
+                                (8, 8, 8192)], (0, 1), 2),
+    ])
+    def test_no_bound_off_the_standard_obstacle(self, K):
+        assert directed_norm_lower(ORIGIN, X_DIR, K) == (0.0, None)
+
+    def test_truncation_counterexample(self):
+        # a linear disk at (3, 40, 0) certifies upper bound 1e-3, below the
+        # cap's 1/128 for N0 = 6: the lemma says nothing beyond shell i_max
+        K = standard_obstacle(1, 6)
+        p = ContactPoint((3 + 0j,), (40 + 0j,), 0j)
+        b = directed_norm_bracket(p, X_DIR, K, budget=SMALL)
+        assert (b.lower, b.lower_certificate) == (0.0, None)
+        assert b.upper == 1e-3 and b.upper_witness is not None
 
 
 class TestUpperBound:

@@ -2,6 +2,7 @@ import cmath
 import functools
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from contactfb.numeric import (
     DEGREE_CAP,
     DegreeCapError,
     NEG_INF,
+    _exact_complex,
+    _exact_parts,
     log_add,
     log_sub,
     log_sum,
@@ -446,6 +449,111 @@ class TestCPolynomialOracle:
         zero = p - p
         assert zero.is_zero and zero.degree == -1
         assert zero == CPolynomial() and hash(zero) == hash(CPolynomial())
+
+
+# Exactness of the intake, the reduction and evaluation at zero, each
+# against the straightforward rule it replaces.
+
+def _full_gcd_reduction(num, den):
+    """Canonical storage by one gcd over the denominator and every
+    numerator: the rule ``CPolynomial._store`` must match."""
+    num = list(num)
+    while num and num[-1] == (0, 0):
+        num.pop()
+    g = math.gcd(den, *(v for pair in num for v in pair))
+    return tuple((re // g, im // g) for re, im in num), den // g
+
+
+def _horner(coeffs, z):
+    """(p(z), p'(z)) by Horner over the complex128 view, at any z."""
+    acc = dacc = 0j
+    for c in reversed(coeffs):
+        dacc = dacc * z + acc
+        acc = acc * z + c
+    return acc, dacc
+
+
+def _bits(z: complex) -> bytes:
+    """The IEEE bytes of both parts, so -0.0 differs from 0.0."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060,
+                     -2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308]))
+numerators = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                       st.sampled_from([0, 1, -1]))
+
+
+class TestExactness:
+    @given(edge_floats, edge_floats)
+    @settings(max_examples=300)
+    @example(-0.0, -0.0)
+    @example(5e-324, -1e300)
+    def test_complex_intake_equals_pair_intake(self, re, im):
+        assert _exact_parts(complex(re, im)) == _exact_parts((re, im))
+        assert _exact_complex(complex(re, im)) == _exact_complex((re, im))
+        assert CPolynomial([complex(re, im)]) == CPolynomial([(re, im)])
+
+    @given(st.lists(st.tuples(numerators, numerators), max_size=10),
+           st.integers(1, 2 ** 80), st.integers(1, 2 ** 40))
+    @settings(max_examples=300)
+    @example([], 12, 1)
+    @example([(0, 0), (0, 0)], 5, 3)
+    @example([(6, 0), (0, 0)], 1, 1)
+    @example([(1, 0), (2, 4)], 2, 1)  # the top pair alone gives 2, not 1
+    def test_store_equals_full_gcd_reduction(self, num, den, common):
+        # a common factor makes most examples reducible
+        num = [(re * common, im * common) for re, im in num]
+        den *= common
+        p = CPolynomial._make(list(num), den)
+        assert (p._num, p._den) == _full_gcd_reduction(num, den)
+
+    def test_products_store_reduced(self):
+        disks = random_avoiding_disks(1, 2, standard_obstacle(1, 6), 3,
+                                      seed=5)
+        for f in disks:
+            for a in f.components:
+                for b in f.components:
+                    p = a * b.derivative()
+                    assert (p._num, p._den) == _full_gcd_reduction(p._num,
+                                                                   p._den)
+
+    @given(st.lists(st.builds(complex, edge_floats, edge_floats),
+                    max_size=6),
+           st.lists(st.builds(complex, edge_floats, edge_floats),
+                    max_size=4),
+           st.sampled_from([0.0, -0.0, complex(0.0, -0.0),
+                            complex(-0.0, -0.0)]))
+    @settings(max_examples=300)
+    def test_eval_at_zero_equals_horner(self, ca, cb, zeta):
+        # products reach parts that underflow from either side of zero
+        for p in (CPolynomial(ca), CPolynomial(ca) * CPolynomial(cb)):
+            try:
+                coeffs = p.coeffs
+            except OverflowError:  # a product beyond float range
+                continue
+            got, want = p.eval_deriv(zeta), _horner(coeffs, complex(zeta))
+            assert list(map(_bits, got)) == list(map(_bits, want))
+            assert _bits(p(zeta)) == _bits(want[0])
+
+    def test_curve_at_zero_equals_horner(self):
+        f = random_avoiding_disks(2, 2, standard_obstacle(2, 6), 1,
+                                  seed=9)[0]
+        for zeta in (0.0, -0.0, complex(0.0, -0.0)):
+            at = [_horner(c.coeffs, complex(zeta)) for c in f.components]
+            assert list(map(_bits, f.at(zeta).flat())) == [
+                _bits(v) for v, _ in at]
+            assert list(map(_bits, f.derivative_at(zeta).flat())) == [
+                _bits(d) for _, d in at]
+
+    def test_view_holds_no_negative_zero(self):
+        # -1 / 2^1100 rounds to -0.0 in int true division
+        p = CPolynomial([(Fraction(-1, 2 ** 1100), Fraction(-3, 2 ** 1200)),
+                         1])
+        assert list(map(_bits, p.coeffs)) == [_bits(0j), _bits(1 + 0j)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from contactfb.obstacle import (
     BoundCertificate,
     ShellBand,
     ShellUnion,
+    _proposal_poly,
     certify_avoidance,
     membership_margin,
     random_avoiding_disks,
@@ -23,8 +24,30 @@ class TestShellUnion:
     def test_from_linear(self):
         K = ShellUnion.from_linear([(1, 2, 5), (3, 4, 10)], (0, 1), 2)
         assert K.dim == 3
-        for got, want in zip(K.linear_shells(), ((1, 2, 5), (3, 4, 10))):
-            assert got == pytest.approx(want, rel=1e-14)
+        assert K.linear_shells() == ((1, 2, 5), (3, 4, 10))  # as given
+        assert K.shells[1] == ShellBand(math.log(3), math.log(4),
+                                        math.log(10))
+
+    def test_log_only_radii_read_through_exp_once(self):
+        bands = (ShellBand(0.5, 1.0, 2.0), ShellBand(1.5, 2.5, 800.0))
+        K = ShellUnion(bands, (0,), 1)
+        assert K.radii is None
+        radii = K.linear_shells()
+        assert radii == ((math.exp(0.5), math.exp(1.0), math.exp(2.0)),
+                         (math.exp(1.5), math.exp(2.5), math.inf))
+        assert K.linear_shells() is radii
+
+    def test_kept_radii_are_part_of_equality(self):
+        K = standard_obstacle(1, 4)
+        log_only = ShellUnion(K.shells, K.shell_dims, K.disk_dim)
+        assert log_only != K
+        assert log_only.linear_shells()[3][0] == 7.999999999999998
+        assert K.linear_shells()[3][0] == 8.0
+
+    def test_radii_count_checked(self):
+        K = standard_obstacle(1, 2)
+        with pytest.raises(ValueError, match="one \\(a, b, c\\) per shell"):
+            ShellUnion(K.shells, K.shell_dims, K.disk_dim, K.radii[:1])
 
     def test_interleaving_enforced(self):
         with pytest.raises(ValueError, match="interleave"):
@@ -123,15 +146,19 @@ class TestStandardObstacle:
     def test_radii_and_heights(self):
         K = standard_obstacle(1, 3)
         want = ((1, 1, 16), (2, 2, 128), (4, 4, 1024))  # C_N = 2^(3N+1)
-        for got, w in zip(K.linear_shells(), want):
-            assert got == pytest.approx(w, rel=1e-14)
+        assert K.linear_shells() == want
         assert K.shell_dims == (0, 1) and K.disk_dim == 2
+
+    def test_radii_exact_powers_of_two(self):
+        # read back through exp, 15 of these 24 values miss the power of two
+        radii = standard_obstacle(1, 8).linear_shells()
+        assert radii == tuple((2.0 ** (i - 1), 2.0 ** (i - 1),
+                               2.0 ** (3 * i + 1)) for i in range(1, 9))
 
     def test_height_rule(self):
         # C_N = n * 2^(3N+1) with n = 2
         heights = [c for _, _, c in standard_obstacle(2, 3).linear_shells()]
-        assert heights == pytest.approx([2 * 2 ** 4, 2 * 2 ** 7, 2 * 2 ** 10],
-                                        rel=1e-14)
+        assert heights == [2 * 2 ** 4, 2 * 2 ** 7, 2 * 2 ** 10]
 
     def test_n2_dims(self):
         K = standard_obstacle(2, 2)
@@ -178,6 +205,17 @@ class TestCertifyAvoidance:
         chk = certify_avoidance(comps, self.K)
         assert not chk.certified
         assert 1 in chk.failed_shells
+
+    @pytest.mark.parametrize("margin", [1e-6, 1e-15, 1e-300, 5e-324])
+    def test_point_on_a_radius_refused(self, margin):
+        # (8, 0, 0) lies in shell 4 of standard_obstacle(1, 4); read through
+        # exp, a_4 = b_4 = 7.999999999999998 let the 'outside' route
+        # certify it at margin 1e-15
+        K = standard_obstacle(1, 4)
+        comps = [CPolynomial([8]), CPolynomial([0]), CPolynomial([0])]
+        chk = certify_avoidance(comps, K, margin)
+        assert not chk.certified
+        assert chk.failed_shells == (4,)
 
     def test_margin_respected(self):
         comps = [CPolynomial([0, 0.9995]), CPolynomial([0]), CPolynomial([0])]
@@ -243,7 +281,30 @@ class TestVerifyDiskEstimate:
             verify_disk_estimate(f, self.K, N0=1)
 
 
+def _per_coefficient_proposal(rng, center_mag, amp):
+    """The sampler's proposal as it was first written, one scalar normal
+    per real part: the reference for ``_proposal_poly``."""
+    c0 = center_mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    coeffs = [complex(c0)]
+    for k in range(1, 9):
+        coeffs.append(complex(amp * (rng.normal() + 1j * rng.normal())
+                              / (3.0 ** k)))
+    return coeffs
+
+
 class TestRandomAvoidingDisks:
+    @given(st.integers(0, 2 ** 32), st.floats(0.0, 40.0),
+           st.floats(0.0, 6.0))
+    @settings(max_examples=200)
+    def test_batched_draws_equal_per_coefficient_draws(self, seed, center,
+                                                       amp):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _per_coefficient_proposal(old, center, amp)
+        got = _proposal_poly(new, center, amp)
+        assert got == CPolynomial(want)
+        assert got.coeffs == CPolynomial(want).coeffs
+        assert new.random() == old.random()  # the streams end together
+
     def test_sampler_produces_certified_disks(self):
         K = standard_obstacle(1, 4)
         disks = random_avoiding_disks(1, 2, K, count=25, seed=11)
