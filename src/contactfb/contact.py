@@ -114,9 +114,6 @@ class HolomorphicCurve:
         vals = [c.eval_deriv(zeta)[1] for c in self.components]
         return TangentVector.from_flat(vals)
 
-    def max_degree(self) -> int:
-        return max(c.degree for c in self.components)
-
 
 @dataclass(frozen=True)
 class PathPlan:
@@ -158,10 +155,6 @@ def horizontality_residual(f: HolomorphicCurve) -> CPolynomial:
     for xj, yj in zip(f.x, f.y):
         res = res + xj * yj.derivative()
     return res
-
-
-def is_horizontal(f: HolomorphicCurve) -> bool:
-    return horizontality_residual(f).is_zero
 
 
 def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:

@@ -40,6 +40,7 @@ from .kobayashi import (
 )
 from .numeric import sample_polydisk
 from .obstacle import (
+    BoundCertificate,
     ShellUnion,
     membership_margin,
     random_avoiding_disks,
@@ -237,6 +238,12 @@ def validate_config(path: str) -> ExperimentConfig:
         else:
             field = "i_max" if kind == "desk" else "schedule.shells"
         raise ConfigError(f"{field}: push-out round {e.round} fails: {e}")
+    # the certificates the suites build: N0 = 1, then each lemma_n0 entry
+    for name, N0 in (("i_max", 1), *(("lemma_n0", N0) for N0 in n0)):
+        try:
+            BoundCertificate(N0=N0, n=cfg.n, i_max=cfg.i_max)
+        except ValueError as e:
+            raise ConfigError(f"{name}: {e}")
     return cfg
 
 
@@ -312,19 +319,14 @@ def _lemma_checks(cfg: ExperimentConfig, checks: list) -> None:
                                           margin=cfg.margin)
             reports = [verify_disk_estimate(f, K, N0, margin=cfg.margin)
                        for f in disks]
-            worst = 0.0
-            for r in reports:
-                scale = max(max(r.derivatives["x"] + r.derivatives["y"])
-                            / r.certificate.bound_xy,
-                            r.derivatives["z"] / r.certificate.bound_z)
-                worst = max(worst, scale)
+            worst = max(r.ratio for r in reports)
             ok = all(r.passed for r in reports)
             return ok, worst, 1.0 - worst
         _timed(checks, f"lemma/n{cfg.n}/N0{N0}/derivative-bounds", run)
 
     def contrapositive():
         best, _ = max_certified_x_derivative(K, n=cfg.n, margin=cfg.margin)
-        bound = 4.0  # the certificate's cap 2^(N0+1) at N0 = 1
+        bound = BoundCertificate(N0=1, n=cfg.n, i_max=cfg.i_max).bound_xy
         return best < bound, best, bound - best
     _timed(checks, f"lemma/n{cfg.n}/contrapositive-search", contrapositive)
 

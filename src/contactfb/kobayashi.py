@@ -202,17 +202,17 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
     standard obstacle, from the first-derivative cap at the center.
 
     Any avoiding horizontal disk with f(0) = p and f'(0) = lambda v has
-    |lambda v_xj|, |lambda v_yj| < 2^(N0+1) and |lambda v_z| < 2^(2N0+1)
-    for the minimal N0 >= 1 with p in the open 2^N0 polydisk, hence
-    1/|lambda| > |v_coord| / bound for every coordinate.
-    Returns (lower, certificate); 0 for the zero direction.
+    ``cert.ratio(lambda v) < 1`` for the certificate ``cert`` of the minimal
+    N0 >= 1 with p in the open 2^N0 polydisk, hence 1/|lambda| >
+    ``cert.ratio(v)``.  Returns (lower, certificate); 0 for the zero
+    direction.
 
     The lemma is about the standard obstacle, and a truncated one leaves
     everything beyond its last shell free.  So the bound is issued only if
     K equals ``standard_obstacle(p.n, i_max)`` band for band, on the radii
-    it keeps, with i_max its number of shells, and N0 < i_max; otherwise
-    the result is (0.0, None).  N0 < i_max is no wider than a
-    counterexample allows: at p = (3, 40, 0), v = e_x on
+    it keeps, with i_max its number of shells, and the certificate covers
+    N0 (N0 < i_max); otherwise the result is (0.0, None).  N0 < i_max is no
+    wider than a counterexample allows: at p = (3, 40, 0), v = e_x on
     ``standard_obstacle(1, 6)`` (N0 = 6) the cap gives 1/128, while a
     linear disk certifies the upper bound 1e-3.  The range that the
     lemma's proof covers for a truncation is still open (ROADMAP item 1).
@@ -222,15 +222,13 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
     N0 = 1
     while 2.0 ** N0 <= m:
         N0 += 1
-    i_max = len(K.shells)
-    if not (N0 < i_max and K == standard_obstacle(p.n, i_max)):
+    try:
+        cert = BoundCertificate(N0=N0, n=p.n, i_max=len(K.shells))
+    except ValueError:  # p lies beyond the last shell
         return 0.0, None
-    cert = BoundCertificate(N0=N0, n=p.n)
-    best = 0.0
-    for coord in (*v.x, *v.y):
-        best = max(best, abs(coord) / cert.bound_xy)
-    best = max(best, abs(v.z) / cert.bound_z)
-    return best, cert
+    if K != standard_obstacle(p.n, cert.i_max):
+        return 0.0, None
+    return cert.ratio(v), cert
 
 
 def directed_norm_bracket(p: ContactPoint, v: TangentVector, K: ShellUnion,

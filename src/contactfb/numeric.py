@@ -371,11 +371,10 @@ class CPolynomial:
             acc = acc * z + c
         return acc, dacc
 
-    def sup_bound(self, R: float) -> float:
-        """Certified upper bound sum_k |c_k| R^k for sup over |z| <= R."""
-        if R <= 0:
-            raise ValueError("sup_bound requires R > 0")
-        return coeff_sup_bound(self.coeffs, R)
+    def sup_bound(self) -> float:
+        """Certified upper bound sum_k |c_k| for sup over the closed unit
+        disk."""
+        return coeff_sup_bound(self.coeffs)
 
     def inf_lower_bound(self) -> float:
         """Certified lower bound |c_0| - sum_{k>=1} |c_k| for inf over the
@@ -387,11 +386,11 @@ class CPolynomial:
 # powers).  CPolynomial and the float disk searches share them, so both
 # round and sum in the same order.
 
-def coeff_sup_bound(coeffs, R: float = 1.0) -> float:
-    """sum_k |c_k| R^k by Horner, highest power first."""
+def coeff_sup_bound(coeffs) -> float:
+    """sum_k |c_k|, highest power first."""
     total = 0.0
     for c in reversed(coeffs):
-        total = total * R + abs(c)
+        total += abs(c)
     return total
 
 
@@ -408,10 +407,6 @@ def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:
         raise DegreeCapError(f"product degree {a.degree + b.degree} "
                              f"exceeds cap {DEGREE_CAP}")
     return a * b
-
-
-def monomial(power: int, coeff=1) -> CPolynomial:
-    return CPolynomial([0] * power + [coeff])
 
 
 # ---------------------------------------------------------------------------

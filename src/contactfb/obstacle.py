@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .contact import (HolomorphicCurve, horizontality_residual,
-                      legendrian_from_xy)
+from .contact import (HolomorphicCurve, TangentVector,
+                      horizontality_residual, legendrian_from_xy)
 from .numeric import CPolynomial, NEG_INF
 
 DEFAULT_AVOIDANCE_MARGIN = 1e-6
@@ -161,20 +161,31 @@ def standard_obstacle(n: int, i_max: int) -> ShellUnion:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """First-derivative bounds at 0 for avoiding horizontal disks whose
-    center lies in the 2^N0 polydisk: |x'(0)|, |y'(0)| < 2^(N0+1) and
-    |z'(0)| < 2^(2N0+1)."""
+    """The derivative-bound lemma on ``standard_obstacle(n, i_max)``: a
+    horizontal disk that avoids it, with center in the open 2^N0 polydisk,
+    has |x'(0)|, |y'(0)| < 2^(N0+1) and |z'(0)| < 2^(2N0+1).  A truncation
+    leaves everything beyond its last shell free, so 1 <= N0 < i_max."""
 
     N0: int
     n: int
+    i_max: int
     bound_xy: float = field(init=False)
     bound_z: float = field(init=False)
 
     def __post_init__(self):
-        if self.N0 < 1:
-            raise ValueError("N0 must be >= 1")
+        if not 1 <= self.N0 < self.i_max:
+            raise ValueError("the derivative bound covers 1 <= N0 < i_max; "
+                             f"N0 = {self.N0}, i_max = {self.i_max}")
         object.__setattr__(self, "bound_xy", 2.0 ** (self.N0 + 1))
         object.__setattr__(self, "bound_z", 2.0 ** (2 * self.N0 + 1))
+
+    def ratio(self, v: TangentVector) -> float:
+        """The largest |v_c| / cap over the coordinates of v: the caps hold
+        for v exactly when it is below 1."""
+        best = 0.0
+        for coord in (*v.x, *v.y):
+            best = max(best, abs(coord) / self.bound_xy)
+        return max(best, abs(v.z) / self.bound_z)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,7 @@ def certify_avoidance(components, K: ShellUnion,
     """Certified check that the image of the closed unit disk misses K."""
     components = list(components)
     check_disk_dim(len(components), K)
-    sup_max = max(components[d].sup_bound(1.0) for d in K.shell_dims)
+    sup_max = max(components[d].sup_bound() for d in K.shell_dims)
     inf_best = max(components[d].inf_lower_bound() for d in K.shell_dims)
     inf_disk = components[K.disk_dim].inf_lower_bound()
     routes = avoidance_routes(sup_max, inf_best, inf_disk,
@@ -248,12 +259,14 @@ def certify_avoidance(components, K: ShellUnion,
 @dataclass(frozen=True)
 class DiskEstimateReport:
     """Outcome of ``verify_disk_estimate``: ``avoidance`` is 'certified' or
-    'uncertified', and ``passed`` is ``bounds_hold`` and 'certified'."""
+    'uncertified', ``ratio`` is ``certificate.ratio`` of f'(0), and
+    ``passed`` is ``bounds_hold`` (ratio < 1) and 'certified'."""
 
     avoidance: str
     routes: tuple[str, ...]
     derivatives: dict
     certificate: BoundCertificate
+    ratio: float
     bounds_hold: bool
     passed: bool
 
@@ -262,18 +275,18 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
                          margin: float = DEFAULT_AVOIDANCE_MARGIN) -> DiskEstimateReport:
     """Check the first-derivative bounds for one horizontal disk against K.
 
-    Preconditions: the horizontality residual of f is the zero polynomial
-    and f(0) has max-norm < 2^N0.  The avoidance verdict is 'certified'
-    when coefficient-sum bounds show every shell is missed by ``margin``
-    and 'uncertified' otherwise; an uncertified disk does not pass, since
-    the bounds are proved only for disks that avoid K.
+    Preconditions, each a ValueError: the horizontality residual of f is
+    the zero polynomial, f(0) has max-norm < 2^N0, and N0 < i_max = the
+    number of shells of K.  The avoidance verdict is 'certified' when
+    coefficient-sum bounds show every shell is missed by ``margin`` and
+    'uncertified' otherwise; an uncertified disk does not pass, since the
+    bounds are proved only for disks that avoid K.
     """
     if not horizontality_residual(f).is_zero:
         raise ValueError("curve is not horizontal (nonzero residual)")
-    center = f.at(0.0)
-    if center.maxnorm() >= 2.0 ** N0:
+    if f.at(0.0).maxnorm() >= 2.0 ** N0:
         raise ValueError("f(0) must lie in the open 2^N0 polydisk")
-    cert = BoundCertificate(N0=N0, n=f.n)
+    cert = BoundCertificate(N0=N0, n=f.n, i_max=len(K.shells))
 
     check = certify_avoidance(f.components, K, margin)
     avoidance = "certified" if check.certified else "uncertified"
@@ -284,13 +297,11 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
         "y": tuple(abs(v) for v in d0.y),
         "z": abs(d0.z),
     }
-    bounds_hold = (all(v < cert.bound_xy for v in derivs["x"])
-                   and all(v < cert.bound_xy for v in derivs["y"])
-                   and derivs["z"] < cert.bound_z)
+    ratio = cert.ratio(d0)
     return DiskEstimateReport(avoidance=avoidance, routes=check.routes,
                               derivatives=derivs, certificate=cert,
-                              bounds_hold=bounds_hold,
-                              passed=bounds_hold and check.certified)
+                              ratio=ratio, bounds_hold=ratio < 1,
+                              passed=ratio < 1 and check.certified)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,13 @@ class TestValidate:
         ({"eps_base": 1e-323, "i_max": 1, "k_max": 3},
          "k_max: push-out round 2 fails: eps_2 = eps_base * 2^-2 "
          "underflows to 0"),
+        # the derivative bound covers 1 <= N0 < i_max: the origin bracket
+        # and the contrapositive need N0 = 1, the lemma suite each entry
+        ({"i_max": 1}, "i_max: the derivative bound covers 1 <= N0 < i_max; "
+                       "N0 = 1, i_max = 1"),
+        ({"i_max": 2, "lemma_n0": [1, 2, 3]},
+         "lemma_n0: the derivative bound covers 1 <= N0 < i_max; N0 = 2, "
+         "i_max = 2"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):

@@ -19,7 +19,6 @@ from contactfb.numeric import (
     log_add,
     log_sub,
     log_sum,
-    monomial,
     poly_mul_capped,
     polar_sum,
     sample_polydisk,
@@ -307,17 +306,17 @@ class TestCPolynomial:
         q = p.scale(Fraction(1, 3)).scale(3)
         assert q == p
 
-    @given(coeff_lists, st.floats(0.1, 4.0))
+    @given(coeff_lists)
     @settings(max_examples=200)
-    def test_sup_bound_dominates_samples(self, coeffs, R):
+    def test_sup_bound_dominates_samples(self, coeffs):
         p = CPolynomial(coeffs)
-        bound = p.sup_bound(R)
+        bound = p.sup_bound()
         for ang in np.linspace(0, 2 * math.pi, 16):
-            assert abs(p(R * cmath.exp(1j * ang))) <= bound * (1 + 1e-9) + 1e-12
+            assert abs(p(cmath.exp(1j * ang))) <= bound * (1 + 1e-9) + 1e-12
 
     def test_sup_bound_attained_for_positive_coeffs(self):
         p = CPolynomial([1, 2, 3])
-        assert p.sup_bound(2.0) == pytest.approx(abs(p(2.0)), rel=1e-12)
+        assert p.sup_bound() == pytest.approx(abs(p(1.0)), rel=1e-12)
 
     @given(coeff_lists)
     @settings(max_examples=200)
@@ -328,10 +327,10 @@ class TestCPolynomial:
             assert abs(p(cmath.exp(1j * ang))) >= lb - 1e-9
 
     def test_degree_cap(self):
-        a = monomial(40)
+        a = CPolynomial([0] * 40 + [1])  # t^40
         with pytest.raises(DegreeCapError):
             poly_mul_capped(a, a)
-        assert poly_mul_capped(a, monomial(3)).degree == 43
+        assert poly_mul_capped(a, CPolynomial([0, 0, 0, 1])).degree == 43
 
     def test_antiderivative_constant(self):
         p = CPolynomial([2, 6])

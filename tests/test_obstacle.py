@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactfb.contact import legendrian_from_xy
+from contactfb.contact import TangentVector, legendrian_from_xy
 from contactfb.numeric import CPolynomial, NEG_INF
 from contactfb.obstacle import (
     AvoidanceCheck,
@@ -165,16 +165,73 @@ class TestStandardObstacle:
         assert K.shell_dims == (0, 1, 2, 3) and K.disk_dim == 4
 
 
+# the three hand-written forms of the lemma's comparison that
+# ``BoundCertificate.ratio`` replaced: the directed-norm lower bound's
+# running max, the verifier's three comparisons and the lemma suite's scale
+
+def _lower_bound_ratio(cert, v):
+    best = 0.0
+    for coord in (*v.x, *v.y):
+        best = max(best, abs(coord) / cert.bound_xy)
+    return max(best, abs(v.z) / cert.bound_z)
+
+
+def _verifier_bounds_hold(cert, v):
+    return (all(abs(c) < cert.bound_xy for c in v.x)
+            and all(abs(c) < cert.bound_xy for c in v.y)
+            and abs(v.z) < cert.bound_z)
+
+
+def _lemma_suite_scale(cert, v):
+    xy = tuple(abs(c) for c in (*v.x, *v.y))
+    return max(max(xy) / cert.bound_xy, abs(v.z) / cert.bound_z)
+
+
+# zeros, subnormals, the caps themselves and their neighbours, and
+# magnitudes up to 1e300 (a larger pair would overflow abs)
+_parts = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, 4.0, 8.0, 16.0, 32.0, 128.0, 512.0,
+                     math.nextafter(4.0, 0.0), math.nextafter(8.0, 0.0),
+                     math.nextafter(32.0, math.inf)]))
+_coords = st.builds(complex, _parts, _parts)
+
+
+@st.composite
+def _tangent_vectors(draw):
+    n = draw(st.sampled_from([1, 2]))
+    flat = draw(st.lists(_coords, min_size=2 * n + 1, max_size=2 * n + 1))
+    return TangentVector.from_flat(flat)
+
+
 class TestBoundCertificate:
     def test_values(self):
-        c = BoundCertificate(N0=1, n=1)
+        c = BoundCertificate(N0=1, n=1, i_max=2)
         assert c.bound_xy == 4.0 and c.bound_z == 8.0
-        c = BoundCertificate(N0=3, n=2)
+        c = BoundCertificate(N0=3, n=2, i_max=6)
         assert c.bound_xy == 16.0 and c.bound_z == 128.0
 
     def test_n0_validation(self):
         with pytest.raises(ValueError):
-            BoundCertificate(N0=0, n=1)
+            BoundCertificate(N0=0, n=1, i_max=6)
+
+    @pytest.mark.parametrize("N0, i_max", [(1, 1), (2, 2), (6, 6), (7, 6)])
+    def test_n0_at_or_beyond_i_max_refused(self, N0, i_max):
+        # a truncated obstacle leaves everything beyond its last shell free
+        with pytest.raises(ValueError,
+                           match=f"N0 = {N0}, i_max = {i_max}"):
+            BoundCertificate(N0=N0, n=1, i_max=i_max)
+
+    @given(_tangent_vectors(), st.integers(1, 60))
+    @settings(max_examples=300)
+    def test_ratio_equals_the_replaced_formulas(self, v, N0):
+        cert = BoundCertificate(N0=N0, n=v.n, i_max=N0 + 1)
+        ratio = cert.ratio(v)
+        assert ratio == _lower_bound_ratio(cert, v)
+        assert ratio == _lemma_suite_scale(cert, v)
+        assert math.copysign(1.0, ratio) == 1.0
+        assert (ratio < 1) == _verifier_bounds_hold(cert, v)
 
 
 class TestCertifyAvoidance:
@@ -267,6 +324,22 @@ class TestVerifyDiskEstimate:
         rep = verify_disk_estimate(f, self.K, N0=1)
         assert rep.avoidance == "uncertified"
         assert not rep.passed
+
+    def test_n0_beyond_the_last_shell_refused(self):
+        # (3, 0, 0) is centred in the 2^2 polydisk but beyond the last
+        # shell (radius 2) of standard_obstacle(1, 2), where nothing bounds
+        # the derivatives; the disk itself certifies avoidance
+        K = standard_obstacle(1, 2)
+        f = legendrian_from_xy([CPolynomial([3.0])], [CPolynomial([0])], 0)
+        assert certify_avoidance(f.components, K).certified
+        with pytest.raises(ValueError, match="N0 = 2, i_max = 2"):
+            verify_disk_estimate(f, K, N0=2)
+
+    def test_ratio_on_the_report(self):
+        f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
+        rep = verify_disk_estimate(f, self.K, N0=1)
+        assert rep.ratio == 0.125  # |x'(0)| / 2^(N0+1)
+        assert rep.ratio == rep.certificate.ratio(f.derivative_at(0.0))
 
     def test_center_precondition(self):
         f = legendrian_from_xy([CPolynomial([5.0])], [CPolynomial([0])], 0)
