@@ -139,8 +139,17 @@ def alpha0_eval(p: ContactPoint, v: TangentVector) -> complex:
 
 
 def check_horizontal(p: ContactPoint, v: TangentVector) -> None:
-    """Raise ValueError unless v lies in the kernel of alpha0 at p, to
-    absolute ``KERNEL_TOL``."""
+    """Raise ValueError unless p and v are finite and v lies in the kernel
+    of alpha0 at p, to absolute ``KERNEL_TOL``; a non-finite coordinate is
+    named by its block and index, e.g. ``point x[0]``."""
+    for name, blocks in (("point", p), ("direction", v)):
+        for block in ("x", "y"):
+            for j, c in enumerate(getattr(blocks, block)):
+                if not cmath.isfinite(c):
+                    raise ValueError(
+                        f"{name} {block}[{j}] is not finite: {c!r}")
+        if not cmath.isfinite(blocks.z):
+            raise ValueError(f"{name} z is not finite: {blocks.z!r}")
     defect = alpha0_eval(p, v)
     if abs(defect) > KERNEL_TOL:
         raise ValueError(f"direction is not horizontal: alpha0(v) = {defect!r}")

@@ -29,14 +29,18 @@ complex coordinates by one rule (``_point_arrays``) and sum by one rule
   ``fb_map_eval``;
 * batches (``apply_logpolar``), two coordinate-major (dim, m) arrays whose
   columns are such lists: row j holds coordinate j of every point, and the
-  terms of a shear function go on a new leading axis, so every sum runs
-  elementwise over contiguous rows.  ``PushOutState.orbit_logs`` pushes a
-  batch through the rounds in blocks of ``ORBIT_BLOCK`` points.
+  summands go on a new leading axis, so every sum runs elementwise over
+  contiguous rows.  ``PushOutState.orbit_logs`` pushes a batch through the
+  rounds in blocks of ``ORBIT_BLOCK`` points.
+
+Both log-polar paths make one sum per destination coordinate: the new
+z_dst is the sum of z_dst and the terms of f(z_src), in that order, so f
+itself is never converted back to log-polar form.
 
 A third path, native complex128, serves points in float range:
 ``apply_native`` for sampled identity checks, and ``tangent_step``, which
-carries a point and tangent vectors together, for pullbacks.  Every path
-adds the terms of a shear function in order.
+carries a point and tangent vectors together, for pullbacks.  It sums the
+terms of f in order and then adds f to z_dst.
 
 ``tangent_step`` carries one point as Python complex numbers, and
 ``eval_deriv_point`` gives it the values of the array path bit for bit
@@ -79,10 +83,10 @@ STATE_FORMAT_VERSION = 2
 #: of b_{i-1} keeps the per-stage exponent growth geometric.
 R_LOG_OFFSET_CAP = 2.0
 
-#: Points per block of ``PushOutState.orbit_logs``.  A shear sum over the
-#: terms of a round (six for the default schedule) then makes (terms, block)
-#: float64 temporaries of 192 KiB, which stay in a core's L2 cache; a whole
-#: batch of 18 000 points would make them 864 KiB.
+#: Points per block of ``PushOutState.orbit_logs``.  A shear sum over z_dst
+#: and the terms of a round (six for the default schedule) then makes
+#: (summands, block) float64 temporaries of 224 KiB, which stay in a core's
+#: L2 cache; a whole batch of 18 000 points would make them 984 KiB.
 ORBIT_BLOCK = 4096
 
 
@@ -146,22 +150,6 @@ class ShearFunction:
         an array of ``ndim`` dimensions."""
         shape = (-1,) + (1,) * ndim
         return tuple(a.reshape(shape) for a in self._term_arrays)
-
-    def eval_scaled(self, lz: float, phase: float) -> tuple[float, float]:
-        """f at one point of log-modulus ``lz`` and phase ``phase``, as
-        (log_mag, phase): one ``polar_sum`` over the terms, by the rules of
-        ``eval_logpolar``."""
-        if self.is_zero:
-            return NEG_INF, 0.0
-        return polar_sum([N * (lz - log_r) for log_r, N in self.terms],
-                         [N * phase for _, N in self.terms])
-
-    def eval_logpolar(self, log_mag: np.ndarray, phase: np.ndarray):
-        """Vectorized evaluation on points given in log-polar form."""
-        if self.is_zero:
-            return (np.full_like(log_mag, NEG_INF), np.zeros_like(phase))
-        log_r, N = self._term_columns(np.ndim(log_mag))
-        return scaled_sum_arrays(N * (log_mag - log_r), N * phase)
 
     def eval_native(self, z):
         """Native-complex values (vectorized), with the terms on a new
@@ -265,12 +253,16 @@ class ShearMap:
     # name; ROADMAP item 6 renames it together with its tracer span.
     def apply_scaled(self, log_mag: list, phase: list):
         """Action on one point given by the lists of its coordinates'
-        log-moduli and phases (one column of ``apply_logpolar``'s arrays)."""
+        log-moduli and phases (one column of ``apply_logpolar``'s arrays):
+        one ``polar_sum`` per destination coordinate over z_dst and the
+        terms of f(z_src), in that order."""
         out_lm, out_ph = list(log_mag), list(phase)
+        terms = self.func.terms
         for s, d in self._pairs:
-            f_lm, f_ph = self.func.eval_scaled(log_mag[s], phase[s])
-            out_lm[d], out_ph[d] = polar_sum([log_mag[d], f_lm],
-                                             [phase[d], f_ph])
+            lz, az = log_mag[s], phase[s]
+            out_lm[d], out_ph[d] = polar_sum(
+                [log_mag[d]] + [N * (lz - log_r) for log_r, N in terms],
+                [phase[d]] + [N * az for _, N in terms])
         return out_lm, out_ph
 
     # -- log-polar batches ------------------------------------------------
@@ -278,13 +270,19 @@ class ShearMap:
     def apply_logpolar(self, log_mag: np.ndarray, phase: np.ndarray):
         """Batched action on m points stored as coordinate-major (dim, m)
         log-magnitude and phase arrays: row j holds coordinate j of every
-        point.  All destination rows are summed in one call."""
+        point.  All destination rows are summed in one ``scaled_sum_arrays``
+        call, whose summands are z_dst and then the terms of f(z_src)."""
         src, dst = self._slices
-        f_lm, f_ph = self.func.eval_logpolar(log_mag[src], phase[src])
+        log_r, N = self.func._term_columns(log_mag.ndim)
+        lms = np.empty((len(log_r) + 1,) + log_mag[dst].shape)
+        phs = np.empty_like(lms)
+        lms[0], phs[0] = log_mag[dst], phase[dst]
+        np.subtract(log_mag[src], log_r, out=lms[1:])
+        lms[1:] *= N
+        np.multiply(N, phase[src], out=phs[1:])
         out_lm = log_mag.copy()
         out_ph = phase.copy()
-        out_lm[dst], out_ph[dst] = scaled_sum_arrays(
-            np.stack([log_mag[dst], f_lm]), np.stack([phase[dst], f_ph]))
+        out_lm[dst], out_ph[dst] = scaled_sum_arrays(lms, phs)
         return out_lm, out_ph
 
     # -- native action and tangent step (for pullbacks) -------------------
@@ -751,8 +749,8 @@ def _point_arrays(points, dim: int):
         if np.isinf(mag).any():  # as abs() of a Python complex raises
             raise OverflowError("absolute value too large")
         lm = np.log(mag.astype(np.longdouble)).astype(np.float64)
-    ph = np.array([math.atan2(y, x)
-                   for x, y in zip(z.real.tolist(), z.imag.tolist())])
+    ph = np.fromiter(map(math.atan2, z.imag.tolist(), z.real.tolist()),
+                     np.float64, z.size)
     ph[ph == -math.pi] = math.pi
     ph[mag == 0.0] = 0.0
     return (np.ascontiguousarray(lm.reshape(-1, dim).T),

@@ -10,7 +10,9 @@ Two representations carry the whole package:
   lists and whose rows each hold one coordinate of every point.  The one
   operation is the sum: ``scaled_sum_arrays`` over the rows (axis 0) of
   arrays, and ``polar_sum`` over one list in Python floats, by the same
-  rules.  Each factors out the largest summand, so no step overflows.
+  rules.  Each factors out the largest summand, so no step overflows.  A
+  shear step is one such sum per coordinate it moves, over that coordinate
+  and the terms of the shear function.
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
@@ -87,18 +89,20 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray):
     """Vectorized complex sum in the log domain.
 
     ``log_mags``/``phases`` hold the polar data of the summands along axis
-    0; returns (log_mag, phase) arrays of the summed values, with -inf
-    marking exact zeros.  Used by the orbit classifier, which pushes
-    thousands of points through shear maps at once: each summand is then a
-    contiguous row over the points.
+    0, and at least one point axis after it; returns (log_mag, phase)
+    arrays of the summed values, with -inf marking exact zeros.  Used by
+    the orbit classifier, which pushes thousands of points through shear
+    maps at once: each summand (a coordinate, or one term of a shear
+    function) is then a contiguous row over the points.
 
     Each summand is scaled by the largest one, exp(log_mag - max).  Only
     summands with a scaled log above ``_EXP_UNDERFLOW_LOG`` are
-    exponentiated; the rest (and the -inf zeros) are exact zeros, which
-    change no nonzero sum, so the result is the one the dense sum gives.
-    In shear sums nearly every point has a single summand that survives.
-    The summands are added in order, row by row, so a value does not depend
-    on the batch it is computed in.
+    exponentiated, in one flat gather of them and one scatter of their
+    values; the rest (and the -inf zeros) are exact zeros, which change no
+    nonzero sum, so the result is the one the dense sum gives.  In shear
+    sums most points have one or two summands that survive.  The summands
+    are added in order, row by row, so a value does not depend on the batch
+    it is computed in.
 
     A sum with a +inf log-magnitude summand is +inf with the phase of the
     first such summand.  A NaN log-magnitude, or a NaN phase on a summand
@@ -108,25 +112,34 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray):
     phases = np.asarray(phases, dtype=np.float64)
     hi = np.max(log_mags, axis=0)
     top = hi == np.inf
-    hi_safe = np.where((hi == NEG_INF) | top, 0.0, hi)
+    any_top = top.any()
+    hi_safe = np.where(np.isinf(hi), 0.0, hi)
     d = log_mags - hi_safe
-    live = ~(d <= _EXP_UNDERFLOW_LOG) & ~top  # NaN stays live and propagates
-    scaled = np.zeros_like(d, dtype=np.complex128)
-    scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
+    dead = d <= _EXP_UNDERFLOW_LOG  # NaN stays live and propagates
+    if any_top:
+        dead |= top
+    live = np.flatnonzero(np.logical_not(dead, out=dead))
+    values = 1j * np.take(phases, live)
+    np.exp(values, out=values)
+    values *= np.exp(np.take(d, live))
+    scaled = np.zeros(d.shape, dtype=np.complex128)
+    scaled.ravel()[live] = values
     # np.sum would reassociate a reduction along a contiguous axis
-    total = scaled[0].copy()
+    total = scaled[0]
     for row in scaled[1:]:
         total += row
-    mag = np.abs(total)
-    zero = mag == 0.0  # a NaN total stays NaN
-    out_log = np.where(zero, NEG_INF,
-                       hi_safe + np.log(np.where(zero, 1.0, mag)))
+    out_log = np.abs(total)
+    zero = out_log == 0.0  # a NaN total stays NaN
+    out_log[zero] = 1.0
+    np.log(out_log, out=out_log)
+    out_log += hi_safe
+    out_log[zero] = NEG_INF
     out_phase = np.angle(total)
-    if top.any():
+    if any_top:
         first = np.argmax(log_mags == np.inf, axis=0)
-        out_log = np.where(top, np.inf, out_log)
-        out_phase = np.where(top, np.take_along_axis(
-            phases, first[np.newaxis], axis=0)[0], out_phase)
+        out_log[top] = np.inf
+        out_phase[top] = np.take_along_axis(
+            phases, first[np.newaxis], axis=0)[0][top]
     return out_log, out_phase
 
 

@@ -122,6 +122,17 @@ class TestLegendrianLine:
         with pytest.raises(ValueError):
             legendrian_line(p, v)
 
+    @pytest.mark.parametrize("p,v,named", [
+        (ContactPoint((complex("inf"),), (0j,), 0j),
+         TangentVector((1 + 0j,), (0j,), 0j), r"^point x\[0\] is not finite"),
+        (ContactPoint((0j,), (0j,), 0j),
+         TangentVector((0j,), (0j,), complex("nan")),
+         r"^direction z is not finite"),
+    ])
+    def test_rejects_nonfinite(self, p, v, named):
+        with pytest.raises(ValueError, match=named):
+            legendrian_line(p, v)
+
     def test_quadratic_formula_on_dyadic_data(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import decimal
 import json
 import math
 import re
@@ -40,7 +41,7 @@ from contactfb.fatou_bieberbach import (
     state_from_dict,
     state_to_dict,
 )
-from contactfb.numeric import NEG_INF, polar_sum, scaled_sum_arrays
+from contactfb.numeric import NEG_INF, log_sum, polar_sum, scaled_sum_arrays
 from contactfb.obstacle import ShellUnion, membership_margin
 
 
@@ -51,13 +52,75 @@ REF = StageSchedule(log_base=0.0, log_a=(math.log(2.0),),
                     log_offset_base=NEG_INF, log_r=(math.log(1.5),))
 
 
-def _fold_eval_scaled(f, lz, phase):
-    """f at (lz, phase) as a pairwise ``polar_sum`` fold over the terms,
-    the reference for the one-pass ``ShearFunction.eval_scaled``."""
-    acc = (NEG_INF, 0.0)
+def _fold_shear_sum(f, dst, zeta):
+    """z_dst + f(zeta) as a pairwise ``polar_sum`` fold from ``dst`` =
+    (log-modulus, phase) of z_dst over the terms of f at ``zeta``, the
+    reference for the one sum of ``ShearMap.apply_scaled``."""
+    acc = dst
     for log_r, N in f.terms:
-        acc = polar_sum([acc[0], N * (lz - log_r)], [acc[1], N * phase])
+        acc = polar_sum([acc[0], N * (zeta[0] - log_r)],
+                        [acc[1], N * zeta[1]])
     return acc
+
+
+def _two_step_apply_scaled(m, log_mag, phase):
+    """``ShearMap.apply_scaled`` by the rule the one sum replaced, kept as
+    its reference: f(z_src) summed and rounded to (log-modulus, phase)
+    first, then added to z_dst by a second sum."""
+    out_lm, out_ph = list(log_mag), list(phase)
+    for s, d in m._pairs:
+        f = (NEG_INF, 0.0)
+        if m.func.terms:
+            f = polar_sum([N * (log_mag[s] - log_r)
+                           for log_r, N in m.func.terms],
+                          [N * phase[s] for _, N in m.func.terms])
+        out_lm[d], out_ph[d] = polar_sum([log_mag[d], f[0]],
+                                         [phase[d], f[1]])
+    return out_lm, out_ph
+
+
+def _two_step_apply_logpolar(m, log_mag, phase):
+    """``ShearMap.apply_logpolar`` by the two-sum rule of
+    ``_two_step_apply_scaled``, kept as its reference."""
+    src, dst = m._slices
+    log_r, N = (a.reshape(-1, 1, 1) for a in m.func._term_arrays)
+    f_lm, f_ph = scaled_sum_arrays(N * (log_mag[src] - log_r),
+                                   N * phase[src])
+    out_lm, out_ph = log_mag.copy(), phase.copy()
+    out_lm[dst], out_ph[dst] = scaled_sum_arrays(
+        np.stack([log_mag[dst], f_lm]), np.stack([phase[dst], f_ph]))
+    return out_lm, out_ph
+
+
+_ORACLE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+
+
+def _decimal_power(re, im, n):
+    """(re + im i)^n by repeated squaring, in the 60-digit context."""
+    out_re, out_im = decimal.Decimal(1), decimal.Decimal(0)
+    with decimal.localcontext(_ORACLE):
+        while n:
+            if n & 1:
+                out_re, out_im = (out_re * re - out_im * im,
+                                  out_re * im + out_im * re)
+            re, im = re * re - im * im, 2 * re * im
+            n >>= 1
+    return out_re, out_im
+
+
+def _oracle_log_mag(f, z_src, z_dst):
+    """log|z_dst + f(z_src)| for complex floats z_src and z_dst, from a
+    60-digit decimal evaluation of every term (z_src / r)^N."""
+    D = decimal.Decimal
+    with decimal.localcontext(_ORACLE):
+        re, im = D(z_dst.real), D(z_dst.imag)
+        for log_r, N in f.terms:
+            inv_r = (-D(log_r)).exp()
+            t_re, t_im = _decimal_power(D(z_src.real) * inv_r,
+                                        D(z_src.imag) * inv_r, N)
+            re, im = re + t_re, im + t_im
+        return float((re * re + im * im).ln() / 2)
 
 
 def _point_column(p, dim):
@@ -97,17 +160,19 @@ def _term_loop_native(f, z, deriv=False):
 
 def _row_major_orbit_logs(state, log_mag, phase):
     """``PushOutState.orbit_logs`` on (m, dim) arrays whose rows are points:
-    the whole batch through each round, one coordinate pair at a time, the
-    form the coordinate-major blocks replaced, kept as their reference."""
+    the whole batch through each round, one coordinate pair at a time, each
+    destination summed once over z_dst and the terms, the form the
+    coordinate-major blocks replaced, kept as their reference."""
     out = np.empty((log_mag.shape[0], state.k))
     for j, r in enumerate(state.rounds):
         for m in (r.phi, r.psi):
             new_lm, new_ph = log_mag.copy(), phase.copy()
             for s, d in m._pairs:
-                f_lm, f_ph = m.func.eval_logpolar(log_mag[:, s], phase[:, s])
                 new_lm[:, d], new_ph[:, d] = scaled_sum_arrays(
-                    np.stack([log_mag[:, d], f_lm]),
-                    np.stack([phase[:, d], f_ph]))
+                    np.stack([log_mag[:, d]] + [N * (log_mag[:, s] - log_r)
+                                                for log_r, N in m.func.terms]),
+                    np.stack([phase[:, d]] + [N * phase[:, s]
+                                              for _, N in m.func.terms]))
             log_mag, phase = new_lm, new_ph
         out[:, j] = np.max(log_mag, axis=1)
     return out
@@ -205,17 +270,31 @@ term_lists = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 16)),
 
 
 class TestShearFunction:
+    @staticmethod
+    def _phi(f):
+        """The dim-2 phi map of f: z_1 + f(z_0) is one sum."""
+        return ShearMap("phi", 2, f)
+
     def test_zero_function(self):
         f = ShearFunction(())
         assert f.is_zero
         assert f.sup_log(3.0) == NEG_INF
-        assert f.eval_scaled(math.log(2.0), 0.0) == (NEG_INF, 0.0)
+        m = self._phi(f)
+        assert m.apply_scaled([math.log(2.0), NEG_INF], [0.0, 0.0]) == (
+            [math.log(2.0), NEG_INF], [0.0, 0.0])
+        lm, ph = m.apply_logpolar(np.array([[math.log(2.0)], [NEG_INF]]),
+                                  np.zeros((2, 1)))
+        assert lm[1, 0] == NEG_INF and ph[1, 0] == 0.0
+        # with no terms, z_dst is its own sum
+        assert m.apply_scaled([0.0, 0.5], [0.0, 1.0])[0][1] == pytest.approx(
+            0.5, rel=1e-15)
 
     def test_single_term_value(self):
-        f = ShearFunction(((math.log(1.5), 6),))
-        got = _to_complex(*f.eval_scaled(math.log(2.5), 0.0))
-        want = (2.5 / 1.5) ** 6
-        assert got == pytest.approx(want, rel=1e-12)
+        m = self._phi(ShearFunction(((math.log(1.5), 6),)))
+        for z_dst in (0j, 1.0, -3.0 + 2.0j):
+            lm, ph = m.apply_scaled(*_point_column([2.5, z_dst], 2))
+            want = z_dst + (2.5 / 1.5) ** 6
+            assert _to_complex(lm[1], ph[1]) == pytest.approx(want, rel=1e-12)
 
     def test_sup_log_is_coefficient_sum(self):
         f = ShearFunction(((math.log(1.5), 2), (math.log(3.0), 5)))
@@ -224,62 +303,69 @@ class TestShearFunction:
         assert math.exp(f.sup_log(math.log(R))) == pytest.approx(want, rel=1e-12)
 
     def test_scaled_matches_native(self):
-        f = ShearFunction(((math.log(1.5), 3), (math.log(2.5), 7)))
+        m = self._phi(ShearFunction(((math.log(1.5), 3), (math.log(2.5), 7))))
         rng = np.random.default_rng(4)
         for _ in range(25):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if z == 0:
-                continue
-            (lz,), (phase,) = _point_column([z], 1)
-            got = _to_complex(*f.eval_scaled(lz, phase))
-            want = complex(f.eval_native(z))
-            assert got == pytest.approx(want, rel=1e-10)
+            p = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+            lm, ph = m.apply_scaled(*_point_column(p, 2))
+            want = m.apply_native(p)
+            for j in range(2):
+                assert _to_complex(lm[j], ph[j]) == pytest.approx(
+                    complex(want[j]), rel=1e-10)
 
     def test_logpolar_matches_scaled(self):
-        f = ShearFunction(((math.log(1.5), 3), (math.log(2.5), 7)))
+        m = self._phi(ShearFunction(((math.log(1.5), 3), (math.log(2.5), 7))))
         rng = np.random.default_rng(9)
-        lm = rng.uniform(-1.0, 2.0, size=10)
-        ph = rng.uniform(-math.pi, math.pi, size=10)
-        out_lm, out_ph = f.eval_logpolar(lm, ph)
+        lm = rng.uniform(-1.0, 2.0, size=(2, 10))
+        ph = rng.uniform(-math.pi, math.pi, size=(2, 10))
+        out_lm, out_ph = m.apply_logpolar(lm, ph)
         for i in range(10):
-            w_lm, w_ph = f.eval_scaled(float(lm[i]), float(ph[i]))
-            assert out_lm[i] == pytest.approx(w_lm, rel=1e-12)
-            assert math.cos(out_ph[i]) == pytest.approx(math.cos(w_ph),
-                                                        abs=1e-10)
+            w_lm, w_ph = m.apply_scaled(lm[:, i].tolist(), ph[:, i].tolist())
+            assert out_lm[:, i].tolist() == pytest.approx(w_lm, rel=1e-12)
+            assert np.cos(out_ph[:, i]).tolist() == pytest.approx(
+                np.cos(w_ph).tolist(), abs=1e-10)
 
     def test_logpolar_value_independent_of_batch(self):
-        # five terms: np.sum would reassociate them for a one-point batch,
-        # whose term axis is contiguous, but not inside a larger batch
-        f = ShearFunction(tuple((0.1 * j, 3) for j in range(5)))
+        # six summands (z_dst and five terms): np.sum would reassociate them
+        # for a one-point batch, whose summand axis is contiguous, but not
+        # inside a larger batch
+        m = self._phi(ShearFunction(tuple((0.1 * j, 3) for j in range(5))))
         rng = np.random.default_rng(19)
-        lm = rng.uniform(-1.0, 2.0, 2000)
-        ph = rng.uniform(-math.pi, math.pi, 2000)
-        all_lm, all_ph = f.eval_logpolar(lm, ph)
+        lm = rng.uniform(-1.0, 2.0, (2, 2000))
+        ph = rng.uniform(-math.pi, math.pi, (2, 2000))
+        all_lm, all_ph = m.apply_logpolar(lm, ph)
         for i in range(2000):
-            one_lm, one_ph = f.eval_logpolar(lm[i:i + 1], ph[i:i + 1])
-            assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
+            one_lm, one_ph = m.apply_logpolar(lm[:, i:i + 1], ph[:, i:i + 1])
+            assert np.array_equal(one_lm[:, 0], all_lm[:, i])
+            assert np.array_equal(one_ph[:, 0], all_ph[:, i])
 
     @settings(max_examples=400, deadline=None)
-    @given(term_lists, st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
-    def test_scaled_matches_fold(self, terms, log_mag, phase):
+    @given(term_lists, st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi),
+           st.one_of(st.just(NEG_INF), st.floats(-40.0, 200.0)),
+           st.floats(-math.pi, math.pi))
+    def test_scaled_matches_fold(self, terms, log_mag, phase, dst_lm, dst_ph):
         f = ShearFunction(terms)
-        got = f.eval_scaled(log_mag, phase)
-        want = _fold_eval_scaled(f, log_mag, phase)
+        lm, ph = self._phi(f).apply_scaled([log_mag, dst_lm], [phase, dst_ph])
+        want = _fold_shear_sum(f, (dst_lm, dst_ph), (log_mag, phase))
         # away from cancellation, where both sums are rounding noise
-        assume(want[0] > f.sup_log(log_mag) - math.log(10.0))
-        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
-        assert cmath.isclose(cmath.rect(1.0, got[1]),
+        assume(want[0] > log_sum([dst_lm, f.sup_log(log_mag)])
+               - math.log(10.0))
+        assert lm[1] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
+        assert cmath.isclose(cmath.rect(1.0, ph[1]),
                              cmath.rect(1.0, want[1]), abs_tol=1e-13)
 
     def test_scaled_matches_fold_on_built_rounds(self, built_state):
         rng = np.random.default_rng(23)
-        funcs = [m.func for m in built_state.theta_maps()]
-        for lm, ph in zip(rng.uniform(-2.0, 4.0, 60),
-                          rng.uniform(-math.pi, math.pi, 60)):
-            for f in funcs:
-                got = f.eval_scaled(lm, ph)
-                want = _fold_eval_scaled(f, lm, ph)
-                assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
+        maps = built_state.theta_maps()
+        for p in rng.uniform(-2.0, 4.0, (60, 2)):
+            ph = rng.uniform(-math.pi, math.pi, 2).tolist()
+            for m in maps:
+                (s, d), = m._pairs
+                got = m.apply_scaled(p.tolist(), ph)
+                want = _fold_shear_sum(m.func, (p[d], ph[d]), (p[s], ph[s]))
+                assert got[0][d] == pytest.approx(want[0], rel=1e-13,
+                                                  abs=1e-13)
+                assert got[0][s] == p[s] and got[1][s] == ph[s]
 
     @pytest.mark.parametrize("terms,zeta", [
         (((0.0, 1), (0.0, 3)), (NEG_INF, 0.0)),
@@ -291,14 +377,28 @@ class TestShearFunction:
         (((0.0, 1), (0.0, 1000), (0.0, 2000)), (1e306, 0.5)),
     ], ids=["zero", "underflow", "nan", "inf", "overflow"])
     def test_scaled_edge_values_match_fold(self, terms, zeta):
-        f = ShearFunction(terms)
-        got = f.eval_scaled(*zeta)
-        assert np.array_equal(got, _fold_eval_scaled(f, *zeta),
-                              equal_nan=True)
-        # and the batch path on the same point
-        with np.errstate(over="ignore"):
-            lm, ph = f.eval_logpolar(np.array([zeta[0]]), np.array([zeta[1]]))
-        assert np.array_equal(got, (lm[0], ph[0]), equal_nan=True)
+        m = self._phi(ShearFunction(terms))
+        for dst in ((NEG_INF, 0.0), (0.25, -2.0)):
+            lm, ph = m.apply_scaled([zeta[0], dst[0]], [zeta[1], dst[1]])
+            got = (lm[1], ph[1])
+            want = _fold_shear_sum(m.func, dst, zeta)
+            if math.isfinite(want[0]):
+                # only z_dst is left; the fold rounds it once per term
+                assert dst[0] != NEG_INF
+                assert got == pytest.approx(dst, rel=1e-15)
+                assert want == pytest.approx(dst, rel=1e-15)
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
+            # and the batch path on the same point
+            with np.errstate(over="ignore"):
+                b_lm, b_ph = m.apply_logpolar(np.array([[zeta[0]], [dst[0]]]),
+                                              np.array([[zeta[1]], [dst[1]]]))
+            if math.isfinite(got[0]):
+                assert (b_lm[1, 0], b_ph[1, 0]) == pytest.approx(got,
+                                                                 rel=1e-15)
+            else:
+                assert np.array_equal(got, (b_lm[1, 0], b_ph[1, 0]),
+                                      equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (7, 1), (5, 3)])
     @pytest.mark.parametrize("deriv", [False, True])
@@ -413,6 +513,64 @@ class TestShearMap:
         for g, w in zip(got_ph, want_ph[0]):
             assert cmath.isclose(cmath.rect(1.0, g), cmath.rect(1.0, w),
                                  abs_tol=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1]), st.integers(0, 5), st.data())
+    def test_one_sum_agrees_with_two_step(self, built_rounds, which, n, data):
+        # one sum per destination against the parent rule, which rounds
+        # f(z_src) to log-polar form before adding it: they agree to
+        # rounding, which psi multiplies by N in its source coordinate
+        r = built_rounds[which][n % len(built_rounds[which])]
+        dim = r.phi.dim
+        lm = data.draw(st.lists(st.floats(-3.0, 4.0), min_size=dim,
+                                max_size=dim))
+        ph = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=dim,
+                                max_size=dim))
+        n_max = max(N for m in (r.phi, r.psi) for _, N in m.func.terms)
+        tol = 8 * n_max * 2.0 ** -52
+        got = r.psi.apply_scaled(*r.phi.apply_scaled(lm, ph))
+        want = _two_step_apply_scaled(
+            r.psi, *_two_step_apply_scaled(r.phi, lm, ph))
+        batch = np.array([lm]).T, np.array([ph]).T
+        got_b = r.apply_logpolar(*batch)
+        want_b = _two_step_apply_logpolar(
+            r.psi, *_two_step_apply_logpolar(r.phi, *batch))
+        for (g_lm, g_ph), (w_lm, w_ph) in (
+                (got, want), ((got_b[0][:, 0], got_b[1][:, 0]),
+                              (want_b[0][:, 0], want_b[1][:, 0]))):
+            assert list(g_lm) == pytest.approx(list(w_lm), rel=tol, abs=tol)
+            for g, w in zip(g_ph, w_ph):
+                assert cmath.isclose(cmath.rect(1.0, g), cmath.rect(1.0, w),
+                                     abs_tol=tol)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_log_moduli_match_decimal_oracle(self, dim):
+        # The intake rounds log|z_src| to about 2^-52 (1 + |log|z_src||),
+        # which the top term multiplies by its N; exp, log and the sums add
+        # a few ulps of the result; cancellation multiplies both by kappa =
+        # (|z_dst| + sum |terms|) / |z_dst + f|.  Both rules stay within
+        # 2^-50 kappa (N_top (1 + |log|z_src||) + |log|z_dst + f||).
+        state = build_pushout(desk_schedule(dim, 6), dim=dim, k_max=2)
+        rng = np.random.default_rng(41 + dim)
+        for m in state.theta_maps():
+            for _ in range(40):
+                p = [cmath.rect(math.exp(rng.uniform(lo, hi)),
+                                rng.uniform(-math.pi, math.pi))
+                     for lo, hi in [(-1.0, 2.5)] * (dim - 1) + [(-3.0, 8.0)]]
+                if m.kind == "psi":
+                    p.reverse()
+                lm, ph = _point_column(p, dim)
+                two_step = _two_step_apply_scaled(m, lm, ph)
+                for got, _ in (m.apply_scaled(lm, ph), two_step):
+                    for s, d in m._pairs:
+                        want = _oracle_log_mag(m.func, p[s], p[d])
+                        kappa = math.exp(log_sum(
+                            [lm[d], m.func.sup_log(lm[s])]) - want)
+                        n_top = max(m.func.terms,
+                                    key=lambda t: t[1] * (lm[s] - t[0]))[1]
+                        tol = 2.0 ** -50 * kappa * (
+                            n_top * (1.0 + abs(lm[s])) + abs(want))
+                        assert abs(got[d] - want) <= tol, (s, d)
 
     def test_jacobian_unit_determinant(self):
         # the Jacobian is the identity's columns after one tangent step

@@ -33,6 +33,20 @@ from contactfb.obstacle import (
 ORIGIN = ContactPoint((0j,), (0j,), 0j)
 X_DIR = TangentVector((1 + 0j,), (0j,), 0j)
 SMALL = SearchBudget(lambda_budget=1e3)
+INF, NAN = complex("inf"), complex("nan")
+# (point, direction, the block named): a non-finite coordinate fails the
+# horizontality check by name, where a NaN defect would pass it
+NONFINITE = [
+    (ContactPoint((INF,), (0j,), 0j), X_DIR, r"^point x\[0\] is not finite"),
+    (ORIGIN, TangentVector((NAN,), (0j,), 0j),
+     r"^direction x\[0\] is not finite"),
+    (ContactPoint((0j,), (0j,), NAN), X_DIR, r"^point z is not finite"),
+    (ORIGIN, TangentVector((0j,), (complex(0.0, -math.inf),), 0j),
+     r"^direction y\[0\] is not finite"),
+    (ContactPoint((0j, 1j), (0j, NAN), 0j),
+     TangentVector((1 + 0j, 0j), (0j, 0j), 0j),
+     r"^point y\[1\] is not finite"),
+]
 
 
 class TestSearchBudget:
@@ -79,6 +93,11 @@ class TestLowerBound:
         bad = TangentVector((0j,), (0j,), 1 + 0j)
         with pytest.raises(ValueError, match="not horizontal"):
             directed_norm_lower(ORIGIN, bad, self.K)
+
+    @pytest.mark.parametrize("p,v,named", NONFINITE)
+    def test_rejects_nonfinite(self, p, v, named):
+        with pytest.raises(ValueError, match=named):
+            directed_norm_lower(p, v, standard_obstacle(p.n, 6))
 
     def test_last_covered_n0(self):
         p = ContactPoint((7 + 0j,), (0j,), 0j)  # N0 = 3 = i_max - 1
@@ -160,6 +179,13 @@ class TestUpperBound:
         bad = TangentVector((0j,), (0j,), 1 + 0j)
         with pytest.raises(ValueError, match="not horizontal"):
             directed_norm_upper(ORIGIN, bad, "full_space")
+
+    @pytest.mark.parametrize("p,v,named", NONFINITE)
+    def test_rejects_nonfinite(self, p, v, named):
+        with pytest.raises(ValueError, match=named):
+            directed_norm_upper(p, v, "full_space")
+        with pytest.raises(ValueError, match=named):
+            directed_norm_upper(p, v, "complement", standard_obstacle(p.n, 6))
 
     @pytest.mark.parametrize("n_K", [2, 3])
     def test_rejects_obstacle_of_another_dimension(self, n_K):

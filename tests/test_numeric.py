@@ -60,6 +60,56 @@ def _row_sum(log_mags, phases):
     return float(lm[0]), float(ph[0])
 
 
+def _masked_scaled_sum(log_mags, phases):
+    """``scaled_sum_arrays`` by boolean masks over a (summands, ...) complex
+    zero array, the kernel the flat gather and scatter replaced, kept as
+    its bit-for-bit reference."""
+    hi = np.max(log_mags, axis=0)
+    top = hi == np.inf
+    hi_safe = np.where((hi == NEG_INF) | top, 0.0, hi)
+    d = log_mags - hi_safe
+    live = ~(d <= -746.0) & ~top
+    scaled = np.zeros_like(d, dtype=np.complex128)
+    scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
+    total = scaled[0].copy()
+    for row in scaled[1:]:
+        total += row
+    mag = np.abs(total)
+    zero = mag == 0.0
+    out_log = np.where(zero, NEG_INF,
+                       hi_safe + np.log(np.where(zero, 1.0, mag)))
+    out_phase = np.angle(total)
+    if top.any():
+        first = np.argmax(log_mags == np.inf, axis=0)
+        out_log = np.where(top, np.inf, out_log)
+        out_phase = np.where(top, np.take_along_axis(
+            phases, first[np.newaxis], axis=0)[0], out_phase)
+    return out_log, out_phase
+
+
+def _same_bits(got, want):
+    """Equal bit patterns, except that any NaN equals any NaN (an IEEE sum
+    of two NaNs keeps the first one's payload, so a commuted sum may keep
+    the other)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64),
+                               want[~nan].view(np.uint64)))
+
+
+# columns of 1-8 summands, some rows far below the column's top, so that
+# they underflow beside it
+summand_columns = st.integers(1, 8).flatmap(lambda rows: st.lists(
+    st.tuples(
+        st.lists(st.one_of(summand_logs, st.just(-0.0)),
+                 min_size=rows, max_size=rows),
+        st.lists(summand_phases, min_size=rows, max_size=rows),
+        st.lists(st.booleans(), min_size=rows, max_size=rows),
+        st.floats(746.0, 3000.0)),
+    min_size=1, max_size=6))
+
+
 class TestScaledComplex:
     def test_zero_sentinel(self):
         assert polar_sum([NEG_INF], [0.7]) == (NEG_INF, 0.0)
@@ -174,6 +224,29 @@ class TestLogHelpers:
             one_lm, one_ph = scaled_sum_arrays(lm[:, i:i + 1].copy(),
                                                ph[:, i:i + 1].copy())
             assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
+
+    @settings(max_examples=200, deadline=None)
+    @given(summand_columns)
+    @example([([0.0, -746.0, -745.9], [0.5, -0.0, math.pi], [False] * 3,
+               800.0)])
+    @example([([math.inf, math.nan, 1.0], [-0.0, 0.5, 1.0], [False] * 3,
+               800.0),
+              ([1.0, math.inf, math.inf], [0.5, -0.0, 2.0], [False] * 3,
+               800.0)])
+    def test_scaled_sum_arrays_equals_masked_kernel(self, columns):
+        # summands go down the columns; a row flagged "sunk" is moved
+        # below the column's finite top by more than the underflow cut
+        lms, phs = [], []
+        for lm, ph, sunk, gap in columns:
+            top = max([x for x in lm if math.isfinite(x)], default=0.0)
+            lms.append([top - gap if s else x for x, s in zip(lm, sunk)])
+            phs.append(ph)
+        log_mags, phases = np.array(lms).T, np.array(phs).T
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = scaled_sum_arrays(log_mags, phases)
+            want = _masked_scaled_sum(log_mags, phases)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
 
     def test_scaled_sum_arrays_zero_rows(self):
         lm = np.array([[NEG_INF], [NEG_INF]])
