@@ -7,18 +7,27 @@ from the derivative-bound certificate of the obstacle module, which caps
 bounds come from explicit certified disks.  Avoidance is certified by
 coefficient sums, which a coefficient of degree >= 2 only loosens, so the
 best such disk is linear: x_j = p_xj + lambda u_xj zeta (likewise y_j), z by
-exact integration.  Its route bounds are monotone in lambda, so
-``_largest_certified_scaling`` bisects for the largest certified scaling in
-complex128 and re-certifies that disk exactly.  The contrapositive of the
-derivative bound is the case p = 0, u = e_x1.  The distance bound sums the
-full-space upper bound over the segments of a constructive horizontal
-path; each segment is affine, so the sum is exact.
+exact integration.  In exact arithmetic its route bounds are monotone in
+lambda, so the certified scalings run from 0 up to a largest one.  In
+complex128 they are not quite: the z coefficients are sums of rounded
+products, and the z bound can move by an ulp against lambda.  So
+``_largest_certified_scaling`` bisects on the complex128 verdict only to
+propose a scaling, and the exact rebuild of that disk decides.  Each
+bisection step is one scalar verdict, ``_certification_shortfall``: what
+does not depend on lambda (centre moduli, directions, each shell's route
+limits) is built once per search, and a step forms only lambda*u, z1 and
+z2/2 and stops at the first shell that no route certifies.  The
+contrapositive of the derivative bound is the case p = 0, u = e_x1.  The
+distance bound sums the full-space upper bound over the segments of a
+constructive horizontal path; each segment is affine, so the sum is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .contact import (
     ContactPoint,
@@ -28,14 +37,14 @@ from .contact import (
     chow_path,
     legendrian_from_xy,
 )
-from .numeric import CPolynomial, coeff_inf_lower_bound, coeff_sup_bound
+from .numeric import CPolynomial
 from .obstacle import (
     BoundCertificate,
     DEFAULT_AVOIDANCE_MARGIN,
     ShellUnion,
-    avoidance_routes,
     certify_avoidance,
     check_disk_dim,
+    check_margin,
     standard_obstacle,
 )
 
@@ -60,8 +69,10 @@ class SearchBudget:
     margin: float = DEFAULT_AVOIDANCE_MARGIN
 
     def __post_init__(self):
-        if self.lambda_budget <= 0:
-            raise ValueError("lambda_budget must be positive")
+        if not 0.0 < self.lambda_budget < math.inf:
+            raise ValueError("lambda_budget must be finite and positive, "
+                             f"got {self.lambda_budget!r}")
+        check_margin(self.margin)
 
 
 @dataclass(frozen=True)
@@ -78,21 +89,71 @@ class NormBracket:
             raise ValueError("bracket is inconsistent: lower > upper")
 
 
-def _certification_shortfall(components, K: ShellUnion, radii, margin: float):
-    """(certified, routes) of one disk given as complex128 coefficient lists.
+class _DiskSearch(NamedTuple):
+    """What the verdict on the linear disk p + lam*u*zeta reads that does
+    not depend on lam, built once per search by ``_disk_search``."""
 
-    ``radii`` is ``K.linear_shells()``.  The bounds are those of
-    ``obstacle.certify_avoidance`` and the routes come from the same
-    ``obstacle.avoidance_routes``, so ``certified`` is its verdict on the
-    same coefficients.
+    rows: tuple        # per j: (p_xj, u_xj, u_yj, |p_xj|, |p_yj|)
+    z_mod: float       # |p_z|
+    shell_read: Callable  # the bounds of K.shell_dims, as a tuple
+    disk_dim: int
+    limits: tuple      # per shell: (a - margin, b + margin, c + margin)
+
+
+def _disk_search(p: ContactPoint, u: TangentVector, K: ShellUnion,
+                 margin: float) -> _DiskSearch:
+    dims = K.shell_dims
+    # an itemgetter of one index returns the item bare, so the first index
+    # is read once more; a repeated item cannot change a max
+    return _DiskSearch(
+        tuple(zip(p.x, u.x, u.y, map(abs, p.x), map(abs, p.y))), abs(p.z),
+        itemgetter(*dims, dims[0]), K.disk_dim,
+        tuple((a - margin, b + margin, c + margin)
+              for a, b, c in K.linear_shells()))
+
+
+def _certification_shortfall(search: _DiskSearch, lam: float):
+    """(certified, first_failed_shell) of the complex128 linear disk
+    p + lam*u*zeta: x_j = p_xj + (lam u_xj) zeta (likewise y_j) and
+    z = p_z + z1 zeta + (z2 / 2) zeta^2, z1 = -sum_j p_xj (lam u_yj),
+    z2 = -sum_j (lam u_xj)(lam u_yj).
+
+    Only lam*u, z1 and z2/2 are formed per call, by the same complex128
+    operations in the same order as the coefficient lists that the
+    bisection once built, and each bound is summed as
+    ``CPolynomial.sup_bound`` and ``CPolynomial.inf_lower_bound`` sum it:
+    sup = 0.0 + |c1| + |c0| (0.0 + |c1| is |c1|), inf = |c0| - fsum of the
+    rest (the fsum of one term is that term).  The routes are those of
+    ``obstacle.certify_avoidance``, tried shell by shell, so ``certified``
+    is its verdict on those coefficients; the first shell that no route
+    certifies (1-based) is returned with False, None with True.
     """
-    # The name and the pair are kept because perfbench/tracer.py patches
-    # this function by name and reads [0]; ROADMAP item 6 renames both.
-    sup_max = max(coeff_sup_bound(components[d]) for d in K.shell_dims)
-    inf_best = max(coeff_inf_lower_bound(components[d]) for d in K.shell_dims)
-    inf_disk = coeff_inf_lower_bound(components[K.disk_dim])
-    routes = avoidance_routes(sup_max, inf_best, inf_disk, radii, margin)
-    return "uncertified" not in routes, routes
+    # The name and [0] are kept because perfbench/tracer.py patches this
+    # function by name and reads [0]; ROADMAP item 6 renames both.
+    rows, z_mod, shell_read, disk_dim, limits = search
+    sups = []
+    infs = []
+    z1 = z2 = 0j
+    for x0, ux, uy, x0_mod, y0_mod in rows:
+        x1 = lam * ux
+        y1 = lam * uy
+        z1 -= x0 * y1
+        z2 -= x1 * y1
+        x1_mod = abs(x1)
+        y1_mod = abs(y1)
+        sups += (x1_mod + x0_mod, y1_mod + y0_mod)
+        infs += (x0_mod - x1_mod, y0_mod - y1_mod)
+    z1_mod = abs(z1)
+    z2_mod = abs(z2 / 2)
+    sups.append(z2_mod + z1_mod + z_mod)
+    infs.append(z_mod - math.fsum((z1_mod, z2_mod)))
+    sup_max = max(shell_read(sups))
+    inf_best = max(shell_read(infs))
+    inf_disk = infs[disk_dim]
+    for i, (inside, outside, z_escape) in enumerate(limits, start=1):
+        if not (sup_max < inside or inf_best > outside or inf_disk > z_escape):
+            return False, i
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +167,6 @@ def _linear_xy(p: ContactPoint, u: TangentVector, lam: float):
     return xs, ys
 
 
-def _float_linear_disk(p: ContactPoint, u: TangentVector, lam: float):
-    """complex128 coefficient lists (x_1, y_1, ..., x_n, y_n, z) of
-    ``_linear_disk(p, u, lam)``: z = p_z - sum_j x_j0 y_j1 zeta
-    - (sum_j x_j1 y_j1) zeta^2 / 2."""
-    xs, ys = _linear_xy(p, u, lam)
-    z1 = z2 = 0j
-    for (x0, x1), (_, y1) in zip(xs, ys):
-        z1 -= x0 * y1
-        z2 -= x1 * y1
-    return [c for xy in zip(xs, ys) for c in xy] + [[p.z, z1, z2 / 2]]
-
-
 def _linear_disk(p, u, lam: float) -> HolomorphicCurve:
     """The exact horizontal disk of ``_linear_xy``, z by integration."""
     xs, ys = _linear_xy(p, u, lam)
@@ -127,21 +176,23 @@ def _linear_disk(p, u, lam: float) -> HolomorphicCurve:
 
 def _largest_certified_scaling(p: ContactPoint, u: TangentVector,
                                K: ShellUnion, margin: float, cap: float):
-    """(lam, witness): the largest lam in [0, cap] whose exact linear disk
+    """(lam, witness): a lam in [0, cap] whose exact linear disk
     ``_linear_disk(p, u, lam)`` certifies avoidance of K, with that disk.
 
     The complex128 verdict bisects [0, cap] until the midpoint rounds onto
-    an end, so the ends are adjacent floats; the certified end is rebuilt
-    exactly and re-certified, one ulp lower at a time for at most
-    ``MAX_STEP_DOWNS`` scalings.  Returns (0.0, None) if no positive
+    an end, so the ends are adjacent floats.  The verdict is monotone in
+    lam only up to an ulp of its z bound, so the certified end is a
+    proposal: it is rebuilt exactly and re-certified, one ulp lower at a
+    time for at most ``MAX_STEP_DOWNS`` scalings, and only an exactly
+    certified disk is returned.  Returns (0.0, None) if no positive
     scaling certifies.
     """
     check_disk_dim(2 * p.n + 1, K)
-    radii = K.linear_shells()
+    check_margin(margin)
+    search = _disk_search(p, u, K, margin)
 
     def certifies(lam):
-        return _certification_shortfall(_float_linear_disk(p, u, lam), K,
-                                         radii, margin)[0]
+        return _certification_shortfall(search, lam)[0]
 
     lo, hi = (cap, cap) if certifies(cap) else (0.0, cap)
     mid = lo + (hi - lo) / 2

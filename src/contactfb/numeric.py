@@ -386,32 +386,20 @@ class CPolynomial:
 
     def sup_bound(self) -> float:
         """Certified upper bound sum_k |c_k| for sup over the closed unit
-        disk."""
-        return coeff_sup_bound(self.coeffs)
+        disk, summed highest power first."""
+        total = 0.0
+        for c in reversed(self.coeffs):
+            total += abs(c)
+        return total
 
     def inf_lower_bound(self) -> float:
-        """Certified lower bound |c_0| - sum_{k>=1} |c_k| for inf over the
-        closed unit disk (may be negative, in which case it is vacuous)."""
-        return coeff_inf_lower_bound(self.coeffs)
-
-
-# Coefficient-sum bounds on plain complex coefficient sequences (ascending
-# powers).  CPolynomial and the float disk searches share them, so both
-# round and sum in the same order.
-
-def coeff_sup_bound(coeffs) -> float:
-    """sum_k |c_k|, highest power first."""
-    total = 0.0
-    for c in reversed(coeffs):
-        total += abs(c)
-    return total
-
-
-def coeff_inf_lower_bound(coeffs) -> float:
-    """|c_0| - sum_{k>=1} |c_k| (exactly summed); 0 for no coefficients."""
-    if not coeffs:
-        return 0.0
-    return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
+        """Certified lower bound |c_0| - sum_{k>=1} |c_k| (exactly summed)
+        for inf over the closed unit disk (may be negative, in which case
+        it is vacuous); 0 for the zero polynomial."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0.0
+        return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
 
 
 def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class ShellUnion:
     def __post_init__(self):
         if self.radii is not None and len(self.radii) != len(self.shells):
             raise ValueError("radii must give one (a, b, c) per shell")
+        if not self.shell_dims:
+            raise ValueError("shell_dims must name at least one coordinate")
         if self.disk_dim in self.shell_dims:
             raise ValueError("disk_dim must not appear in shell_dims")
         prev_b = NEG_INF
@@ -138,11 +140,13 @@ def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:
 # the standard obstacle
 # ---------------------------------------------------------------------------
 
+@cache
 def standard_obstacle(n: int, i_max: int) -> ShellUnion:
     """Standard obstacle in C^(2n+1): degenerate bands a_i = b_i = 2^(i-1)
     on the 2n (x, y)-coordinates, height c_i = n * 2^(3i+1) on z, truncated
     at i_max.  These heights are the hyperbolicity constants under which
-    the derivative-bound certificate is valid.
+    the derivative-bound certificate is valid.  Each (n, i_max) is built
+    once; the union is frozen, so every caller may share it.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -207,27 +211,12 @@ class AvoidanceCheck:
     failed_shells: tuple[int, ...]
 
 
-def avoidance_routes(sup_max: float, inf_best: float, inf_disk: float,
-                     radii, margin: float):
-    """Per-shell routes from the three coefficient-sum bounds.
-
-    ``sup_max`` is the largest sup bound of the shell coordinates on the
-    closed unit disk, ``inf_best`` their largest certified inf, ``inf_disk``
-    the certified inf of the disk coordinate, and ``radii`` is
-    ``K.linear_shells()``.  Each route needs a strict inequality; a shell
-    none of them certifies is 'uncertified'.
-    """
-    routes = []
-    for a, b, c in radii:
-        if sup_max < a - margin:
-            routes.append("inside")
-        elif inf_best > b + margin:
-            routes.append("outside")
-        elif inf_disk > c + margin:
-            routes.append("z_escape")
-        else:
-            routes.append("uncertified")
-    return routes
+def check_margin(margin: float) -> None:
+    """Raise ValueError unless the avoidance margin is finite and >= 0: a
+    negative margin moves every route's limit across the shell, so disks
+    that meet K would certify."""
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
 
 
 def check_disk_dim(dim: int, K: ShellUnion) -> None:
@@ -239,14 +228,26 @@ def check_disk_dim(dim: int, K: ShellUnion) -> None:
 
 def certify_avoidance(components, K: ShellUnion,
                       margin: float = DEFAULT_AVOIDANCE_MARGIN) -> AvoidanceCheck:
-    """Certified check that the image of the closed unit disk misses K."""
+    """Certified check that the image of the closed unit disk misses K,
+    by the routes of ``AvoidanceCheck`` on coefficient-sum bounds.  Each
+    route needs a strict inequality; a shell none of them certifies is
+    'uncertified'."""
+    check_margin(margin)
     components = list(components)
     check_disk_dim(len(components), K)
     sup_max = max(components[d].sup_bound() for d in K.shell_dims)
     inf_best = max(components[d].inf_lower_bound() for d in K.shell_dims)
     inf_disk = components[K.disk_dim].inf_lower_bound()
-    routes = avoidance_routes(sup_max, inf_best, inf_disk,
-                              K.linear_shells(), margin)
+    routes = []
+    for a, b, c in K.linear_shells():
+        if sup_max < a - margin:
+            routes.append("inside")
+        elif inf_best > b + margin:
+            routes.append("outside")
+        elif inf_disk > c + margin:
+            routes.append("z_escape")
+        else:
+            routes.append("uncertified")
     failed = [i for i, r in enumerate(routes, start=1) if r == "uncertified"]
     return AvoidanceCheck(certified=not failed, routes=tuple(routes),
                           failed_shells=tuple(failed))

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contactfb import kobayashi
 from contactfb.contact import (
@@ -53,6 +54,40 @@ class TestSearchBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(lambda_budget=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", -0.5), ("margin", -5e-324), ("margin", math.inf),
+        ("margin", math.nan), ("lambda_budget", math.nan),
+        ("lambda_budget", math.inf), ("lambda_budget", -1.0),
+    ])
+    def test_unsound_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SearchBudget(**{field: value})
+
+    def test_negative_margin_certifies_nothing(self):
+        # at margin -0.5 the upper bound was 0.667 with witness x = 1.5 zeta,
+        # which meets shell 1 at |zeta| = 2/3; the contrapositive returned
+        # a_1 = 1 itself
+        K = standard_obstacle(1, 6)
+        with pytest.raises(ValueError, match="^margin"):
+            directed_norm_upper(ORIGIN, X_DIR, "complement", K,
+                                SearchBudget(margin=-0.5))
+        with pytest.raises(ValueError, match="^margin"):
+            max_certified_x_derivative(K, 1, margin=-0.5)
+
+    def test_nan_lambda_budget_gives_no_distance(self):
+        # cck_distance_upper returned NaN
+        q = ContactPoint((1 + 0j,), (0j,), 0j)
+        with pytest.raises(ValueError, match="^lambda_budget"):
+            cck_distance_upper(ORIGIN, q, SearchBudget(lambda_budget=math.nan))
+
+    def test_zero_margin_allowed(self):
+        upper, witness = directed_norm_upper(
+            ORIGIN, X_DIR, "complement", standard_obstacle(1, 4),
+            SearchBudget(margin=0.0))
+        assert upper == 1.0 / math.nextafter(1.0, 0.0)
+        assert certify_avoidance(witness.components, standard_obstacle(1, 4),
+                                 0.0).certified
 
 
 class TestNormBracket:
@@ -361,8 +396,94 @@ def _parent_float_legendrian(xs, ys, z0):
     return comps
 
 
+# The parent verdict, the complex128 verdict that each bisection step used
+# before ``_certification_shortfall`` became a per-step scalar verdict,
+# kept as its oracle: it rebuilt all 2n+1 coefficient lists and scored
+# them route by route.
+
+def _parent_float_linear_disk(p, u, lam):
+    """complex128 coefficient lists (x_1, y_1, ..., x_n, y_n, z) of
+    ``_linear_disk(p, u, lam)``: z = p_z - sum_j x_j0 y_j1 zeta
+    - (sum_j x_j1 y_j1) zeta^2 / 2."""
+    xs, ys = kobayashi._linear_xy(p, u, lam)
+    z1 = z2 = 0j
+    for (x0, x1), (_, y1) in zip(xs, ys):
+        z1 -= x0 * y1
+        z2 -= x1 * y1
+    return [c for xy in zip(xs, ys) for c in xy] + [[p.z, z1, z2 / 2]]
+
+
+def _parent_sup_bound(coeffs):
+    total = 0.0
+    for c in reversed(coeffs):
+        total += abs(c)
+    return total
+
+
+def _parent_inf_lower_bound(coeffs):
+    if not coeffs:
+        return 0.0
+    return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
+
+
+def _parent_verdict(p, u, K, margin, lam):
+    """(certified, routes) of the parent verdict's float linear disk."""
+    comps = _parent_float_linear_disk(p, u, lam)
+    sup_max = max(_parent_sup_bound(comps[d]) for d in K.shell_dims)
+    inf_best = max(_parent_inf_lower_bound(comps[d]) for d in K.shell_dims)
+    inf_disk = _parent_inf_lower_bound(comps[K.disk_dim])
+    routes = []
+    for a, b, c in K.linear_shells():
+        if sup_max < a - margin:
+            routes.append("inside")
+        elif inf_best > b + margin:
+            routes.append("outside")
+        elif inf_disk > c + margin:
+            routes.append("z_escape")
+        else:
+            routes.append("uncertified")
+    return "uncertified" not in routes, routes
+
+
+def _verdict(p, u, K, margin, lam):
+    return kobayashi._certification_shortfall(
+        kobayashi._disk_search(p, u, K, margin), lam)
+
+
+def _as_parent(parent):
+    """The parent verdict's (certified, routes) in the form of the new one:
+    (certified, first shell no route certifies, or None)."""
+    certified, routes = parent
+    return certified, None if certified else routes.index("uncertified") + 1
+
+
+def _outcome(verdict, *args):
+    """The verdict's result, or the type of the error it raised (fsum
+    raises OverflowError when two finite z moduli sum past float range)."""
+    try:
+        return verdict(*args)
+    except OverflowError as e:
+        return type(e)
+
+
+def _step_moduli_args(search, lam, monkeypatch):
+    """(verdict, the complex numbers whose moduli one step takes, in
+    order): lam*u_xj and lam*u_yj for each j, then z1 and z2/2."""
+    seen = []
+
+    def recording_abs(c):
+        seen.append(c)
+        return abs(c)
+
+    with monkeypatch.context() as m:
+        m.setattr(kobayashi, "abs", recording_abs, raising=False)
+        got = kobayashi._certification_shortfall(search, lam)
+    return got, seen
+
+
 class TestFloatScorer:
-    """The complex128 linear disk of the bisection against the exact one."""
+    """The per-step complex128 verdict of the bisection against the exact
+    disk and against the parent verdict."""
 
     def test_boundary_disk_is_not_certified(self):
         # sup_max == a_1 - margin: the strict 'inside' route fails on shell 1
@@ -372,14 +493,12 @@ class TestFloatScorer:
         f = kobayashi._linear_disk(p, X_DIR, 0.0)
         check = certify_avoidance(f.components, K, margin)
         assert not check.certified and check.failed_shells == (1,)
-        comps = kobayashi._float_linear_disk(p, X_DIR, 0.0)
-        got = kobayashi._certification_shortfall(comps, K, K.linear_shells(),
-                                                 margin)
-        assert got[0] is False
-        assert tuple(got[1]) == check.routes
+        assert _verdict(p, X_DIR, K, margin, 0.0) == (False, 1)
+        assert _as_parent(_parent_verdict(p, X_DIR, K, margin, 0.0)) == (
+            False, 1)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_agrees_with_exact_certifier(self, n):
+    def test_agrees_with_exact_certifier(self, n, monkeypatch):
         K = standard_obstacle(n, 6)
         radii = K.linear_shells()
         margin = DEFAULT_AVOIDANCE_MARGIN
@@ -403,24 +522,124 @@ class TestFloatScorer:
                 [rand_complex(rng.uniform(0.0, 1.0)) for _ in range(2 * n)]
                 + [0j])
             lam = 0.02 * r * rng.uniform(0.0, 1.0)
-            comps = kobayashi._float_linear_disk(p, u, lam)
+            search = kobayashi._disk_search(p, u, K, margin)
+            got, terms = _step_moduli_args(search, lam, monkeypatch)
+            # the lam-dependent coefficients: bit for bit those of the
+            # parent verdict's lists, and within rounding of the exact disk's
             f = kobayashi._linear_disk(p, u, lam)
+            comps = _parent_float_linear_disk(p, u, lam)
+            assert terms == [c[1] for c in comps[:-1]] + comps[-1][1:]
+            exact = [c.coeffs + (0j,) * (len(want) - len(c.coeffs))
+                     for c, want in zip(f.components, comps)]
             scale = max(abs(c) for comp in comps for c in comp)
-            for got_c, exact in zip(comps, f.components):
-                want = list(exact.coeffs) + [0j] * (len(got_c)
-                                                    - len(exact.coeffs))
-                assert len(got_c) == len(want)
-                for a, b in zip(got_c, want):
-                    assert abs(a - b) <= 1e-12 * scale
+            assert len(terms) == 2 * n + 2
+            for a, b in zip(terms, [c[1] for c in exact[:-1]]
+                            + list(exact[-1][1:])):
+                assert abs(a - b) <= 1e-12 * scale
             xs, ys = kobayashi._linear_xy(p, u, lam)
             assert comps == _parent_float_legendrian(xs, ys, p.z)
             check = certify_avoidance(f.components, K, margin)
-            got = kobayashi._certification_shortfall(comps, K, radii, margin)
             assert got[0] == check.certified
+            assert got == _as_parent(_parent_verdict(p, u, K, margin, lam))
             verdicts.add(got[0])
             routes.update(check.routes)
         assert verdicts == {True, False}
         assert {"inside", "outside", "z_escape", "uncertified"} <= routes
+
+
+def _horizontal(x, y, z, vx, vy):
+    """(p, v) with v_z = -sum_j x_j v_yj, so v is horizontal at p."""
+    p = ContactPoint(tuple(map(complex, x)), tuple(map(complex, y)),
+                     complex(z))
+    vz = -sum(a * b for a, b in zip(p.x, vy))
+    return p, TangentVector(tuple(map(complex, vx)),
+                            tuple(map(complex, vy)), vz)
+
+
+def _layouts(n):
+    """K layouts the verdict must read as the parent verdict does: the
+    standard obstacle, its log-only twin, shell coordinates in reverse
+    order, z as a shell coordinate with x_1 as the disk coordinate, and z
+    as the only shell coordinate."""
+    K = standard_obstacle(n, 6)
+    radii = K.linear_shells()
+    z = 2 * n
+    return [
+        K,
+        ShellUnion(K.shells, K.shell_dims, K.disk_dim),
+        ShellUnion.from_linear(radii, K.shell_dims[::-1], z),
+        ShellUnion.from_linear(radii, (z, *range(1, z)), 0),
+        ShellUnion.from_linear(radii, (z,), 0),
+    ]
+
+
+LAYOUTS = {n: _layouts(n) for n in (1, 2)}
+
+
+@st.composite
+def _disk_cases(draw):
+    """(p, u, K, margin): a centre with its largest (x, y) modulus in a gap
+    of standard_obstacle(n, 6), gap 6 lying beyond the last shell, |p_z|
+    log-uniform or just above the height of a shell beside the gap (where
+    the z route decides), and a horizontal direction scaled to max-norm
+    1."""
+    n = draw(st.sampled_from([1, 2]))
+    gap = draw(st.integers(0, 6))
+    lo, hi = (0.0 if gap == 0 else 2.0 ** (gap - 1)), 2.0 ** gap
+    mags = [draw(st.floats(0.0, 1.0)) for _ in range(2 * n)]
+    marked = draw(st.integers(0, 2 * n - 1))
+    top = lo + draw(st.floats(0.001, 0.999)) * (hi - lo)
+    mags = [top if d == marked else m * top for d, m in enumerate(mags)]
+    phases = [draw(st.floats(-math.pi, math.pi)) for _ in range(4 * n + 1)]
+    center = [m * cmath.exp(1j * t) for m, t in zip(mags, phases)]
+    shell = draw(st.sampled_from([max(gap, 1), min(gap + 1, 6)]))
+    z_mag = draw(st.one_of(
+        st.floats(-4.0, 22.0).map(lambda e: 2.0 ** e),
+        st.floats(-20.0, 12.0).map(
+            lambda e: n * 2.0 ** (3 * shell + 1) + 2.0 ** e)))
+    z = z_mag * cmath.exp(1j * phases[2 * n])
+    vmags = [draw(st.floats(0.0, 1.0)) for _ in range(2 * n)]
+    v = [m * cmath.exp(1j * t) for m, t in zip(vmags, phases[2 * n + 1:])]
+    assume(any(vmags))
+    p = ContactPoint(tuple(center[0::2]), tuple(center[1::2]), z)
+    vz = -sum(x * vy for x, vy in zip(p.x, v[1::2]))
+    v = TangentVector(tuple(v[0::2]), tuple(v[1::2]), vz)
+    K = draw(st.sampled_from(LAYOUTS[n]))
+    margin = draw(st.sampled_from([0.0, DEFAULT_AVOIDANCE_MARGIN, 0.25]))
+    return p, v.scaled(1.0 / v.maxnorm()), K, margin
+
+
+def _z_route_case(layout, x, y, z, vx, vy):
+    """An n = 1 case, margin 0.25, whose bisection ends where the z route
+    (the disk coordinate's inf against c_i + margin) stops certifying."""
+    p, v = _horizontal([x], [y], z, [vx], [vy])
+    return p, v.scaled(1.0 / v.maxnorm()), LAYOUTS[1][layout], 0.25
+
+
+class TestVerdictMatchesParent:
+    @settings(max_examples=200, deadline=None)
+    @example(case=_z_route_case(0, 1.52, 0.02, 131.8, 0.18, 0.89),
+             lam_exp=0.0, ulps=1)
+    @example(case=_z_route_case(2, 0.51, 0.36, 17.2, 0.82, 0.58),
+             lam_exp=0.0, ulps=-1)
+    @example(case=_z_route_case(3, 128.44, 1.31, 1.52, 0.27, 0.006),
+             lam_exp=0.0, ulps=1)
+    @given(case=_disk_cases(),
+           lam_exp=st.one_of(st.floats(-6.0, 3.0), st.floats(-320.0, 308.0)),
+           ulps=st.integers(-3, 3))
+    def test_equal_verdicts(self, case, lam_exp, ulps):
+        # a log-uniform scaling, and the scaling the bisection returns moved
+        # by up to 3 ulps either way, where the verdict flips
+        p, u, K, margin = case
+        found, _ = kobayashi._largest_certified_scaling(p, u, K, margin, 1e3)
+        near = found
+        for _ in range(abs(ulps)):
+            near = math.nextafter(near, math.copysign(math.inf, ulps))
+        for lam in (10.0 ** lam_exp, near):
+            want = _outcome(_parent_verdict, p, u, K, margin, lam)
+            if not isinstance(want, type):
+                want = _as_parent(want)
+            assert _outcome(_verdict, p, u, K, margin, lam) == want
 
 
 def _reject(K):
@@ -442,6 +661,33 @@ GOLDEN = [
     (P1, V1, standard_obstacle(1, 4), 1.027275383989232),
     (P2, V2, standard_obstacle(2, 4), 1.666669444449075),
 ]
+
+
+# (n, p, v, upper) on standard_obstacle(n, 6), pinned bit for bit: the
+# largest (x, y) modulus of p lies in the gaps (0, 1), (1, 2), ...,
+# (16, 32) and then beyond the last shell
+GAP_GOLDEN = [(1, *_horizontal(*args), want) for args, want in [
+    (([0.5 + 0.1j], [0.2j], 0.3, [1], [0.5j]), 2.040412205650878),
+    (([1.5], [0.4 + 0.3j], -0.2j, [0.5j], [1]), 1.000002000004),
+    (([0.7j], [3 + 0.5j], 1 + 1j, [1 + 1j], [0.25]), 0.4285496942190271),
+    (([5.5 - 1j], [2], 4j, [1], [1j]), 0.6288639983384978),
+    (([0.3], [11 + 2j], -10, [0.5], [1 - 0.5j]), 0.35154555168462825),
+    (([23j], [5], 100, [1], [0.75]), 0.14285716326530912),
+    (([40 + 3j], [10j], 1, [0.25j], [1]), 0.04011234224026316),
+]] + [(2, *_horizontal(*args), want) for args, want in [
+    (([0.5, 0.2j], [0.1, 0.6 + 0.2j], 0.3j, [1, 0.5], [0.5j, 0.25]),
+     2.0000040000080004),
+    (([1.25j, 0.5], [0.75, 0.3], -0.5, [0.5, 1j], [1, 0.25]),
+     2.0000080000320004),
+    (([0.5, 3.5], [1j, 2 - 1j], 2, [0.25, 1], [1j, 0.5]),
+     2.0000040000080017),
+    (([6 + 1j, 1], [2j, 3], 10j, [1, 0.5j], [0.5, 0.25]),
+     0.5215840694682523),
+    (([2, 0.5j], [12, 5 - 5j], -30, [0.5, 0.25], [1, 1j]),
+     0.2500000625000156),
+    (([20, 4j], [8, 1], 7, [1j, 0.5], [0.25, 1]), 0.25000006250001583),
+    (([1, 50], [3j, 2], 0.5, [1, 0.25j], [0.5, 1]), 0.0505),
+]]
 
 
 def _scaling(p, v, K, cap=1e3):
@@ -496,6 +742,55 @@ class TestLargestCertifiedScaling:
             assert trial <= lam
 
 
+def _bisection_path(monkeypatch, run, verdict):
+    """(the scalings at which the bisection asks ``verdict``, in order, and
+    the result of ``run``) with ``verdict`` in place of the step verdict."""
+    lams = []
+
+    def recording(search, lam):
+        lams.append(lam)
+        return verdict(search, lam)
+
+    with monkeypatch.context() as m:
+        m.setattr(kobayashi, "_certification_shortfall", recording)
+        result = run()
+    return lams, result
+
+
+def _path_cases():
+    """(run, p, u, K, margin): the GOLDEN upper bounds and the
+    contrapositive on three obstacles."""
+    margin = DEFAULT_AVOIDANCE_MARGIN
+    for i, (p, v, K, _) in enumerate(GOLDEN):
+        yield pytest.param(
+            lambda p=p, v=v, K=K: directed_norm_upper(p, v, "complement", K),
+            p, v.scaled(1.0 / v.maxnorm()), K, margin, id=f"golden{i}")
+    for n, i_max in [(1, 4), (1, 6), (2, 6)]:
+        K = standard_obstacle(n, i_max)
+        zero = (0j,) * n
+        yield pytest.param(
+            lambda K=K, n=n: max_certified_x_derivative(K, n),
+            ContactPoint(zero, zero, 0j),
+            TangentVector((1 + 0j,) + zero[1:], zero, 0j), K, margin,
+            id=f"x_derivative-n{n}-i{i_max}")
+
+
+class TestBisectionPath:
+    @pytest.mark.parametrize("run, p, u, K, margin", list(_path_cases()))
+    def test_same_scalings_as_parent(self, monkeypatch, run, p, u, K,
+                                     margin):
+        new = kobayashi._certification_shortfall
+        lams, (value, witness) = _bisection_path(monkeypatch, run, new)
+        parent_lams, (parent_value, parent_witness) = _bisection_path(
+            monkeypatch, run,
+            lambda search, lam: _as_parent(
+                _parent_verdict(p, u, K, margin, lam)))
+        assert len(lams) > 50
+        assert lams == parent_lams
+        assert value == parent_value
+        assert witness.components == parent_witness.components
+
+
 class TestExactRecertification:
     K = standard_obstacle(1, 4)
 
@@ -541,3 +836,15 @@ class TestGoldenValues:
     def test_max_certified_x_derivative(self):
         got, _ = max_certified_x_derivative(standard_obstacle(1, 4), n=1)
         assert got == 0.9999989999999999  # nextafter(1 - 1e-6, 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_max_certified_x_derivative_six_shells(self, n):
+        got, _ = max_certified_x_derivative(standard_obstacle(n, 6), n)
+        assert got == 0.9999989999999999
+
+    @pytest.mark.parametrize("n, p, v, want", GAP_GOLDEN)
+    def test_upper_bound_in_every_gap(self, n, p, v, want):
+        K = standard_obstacle(n, 6)
+        upper, witness = directed_norm_upper(p, v, "complement", K)
+        assert upper == want
+        assert certify_avoidance(witness.components, K).certified

@@ -44,6 +44,11 @@ class TestShellUnion:
         assert log_only.linear_shells()[3][0] == 7.999999999999998
         assert K.linear_shells()[3][0] == 8.0
 
+    def test_no_shell_coordinate_refused(self):
+        # certify_avoidance took the max of no sup bounds
+        with pytest.raises(ValueError, match="^shell_dims must name"):
+            ShellUnion.from_linear([(1, 1, 16)], (), 0)
+
     def test_radii_count_checked(self):
         K = standard_obstacle(1, 2)
         with pytest.raises(ValueError, match="one \\(a, b, c\\) per shell"):
@@ -164,6 +169,13 @@ class TestStandardObstacle:
         K = standard_obstacle(2, 2)
         assert K.shell_dims == (0, 1, 2, 3) and K.disk_dim == 4
 
+    @pytest.mark.parametrize("n, i_max", [(1, 4), (2, 6), (3, 1)])
+    def test_built_once(self, n, i_max):
+        K = standard_obstacle(n, i_max)
+        assert standard_obstacle(n, i_max) is K
+        assert K == standard_obstacle.__wrapped__(n, i_max)
+        assert K != standard_obstacle(n, i_max + 1)
+
 
 # the three hand-written forms of the lemma's comparison that
 # ``BoundCertificate.ratio`` replaced: the directed-norm lower bound's
@@ -278,6 +290,23 @@ class TestCertifyAvoidance:
         comps = [CPolynomial([0, 0.9995]), CPolynomial([0]), CPolynomial([0])]
         assert certify_avoidance(comps, self.K, margin=1e-6).certified
         assert not certify_avoidance(comps, self.K, margin=1e-2).certified
+
+    @pytest.mark.parametrize("margin", [-0.5, -5e-324, math.inf, math.nan])
+    def test_unsound_margin_refused(self, margin):
+        # the constant disk (1, 0, 0) lies on shell 1 of
+        # standard_obstacle(1, 6); at margin -0.5 the 'inside' route
+        # certified it
+        K = standard_obstacle(1, 6)
+        comps = [CPolynomial([1]), CPolynomial([0]), CPolynomial([0])]
+        with pytest.raises(ValueError, match="^margin must be finite and >= "):
+            certify_avoidance(comps, K, margin)
+        f = legendrian_from_xy([CPolynomial([1])], [CPolynomial([0])], 0)
+        with pytest.raises(ValueError, match="^margin"):
+            verify_disk_estimate(f, K, N0=1, margin=margin)
+
+    def test_zero_margin_allowed(self):
+        comps = [CPolynomial([0, 0.5]), CPolynomial([0]), CPolynomial([0])]
+        assert certify_avoidance(comps, self.K, 0.0).certified
 
     @pytest.mark.parametrize("n_disk, n_K", [(2, 1), (1, 2)])
     def test_dimension_mismatch_named(self, n_disk, n_K):
