@@ -17,6 +17,7 @@ from .numeric import (
     CPolynomial,
     DEGREE_CAP,
     DegreeCapError,
+    derivative_dot,
     poly_mul_capped,
 )
 
@@ -158,12 +159,10 @@ def check_horizontal(p: ContactPoint, v: TangentVector) -> None:
 def horizontality_residual(f: HolomorphicCurve) -> CPolynomial:
     """The exact coefficient-level polynomial z' + sum_j x_j * y_j'.
 
-    The curve is horizontal iff this is the zero polynomial.
+    The curve is horizontal iff this is the zero polynomial.  It is one
+    packed integer evaluation (``numeric.derivative_dot``), exact.
     """
-    res = f.z.derivative()
-    for xj, yj in zip(f.x, f.y):
-        res = res + xj * yj.derivative()
-    return res
+    return derivative_dot(zip(f.x, f.y), f.z)
 
 
 def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:

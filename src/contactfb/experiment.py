@@ -8,7 +8,6 @@ and the serialized push-out construction.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -283,12 +282,25 @@ class RunReport:
 
 
 def _environment_stamp() -> dict:
+    """Package, Python and numpy versions and the platform, read without
+    starting a process.
+
+    The platform is system-release-machine-with-libc, from the
+    ``os.uname`` fields of ``platform.uname()`` and from
+    ``platform.libc_ver()``, which reads ``confstr``.  The processor field
+    is never read: ``platform.platform()`` runs ``uname -p`` to get it, then
+    drops it when it is empty or equals the machine, and on such a Linux
+    host the two strings are equal.
+    """
     from . import __version__
+    u = platform.uname()
+    libc = "".join(platform.libc_ver())
     return {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join((u.system, u.release, u.machine)
+                             + (("with", libc) if libc else ())),
     }
 
 
@@ -418,11 +430,14 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
 def _write_orbit_csv(path: str, log_mag, phase, logs) -> None:
     """One row per point and round: the point's coordinates, read from the
     columns of coordinate-major (dim, m) log-polar arrays, as
-    ``log_mag@phase`` entries, and its (m, k) ``logs`` row."""
+    ``log_mag@phase`` entries, and its (m, k) ``logs`` row.
+
+    The rows are the bytes ``csv.writer`` writes: ints, float reprs (which
+    may read inf, -inf or nan) and fixed words hold no comma, quote or
+    newline, so no field is quoted, and each row ends in "\\r\\n"."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_index", "coordinates", "round",
-                    "log_magnitude", "classification"])
+        fh.write("point_index,coordinates,round,log_magnitude,"
+                 "classification\r\n")
         for idx, (lms, phs) in enumerate(zip(log_mag.T.tolist(),
                                              phase.T.tolist())):
             coords = ";".join(repr(lm) + "@" + repr(ph)
@@ -430,8 +445,8 @@ def _write_orbit_csv(path: str, log_mag, phase, logs) -> None:
             row = logs[idx].tolist()
             cls = ("escaped" if first_escape_round(row) is not None
                    else "bounded-so-far")
-            for k, lm in enumerate(row, start=1):
-                w.writerow([idx, coords, k, repr(lm), cls])
+            fh.write("".join(f"{idx},{coords},{k},{lm!r},{cls}\r\n"
+                             for k, lm in enumerate(row, start=1)))
 
 
 def _kobayashi_checks(cfg: ExperimentConfig, checks: list) -> None:

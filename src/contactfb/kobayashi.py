@@ -123,10 +123,13 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     bisection once built, and each bound is summed as
     ``CPolynomial.sup_bound`` and ``CPolynomial.inf_lower_bound`` sum it:
     sup = 0.0 + |c1| + |c0| (0.0 + |c1| is |c1|), inf = |c0| - fsum of the
-    rest (the fsum of one term is that term).  The routes are those of
-    ``obstacle.certify_avoidance``, tried shell by shell, so ``certified``
-    is its verdict on those coefficients; the first shell that no route
-    certifies (1-based) is returned with False, None with True.
+    rest (the fsum of one term is that term, and of two it is their
+    correctly rounded sum, which float + gives; a sum past float range is
+    +inf here, so the bound is -inf, as ``inf_lower_bound`` gives).  The
+    routes are those of ``obstacle.certify_avoidance``, tried shell by
+    shell, so ``certified`` is its verdict on those coefficients; the
+    first shell that no route certifies (1-based) is returned with False,
+    None with True.
     """
     # The name and [0] are kept because perfbench/tracer.py patches this
     # function by name and reads [0]; ROADMAP item 6 renames both.
@@ -146,7 +149,7 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     z1_mod = abs(z1)
     z2_mod = abs(z2 / 2)
     sups.append(z2_mod + z1_mod + z_mod)
-    infs.append(z_mod - math.fsum((z1_mod, z2_mod)))
+    infs.append(z_mod - (z1_mod + z2_mod))
     sup_max = max(shell_read(sups))
     inf_best = max(shell_read(infs))
     inf_disk = infs[disk_dim]

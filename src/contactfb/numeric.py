@@ -25,6 +25,18 @@ Two representations carry the whole package:
   exact integer work, which is what lets horizontality be verified as "the
   residual is the identically-zero polynomial" with zero tolerance.
   Evaluation and sup bounds convert once to complex128 (correctly rounded).
+
+  The sum of products sum_j a_j * b_j' + c' (the horizontality residual)
+  is one packed integer evaluation, ``derivative_dot``: over one common
+  denominator each real and imaginary part is read as an integer
+  polynomial at X = 2^w, with w wide enough that every coefficient of the
+  result is one signed base-2^w digit (Kronecker substitution), so a pair
+  costs three big-integer products (Gauss) and the result is read back
+  once, or not at all when it is zero.  A single product,
+  ``CPolynomial.__mul__``, keeps its schoolbook loop: at the degree <= 2
+  products of the linear disks and path segments that call it, packing
+  and reading back cost more than the loop (10 against 3.7 us for a
+  degree 1 by degree 0 product, on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -395,11 +408,15 @@ class CPolynomial:
     def inf_lower_bound(self) -> float:
         """Certified lower bound |c_0| - sum_{k>=1} |c_k| (exactly summed)
         for inf over the closed unit disk (may be negative, in which case
-        it is vacuous); 0 for the zero polynomial."""
+        it is vacuous); 0 for the zero polynomial, and -inf when the moduli
+        sum past float range."""
         coeffs = self.coeffs
         if not coeffs:
             return 0.0
-        return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
+        try:
+            return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
+        except OverflowError:  # finite moduli whose sum is not
+            return NEG_INF
 
 
 def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:
@@ -408,6 +425,86 @@ def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:
         raise DegreeCapError(f"product degree {a.degree + b.degree} "
                              f"exceeds cap {DEGREE_CAP}")
     return a * b
+
+
+def _height(num) -> int:
+    """The largest |part| over the (re, im) numerator pairs; 0 for none."""
+    return max(map(abs, chain.from_iterable(num)), default=0)
+
+
+def _pack(num, w: int, derive: bool) -> tuple[int, int]:
+    """The real and the imaginary numerator polynomial at X = 2^w, of the
+    polynomial itself or, with ``derive``, of its derivative."""
+    re = im = 0
+    if derive:
+        for k in range(len(num) - 1, 0, -1):
+            r, i = num[k]
+            re = (re << w) + k * r
+            im = (im << w) + k * i
+    else:
+        for r, i in reversed(num):
+            re = (re << w) + r
+            im = (im << w) + i
+    return re, im
+
+
+def _unpack(v: int, w: int, m: int) -> list:
+    """The m signed base-2^w digits of v, each in [-2^(w-1), 2^(w-1))."""
+    half, full = 1 << (w - 1), 1 << w
+    out = []
+    for _ in range(m):
+        d = v & (full - 1)  # v mod 2^w, also for negative v
+        if d >= half:
+            d -= full
+        out.append(d)
+        v = (v - d) >> w
+    return out
+
+
+def derivative_dot(pairs, plus: CPolynomial) -> CPolynomial:
+    """sum_j a_j * b_j' + plus' over the (a_j, b_j) of ``pairs``, exactly.
+
+    Every term goes over one denominator D, a multiple of each d_a d_b and
+    of d_plus, and the derivatives are taken inside the packing, so none is
+    built and reduced on its own.  The real and the imaginary part of every
+    coefficient of D times the result are bounded by
+    sum_j 2 min(len a_j, deg b_j) H(a_j) deg(b_j) H(b_j) D / (d_aj d_bj)
+    plus deg(plus) H(plus) D / d_plus, H the largest numerator part (so
+    deg(b) H(b) bounds the parts of b'), and the slot width w puts 2^(w-1)
+    above that bound.  So the real and the imaginary part of the result at
+    X = 2^w, two Python ints summed with three products per pair (Gauss),
+    hold each coefficient as one signed base-2^w digit.  When both are 0
+    the result is the zero polynomial, read without unpacking; otherwise
+    the digits are read back once and reduced once, to the canonical form
+    that the derivative, product and sum operators give.
+    """
+    pairs = [(a, b) for a, b in pairs if a._num and len(b._num) > 1]
+    den = math.lcm(plus._den, *(a._den * b._den for a, b in pairs))
+    deg = max(len(plus._num) - 1, 0)
+    scale = den // plus._den
+    bound = deg * _height(plus._num) * scale
+    m = deg
+    scales = []
+    for a, b in pairs:
+        s = den // (a._den * b._den)
+        la, lb = len(a._num), len(b._num) - 1
+        bound += 2 * min(la, lb) * _height(a._num) * lb * _height(b._num) * s
+        m = max(m, la + lb - 1)
+        scales.append(s)
+    w = bound.bit_length() + 1
+    re, im = _pack(plus._num, w, True)
+    re *= scale
+    im *= scale
+    for (a, b), s in zip(pairs, scales):
+        ar, ai = _pack(a._num, w, False)
+        br, bi = _pack(b._num, w, True)
+        rr, ii = ar * br, ai * bi
+        re += (rr - ii) * s
+        im += ((ar + ai) * (br + bi) - rr - ii) * s
+    if not (re or im):
+        return CPolynomial()
+    return CPolynomial._make(list(zip(_unpack(re, w, m), _unpack(im, w, m))),
+                             den)
 
 
 # ---------------------------------------------------------------------------
@@ -434,5 +531,7 @@ def sample_polydisk(dim: int, R: float, count: int, seed: int):
         radii = R * np.sqrt(rng.random((extra, dim)))
         angles = rng.uniform(-math.pi, math.pi, (extra, dim))
         pts = radii * np.exp(1j * angles)
-        out.extend(tuple(complex(z) for z in row) for row in pts)
+        # tolist gives the same Python complex values as complex() of each
+        # element, in one call
+        out.extend(map(tuple, pts.tolist()))
     return out

@@ -21,12 +21,15 @@ logs from them.  The certificate side (``certify_avoidance`` and the
 kobayashi bounds) reads the kept radii through ``linear_shells``; point
 membership reads the logs.  The push-out recursion's computed unions are
 log-only, because their radii overflow any native float within a few
-rounds; their linear radii are read through exp, once per union.
+rounds; their linear radii are read through exp, once per union, and
+rounded outward (a down, b and c up), so a certificate on them rests on
+no rounding of the stored log or of exp.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -114,7 +117,32 @@ class ShellUnion:
 
     @cached_property
     def _exp_radii(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((s.a, s.b, s.c) for s in self.shells)
+        """(a, b, c) of each band, a rounded down and b, c rounded up
+        (``_exp_outward``): every route compares strictly, so a smaller a
+        and a larger b and c can only refuse more."""
+        return tuple((_exp_outward(s.log_a, False),
+                      _exp_outward(s.log_b, True),
+                      _exp_outward(s.log_c, True)) for s in self.shells)
+
+
+def _exp_outward(log: float, up: bool) -> float:
+    """A float at or above (``up``) or at or below every radius whose
+    natural log rounds to ``log``.
+
+    The log is moved one float outward first, so the radius of any point
+    that ``membership_margin`` reads on the band's edge is covered; exp's
+    result is then moved one float outward, which covers exp's own error
+    if it is below 1 ulp, as glibc's is (CPython's ``math.exp`` is the
+    platform libm's).  Past float range a radius below is the largest
+    float and one above is inf.
+    """
+    try:
+        if up:
+            return math.nextafter(math.exp(math.nextafter(log, math.inf)),
+                                  math.inf)
+        return math.nextafter(math.exp(math.nextafter(log, -math.inf)), 0.0)
+    except OverflowError:
+        return math.inf if up else sys.float_info.max
 
 
 def membership_margin(K: ShellUnion, log_mag: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactfb.contact import (
     ContactPoint,
@@ -113,6 +113,74 @@ class TestHorizontality:
         f = HolomorphicCurve((CPolynomial([0, 1]), CPolynomial([0, 1]),
                               CPolynomial([0, 1])))
         assert not horizontality_residual(f).is_zero
+
+
+def _parent_residual(f):
+    """``horizontality_residual`` as a loop of exact derivatives, products
+    and sums, the form one packed evaluation replaced, kept as its
+    reference."""
+    res = f.z.derivative()
+    for xj, yj in zip(f.x, f.y):
+        res = res + xj * yj.derivative()
+    return res
+
+
+@st.composite
+def _polys(draw):
+    """The zero polynomial, a constant, or degree 0-12, at a coefficient
+    scale from 1e-30 to 1e30."""
+    kind = draw(st.sampled_from(["zero", "constant", "general"]))
+    if kind == "zero":
+        return CPolynomial()
+    degree = 0 if kind == "constant" else draw(st.integers(0, 12))
+    scale = 10.0 ** draw(st.floats(-30.0, 30.0))
+    parts = st.floats(-1.0, 1.0)
+    return CPolynomial([complex(draw(parts), draw(parts)) * scale
+                        for _ in range(degree + 1)])
+
+
+@st.composite
+def _curves(draw):
+    """A curve from ``legendrian_from_xy`` with n in {1, 2, 3}, raw or with
+    one component perturbed (so mostly not horizontal), maybe negated."""
+    n = draw(st.integers(1, 3))
+    xs = [draw(_polys()) for _ in range(n)]
+    ys = [draw(_polys()) for _ in range(n)]
+    comps = list(legendrian_from_xy(xs, ys, z0=draw(st.complex_numbers(
+        max_magnitude=1e6, allow_nan=False, allow_infinity=False))).components)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, 2 * n))
+        comps[j] = comps[j] + draw(_polys())
+    if draw(st.booleans()):
+        comps = [-c for c in comps]
+    return HolomorphicCurve(tuple(comps))
+
+
+def _curve(*comps):
+    return HolomorphicCurve(tuple(CPolynomial(c) for c in comps))
+
+
+class TestPackedResidual:
+    """The packed residual against the parent's loop: the same canonical
+    polynomial on every curve, horizontal or not."""
+
+    @given(_curves())
+    @settings(max_examples=300, deadline=None)
+    # each coefficient reaches its slot's bound: one bit narrower and the
+    # digit no longer fits
+    @example(_curve([0], [0], [0, 0, 0, 1]))
+    @example(_curve([1 + 1j], [0, 1 - 1j], [0]))
+    @example(_curve([0.5], [0, 3], [0, -1.5]))  # horizontal, zero
+    @example(_curve([], [], []))
+    def test_equals_parent_loop(self, f):
+        got, want = horizontality_residual(f), _parent_residual(f)
+        assert got == want
+        assert got._num == want._num and got._den == want._den
+
+    def test_nonhorizontal_value(self):
+        # z' + x y' = 1 + t * 2t for x = t, y = t^2, z = t
+        f = _curve([0, 1], [0, 0, 1], [0, 1])
+        assert horizontality_residual(f) == CPolynomial([1, 0, 2])
 
 
 class TestLegendrianLine:

@@ -1,5 +1,8 @@
 
+import csv
 import math
+import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -7,13 +10,16 @@ import pytest
 from contactfb import experiment
 from contactfb.experiment import (
     ExperimentConfig,
+    _environment_stamp,
     _sample_shell_points,
+    _write_orbit_csv,
     run_experiment,
 )
 from contactfb.fatou_bieberbach import (
     EpsSchedule,
     build_pushout,
     desk_schedule,
+    first_escape_round,
 )
 from contactfb.obstacle import membership_margin
 
@@ -106,3 +112,63 @@ def test_kobayashi_suite_in_dimension_n(monkeypatch):
                     ("full_space", 2, 2, None)]
     assert values[2] == values[1]
     assert values[2]["kobayashi/origin-bracket"][0] == 1.0000010000010002
+
+
+def _parent_write_orbit_csv(path, log_mag, phase, logs):
+    """``_write_orbit_csv`` through ``csv.writer``, the form the hand-written
+    rows replaced, kept as its byte-for-byte reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["point_index", "coordinates", "round",
+                    "log_magnitude", "classification"])
+        for idx, (lms, phs) in enumerate(zip(log_mag.T.tolist(),
+                                             phase.T.tolist())):
+            coords = ";".join(repr(lm) + "@" + repr(ph)
+                              for lm, ph in zip(lms, phs))
+            row = logs[idx].tolist()
+            cls = ("escaped" if first_escape_round(row) is not None
+                   else "bounded-so-far")
+            for k, lm in enumerate(row, start=1):
+                w.writerow([idx, coords, k, repr(lm), cls])
+
+
+def test_orbit_csv_bytes_equal_csv_writer(tmp_path):
+    # every float repr a row can hold: infinities, nan, signed zero, the
+    # largest and the smallest positive float
+    odd = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, 5e-324, -2.5]
+    rng = np.random.default_rng(4)
+    log_mag = rng.choice(odd, (3, 40))
+    phase = rng.choice(odd, (3, 40))
+    logs = rng.choice(odd + [0.1, 5.0, 50.0], (40, 6))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_orbit_csv(str(got), log_mag, phase, logs)
+    _parent_write_orbit_csv(str(want), log_mag, phase, logs)
+    text = got.read_bytes()
+    assert text == want.read_bytes()
+    for word in (b"inf", b"-inf", b"nan", b"-0.0", b"1e+308", b"5e-324"):
+        assert word in text
+
+
+def test_run_starts_no_process(tmp_path, monkeypatch):
+    # platform.platform() runs `uname -p` once per interpreter to read the
+    # processor; with its caches cleared the parent stamp started it here
+    started = []
+
+    def refuse(*args, **kwargs):
+        started.append(args)
+        raise RuntimeError("a process was started")
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    report = run_experiment(ExperimentConfig(), "all", str(tmp_path))
+    assert report.passed and not started
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "report.json", "orbits.csv", "pushout_state.json"}
+
+
+def test_platform_string():
+    got = _environment_stamp()["platform"]
+    u = platform.uname()
+    assert got.startswith(f"{u.system}-{u.release}-{u.machine}")
+    if u.system == "Linux" and u.processor in ("", u.machine):
+        assert got == platform.platform()

@@ -458,8 +458,9 @@ def _as_parent(parent):
 
 
 def _outcome(verdict, *args):
-    """The verdict's result, or the type of the error it raised (fsum
-    raises OverflowError when two finite z moduli sum past float range)."""
+    """The verdict's result, or the type of the error it raised (the
+    parent's fsum raised OverflowError when two finite z moduli summed past
+    float range)."""
     try:
         return verdict(*args)
     except OverflowError as e:
@@ -616,8 +617,16 @@ def _z_route_case(layout, x, y, z, vx, vy):
     return p, v.scaled(1.0 / v.maxnorm()), LAYOUTS[1][layout], 0.25
 
 
+# |z1| = 1.5e308 and |z2/2| = 7.5e307 at lam = 1e154: the parent's fsum of
+# the two z moduli overflowed
+_Z_OVERFLOW = (ContactPoint((1e154 + 0j,), (0j,), 0j),
+               TangentVector((1 + 0j,), (1.5 + 0j,), -1.5e154 + 0j),
+               standard_obstacle(1, 6), 0.0)
+
+
 class TestVerdictMatchesParent:
     @settings(max_examples=200, deadline=None)
+    @example(case=_Z_OVERFLOW, lam_exp=154.0, ulps=0)
     @example(case=_z_route_case(0, 1.52, 0.02, 131.8, 0.18, 0.89),
              lam_exp=0.0, ulps=1)
     @example(case=_z_route_case(2, 0.51, 0.36, 17.2, 0.82, 0.58),
@@ -637,9 +646,22 @@ class TestVerdictMatchesParent:
             near = math.nextafter(near, math.copysign(math.inf, ulps))
         for lam in (10.0 ** lam_exp, near):
             want = _outcome(_parent_verdict, p, u, K, margin, lam)
-            if not isinstance(want, type):
+            if want is OverflowError:
+                # the z bound is now -inf, as inf_lower_bound gives on the
+                # same coefficient lists
+                chk = certify_avoidance(
+                    [CPolynomial(c) for c in _parent_float_linear_disk(
+                        p, u, lam)], K, margin)
+                want = _as_parent((chk.certified, chk.routes))
+            else:
                 want = _as_parent(want)
-            assert _outcome(_verdict, p, u, K, margin, lam) == want
+            assert _verdict(p, u, K, margin, lam) == want
+
+    def test_z_moduli_past_float_range(self):
+        p, u, K, margin = _Z_OVERFLOW
+        assert _outcome(_parent_verdict, p, u, K, margin, 1e154) \
+            is OverflowError
+        assert _verdict(p, u, K, margin, 1e154) == (False, 1)
 
 
 def _reject(K):

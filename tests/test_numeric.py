@@ -156,6 +156,11 @@ class TestScaledComplex:
     @example(([0.0, -745.1332191019411, -745.14, -746.0],
               [0.5, -2.0, 1.0, math.nan]))
     @example(([0.0, -745.1332191019411], [0.5, math.nan]))
+    # log-moduli one ulp apart at |hi| = 162: |g - w| = 2.85e-14
+    @example(([-200.0, -201.0, -162.23108921936773, -192.1321057977034,
+               -200.0, -200.0, -192.1328125, -192.130859375],
+              [0.0, 0.0, -3.5225300495792595, 3.830078125, 0.0, 0.0,
+               3.141592653589793, 3.141592653589793]))
     def test_polar_sum_equals_array_row(self, row):
         log_mags, phases = row
         got = polar_sum(log_mags, phases)
@@ -165,11 +170,13 @@ class TestScaledComplex:
             assert np.array_equal(got, want, equal_nan=True)
             return
         # otherwise both are the sum relative to the largest summand, to
-        # the rounding of exp, log and the angle
+        # the rounding of exp, log and the angle; each returned log is
+        # hi + log|sum| rounded at the scale of |hi|, so the two may lie an
+        # ulp or two of |hi| apart, which moves |w| by that much relative
         hi = max(log_mags)
         g = cmath.rect(math.exp(got[0] - hi), got[1])
         w = cmath.rect(math.exp(want[0] - hi), want[1])
-        assert abs(g - w) <= 1e-14
+        assert abs(g - w) <= 1e-14 + 4 * abs(w) * math.ulp(abs(hi))
         if abs(w) >= 0.1:  # away from cancellation the logs agree too
             assert got[0] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
 
@@ -632,7 +639,42 @@ class TestExactness:
 # sampling
 # ---------------------------------------------------------------------------
 
+def _parent_sample_polydisk(dim, R, count, seed):
+    """``sample_polydisk`` with one ``complex()`` per element, the form that
+    ``tolist`` replaced, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    out = [tuple(0j for _ in range(dim))]
+    if count >= 2:
+        out.append(tuple(complex(R, 0.0) for _ in range(dim)))
+    extra = count - len(out)
+    if extra > 0:
+        radii = R * np.sqrt(rng.random((extra, dim)))
+        angles = rng.uniform(-math.pi, math.pi, (extra, dim))
+        pts = radii * np.exp(1j * angles)
+        out.extend(tuple(complex(z) for z in row) for row in pts)
+    return out
+
+
 class TestSamplePolydisk:
+    @pytest.mark.parametrize("dim,R,count,seed", [
+        (1, 1.0, 1, 0), (2, 0.25, 2, 3), (2, 0.25, 100, 99), (3, 0.9, 100, 7),
+        (4, 6.0, 1000, 17),
+        # subnormal radii; at 5e-324 parts underflow to zeros of both signs
+        (2, 5e-324, 200, 5), (3, 1e-320, 200, 6)])
+    def test_equals_parent(self, dim, R, count, seed):
+        got = sample_polydisk(dim, R, count, seed=seed)
+        want = _parent_sample_polydisk(dim, R, count, seed)
+        assert type(got) is list and len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert type(g) is tuple and len(g) == dim
+            assert all(type(c) is complex for c in g)
+            assert list(map(repr, g)) == list(map(repr, w))
+        if R == 5e-324:
+            signs = {math.copysign(1.0, part) for pt in got[2:] for c in pt
+                     for part in (c.real, c.imag) if part == 0.0}
+            assert signs == {1.0, -1.0}
+
+
     def test_structure(self):
         pts = sample_polydisk(3, 2.0, 50, seed=7)
         assert len(pts) == 50

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,19 +30,33 @@ class TestShellUnion:
                                         math.log(10))
 
     def test_log_only_radii_read_through_exp_once(self):
+        # a from the log one float down, b and c from the log one float
+        # up, each exp then one float outward; exp(800) is past float range
         bands = (ShellBand(0.5, 1.0, 2.0), ShellBand(1.5, 2.5, 800.0))
         K = ShellUnion(bands, (0,), 1)
         assert K.radii is None
         radii = K.linear_shells()
-        assert radii == ((math.exp(0.5), math.exp(1.0), math.exp(2.0)),
-                         (math.exp(1.5), math.exp(2.5), math.inf))
+
+        def down(log):
+            return math.nextafter(math.exp(math.nextafter(log, -math.inf)),
+                                  0.0)
+
+        def up(log):
+            return math.nextafter(math.exp(math.nextafter(log, math.inf)),
+                                  math.inf)
+        assert radii == ((down(0.5), up(1.0), up(2.0)),
+                         (down(1.5), up(2.5), math.inf))
+        for (a, b, c), s in zip(radii, bands):
+            assert a < math.exp(s.log_a) and b > math.exp(s.log_b)
         assert K.linear_shells() is radii
 
     def test_kept_radii_are_part_of_equality(self):
         K = standard_obstacle(1, 4)
         log_only = ShellUnion(K.shells, K.shell_dims, K.disk_dim)
         assert log_only != K
-        assert log_only.linear_shells()[3][0] == 7.999999999999998
+        # exp(log 8) reads 7.999999999999998; the log-only radii enclose 8
+        a, b, _ = log_only.linear_shells()[3]
+        assert a < 8.0 < b
         assert K.linear_shells()[3][0] == 8.0
 
     def test_no_shell_coordinate_refused(self):
@@ -73,6 +88,27 @@ class TestShellUnion:
     def test_huge_log_radii(self):
         K = ShellUnion((ShellBand(1e6, 2e6, 1e5),), (0,), 1)
         assert K.shells[0].a == math.inf  # beyond native float range
+        # the certificate side reads a radius below a as the largest float
+        assert K.linear_shells() == ((sys.float_info.max, math.inf,
+                                      math.inf),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-700.0, 709.0))
+    def test_log_only_radii_enclose_the_band(self, log):
+        # every float whose log reads the band's edge, as membership_margin
+        # reads it, lies within [a, b] (and below c)
+        a, b, c = ShellUnion((ShellBand(log, log, log),), (0,), 1)\
+            .linear_shells()[0]
+        x = math.exp(log)
+        for toward in (0.0, math.inf):
+            y = x
+            for _ in range(2000):
+                if math.log(y) != log:
+                    break
+                assert a <= y <= b and y <= c
+                y = math.nextafter(y, toward)
+            else:
+                raise AssertionError("the walk did not leave the log")
 
 
 class TestMembership:
@@ -285,6 +321,36 @@ class TestCertifyAvoidance:
         chk = certify_avoidance(comps, K, margin)
         assert not chk.certified
         assert chk.failed_shells == (4,)
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-15, 1e-6])
+    @pytest.mark.parametrize("band, x", [
+        # read through exp, a = b = 7.999999999999998: the 'outside' route
+        # certified the constant disk (8, 0), which membership puts on the
+        # shell, at margins 0 and 1e-15
+        (ShellBand(math.log(8), math.log(8), math.log(16)), 8.0),
+        # read as (inf, inf, inf) from log 700 upward: the 'inside' route
+        # certified x = 3e304, inside the shell (exp(701) = 2.76e304)
+        (ShellBand(701.0, 702.0, 703.0), 3e304)])
+    def test_log_only_union_point_in_shell_refused(self, band, x, margin):
+        K = ShellUnion((band,), (0,), 1)
+        assert membership_margin(K, [[math.log(x)], [-math.inf]])[0] >= 0.0
+        chk = certify_avoidance([CPolynomial([x]), CPolynomial([0])], K,
+                                margin)
+        assert not chk.certified
+        assert chk.failed_shells == (1,)
+
+    def test_moduli_past_float_range(self):
+        # the z moduli 1e308 + 1e308 overflowed fsum, and the call raised
+        z = CPolynomial([0, 1e308, 1e308])
+        assert z.inf_lower_bound() == -math.inf
+        K = standard_obstacle(1, 4)
+        zero = CPolynomial([0])
+        chk = certify_avoidance([zero, zero, z], K)
+        assert chk.routes == ("inside",) * 4
+        # x = 1 lies on shell 1; z may not escape by an overflowed bound
+        chk = certify_avoidance([CPolynomial([1]), zero, z], K)
+        assert not chk.certified
+        assert chk.failed_shells == (1,)
 
     def test_margin_respected(self):
         comps = [CPolynomial([0, 0.9995]), CPolynomial([0]), CPolynomial([0])]
