@@ -24,7 +24,10 @@ Two representations carry the whole package:
   top few pairs.  Products, sums, derivatives and antiderivatives are then
   exact integer work, which is what lets horizontality be verified as "the
   residual is the identically-zero polynomial" with zero tolerance.
-  Evaluation and sup bounds convert once to complex128 (correctly rounded).
+  Evaluation and sup bounds convert once to complex128 (correctly rounded);
+  a polynomial built from Python complex values keeps them as that view,
+  and a bound whose view would leave float range is vacuous (+inf or
+  -inf) instead.
 
   The sum of products sum_j a_j * b_j' + c' (the horizontality residual)
   is one packed integer evaluation, ``derivative_dot``: over one common
@@ -236,11 +239,17 @@ class CPolynomial:
     __slots__ = ("_num", "_den", "_rat", "_coeffs")
 
     def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
         # every part goes over the lcm of all the parts' denominators at once
         parts = [_exact_parts(c) for c in coeffs]
         den = math.lcm(*(d for part in parts for _, d in part))
         self._store([(rn * (den // rd), im * (den // id_))
                      for (rn, rd), (im, id_) in parts], den)
+        if all(type(c) is complex for c in coeffs):
+            # an exact float is its own correctly rounded view; + 0j turns
+            # -0.0 into 0.0, and the view stops where the storage does
+            object.__setattr__(self, "_coeffs", tuple(
+                [c + 0j for c in coeffs[:len(self._num)]]))
 
     @classmethod
     def _make(cls, num: list, den: int) -> "CPolynomial":
@@ -399,23 +408,28 @@ class CPolynomial:
 
     def sup_bound(self) -> float:
         """Certified upper bound sum_k |c_k| for sup over the closed unit
-        disk, summed highest power first."""
+        disk, summed highest power first; +inf when a coefficient or its
+        modulus lies past float range."""
         total = 0.0
-        for c in reversed(self.coeffs):
-            total += abs(c)
+        try:
+            for c in reversed(self.coeffs):
+                total += abs(c)
+        except OverflowError:
+            return math.inf
         return total
 
     def inf_lower_bound(self) -> float:
         """Certified lower bound |c_0| - sum_{k>=1} |c_k| (exactly summed)
         for inf over the closed unit disk (may be negative, in which case
-        it is vacuous); 0 for the zero polynomial, and -inf when the moduli
-        sum past float range."""
-        coeffs = self.coeffs
-        if not coeffs:
+        it is vacuous); 0 for the zero polynomial, and -inf when a
+        coefficient, its modulus or the moduli's sum lies past float
+        range."""
+        if not self._num:
             return 0.0
         try:
+            coeffs = self.coeffs
             return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
-        except OverflowError:  # finite moduli whose sum is not
+        except OverflowError:
             return NEG_INF
 
 

@@ -26,6 +26,7 @@ from contactfb.numeric import CPolynomial
 from contactfb.obstacle import (
     DEFAULT_AVOIDANCE_MARGIN,
     AvoidanceCheck,
+    ShellBand,
     ShellUnion,
     certify_avoidance,
     standard_obstacle,
@@ -801,16 +802,179 @@ class TestBisectionPath:
     @pytest.mark.parametrize("run, p, u, K, margin", list(_path_cases()))
     def test_same_scalings_as_parent(self, monkeypatch, run, p, u, K,
                                      margin):
-        new = kobayashi._certification_shortfall
-        lams, (value, witness) = _bisection_path(monkeypatch, run, new)
-        parent_lams, (parent_value, parent_witness) = _bisection_path(
-            monkeypatch, run,
-            lambda search, lam: _as_parent(
-                _parent_verdict(p, u, K, margin, lam)))
+        # with a band that decides nothing every step asks the verdict:
+        # the full path, which the parent verdict walks the same way
+        with monkeypatch.context() as m:
+            m.setattr(kobayashi, "_verdict_band", _no_band)
+            lams, (value, witness) = _bisection_path(
+                monkeypatch, run, kobayashi._certification_shortfall)
+            parent_lams, (parent_value, parent_witness) = _bisection_path(
+                monkeypatch, run,
+                lambda search, lam: _as_parent(
+                    _parent_verdict(p, u, K, margin, lam)))
         assert len(lams) > 50
         assert lams == parent_lams
         assert value == parent_value
         assert witness.components == parent_witness.components
+        # with the band: the verdict is asked only between its ends, the
+        # result is the full path's, and every step the band decides is
+        # decided as the parent verdict decides it
+        lo, hi = kobayashi._verdict_band(kobayashi._disk_search(p, u, K,
+                                                                margin))
+        asked, (banded_value, banded_witness) = _bisection_path(
+            monkeypatch, run, kobayashi._certification_shortfall)
+        assert asked == [lam for lam in lams if lo < lam < hi]
+        assert len(asked) <= 12
+        assert banded_value == value
+        assert banded_witness.components == witness.components
+        for lam in lams:
+            if lam <= lo or lam >= hi:
+                assert _parent_verdict(p, u, K, margin, lam)[0] == (lam <= lo)
+
+
+def _no_band(search):
+    return -math.inf, math.inf
+
+
+def _inf_limits(n):
+    """standard_obstacle(n, 6) and one more shell whose b and c are +inf on
+    the certificate side (log radii past float range)."""
+    K = standard_obstacle(n, 6)
+    far = ShellBand(math.log(48.0), 800.0, 800.0)
+    return ShellUnion(K.shells + (far,), K.shell_dims, K.disk_dim)
+
+
+INF_LIMITS = {n: _inf_limits(n) for n in (1, 2)}
+
+
+@st.composite
+def _band_cases(draw):
+    """(p, u, K, margin, cap): a ``_disk_cases`` case, K maybe with +inf
+    limits, a centre coordinate maybe moved exactly onto a route limit or
+    to within a relative 2^-12 of one, for n = 2 maybe sum_j p_xj u_yj
+    cancelled to rounding with large terms, and a cap that may lie below
+    the largest certified scaling.  u_z is left as drawn: the search does
+    not read it."""
+    p, u, K, margin = draw(_disk_cases())
+    n = p.n
+    if draw(st.booleans()):
+        K = INF_LIMITS[n]
+    x, y, z = list(p.x), list(p.y), p.z
+    shape = draw(st.sampled_from(["drawn", "on_limit", "near_limit",
+                                  "cancel"]))
+    if shape in ("on_limit", "near_limit"):
+        a, b, c = draw(st.sampled_from(K.linear_shells()))
+        limit = draw(st.sampled_from([lim for lim in (a - margin, b + margin,
+                                                      c + margin)
+                                      if lim < math.inf]))
+        coord = draw(st.integers(0, 2 * n))
+        value = complex(limit)
+        if shape == "near_limit":
+            # a relative distance of 2^-52 .. 2^-12, where the error of the
+            # float bound over the room left moves the flip most
+            value *= (1.0 + draw(st.sampled_from([-1.0, 1.0]))
+                      * 2.0 ** -draw(st.floats(12.0, 52.0))) * cmath.exp(
+                1j * draw(st.floats(-math.pi, math.pi)))
+        if coord == 2 * n:
+            z = value
+        elif coord % 2:
+            y[coord // 2] = value
+        else:
+            x[coord // 2] = value
+    elif shape == "cancel" and n == 2 and abs(u.y[1]) >= 2.0 ** -10:
+        x[0] = draw(st.floats(1.0, 40.0)) * cmath.exp(
+            1j * draw(st.floats(-math.pi, math.pi)))
+        x[1] = -x[0] * u.y[0] / u.y[1]
+    p = ContactPoint(tuple(x), tuple(y), z)
+    cap = draw(st.sampled_from([1e3, 1.0, 1e-3]))
+    return p, u, K, margin, cap
+
+
+def _band_example(x, y, z, vx, vy, K, margin=DEFAULT_AVOIDANCE_MARGIN,
+                  cap=1e3):
+    p, v = _horizontal(x, y, z, vx, vy)
+    return p, v.scaled(1.0 / v.maxnorm()), K, margin, cap
+
+
+class TestVerdictBand:
+    @settings(max_examples=100, deadline=None)
+    # x_1 a relative 2^-15 below a_1 = 1, margin 0: the float sup reaches 1
+    # a relative 2^-39 of lambda before lambda + x_1 does, so a band of
+    # a fixed relative 1e-12 about the exact root decides wrongly
+    @example(case=_band_example([1 - 2.0 ** -15], [0], 1, [1], [0],
+                                standard_obstacle(1, 6), margin=0.0))
+    # a centre coordinate on a_1 - margin; on b_2 + margin; |p_z| on
+    # c_1 + margin with z the only route that could certify
+    @example(case=_band_example([1 - 1e-6], [0.5j], 0.1, [1], [0.5],
+                                standard_obstacle(1, 6)))
+    @example(case=_band_example([2 + 1e-6], [0.3], 0.2j, [1j], [0.25],
+                                standard_obstacle(1, 6)))
+    @example(case=_band_example([0.4], [0.1j], 16 + 1e-6, [0.5], [1],
+                                standard_obstacle(1, 6)))
+    # sum_j p_xj u_yj = 0 with terms of modulus 12; direction components 0
+    @example(case=_band_example([12, -6], [0.3, 0.1j], 0.5, [1, 0], [1, 2],
+                                standard_obstacle(2, 6)))
+    @example(case=_band_example([0.5, 0], [0, 0.25j], 0.1, [0, 0], [0, 1],
+                                standard_obstacle(2, 6)))
+    # no certified scaling (the centre on a shell); the cap below lambda*
+    @example(case=_band_example([4], [1j], 0, [1], [1],
+                                standard_obstacle(1, 6)))
+    @example(case=_band_example([0.5], [0.2], 0.1, [1], [1j],
+                                standard_obstacle(1, 6), cap=0.25))
+    # p_x = 0, so z has only its zeta^2 term, and the z route decides
+    # shell 1 (lambda* = sqrt 2)
+    @example(case=_band_example([0], [0.5], 17, [1], [1],
+                                standard_obstacle(1, 6)))
+    # y_1 a relative 1e-3 beyond b_1 = 1, margin 0: the 'outside' route
+    # decides, and the rounding of y_1 - lambda u_y1 moves the flip
+    @example(case=_band_example([0], [1.001], 1, [1], [0.09375],
+                                standard_obstacle(1, 6), margin=0.0))
+    # z a shell coordinate, x_1 the disk coordinate; |p_z| within a
+    # relative 6e-11 of c_5, so the z bound's rounding moves the flip
+    @example(case=_band_example([11, 11], [0, 0], 131072.0000076294,
+                                [1, 0.6875], [0, 0.04296875], LAYOUTS[2][3],
+                                margin=0.25))
+    # +inf limits beyond the last shell
+    @example(case=_band_example([60], [3j], 2, [1], [0.5], INF_LIMITS[1]))
+    @given(case=_band_cases())
+    def test_agrees_with_every_verdict_it_decides(self, case):
+        # every step of the full path, and the floats at and beside each
+        # finite end of the band, that the band decides
+        p, u, K, margin, cap = case
+        search = kobayashi._disk_search(p, u, K, margin)
+        lo, hi = kobayashi._verdict_band(search)
+        assert lo <= hi
+        verdict = kobayashi._certification_shortfall
+        steps = []
+
+        def recording(search, lam):
+            got = verdict(search, lam)
+            steps.append(got[0])
+            return got
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kobayashi, "_verdict_band", _no_band)
+            full = _bisection_path(
+                pytest.MonkeyPatch,
+                lambda: kobayashi._largest_certified_scaling(p, u, K, margin,
+                                                             cap),
+                recording)[0]
+        edges = [near for end in (lo, hi) if math.isfinite(end)
+                 for near in (math.nextafter(end, -math.inf), end,
+                              math.nextafter(end, math.inf)) if near >= 0.0]
+        for lam, got in [*zip(full, steps),
+                         *((lam, verdict(search, lam)[0]) for lam in edges)]:
+            if lam <= lo:
+                assert got, (lam, lo, hi)
+            elif lam >= hi:
+                assert not got, (lam, lo, hi)
+
+    def test_out_of_range_moduli_decide_nothing(self):
+        K = standard_obstacle(1, 6)
+        for p in [ContactPoint((1e-300 + 0j,), (0.5j,), 0j),
+                  ContactPoint((0.5 + 0j,), (0j,), 1e80 + 0j)]:
+            search = kobayashi._disk_search(p, X_DIR, K, 0.0)
+            assert kobayashi._verdict_band(search) == (-math.inf, math.inf)
 
 
 class TestExactRecertification:

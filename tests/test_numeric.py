@@ -628,6 +628,19 @@ class TestExactness:
             assert list(map(_bits, f.derivative_at(zeta).flat())) == [
                 _bits(d) for _, d in at]
 
+    @given(st.lists(st.builds(complex, edge_floats, edge_floats),
+                    max_size=6))
+    @settings(max_examples=300)
+    @example([complex(-0.0, 5e-324), complex(0.0, -0.0), -0j])
+    @example([1 + 0j, complex(-0.0, 2.0 ** -1060), 0j, 0j])
+    def test_kept_view_equals_computed_view(self, cs):
+        # built from complex values, the view is kept from the input:
+        # bit for bit the one the storage converts to
+        p = CPolynomial(cs)
+        assert p._coeffs is not None
+        want = CPolynomial._make(list(p._num), p._den).coeffs
+        assert list(map(_bits, p.coeffs)) == list(map(_bits, want))
+
     def test_view_holds_no_negative_zero(self):
         # -1 / 2^1100 rounds to -0.0 in int true division
         p = CPolynomial([(Fraction(-1, 2 ** 1100), Fraction(-3, 2 ** 1200)),

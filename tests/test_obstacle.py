@@ -13,6 +13,7 @@ from contactfb.obstacle import (
     ShellBand,
     ShellUnion,
     _proposal_poly,
+    _uniform,
     certify_avoidance,
     membership_margin,
     random_avoiding_disks,
@@ -352,6 +353,20 @@ class TestCertifyAvoidance:
         assert not chk.certified
         assert chk.failed_shells == (1,)
 
+    def test_coefficient_past_float_range(self):
+        # z = -5e399 zeta^2 has no float view: the bounds read +inf and
+        # -inf, every route fails, and the call no longer raises
+        f = legendrian_from_xy([CPolynomial([0, 1e200])],
+                               [CPolynomial([0, 1e200])])
+        z = f.components[2]
+        with pytest.raises(OverflowError):
+            z.coeffs
+        assert z.sup_bound() == math.inf
+        assert z.inf_lower_bound() == -math.inf
+        chk = certify_avoidance(f.components, standard_obstacle(1, 4))
+        assert not chk.certified
+        assert chk.failed_shells == (1, 2, 3, 4)
+
     def test_margin_respected(self):
         comps = [CPolynomial([0, 0.9995]), CPolynomial([0]), CPolynomial([0])]
         assert certify_avoidance(comps, self.K, margin=1e-6).certified
@@ -471,6 +486,15 @@ class TestRandomAvoidingDisks:
         got = _proposal_poly(new, center, amp)
         assert got == CPolynomial(want)
         assert got.coeffs == CPolynomial(want).coeffs
+        assert new.random() == old.random()  # the streams end together
+
+    @given(st.integers(0, 2 ** 32), st.floats(-1e6, 1e6),
+           st.floats(0.0, 1e6))
+    @settings(max_examples=100)
+    def test_uniform_equals_generator_uniform(self, seed, lo, width):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for a, b in [(lo, lo + width), (-math.pi, math.pi), (0.0, width)]:
+            assert repr(_uniform(new, a, b)) == repr(old.uniform(a, b))
         assert new.random() == old.random()  # the streams end together
 
     def test_sampler_produces_certified_disks(self):
