@@ -117,17 +117,22 @@ def _cmd_plan_path(args) -> int:
     if p.n != q.n:
         print("endpoints must have the same dimension", file=sys.stderr)
         return 2
-    plan = chow_path(p, q)
-    doc = {
-        "segments": [
-            {"components": [[repr(c.real) + "+" + repr(c.imag) + "j"
-                             for c in comp.coeffs]
-                            for comp in seg.components]}
-            for seg in plan.segments
-        ],
-        "endpoint": [repr(c) for c in plan.endpoint().flat()]
-        if plan.segments else [repr(c) for c in p.flat()],
-    }
+    try:
+        plan = chow_path(p, q)
+        doc = {
+            "segments": [
+                {"components": [[repr(c.real) + "+" + repr(c.imag) + "j"
+                                 for c in comp.coeffs]
+                                for comp in seg.components]}
+                for seg in plan.segments
+            ],
+            "endpoint": [repr(c) for c in plan.endpoint().flat()]
+            if plan.segments else [repr(c) for c in p.flat()],
+        }
+    except OverflowError:
+        print("invalid point: the path between the points leaves float "
+              "range", file=sys.stderr)
+        return 2
     print(json.dumps(doc, indent=1))
     return 0
 

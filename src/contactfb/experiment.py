@@ -127,6 +127,25 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+#: The keys each config section may set; "" is the top level.
+_CONFIG_KEYS = {
+    "": ("schema_version", "n", "i_max", "k_max", "pushout_dim", "eps_base",
+         "seed", "margin", "samples", "budget", "schedule", "lemma_n0"),
+    "samples": ("lemma_disks", "per_shell", "identity", "divergence"),
+    "budget": ("lambda_budget",),
+    "schedule": ("kind", "shells"),
+}
+
+
+def _refuse_unknown(section: dict, name: str) -> None:
+    """Raise ConfigError naming the first key of the config section
+    ``name`` that the schema does not have, by its dotted path."""
+    for key in section:
+        if key not in _CONFIG_KEYS[name]:
+            path = f"{name}.{key}" if name else key
+            raise ConfigError(f"{path}: unknown key")
+
+
 def _expect(value, kind: type, fieldname: str):
     """value itself, required to be a JSON object (dict) or array (list)."""
     if not isinstance(value, kind):
@@ -148,15 +167,19 @@ def validate_config(path: str) -> ExperimentConfig:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported value {version!r}")
+    _refuse_unknown(doc, "")
 
     d = ExperimentConfig()
     samples = _expect(doc.get("samples", {}), dict, "samples")
+    _refuse_unknown(samples, "samples")
     budget = _expect(doc.get("budget", {}), dict, "budget")
     for key in ("restarts", "iterations", "degree"):
         if key in budget:
             raise ConfigError(f"budget.{key}: no longer a setting; the "
                               "directed-norm bound runs no search")
+    _refuse_unknown(budget, "budget")
     sched = _expect(doc.get("schedule", {}), dict, "schedule")
+    _refuse_unknown(sched, "schedule")
     kind = sched.get("kind", d.schedule_kind)
     explicit = ()
     if kind == "explicit":
@@ -185,6 +208,9 @@ def validate_config(path: str) -> ExperimentConfig:
         explicit = tuple(parsed)
     elif kind != "desk":
         raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
+    elif "shells" in sched:
+        raise ConfigError("schedule.shells: only the explicit kind reads "
+                          "shells")
 
     def opt(section, label, attr=None, parse=_int, **kw):
         key = label.rpartition(".")[2]

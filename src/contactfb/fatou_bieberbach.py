@@ -40,7 +40,9 @@ itself is never converted back to log-polar form.
 A third path, native complex128, serves points in float range:
 ``apply_native`` for sampled identity checks, and ``tangent_step``, which
 carries a point and tangent vectors together, for pullbacks.  It sums the
-terms of f in order and then adds f to z_dst.
+terms of f in order and then adds f to z_dst, with exp and log as IEEE
+gives them: log 0 is -inf, and a point that leaves float range reads
+non-finite, so ``pullback_eval`` raises OverflowError.
 
 ``tangent_step`` carries one point as Python complex numbers, and
 ``eval_deriv_point`` gives it the values of the array path bit for bit
@@ -153,19 +155,19 @@ class ShearFunction:
 
     def eval_native(self, z):
         """Native-complex values (vectorized), with the terms on a new
-        leading axis; log 0 is -inf, and a term below exp's underflow is an
-        exact zero."""
+        leading axis; exp and log as IEEE gives them: log 0 is -inf, and a
+        term past float range reads inf or NaN."""
         z = np.asarray(z, dtype=np.complex128)
         if self.is_zero:
             return np.zeros_like(z)
-        lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+        with np.errstate(divide="ignore"):
+            lz = np.log(np.abs(z))
         log_r, N = self._term_columns(z.ndim)
         lm, ph = N * (lz - log_r), N * np.angle(z)
-        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
         # cumsum adds the terms in order for any point shape (np.sum would
         # reassociate a reduction along a contiguous axis); adding 0.0 gives
         # the zero signs of a sum started from 0
-        return np.cumsum(mag * np.exp(1j * ph), axis=0)[-1] + 0.0
+        return np.cumsum(np.exp(lm) * np.exp(1j * ph), axis=0)[-1] + 0.0
 
     @cached_property
     def _point_terms(self):
@@ -183,14 +185,15 @@ class ShearFunction:
         intake (abs, log, angle), exp and the complex products of the terms,
         one call each over all terms of f and f'.  Python does the exact
         IEEE real arithmetic on the log-moduli and phases and adds each sum
-        in order, as ``eval_native`` does."""
+        in order, as ``eval_native`` does (log 0 is -inf, and a term past
+        float range reads inf or NaN)."""
         if self.is_zero:
             return [0j] * len(zs), [0j] * len(zs)
         z = np.array(zs, dtype=np.complex128)
         mag = np.abs(z)
-        polar = [(NEG_INF if a == 0.0 else lz, az) for a, lz, az in zip(
-            mag.tolist(), np.log(np.maximum(mag, 1e-320)).tolist(),
-            np.angle(z).tolist())]
+        polar = list(zip(np.log(mag, out=np.full_like(mag, NEG_INF),
+                                where=mag != 0).tolist(),
+                         np.angle(z).tolist()))
         terms = self._point_terms
         # one row of terms per sum: f at each z, then f' at each z; an N = 1
         # term of f' is the constant 1 / r: its log|z / r| is left out, so
@@ -200,8 +203,6 @@ class ShearFunction:
                 for lz, _ in polar for log_r, _, N1, lead in terms]
         phs = [N * az for _, az in polar for _, N, _, _ in terms]
         phs += [N1 * az for _, az in polar for _, _, N1, _ in terms]
-        # a term below exp's underflow is an exact zero, as exp(-inf)
-        lms = [NEG_INF if x < -745.0 else min(x, 700.0) for x in lms]
         values = (np.exp(lms) * np.exp(1j * np.array(phs))).tolist()
         sums = []
         for lo in range(0, len(values), len(terms)):
@@ -438,11 +439,9 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     sup_prev = partial.sup_log(log_b_prev)
     lhs_log = log_sum([sup_prev, log_off_prev, log_eps])
     if lhs_log < math.log(1e12):
-        M = float(max(m_floor, math.ceil(math.exp(lhs_log)) + 1))
-        M_log = math.log(M)
+        M_log = math.log(max(m_floor, math.ceil(math.exp(lhs_log)) + 1))
     else:
         M_log = _bump(lhs_log, math.log(1.25))
-        M = math.inf
 
     # pinching bound: (a/r)^N must clear M + sup f_{i-1}(b_i) + off + eps
     sup_here = partial.sup_log(log_b)

@@ -44,9 +44,10 @@ DEFAULT_AVOIDANCE_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class ShellBand:
-    """One cylinder, radii stored as natural logs; ``a``, ``b`` and ``c``
-    read them back through exp, so they may differ from the radii a band
-    was built from in the last bits (the union keeps those)."""
+    """One cylinder, radii stored as natural logs.  ``a`` reads the inner
+    radius back through exp, as IEEE gives it: inf only past float range,
+    and it may differ from the radius a band was built from in the last
+    bits (the union keeps those)."""
 
     log_a: float
     log_b: float
@@ -54,15 +55,10 @@ class ShellBand:
 
     @property
     def a(self) -> float:
-        return math.exp(self.log_a) if self.log_a < 700 else math.inf
-
-    @property
-    def b(self) -> float:
-        return math.exp(self.log_b) if self.log_b < 700 else math.inf
-
-    @property
-    def c(self) -> float:
-        return math.exp(self.log_c) if self.log_c < 700 else math.inf
+        try:
+            return math.exp(self.log_a)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,12 @@ class TestValidate:
         ({"i_max": 2, "lemma_n0": [1, 2, 3]},
          "lemma_n0: the derivative bound covers 1 <= N0 < i_max; N0 = 2, "
          "i_max = 2"),
+        # a key outside the schema, which the defaults would replace
+        ({"imax": 3}, "imax: unknown key"),
+        ({"samples": {"per_shel": 5}}, "samples.per_shel: unknown key"),
+        ({"budget": {"margin": 0.1}}, "budget.margin: unknown key"),
+        ({"schedule": {"shells": [[2, 3, 5]]}},
+         "schedule.shells: only the explicit kind reads shells"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -423,6 +429,18 @@ class TestPlanPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert needle in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("frm, to", [
+        # a coefficient's exact quotient, then a difference, overflows
+        ("0,0,0", "1e200,1e200,0"),
+        ("1e308,1e308,0", "-1e308,-1e308,0"),
+    ])
+    def test_path_past_float_range_exits_two(self, capsys, frm, to):
+        assert main(["plan-path", "--from", frm, f"--to={to}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid point: the path between the points "
+                                "leaves float range\n")
 
     @pytest.mark.parametrize("frm", ["nan,0,0", "inf,0,0"])
     def test_non_finite_point_exits_two(self, capsys, frm):

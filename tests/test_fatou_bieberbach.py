@@ -141,7 +141,8 @@ def _term_loop_native(f, z, deriv=False):
     ``eval_native`` replaced, kept as its reference and as that of
     ``eval_deriv_point``."""
     z = np.asarray(z, dtype=np.complex128)
-    lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+    with np.errstate(divide="ignore"):
+        lz = np.log(np.abs(z))
     az = np.angle(z)
     total = np.zeros_like(z)
     for log_r, N in f.terms:
@@ -153,8 +154,7 @@ def _term_loop_native(f, z, deriv=False):
             ph = (N - 1) * az
         else:
             lm, ph = N * (lz - log_r), N * az
-        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
-        total = total + mag * np.exp(1j * ph)
+        total = total + np.exp(lm) * np.exp(1j * ph)
     return total
 
 
@@ -183,7 +183,8 @@ def _array_eval_deriv(f, z):
     form ``ShearFunction.eval_deriv_point`` replaced, kept as its
     reference."""
     z = np.asarray(z, dtype=np.complex128)
-    lz = np.where(z == 0, NEG_INF, np.log(np.maximum(np.abs(z), 1e-320)))
+    with np.errstate(divide="ignore"):
+        lz = np.log(np.abs(z))
     az = np.angle(z)
     if f.is_zero:
         return np.zeros_like(z), np.zeros_like(z)
@@ -194,8 +195,7 @@ def _array_eval_deriv(f, z):
     lzr = lz - log_r
 
     def term_sum(lm, ph):
-        mag = np.where(lm < -745.0, 0.0, np.exp(np.minimum(lm, 700.0)))
-        return np.cumsum(mag * np.exp(1j * ph), axis=0)[-1] + 0.0
+        return np.cumsum(np.exp(lm) * np.exp(1j * ph), axis=0)[-1] + 0.0
 
     dlm = lead + (N - 1) * np.where(N == 1, 0.0, lzr)
     return term_sum(N * lzr, N * az), term_sum(dlm, (N - 1) * az)
@@ -250,7 +250,7 @@ def _jacobian_pullback(maps, p, v):
 
 
 # terms whose log-moduli reach past exp's underflow (N (log|z| - log r)
-# below -745) and past the clamp at 700, with many N = 1 terms
+# below -745) and past its overflow (above 709.78), with many N = 1 terms
 shear_terms = st.lists(
     st.tuples(st.floats(-3.0, 3.0),
               st.one_of(st.just(1), st.integers(1, 400))),
@@ -432,6 +432,22 @@ class TestShearFunction:
         want = np.exp([-math.log(2.0)] * 2).astype(np.complex128)
         assert np.array_equal(_bits(got), _bits(want))
 
+    def test_term_past_float_range_not_finite(self):
+        # round 1's phi of the dim-3 desk push-out at z = 100 is about
+        # e^17980, past float range
+        f = build_pushout(desk_schedule(3, 6), 3, 1).rounds[0].phi.func
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = complex(f.eval_native(100.0))
+        assert not cmath.isfinite(got)
+
+    def test_subnormal_modulus_read_as_is(self):
+        # z + z^2 at z = 1e-322 is z: log and exp read a subnormal
+        # modulus as it is
+        f = ShearFunction(((0.0, 1), (0.0, 2)))
+        z = 1e-322
+        (value,), _ = f.eval_deriv_point([z])
+        assert f.eval_native(z) == value == z
+
     def test_exponent_order_enforced(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             ShearFunction(((0.0, 5), (0.0, 3)))
@@ -582,11 +598,15 @@ class TestShearMap:
             det = np.linalg.det(jac)
             assert det == pytest.approx(1.0, rel=1e-14)
 
+    # terms past exp's overflow read inf or NaN, as numpy warns
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in exp:RuntimeWarning",
+        "ignore:invalid value encountered in multiply:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["phi", "psi"]), st.sampled_from([2, 3, 5]),
            shear_terms, st.lists(coordinates, min_size=5, max_size=5),
            st.sampled_from([0, 1, 4]), st.integers(0, 2 ** 32 - 1))
-    # an N = 1 term, a term that underflows at 1e-3, is clamped at 1e3
+    # an N = 1 term, a term that underflows at 1e-3, overflows at 1e3
     # and is zero at the signed zeros
     @example("phi", 5, ((0.0, 1), (0.5, 300)),
              [1e-3, -1e3j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0)], 0, 0)
@@ -603,7 +623,8 @@ class TestShearMap:
         shape = (dim, columns) if columns else (dim,)
         tan = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got_vec, got_tan = m.tangent_step(vec, tan)
-        want_vec, want_tan = _array_tangent_step(m, vec, tan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_vec, want_tan = _array_tangent_step(m, vec, tan)
         assert type(got_vec) is list and len(got_vec) == dim
         assert np.array_equal(_bits(got_vec), _bits(want_vec))
         assert got_tan.shape == shape
@@ -1104,6 +1125,16 @@ class TestPullback:
                 got = pullback_eval(maps, p, v)
                 assert np.array_equal(_bits(got),
                                       _bits(_array_pullback(maps, p, v)))
+
+    def test_escaped_point_raises(self):
+        # round 1 maps (20, 0, 0) past float range: the point reads
+        # non-finite, so the pullback raises
+        maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
+        p = ContactPoint.from_flat([20, 0, 0])
+        v = TangentVector.from_flat([1, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="escaped"):
+            pullback_eval(maps, p, v)
 
     def test_dim5_close_to_jacobian_product(self):
         # a 5 x 5 product may add its terms in another order (and fuse

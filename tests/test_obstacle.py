@@ -84,7 +84,12 @@ class TestShellUnion:
 
     def test_degenerate_bands_allowed(self):
         K = ShellUnion.from_linear([(1, 1, 5)], (0,), 1)
-        assert K.shells[0].a == K.shells[0].b == 1.0
+        band = K.shells[0]
+        assert band.log_a == band.log_b == 0.0 and band.a == 1.0
+
+    def test_inner_radius_read_to_float_range(self):
+        # exp stays finite up to log 709.78
+        assert ShellBand(705.0, 706.0, 707.0).a == math.exp(705.0)
 
     def test_huge_log_radii(self):
         K = ShellUnion((ShellBand(1e6, 2e6, 1e5),), (0,), 1)
