@@ -45,8 +45,9 @@ def _cmd_validate(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"config invalid: {e}", file=sys.stderr)
         return 2
+    # restarts and iterations stay on the config but no config sets them
     out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-           if f.name != "raw"}
+           if f.name not in ("raw", "restarts", "iterations")}
     out["config_hash"] = cfg.config_hash()
     print(json.dumps(out, indent=1, default=str))
     return 0

@@ -209,39 +209,36 @@ def legendrian_line(p: ContactPoint, nu: TangentVector) -> HolomorphicCurve:
 # pullback under shear compositions
 # ---------------------------------------------------------------------------
 
+def _tangent_walk(maps, p: ContactPoint, tan: np.ndarray):
+    """(Phi(p), dPhi_p tan) for the composition Phi of the maps, applied
+    left to right by their ``tangent_step(vec, tan)``: ``vec`` is a list of
+    Python complex numbers, ``tan`` a complex128 vector or the columns of a
+    (dim, c) array.  Raises OverflowError, with no numpy warning, once the
+    point leaves native float range."""
+    vec = list(p.flat())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in maps:
+            vec, tan = m.tangent_step(vec, tan)
+            if not all(map(cmath.isfinite, vec)):
+                raise OverflowError("point escaped native float range")
+    return vec, tan
+
+
 def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
     """alpha0 at Phi(p) applied to dPhi_p . v, where Phi is the composition
-    of the given shear maps (applied left to right, i.e. maps[0] first).
-
-    Each map must expose ``tangent_step(vec, tan)``, which returns the
-    image of the flat point ``vec`` (a list of Python complex numbers) as
-    such a list, and the image of the complex128 tangent vectors ``tan``
-    (one, or the columns of a (dim, c) array) under the map's derivative at
-    ``vec``; the empty sequence is the identity, for which this reduces
-    exactly to ``alpha0_eval``.  Raises OverflowError if the point escapes
-    native float range along the way.
-    """
+    of the shear maps (maps[0] first) walked by ``_tangent_walk``; the empty
+    sequence is the identity, for which this is exactly ``alpha0_eval``."""
     if p.n != v.n:
         raise ValueError("dimension mismatch between point and vector")
-    vec = list(p.flat())
-    tan = np.asarray(v.flat(), dtype=np.complex128)
-    for m in maps:
-        vec, tan = m.tangent_step(vec, tan)
-        if not all(map(cmath.isfinite, vec)):
-            raise OverflowError("point escaped native float range")
-    q = ContactPoint.from_flat(vec)
-    w = TangentVector.from_flat(tan.tolist())
-    return alpha0_eval(q, w)
+    vec, tan = _tangent_walk(maps, p, np.asarray(v.flat(), np.complex128))
+    return alpha0_eval(ContactPoint.from_flat(vec),
+                       TangentVector.from_flat(tan.tolist()))
 
 
 def composition_jacobian(maps, p: ContactPoint) -> np.ndarray:
     """Jacobian matrix of the composition at p: the identity's columns
-    pushed through each map's ``tangent_step`` (the chain rule)."""
-    vec = list(p.flat())
-    jac = np.eye(len(vec), dtype=np.complex128)
-    for m in maps:
-        vec, jac = m.tangent_step(vec, jac)
-    return jac
+    pushed through ``_tangent_walk`` (the chain rule)."""
+    return _tangent_walk(maps, p, np.eye(2 * p.n + 1, dtype=complex))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ Every inequality is certified with explicit slack from coefficient-sum
 bounds; magnitudes are handled in the log domain throughout because band
 radii overflow native floats after two rounds.
 
-Points beyond float range are carried in log-polar form: the log-moduli
-and the phases of their coordinates.  Both paths at any magnitude read
-complex coordinates by one rule (``_point_arrays``) and sum by one rule
-(``scaled_sum_arrays``, with ``polar_sum`` as its one-point form):
+A shear function is evaluated on three paths.  The first two carry
+points at any magnitude in log-polar form, the log-moduli and the phases
+of their coordinates.  They read complex coordinates by one rule
+(``_point_arrays``) and sum by one rule (``scaled_sum_arrays``, with
+``polar_sum`` as its one-point form), one sum per destination coordinate
+over z_dst and the terms of f(z_src), in that order:
 
 * single points (``apply_scaled``), two float lists each, read as column 0
   of a one-point ``_point_arrays`` batch and walked through the rounds by
@@ -31,26 +33,14 @@ complex coordinates by one rule (``_point_arrays``) and sum by one rule
   columns are such lists: row j holds coordinate j of every point, and the
   summands go on a new leading axis, so every sum runs elementwise over
   contiguous rows.  ``PushOutState.orbit_logs`` pushes a batch through the
-  rounds in blocks of ``ORBIT_BLOCK`` points.
-
-Both log-polar paths make one sum per destination coordinate: the new
-z_dst is the sum of z_dst and the terms of f(z_src), in that order, so f
-itself is never converted back to log-polar form.
-
-A third path, native complex128, serves points in float range:
-``apply_native`` for sampled identity checks, and ``tangent_step``, which
-carries a point and tangent vectors together, for pullbacks.  It sums the
-terms of f in order and then adds f to z_dst, with exp and log as IEEE
-gives them: log 0 is -inf, and a point that leaves float range reads
-non-finite, so ``pullback_eval`` raises OverflowError.
-
-``tangent_step`` carries one point as Python complex numbers, and
-``eval_deriv_point`` gives it the values of the array path bit for bit
-with a few numpy calls on all terms at once.  numpy keeps every operation
-whose result differs from Python's on some hosts (the intake's abs, log
-and angle, exp, and the complex products, which numpy may fuse); Python
-does only the exact IEEE real arithmetic on log-moduli and phases and the
-in-order sums, where both give the same bits.
+  rounds in blocks of ``ORBIT_BLOCK`` points;
+* native complex128, for points in float range: ``apply_native`` for
+  sampled identity checks, and ``tangent_step``, which carries a point and
+  tangent vectors together, for pullbacks.  Both read one kernel,
+  ``ShearFunction._term_sums``, which sums the terms of f (and of f') in
+  order, with exp and log as IEEE gives them: log 0 is -inf, and a point
+  that leaves float range reads non-finite, so ``pullback_eval`` raises
+  OverflowError.
 """
 
 from __future__ import annotations
@@ -141,78 +131,61 @@ class ShearFunction:
         return log_sum(N * (log_R - log_r) for log_r, N in self.terms)
 
     @cached_property
-    def _term_arrays(self):
-        """(log r_j, N_j) as float arrays over the terms."""
-        log_r = np.array([log_r for log_r, _ in self.terms], dtype=np.float64)
-        N = np.array([N for _, N in self.terms], dtype=np.float64)
-        return log_r, N
+    def _columns(self) -> dict:
+        """``_term_columns`` per (ndim, deriv), built on first use."""
+        return {}
 
-    def _term_columns(self, ndim: int):
-        """The term arrays shaped (terms, 1, ..., 1) to broadcast against
-        an array of ``ndim`` dimensions."""
-        shape = (-1,) + (1,) * ndim
-        return tuple(a.reshape(shape) for a in self._term_arrays)
-
-    def eval_native(self, z):
-        """Native-complex values (vectorized), with the terms on a new
-        leading axis; exp and log as IEEE gives them: log 0 is -inf, and a
-        term past float range reads inf or NaN."""
-        z = np.asarray(z, dtype=np.complex128)
-        if self.is_zero:
-            return np.zeros_like(z)
-        with np.errstate(divide="ignore"):
-            lz = np.log(np.abs(z))
-        log_r, N = self._term_columns(z.ndim)
-        lm, ph = N * (lz - log_r), N * np.angle(z)
-        # cumsum adds the terms in order for any point shape (np.sum would
-        # reassociate a reduction along a contiguous axis); adding 0.0 gives
-        # the zero signs of a sum started from 0
-        return np.cumsum(np.exp(lm) * np.exp(1j * ph), axis=0)[-1] + 0.0
+    def _term_columns(self, ndim: int, deriv: bool = False):
+        """The term columns (log r_j, N_j), the rows of f, shaped (terms, 1,
+        ..., 1) to broadcast against an array of ``ndim`` dimensions; with
+        ``deriv``, (log r_j, [N_j, N_j - 1], [0, log N_j - log r_j]) of
+        shape (terms, 2, 1, ..., 1): the rows of f and f' side by side."""
+        key = (ndim, deriv)
+        if key not in self._columns:
+            log_r = [[lr, lr] if deriv else lr for lr, _ in self.terms]
+            N = [[N, N - 1] if deriv else N for _, N in self.terms]
+            lead = [[0.0, math.log(N) - lr] for lr, N in self.terms]
+            shape = (len(self.terms),) + (2,) * deriv + (1,) * ndim
+            self._columns[key] = tuple(
+                np.array(c, dtype=np.float64).reshape(shape)
+                for c in (log_r, N, lead)[:2 + deriv])
+        return self._columns[key]
 
     @cached_property
-    def _point_terms(self):
-        """(log r_j, N_j, N_j - 1, log N_j - log r_j) as Python floats, one
-        tuple per term."""
-        return tuple((log_r, float(N), float(N - 1), math.log(N) - log_r)
-                     for log_r, N in self.terms)
+    def _linear_terms(self) -> int:
+        """The number of N = 1 terms, which come first."""
+        return sum(N == 1 for _, N in self.terms)
 
-    def eval_deriv_point(self, zs):
-        """(f(z), f'(z)) for each of the complex numbers ``zs``, as two lists
-        of Python complex, bit for bit the values of ``eval_native`` and of
-        f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1) formed by the same rules.
+    def _term_sums(self, z: np.ndarray, deriv: bool):
+        """f(z), or f(z) and f'(z) stacked, for complex128 z of any shape:
+        the terms broadcast on a new leading axis and added in order.  exp
+        and log act as IEEE gives them, with no warning: log 0 is -inf, and
+        a term past float range reads inf or NaN."""
+        if not self.terms:
+            return np.zeros((2,) * deriv + z.shape, dtype=np.complex128)
+        log_r, N, *lead = self._term_columns(z.ndim, deriv)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lzr = np.log(np.abs(z)) - log_r
+            if deriv and self._linear_terms:
+                # an N = 1 term of f' is the constant 1 / r: its log|z / r|
+                # is left out, so z = 0 gives no 0 * -inf
+                lzr[:self._linear_terms, 1] = 0.0
+            lm = N * lzr + lead[0] if deriv else N * lzr
+            # cumsum adds the terms in order for any point shape (np.sum
+            # would reassociate a reduction along a contiguous axis); adding
+            # 0.0 gives the zero signs of a sum started from 0
+            return np.cumsum(np.exp(lm) * np.exp(1j * (N * np.angle(z))),
+                             axis=0)[-1] + 0.0
 
-        numpy keeps every operation whose result differs from Python's: the
-        intake (abs, log, angle), exp and the complex products of the terms,
-        one call each over all terms of f and f'.  Python does the exact
-        IEEE real arithmetic on the log-moduli and phases and adds each sum
-        in order, as ``eval_native`` does (log 0 is -inf, and a term past
-        float range reads inf or NaN)."""
-        if self.is_zero:
-            return [0j] * len(zs), [0j] * len(zs)
-        z = np.array(zs, dtype=np.complex128)
-        mag = np.abs(z)
-        polar = list(zip(np.log(mag, out=np.full_like(mag, NEG_INF),
-                                where=mag != 0).tolist(),
-                         np.angle(z).tolist()))
-        terms = self._point_terms
-        # one row of terms per sum: f at each z, then f' at each z; an N = 1
-        # term of f' is the constant 1 / r: its log|z / r| is left out, so
-        # z = 0 gives no 0 * -inf
-        lms = [N * (lz - log_r) for lz, _ in polar for log_r, N, _, _ in terms]
-        lms += [lead + N1 * (0.0 if N1 == 0.0 else lz - log_r)
-                for lz, _ in polar for log_r, _, N1, lead in terms]
-        phs = [N * az for _, az in polar for _, N, _, _ in terms]
-        phs += [N1 * az for _, az in polar for _, _, N1, _ in terms]
-        values = (np.exp(lms) * np.exp(1j * np.array(phs))).tolist()
-        sums = []
-        for lo in range(0, len(values), len(terms)):
-            # adding in order from 0j gives the value and zero signs of a
-            # cumsum plus 0.0
-            acc = 0j
-            for v in values[lo:lo + len(terms)]:
-                acc += v
-            sums.append(acc)
-        return sums[:len(zs)], sums[len(zs):]
+    def eval_native(self, z):
+        """f at complex z of any shape, as a complex128 array of its shape."""
+        return self._term_sums(np.asarray(z, dtype=np.complex128), False)
+
+    def eval_deriv(self, z):
+        """(f(z), f'(z)) at complex z of any shape, by the rule of
+        ``eval_native``, with f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1)."""
+        f, df = self._term_sums(np.asarray(z, dtype=np.complex128), True)
+        return f, df
 
 
 @dataclass(frozen=True)
@@ -289,7 +262,8 @@ class ShearMap:
     # -- native action and tangent step (for pullbacks) -------------------
 
     def apply_native(self, vec: np.ndarray) -> np.ndarray:
-        """Action on a point or on the rows of an (m, dim) array."""
+        """Action on a point or on the rows of an (m, dim) array; a point
+        that leaves float range comes back non-finite, with no warning."""
         vec = np.asarray(vec, dtype=np.complex128)
         src, dst = self._slices
         out = vec.copy()
@@ -299,21 +273,19 @@ class ShearMap:
     def tangent_step(self, vec, tan: np.ndarray):
         """(image of the point ``vec``, image of ``tan`` under the derivative
         at ``vec``): z_dst + f(z_src) and t_dst + f'(z_src) t_src, from one
-        ``eval_deriv_point`` call on the source coordinates.
+        ``eval_deriv`` call on the source coordinates.
 
         ``vec`` is one point, a sequence of dim complex numbers, and comes
-        back as a new list of them (the sums are exact IEEE additions, the
-        same in Python as in numpy).  ``tan`` is a complex128 tangent vector
+        back as a new list of them (its sums are IEEE additions, the same in
+        Python as in numpy).  ``tan`` is a complex128 tangent vector
         of shape (dim,), or a (dim, c) array whose columns are tangent
-        vectors, and comes back as a new array; the product f' t_src stays
-        one numpy call, since numpy's complex product may round otherwise
-        than Python's."""
+        vectors, and comes back as a new array."""
         src, dst = self._slices
-        f, df = self.func.eval_deriv_point(vec[src])
+        f, df = self.func.eval_deriv(vec[src])
         out_vec = list(vec)
-        out_vec[dst] = [z + w for z, w in zip(vec[dst], f)]
+        out_vec[dst] = [z + w for z, w in zip(vec[dst], f.tolist())]
         # f' scales the source coordinates of every tangent vector
-        scale = np.array(df).reshape((-1,) + (1,) * (tan.ndim - 1))
+        scale = df.reshape((-1,) + (1,) * (tan.ndim - 1))
         out_tan = tan.copy()
         out_tan[dst] = tan[dst] + scale * tan[src]
         return out_vec, out_tan

@@ -30,7 +30,8 @@ def write_config(path, **overrides):
 
 class TestValidate:
     def test_default_output_exact(self, tmp_path, capsys):
-        # the config fields and the hash, and nothing cached on the config
+        # the settable config fields and the hash, and nothing cached on the
+        # config
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
         assert main(["validate", "--config", str(cfg)]) == 0
@@ -40,7 +41,7 @@ class TestValidate:
             "schedule_kind": "desk", "explicit_shells": [],
             "lemma_disks": 60, "lemma_n0": [1, 2, 3],
             "samples_per_shell": 200, "identity_samples": 1000,
-            "divergence_samples": 100, "restarts": 8, "iterations": 40,
+            "divergence_samples": 100,
             "lambda_budget": 1000.0, "config_hash": "44136fa355b3678a",
         }
         assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"

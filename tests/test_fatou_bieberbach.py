@@ -4,6 +4,7 @@ import decimal
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from contactfb.contact import (
     ContactPoint,
     TangentVector,
     alpha0_eval,
+    composition_jacobian,
     pullback_eval,
 )
 from contactfb.fatou_bieberbach import (
@@ -83,7 +85,7 @@ def _two_step_apply_logpolar(m, log_mag, phase):
     """``ShearMap.apply_logpolar`` by the two-sum rule of
     ``_two_step_apply_scaled``, kept as its reference."""
     src, dst = m._slices
-    log_r, N = (a.reshape(-1, 1, 1) for a in m.func._term_arrays)
+    log_r, N = m.func._term_columns(2)
     f_lm, f_ph = scaled_sum_arrays(N * (log_mag[src] - log_r),
                                    N * phase[src])
     out_lm, out_ph = log_mag.copy(), phase.copy()
@@ -138,8 +140,8 @@ def _to_complex(log_mag, phase):
 
 def _term_loop_native(f, z, deriv=False):
     """f (or f') as a loop over the terms, the form the term-broadcast
-    ``eval_native`` replaced, kept as its reference and as that of
-    ``eval_deriv_point``."""
+    kernel of ``eval_native`` and ``eval_deriv`` replaced, kept as its
+    reference."""
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(divide="ignore"):
         lz = np.log(np.abs(z))
@@ -179,9 +181,9 @@ def _row_major_orbit_logs(state, log_mag, phase):
 
 
 def _array_eval_deriv(f, z):
-    """(f(z), f'(z)) broadcast over the terms on a new leading axis, the
-    form ``ShearFunction.eval_deriv_point`` replaced, kept as its
-    reference."""
+    """(f(z), f'(z)) broadcast over the terms on a new leading axis by two
+    separate sums, the form the stacked sum of ``ShearFunction.eval_deriv``
+    replaced, kept as its reference."""
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(divide="ignore"):
         lz = np.log(np.abs(z))
@@ -203,7 +205,7 @@ def _array_eval_deriv(f, z):
 
 def _array_tangent_step(m, vec, tan):
     """``ShearMap.tangent_step`` on a complex128 point array by
-    ``_array_eval_deriv``, the form the single-point step replaced, kept as
+    ``_array_eval_deriv``, the form the list-point step replaced, kept as
     its reference."""
     vec = np.asarray(vec, dtype=np.complex128)
     src, dst = m._slices
@@ -408,9 +410,8 @@ class TestShearFunction:
         f = ShearFunction(((math.log(0.7), 1), (math.log(1.5), 3),
                            (math.log(1.6), 5), (math.log(2.5), 7),
                            (math.log(3.0), 9)))
-        def point(z):  # one eval_deriv_point call on all entries
-            return np.reshape(f.eval_deriv_point(z.ravel().tolist())[deriv],
-                              np.shape(z))
+        def point(z):  # one eval_deriv call on all entries
+            return f.eval_deriv(z)[deriv]
         methods = [point]
         if not deriv:
             methods.append(f.eval_native)
@@ -428,7 +429,7 @@ class TestShearFunction:
         # the N = 1 term contributes exactly 1 / r, with no 0 * -inf
         f = ShearFunction(((math.log(2.0), 1), (math.log(3.0), 4)))
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            _, got = f.eval_deriv_point([0j, complex(-0.0, 0.0)])
+            _, got = f.eval_deriv([0j, complex(-0.0, 0.0)])
         want = np.exp([-math.log(2.0)] * 2).astype(np.complex128)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -445,7 +446,7 @@ class TestShearFunction:
         # modulus as it is
         f = ShearFunction(((0.0, 1), (0.0, 2)))
         z = 1e-322
-        (value,), _ = f.eval_deriv_point([z])
+        (value,), _ = f.eval_deriv([z])
         assert f.eval_native(z) == value == z
 
     def test_exponent_order_enforced(self):
@@ -458,7 +459,7 @@ class TestShearFunction:
         # f = (z/2)^3: f'(z) = 3 z^2 / 8
         f = ShearFunction(((math.log(2.0), 3),))
         z = 1.5 + 0.5j
-        _, (df,) = f.eval_deriv_point([z])
+        _, (df,) = f.eval_deriv([z])
         assert df == pytest.approx(3 * z ** 2 / 8, rel=1e-12)
 
 
@@ -1128,13 +1129,34 @@ class TestPullback:
 
     def test_escaped_point_raises(self):
         # round 1 maps (20, 0, 0) past float range: the point reads
-        # non-finite, so the pullback raises
+        # non-finite, so the pullback raises, and numpy warns of nothing
         maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
         p = ContactPoint.from_flat([20, 0, 0])
         v = TangentVector.from_flat([1, 0, 0])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(OverflowError, match="escaped"):
-            pullback_eval(maps, p, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="escaped"):
+                pullback_eval(maps, p, v)
+
+    def test_escaped_point_jacobian_raises(self):
+        # the Jacobian walks the point as the pullback does
+        maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
+        p = ContactPoint.from_flat([20, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="escaped"):
+                composition_jacobian(maps, p)
+
+    def test_escaped_batch_not_finite_without_warning(self):
+        # round 1 returns the escaped row non-finite, the other as is
+        rnd = build_pushout(desk_schedule(3, 6), 3, 1).rounds[0]
+        pts = np.array([[20, 0, 0], [0.5, 0, 0]], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rnd.psi.apply_native(rnd.phi.apply_native(pts))
+        assert not np.all(np.isfinite(got[0]))
+        assert np.array_equal(
+            got[1], rnd.psi.apply_native(rnd.phi.apply_native(pts[1])))
 
     def test_dim5_close_to_jacobian_product(self):
         # a 5 x 5 product may add its terms in another order (and fuse
