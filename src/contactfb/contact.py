@@ -214,25 +214,32 @@ def _tangent_walk(maps, p: ContactPoint, tan: np.ndarray):
     left to right by their ``tangent_step(vec, tan)``: ``vec`` is a list of
     Python complex numbers, ``tan`` a complex128 vector or the columns of a
     (dim, c) array.  Raises OverflowError, with no numpy warning, once the
-    point leaves native float range."""
+    point leaves native float range, or if the tangent has left it at the
+    end (a non-finite entry never turns finite again)."""
     vec = list(p.flat())
     with np.errstate(over="ignore", invalid="ignore"):
         for m in maps:
             vec, tan = m.tangent_step(vec, tan)
             if not all(map(cmath.isfinite, vec)):
                 raise OverflowError("point escaped native float range")
+    if not np.isfinite(tan).all():
+        raise OverflowError("tangent escaped native float range")
     return vec, tan
 
 
 def pullback_eval(maps, p: ContactPoint, v: TangentVector) -> complex:
     """alpha0 at Phi(p) applied to dPhi_p . v, where Phi is the composition
     of the shear maps (maps[0] first) walked by ``_tangent_walk``; the empty
-    sequence is the identity, for which this is exactly ``alpha0_eval``."""
+    sequence is the identity, for which this is exactly ``alpha0_eval``.
+    Raises OverflowError if the value leaves native float range."""
     if p.n != v.n:
         raise ValueError("dimension mismatch between point and vector")
     vec, tan = _tangent_walk(maps, p, np.asarray(v.flat(), np.complex128))
-    return alpha0_eval(ContactPoint.from_flat(vec),
-                       TangentVector.from_flat(tan.tolist()))
+    value = alpha0_eval(ContactPoint.from_flat(vec),
+                        TangentVector.from_flat(tan.tolist()))
+    if not cmath.isfinite(value):
+        raise OverflowError("pullback value escaped native float range")
+    return value
 
 
 def composition_jacobian(maps, p: ContactPoint) -> np.ndarray:

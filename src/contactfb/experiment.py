@@ -40,6 +40,7 @@ from .kobayashi import (
 from .numeric import sample_polydisk
 from .obstacle import (
     BoundCertificate,
+    DEFAULT_AVOIDANCE_MARGIN,
     ShellUnion,
     membership_margin,
     random_avoiding_disks,
@@ -90,7 +91,7 @@ class ExperimentConfig:
     pushout_dim: int = 2
     eps_base: float = 0.5
     seed: int = 0
-    margin: float = 1e-6
+    margin: float = DEFAULT_AVOIDANCE_MARGIN
     schedule_kind: str = "desk"
     explicit_shells: tuple = ()          # ((a, b, c), ...) linear values
     lemma_disks: int = 60

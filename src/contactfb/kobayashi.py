@@ -8,27 +8,16 @@ bounds come from explicit certified disks.  Avoidance is certified by
 coefficient sums, which a coefficient of degree >= 2 only loosens, so the
 best such disk is linear: x_j = p_xj + lambda u_xj zeta (likewise y_j), z by
 exact integration.  In exact arithmetic its route bounds are monotone in
-lambda, so the certified scalings run from 0 up to a largest one.  In
-complex128 they are not quite: the z coefficients are sums of rounded
-products, and the z bound can move by an ulp against lambda.  So
-``_largest_certified_scaling`` bisects on the complex128 verdict only to
-propose a scaling, and the exact rebuild of that disk decides.  Each
-bisection step is one scalar verdict, ``_certification_shortfall``: what
-does not depend on lambda (centre moduli, directions, each shell's route
-limits) is built once per search, and a step forms only lambda*u, z1 and
-z2/2 and stops at the first shell that no route certifies.  Most steps ask
-no verdict: in exact arithmetic each route bound is a closed form in lambda
-(linear in x_j and y_j, quadratic in z), so ``_verdict_band`` finds once
-per search where each route's limit is crossed, widened by an a-priori
-bound on the rounding of the verdict and of that root (Higham 2002,
-ch. 3).  A step below the band certifies and one above it does not; only
-the steps inside it ask the verdict.  A decided step gets the verdict's
-answer, so the path, the scaling and the witness are those of the full
-bisection, bit for bit; a disk-search pass at seed 11 asks 164 verdicts
-instead of 1,178.  The contrapositive of the derivative bound is the case
-p = 0, u = e_x1.  The distance bound sums the full-space upper bound over
-the segments of a constructive horizontal path; each segment is affine, so
-the sum is exact.
+lambda, closed forms (linear in x_j and y_j, quadratic in z), so the
+certified scalings run from 0 up to the binding route's root.  In complex128
+the z bound can move by an ulp against lambda, so the complex128 verdict
+only proposes a scaling and the exact rebuild of that disk decides.  The
+search for the proposal starts at the root, computed in floats, gallops
+until the verdict changes and bisects to adjacent floats; only the verdicts
+it asks decide, so the root needs no error bound.  The contrapositive of the
+derivative bound is the case p = 0, u = e_x1.  The distance bound sums the
+full-space upper bound over the segments of a constructive horizontal path;
+each segment is affine, so the sum is exact.
 """
 
 from __future__ import annotations
@@ -57,7 +46,7 @@ from .obstacle import (
     standard_obstacle,
 )
 
-#: Scalings, one ulp apart from the bisection's end down, that are rebuilt
+#: Scalings, one ulp apart from the verdict's flip down, that are rebuilt
 #: exactly before ``_largest_certified_scaling`` reports that none certifies.
 MAX_STEP_DOWNS = 64
 
@@ -65,7 +54,7 @@ MAX_STEP_DOWNS = 64
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits of the directed-norm upper bound: the complement domain
-    bisects the scaling |lambda| over [0, lambda_budget], the full space
+    searches the scaling |lambda| over [0, lambda_budget], the full space
     uses lambda_budget itself; ``margin`` is the avoidance margin."""
 
     # Unread: perfbench/ still passes restarts, iterations and degree here,
@@ -113,7 +102,7 @@ def _disk_search(p: ContactPoint, u: TangentVector, K: ShellUnion,
                  margin: float) -> _DiskSearch:
     dims = K.shell_dims
     # an itemgetter of one index returns the item bare, so the first index
-    # is read once more; a repeated item cannot change a max
+    # is read once more; a repeated item cannot change a max or a min
     return _DiskSearch(
         tuple(zip(p.x, u.x, u.y, map(abs, p.x), map(abs, p.y))), abs(p.z),
         itemgetter(*dims, dims[0]), K.disk_dim,
@@ -127,18 +116,17 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     z = p_z + z1 zeta + (z2 / 2) zeta^2, z1 = -sum_j p_xj (lam u_yj),
     z2 = -sum_j (lam u_xj)(lam u_yj).
 
-    Only lam*u, z1 and z2/2 are formed per call, by the same complex128
-    operations in the same order as the coefficient lists that the
-    bisection once built, and each bound is summed as
-    ``CPolynomial.sup_bound`` and ``CPolynomial.inf_lower_bound`` sum it:
-    sup = 0.0 + |c1| + |c0| (0.0 + |c1| is |c1|), inf = |c0| - fsum of the
-    rest (the fsum of one term is that term, and of two it is their
+    What does not depend on lam is read from ``search``; only lam*u, z1 and
+    z2/2 are formed, in the order written above, and each bound is summed
+    as ``CPolynomial.sup_bound`` and ``CPolynomial.inf_lower_bound`` sum
+    it: sup = 0.0 + |c1| + |c0| (0.0 + |c1| is |c1|), inf = |c0| - fsum of
+    the rest (the fsum of one term is that term, and of two it is their
     correctly rounded sum, which float + gives; a sum past float range is
     +inf here, so the bound is -inf, as ``inf_lower_bound`` gives).  The
     routes are those of ``obstacle.certify_avoidance``, tried shell by
-    shell, so ``certified`` is its verdict on those coefficients; the
-    first shell that no route certifies (1-based) is returned with False,
-    None with True.
+    shell, so ``certified`` is its verdict on those coefficients; the first
+    shell that no route certifies (1-based) is returned with False, None
+    with True.
     """
     # The name and [0] are kept because perfbench/tracer.py patches this
     # function by name and reads [0]; ROADMAP item 6 renames both.
@@ -168,115 +156,88 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     return True, None
 
 
-# ---------------------------------------------------------------------------
-# the band that decides a step without its verdict
-# ---------------------------------------------------------------------------
-
-# Each rounding of the step verdict errs by at most _UNIT |result| +
-# _TINY / 2.  A coefficient sum whose modulus is below _CANCEL times the sum
-# of its terms' moduli cancels, and the error of its closed form is no
-# longer small against it; a limit or an input modulus outside [_LOW,
-# _RANGE] could make a rounding of the closed form absolute, not relative.
-# Either leaves the route, or the search, undecided.
-_UNIT = 2.0 ** -53
-_TINY = 2.0 ** -1074
-_CANCEL = 2.0 ** -20
-_RANGE = 2.0 ** 250
-_LOW = 1.0 / _RANGE
-_ALWAYS = (math.inf, math.inf)
-_NEVER = (-math.inf, -math.inf)
-_UNDECIDED = (-math.inf, math.inf)
-
-
-def _route_ends(coord, limit: float, below: bool):
-    """(lo, hi): for every float lam >= 0 the step verdict's bound of one
-    coordinate passes one route limit (sup < limit if ``below``, else
-    inf > limit) if lam <= lo, and fails it if lam >= hi.
-
-    ``coord`` is (m, a, a_sum, b, b_sum, c).  In exact arithmetic the
-    bound is m + s(lam) (sup) or m - s(lam) (inf), with s(lam) = a lam +
-    b lam^2 increasing, so the limit is passed while s(lam) < room, up to
-    the root r of s(r) = room.  a and b are moduli of sums, a_sum and
-    b_sum the sums of their terms' moduli, and c * (_UNIT * (the moduli
-    the bound adds at r) + _TINY) bounds the rounding of the float bound
-    and of the closed form together.  That bound over a + b r widens r on
-    each side: the chord of s over [r - w, r] is no flatter for w <= r,
-    and past r the error grows by under a millionth of s's rise, since no
-    sum cancels.
-
-    Rounding is monotone, and the float bound adds nonnegative terms to m
-    (sup) or takes them from it (inf), so with room <= 0 the limit is
-    never passed, and a coordinate with no lam term is exactly m.
-    """
-    mod, a, a_sum, b, b_sum, c = coord
+def _route_root(mod: float, a: float, b: float, limit: float, below: bool):
+    """Where one coordinate's bound stops passing one route limit, in exact
+    arithmetic: mod + s(lam) < limit (``below``) or mod - s(lam) > limit
+    while s(lam) = a lam + b lam^2 < room.  -inf if room <= 0: the float
+    bound adds its lam terms to mod or takes them from it, and rounding is
+    monotone, so the limit is never passed.  +inf if room is infinite or
+    nothing is taken from it; else the float root of s(r) = room, a guess
+    with no error terms (NaN reads 0.0)."""
     room = limit - mod if below else mod - limit
     if not room > 0.0:
-        return _NEVER
-    if not (a_sum or b_sum):
-        return _ALWAYS
-    size = abs(limit)
-    if (not (size == 0.0 or _LOW <= size <= _RANGE)
-            or a < _CANCEL * a_sum or b < _CANCEL * b_sum):
-        return _UNDECIDED
-    size += mod
-    r = 2.0 * room / (a + math.sqrt(a * a + 4.0 * b * room)) if b \
-        else room / a
-    w = c * (_UNIT * (size + a_sum * r + b_sum * r * r) + _TINY) / (a + b * r)
-    return (r - w, r + w) if w < math.inf else _UNDECIDED
+        return -math.inf
+    if room == math.inf or not (a or b):
+        return math.inf
+    # a denominator that underflows to 0 reads as inf
+    r = 2.0 * room / ((a + math.sqrt(a * a + 4.0 * b * room)) or math.inf)
+    return 0.0 if math.isnan(r) else r
 
 
-def _verdict_band(search: _DiskSearch) -> tuple[float, float]:
-    """(lo, hi): ``_certification_shortfall(search, lam)[0]`` is True for
-    every float lam in [0, lo] and False for every lam >= hi.
-
-    In exact arithmetic the routes of the linear disk are closed forms in
-    lam, x_j and y_j linear, z quadratic: |z1| = lam |sum_j p_xj u_yj| and
-    |z2/2| = lam^2 |sum_j u_xj u_yj| / 2.  Each coordinate's pass or fail
-    of each limit is banded by ``_route_ends``: 'inside' needs every shell
-    coordinate (min over them), 'outside' one (max), a shell one route
-    (max) and the disk every shell (min).  The error constants are 16 for
-    x_j and y_j and 32 + 4n for z; the first-order rounding bounds of the
-    step and of the closed form (Higham 2002, ch. 3) sum to about 8 and
-    26 + 2n.
-    """
+def _flip_guess(search: _DiskSearch) -> float:
+    """The binding ``_route_root``: a = |u_xj| or |u_yj| and b = 0 for x_j
+    and y_j, a = |sum_j p_xj u_yj| and b = |sum_j u_xj u_yj| / 2 for z.  A
+    shell passes below the max over its routes ('inside' the min over the
+    shell coordinates, 'outside' the max, 'z_escape' the disk coordinate)
+    and K below the min over its shells: -inf exactly when some shell
+    passes no route at any lam."""
     rows, z_mod, shell_read, disk_dim, limits = search
     coords = []
-    moduli = [z_mod]
     z1 = z2 = 0j
-    z1_sum = z2_sum = 0.0
     for x0, ux, uy, x0_mod, y0_mod in rows:
-        ux_mod = abs(ux)
-        uy_mod = abs(uy)
         z1 += x0 * uy
         z2 += ux * uy
-        z1_sum += x0_mod * uy_mod
-        z2_sum += ux_mod * uy_mod
-        coords += ((x0_mod, ux_mod, ux_mod, 0.0, 0.0, 16.0),
-                   (y0_mod, uy_mod, uy_mod, 0.0, 0.0, 16.0))
-        moduli += (x0_mod, y0_mod, ux_mod, uy_mod)
-    if not all(m == 0.0 or _LOW <= m <= _RANGE for m in moduli):
-        return _UNDECIDED
-    coords.append((z_mod, abs(z1), z1_sum, abs(z2) / 2, z2_sum / 2,
-                   32.0 + 4.0 * len(rows)))
-    # each shell coordinate once (the getter repeats the first)
-    shell = [coords[d] for d in dict.fromkeys(shell_read(range(len(coords))))]
+        coords += ((x0_mod, abs(ux), 0.0), (y0_mod, abs(uy), 0.0))
+    coords.append((z_mod, abs(z1), abs(z2) / 2))
+    shell = shell_read(coords)
     disk = coords[disk_dim]
-    lo = hi = math.inf
-    for inside, outside, z_escape in limits:
-        # conditional expressions, not min() and max() calls: this loop is
-        # most of the band's cost
-        in_lo = in_hi = math.inf
-        shell_lo, shell_hi = _route_ends(disk, z_escape, False)
-        for co in shell:
-            l, h = _route_ends(co, inside, True)
-            in_lo = l if l < in_lo else in_lo
-            in_hi = h if h < in_hi else in_hi
-            l, h = _route_ends(co, outside, False)
-            shell_lo = l if l > shell_lo else shell_lo
-            shell_hi = h if h > shell_hi else shell_hi
-        lo = min(lo, max(in_lo, shell_lo))
-        hi = min(hi, max(in_hi, shell_hi))
-    return lo, hi
+    return min((max(min(_route_root(*co, inside, True) for co in shell),
+                    max(_route_root(*co, outside, False) for co in shell),
+                    _route_root(*disk, z_escape, False))
+                for inside, outside, z_escape in limits), default=math.inf)
+
+
+def _verdict_flip(search: _DiskSearch, cap: float) -> float:
+    """A float in [0, cap] where ``_certification_shortfall(search, .)[0]``
+    flips: cap if cap certifies, else a lam that certifies (or 0.0) whose
+    next float up does not.  0.0, with no verdict asked, if some shell
+    passes no route at any lam.  Otherwise, after cap, the search gallops
+    from ``_flip_guess``, moved into (0, cap) if it is 0, NaN or at least
+    cap: the step starts at one ulp and doubles until the verdict changes or
+    the step would leave (0, cap).  Then it bisects to adjacent floats.
+    Where the verdict is monotone this is the flip a bisection of [0, cap]
+    finds, and every end it keeps is an answered verdict."""
+    guess = _flip_guess(search)
+    if guess == -math.inf:
+        return 0.0
+
+    def certifies(lam):
+        return _certification_shortfall(search, lam)[0]
+
+    if certifies(cap):
+        return cap
+    # 0 starts at the least positive float, NaN or >= cap one below cap
+    lam = max(guess if guess < cap else math.nextafter(cap, 0.0), 5e-324)
+    step = math.ulp(lam)
+    lo, hi = 0.0, cap
+    # up from a certifying step, down from another; the probe after a
+    # change lies beyond the other end, and so does one outside (0, cap)
+    while lo < lam < hi:
+        if certifies(lam):
+            lo = lam
+            lam += step
+        else:
+            hi = lam
+            lam -= step
+        step *= 2
+    mid = lo + (hi - lo) / 2
+    while lo < mid < hi:
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + (hi - lo) / 2
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -302,34 +263,15 @@ def _largest_certified_scaling(p: ContactPoint, u: TangentVector,
     """(lam, witness): a lam in [0, cap] whose exact linear disk
     ``_linear_disk(p, u, lam)`` certifies avoidance of K, with that disk.
 
-    The complex128 verdict bisects [0, cap] until the midpoint rounds onto
-    an end, so the ends are adjacent floats; a midpoint outside the band of
-    ``_verdict_band`` takes the band's answer, which is the verdict's, and
-    only the others call ``_certification_shortfall``.  The verdict is
-    monotone in lam only up to an ulp of its z bound, so the certified end
-    is a proposal: it is rebuilt exactly and re-certified, one ulp lower at
-    a time for at most ``MAX_STEP_DOWNS`` scalings, and only an exactly
-    certified disk is returned.  Returns (0.0, None) if no positive
-    scaling certifies.
+    ``_verdict_flip`` proposes where the complex128 verdict stops
+    certifying.  That verdict is monotone in lam only up to an ulp of its z
+    bound, so the proposal is rebuilt exactly and re-certified, one ulp
+    lower at a time for at most ``MAX_STEP_DOWNS`` scalings.  Returns
+    (0.0, None) if no positive scaling certifies.
     """
     check_disk_dim(2 * p.n + 1, K)
     check_margin(margin)
-    search = _disk_search(p, u, K, margin)
-    sure, refused = _verdict_band(search)
-
-    def certifies(lam):
-        return lam <= sure or (lam < refused
-                               and _certification_shortfall(search, lam)[0])
-
-    lo, hi = (cap, cap) if certifies(cap) else (0.0, cap)
-    mid = lo + (hi - lo) / 2
-    while lo < mid < hi:
-        if certifies(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = lo + (hi - lo) / 2
-    lam = lo
+    lam = _verdict_flip(_disk_search(p, u, K, margin), cap)
     for _ in range(MAX_STEP_DOWNS):
         if lam <= 0.0:
             break
@@ -338,6 +280,14 @@ def _largest_certified_scaling(p: ContactPoint, u: TangentVector,
             return lam, witness
         lam = math.nextafter(lam, 0.0)
     return 0.0, None
+
+
+def _unit_direction(v: TangentVector, scale: float) -> TangentVector:
+    """v / scale, scale = v.maxnorm() > 0; 1/scale overflows below 2^-1024,
+    so a scale below 2^-1000 first moves v up by 2^600, exactly."""
+    if scale < 2.0 ** -1000:
+        v, scale = v.scaled(2.0 ** 600), scale * 2.0 ** 600
+    return v.scaled(1.0 / scale)
 
 
 def directed_norm_upper(p: ContactPoint, v: TangentVector,
@@ -361,7 +311,7 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
     if scale == 0.0:
         return 0.0, None
     # normalize so the bound is exactly 1-homogeneous in v
-    u = v.scaled(1.0 / scale)
+    u = _unit_direction(v, scale)
 
     if domain == "full_space":
         lam = budget.lambda_budget

@@ -1147,6 +1147,28 @@ class TestPullback:
             with pytest.raises(OverflowError, match="escaped"):
                 composition_jacobian(maps, p)
 
+    def test_escaped_value_raises(self):
+        # at x = 3.4464 the point and the tangent stay finite, and alpha0
+        # of them overflows
+        maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
+        p = ContactPoint.from_flat([3.4464, 0, 0])
+        assert np.isfinite(composition_jacobian(maps, p)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="value escaped"):
+                pullback_eval(maps, p, TangentVector.from_flat([1, 0, 0]))
+
+    def test_escaped_tangent_raises(self):
+        # at x = 3.45 the point stays finite, and the tangent overflows
+        maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
+        p = ContactPoint.from_flat([3.45, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="tangent escaped"):
+                composition_jacobian(maps, p)
+            with pytest.raises(OverflowError, match="tangent escaped"):
+                pullback_eval(maps, p, TangentVector.from_flat([1, 0, 0]))
+
     def test_escaped_batch_not_finite_without_warning(self):
         # round 1 returns the escaped row non-finite, the other as is
         rnd = build_pushout(desk_schedule(3, 6), 3, 1).rounds[0]

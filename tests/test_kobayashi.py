@@ -191,6 +191,17 @@ class TestUpperBound:
         lam = abs(witness.components[0].eval_deriv(0.0)[1])
         assert upper == pytest.approx(1.0 / lam, rel=1e-12)
 
+    def test_subnormal_direction(self):
+        # 1/maxnorm(v) overflows: the direction is still e_x, and the bound
+        # maxnorm(v) / lam
+        K = standard_obstacle(1, 6)
+        lam, want = kobayashi._largest_certified_scaling(
+            ORIGIN, X_DIR, K, DEFAULT_AVOIDANCE_MARGIN, 1e3)
+        upper, witness = directed_norm_upper(
+            ORIGIN, X_DIR.scaled(5e-324), "complement", K)
+        assert upper == 5e-324 / lam
+        assert witness.components == want.components
+
     def test_exact_homogeneity(self):
         u1, _ = directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
                                     budget=SMALL)
@@ -608,7 +619,7 @@ def _disk_cases(draw):
     v = TangentVector(tuple(v[0::2]), tuple(v[1::2]), vz)
     K = draw(st.sampled_from(LAYOUTS[n]))
     margin = draw(st.sampled_from([0.0, DEFAULT_AVOIDANCE_MARGIN, 0.25]))
-    return p, v.scaled(1.0 / v.maxnorm()), K, margin
+    return p, kobayashi._unit_direction(v, v.maxnorm()), K, margin
 
 
 def _z_route_case(layout, x, y, z, vx, vy):
@@ -765,8 +776,8 @@ class TestLargestCertifiedScaling:
             assert trial <= lam
 
 
-def _bisection_path(monkeypatch, run, verdict):
-    """(the scalings at which the bisection asks ``verdict``, in order, and
+def _verdict_path(monkeypatch, run, verdict):
+    """(the scalings at which the search asks ``verdict``, in order, and
     the result of ``run``) with ``verdict`` in place of the step verdict."""
     lams = []
 
@@ -798,42 +809,24 @@ def _path_cases():
             id=f"x_derivative-n{n}-i{i_max}")
 
 
-class TestBisectionPath:
-    @pytest.mark.parametrize("run, p, u, K, margin", list(_path_cases()))
-    def test_same_scalings_as_parent(self, monkeypatch, run, p, u, K,
-                                     margin):
-        # with a band that decides nothing every step asks the verdict:
-        # the full path, which the parent verdict walks the same way
-        with monkeypatch.context() as m:
-            m.setattr(kobayashi, "_verdict_band", _no_band)
-            lams, (value, witness) = _bisection_path(
-                monkeypatch, run, kobayashi._certification_shortfall)
-            parent_lams, (parent_value, parent_witness) = _bisection_path(
-                monkeypatch, run,
-                lambda search, lam: _as_parent(
-                    _parent_verdict(p, u, K, margin, lam)))
-        assert len(lams) > 50
-        assert lams == parent_lams
-        assert value == parent_value
-        assert witness.components == parent_witness.components
-        # with the band: the verdict is asked only between its ends, the
-        # result is the full path's, and every step the band decides is
-        # decided as the parent verdict decides it
-        lo, hi = kobayashi._verdict_band(kobayashi._disk_search(p, u, K,
-                                                                margin))
-        asked, (banded_value, banded_witness) = _bisection_path(
-            monkeypatch, run, kobayashi._certification_shortfall)
-        assert asked == [lam for lam in lams if lo < lam < hi]
-        assert len(asked) <= 12
-        assert banded_value == value
-        assert banded_witness.components == witness.components
-        for lam in lams:
-            if lam <= lo or lam >= hi:
-                assert _parent_verdict(p, u, K, margin, lam)[0] == (lam <= lo)
+def _full_bisection(search, cap):
+    """The flip as the search found it before it started from a guess:
+    cap if it certifies, else [0, cap] bisected on the verdict until the
+    ends are adjacent floats."""
+    def certifies(lam):
+        return kobayashi._certification_shortfall(search, lam)[0]
 
-
-def _no_band(search):
-    return -math.inf, math.inf
+    if certifies(cap):
+        return cap
+    lo, hi = 0.0, cap
+    mid = lo + (hi - lo) / 2
+    while lo < mid < hi:
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + (hi - lo) / 2
+    return lo
 
 
 def _inf_limits(n):
@@ -896,11 +889,11 @@ def _band_example(x, y, z, vx, vy, K, margin=DEFAULT_AVOIDANCE_MARGIN,
     return p, v.scaled(1.0 / v.maxnorm()), K, margin, cap
 
 
-class TestVerdictBand:
+class TestVerdictFlip:
     @settings(max_examples=100, deadline=None)
     # x_1 a relative 2^-15 below a_1 = 1, margin 0: the float sup reaches 1
-    # a relative 2^-39 of lambda before lambda + x_1 does, so a band of
-    # a fixed relative 1e-12 about the exact root decides wrongly
+    # a relative 2^-39 of lambda before lambda + x_1 does, so the flip lies
+    # many ulps from the exact root
     @example(case=_band_example([1 - 2.0 ** -15], [0], 1, [1], [0],
                                 standard_obstacle(1, 6), margin=0.0))
     # a centre coordinate on a_1 - margin; on b_2 + margin; |p_z| on
@@ -937,44 +930,125 @@ class TestVerdictBand:
     # +inf limits beyond the last shell
     @example(case=_band_example([60], [3j], 2, [1], [0.5], INF_LIMITS[1]))
     @given(case=_band_cases())
-    def test_agrees_with_every_verdict_it_decides(self, case):
-        # every step of the full path, and the floats at and beside each
-        # finite end of the band, that the band decides
+    def test_verdict_changes_at_the_flip(self, case):
         p, u, K, margin, cap = case
         search = kobayashi._disk_search(p, u, K, margin)
-        lo, hi = kobayashi._verdict_band(search)
-        assert lo <= hi
-        verdict = kobayashi._certification_shortfall
-        steps = []
 
-        def recording(search, lam):
-            got = verdict(search, lam)
-            steps.append(got[0])
-            return got
+        def certifies(lam):
+            return kobayashi._certification_shortfall(search, lam)[0]
 
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(kobayashi, "_verdict_band", _no_band)
-            full = _bisection_path(
-                pytest.MonkeyPatch,
-                lambda: kobayashi._largest_certified_scaling(p, u, K, margin,
-                                                             cap),
-                recording)[0]
-        edges = [near for end in (lo, hi) if math.isfinite(end)
-                 for near in (math.nextafter(end, -math.inf), end,
-                              math.nextafter(end, math.inf)) if near >= 0.0]
-        for lam, got in [*zip(full, steps),
-                         *((lam, verdict(search, lam)[0]) for lam in edges)]:
-            if lam <= lo:
-                assert got, (lam, lo, hi)
-            elif lam >= hi:
-                assert not got, (lam, lo, hi)
+        asked, flip = _verdict_path(
+            pytest.MonkeyPatch, lambda: kobayashi._verdict_flip(search, cap),
+            kobayashi._certification_shortfall)
+        if flip == cap:
+            assert certifies(cap)
+        else:
+            assert 0.0 <= flip < cap
+            assert flip == 0.0 or certifies(flip)
+            assert not certifies(math.nextafter(flip, math.inf))
+        if kobayashi._flip_guess(search) == -math.inf:
+            # no verdict asked, and the full bisection finds no scaling
+            assert asked == [] and flip == 0.0
+            assert _full_bisection(search, cap) == 0.0
 
-    def test_out_of_range_moduli_decide_nothing(self):
+    def test_out_of_range_moduli(self):
+        # |p_x| = 1e-300 and |p_z| = 1e80: the full bisection's scaling
         K = standard_obstacle(1, 6)
         for p in [ContactPoint((1e-300 + 0j,), (0.5j,), 0j),
                   ContactPoint((0.5 + 0j,), (0j,), 1e80 + 0j)]:
             search = kobayashi._disk_search(p, X_DIR, K, 0.0)
-            assert kobayashi._verdict_band(search) == (-math.inf, math.inf)
+            flip = kobayashi._verdict_flip(search, 1e3)
+            assert flip > 0.0
+            assert flip == _full_bisection(search, 1e3)
+
+    @pytest.mark.parametrize("p, K", [
+        (ContactPoint((2 + 0j,), (0j,), 0j), standard_obstacle(1, 4)),
+        (ContactPoint((4 + 0j,), (1j,), 0j), standard_obstacle(1, 6))])
+    def test_never_passing_asks_no_verdict(self, monkeypatch, p, K):
+        # the centre on a shell: every route of that shell has room <= 0
+        search = kobayashi._disk_search(p, X_DIR, K, DEFAULT_AVOIDANCE_MARGIN)
+        assert not kobayashi._certification_shortfall(search, 5e-324)[0]
+        assert kobayashi._flip_guess(search) == -math.inf
+        monkeypatch.setattr(kobayashi, "_certification_shortfall", None)
+        assert kobayashi._verdict_flip(search, 1e3) == 0.0
+        assert kobayashi._largest_certified_scaling(
+            p, X_DIR, K, DEFAULT_AVOIDANCE_MARGIN, 1e3) == (0.0, None)
+
+    @pytest.mark.parametrize("guess, start", [
+        (0.0, 5e-324), (math.nan, math.nextafter(1e3, 0.0)),
+        (1e3, math.nextafter(1e3, 0.0)), (math.inf, math.nextafter(1e3, 0.0))])
+    def test_guess_outside_the_interval(self, monkeypatch, guess, start):
+        # a guess of 0, NaN or at least cap starts the gallop at the nearest
+        # float inside (0, cap), and the flip is still the full bisection's
+        search = kobayashi._disk_search(P1, V1, standard_obstacle(1, 4),
+                                        DEFAULT_AVOIDANCE_MARGIN)
+        want = _full_bisection(search, 1e3)
+        monkeypatch.setattr(kobayashi, "_flip_guess", lambda search: guess)
+        asked, flip = _verdict_path(
+            monkeypatch, lambda: kobayashi._verdict_flip(search, 1e3),
+            kobayashi._certification_shortfall)
+        assert asked[:2] == [1e3, start]
+        assert all(0.0 < lam < 1e3 for lam in asked[1:])
+        assert flip == want
+
+    @pytest.mark.parametrize("ulps", [-20, -1, 1, 20])
+    def test_guess_near_the_flip(self, monkeypatch, ulps):
+        # from a guess k ulps off the flip, up or down, the gallop and the
+        # bisection ask about 2 log2 k verdicts after cap
+        search = kobayashi._disk_search(P1, V1, standard_obstacle(1, 4),
+                                        DEFAULT_AVOIDANCE_MARGIN)
+        flip = kobayashi._verdict_flip(search, 1e3)
+        guess = flip
+        for _ in range(abs(ulps)):
+            guess = math.nextafter(guess, math.copysign(math.inf, ulps))
+        monkeypatch.setattr(kobayashi, "_flip_guess", lambda search: guess)
+        asked, got = _verdict_path(
+            monkeypatch, lambda: kobayashi._verdict_flip(search, 1e3),
+            kobayashi._certification_shortfall)
+        assert got == flip
+        assert len(asked) <= 12
+
+    def test_least_room_is_not_never(self):
+        # x_1 one float below a_1 - margin: the inside route passes at
+        # lam = 0 and up to about half an ulp, so a scaling > 0 flips
+        K = standard_obstacle(1, 6)
+        limit = K.linear_shells()[0][0] - DEFAULT_AVOIDANCE_MARGIN
+        p = ContactPoint((math.nextafter(limit, 0.0) + 0j,), (0j,), 0j)
+        search = kobayashi._disk_search(p, X_DIR, K, DEFAULT_AVOIDANCE_MARGIN)
+        flip = kobayashi._verdict_flip(search, 1e3)
+        assert 0.0 < flip < 1e-15
+        assert flip == _full_bisection(search, 1e3)
+
+    def test_infinite_room_always_passes(self):
+        # a last shell with a = inf, z a shell coordinate: the 'inside'
+        # room of z is +inf, and its root +inf, not inf/inf, so that shell
+        # leaves the guess as it is without it
+        assert kobayashi._route_root(0.5, 0.25, 0.125, math.inf, True) \
+            == math.inf
+        p, v = _horizontal([0.5], [0.2], 0.1, [1], [0.5])
+        radii = standard_obstacle(1, 6).linear_shells()
+        guesses = [kobayashi._flip_guess(kobayashi._disk_search(
+            p, v, ShellUnion.from_linear(shells, (2, 1), 0),
+            DEFAULT_AVOIDANCE_MARGIN))
+            for shells in (radii, radii + ((math.inf,) * 3,))]
+        assert 0.0 < guesses[0] == guesses[1] < math.inf
+
+    @pytest.mark.parametrize("run, p, u, K, margin", list(_path_cases()))
+    def test_same_scalings_as_parent(self, monkeypatch, run, p, u, K,
+                                     margin):
+        # the parent verdict, which rebuilt every coefficient list, asked
+        # at the same scalings answers the same, so the search takes the
+        # same path to the same scaling and witness
+        lams, (value, witness) = _verdict_path(
+            monkeypatch, run, kobayashi._certification_shortfall)
+        parent_lams, (parent_value, parent_witness) = _verdict_path(
+            monkeypatch, run,
+            lambda search, lam: _as_parent(
+                _parent_verdict(p, u, K, margin, lam)))
+        assert lams == parent_lams
+        assert 2 <= len(lams) <= 8
+        assert value == parent_value
+        assert witness.components == parent_witness.components
 
 
 class TestExactRecertification:
