@@ -9,6 +9,7 @@ automorphisms act on flat coordinate tuples.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .numeric import (
     DEGREE_CAP,
     DegreeCapError,
     derivative_dot,
-    poly_mul_capped,
+    negated_dot_integral,
 )
 
 KERNEL_TOL = 1e-12  # absolute tolerance for "v lies in ker alpha0 at p"
@@ -139,20 +140,31 @@ def alpha0_eval(p: ContactPoint, v: TangentVector) -> complex:
     return v.z + sum(xj * vyj for xj, vyj in zip(p.x, v.y))
 
 
+def _coordinate_error(name: str, c: complex) -> ValueError:
+    """The error for coordinate ``name`` = c, which is not finite or whose
+    modulus is beyond float range."""
+    if cmath.isfinite(c):
+        return ValueError(f"{name} modulus is beyond float range: {c!r}")
+    return ValueError(f"{name} is not finite: {c!r}")
+
+
 def check_horizontal(p: ContactPoint, v: TangentVector) -> None:
-    """Raise ValueError unless p and v are finite and v lies in the kernel
-    of alpha0 at p, to absolute ``KERNEL_TOL``; a non-finite coordinate is
-    named by its block and index, e.g. ``point x[0]``."""
+    """Raise ValueError unless p and v are finite, with every coordinate's
+    modulus in float range, and v lies in the kernel of alpha0 at p, to
+    absolute ``KERNEL_TOL``.  A coordinate that fails is named by its
+    block and index, e.g. ``point x[0] is not finite`` or ``point x[0]
+    modulus is beyond float range``; an alpha0(v) that leaves float range
+    (a NaN or infinite part, or an infinite modulus) is not horizontal."""
+    # hypot is finite exactly when both parts and the modulus are
     for name, blocks in (("point", p), ("direction", v)):
         for block in ("x", "y"):
             for j, c in enumerate(getattr(blocks, block)):
-                if not cmath.isfinite(c):
-                    raise ValueError(
-                        f"{name} {block}[{j}] is not finite: {c!r}")
-        if not cmath.isfinite(blocks.z):
-            raise ValueError(f"{name} z is not finite: {blocks.z!r}")
+                if not math.hypot(c.real, c.imag) < math.inf:
+                    raise _coordinate_error(f"{name} {block}[{j}]", c)
+        if not math.hypot(blocks.z.real, blocks.z.imag) < math.inf:
+            raise _coordinate_error(f"{name} z", blocks.z)
     defect = alpha0_eval(p, v)
-    if abs(defect) > KERNEL_TOL:
+    if not math.hypot(defect.real, defect.imag) <= KERNEL_TOL:
         raise ValueError(f"direction is not horizontal: alpha0(v) = {defect!r}")
 
 
@@ -168,18 +180,23 @@ def horizontality_residual(f: HolomorphicCurve) -> CPolynomial:
 def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:
     """Horizontal curve with prescribed x and y components.
 
-    The z component is the exact antiderivative of -sum_j x_j y_j' with
-    z(0) = z0, so the horizontality residual of the result is identically
-    zero at the coefficient level.
+    The z component is z0 minus the exact antiderivative of
+    sum_j x_j y_j' (``numeric.negated_dot_integral``: one packed integer
+    evaluation of the sum, read back, integrated and reduced once), so the
+    horizontality residual of the result is identically zero at the
+    coefficient level.  Raises DegreeCapError, before any product is
+    formed, when some nonzero x_j y_j' would have degree above
+    ``DEGREE_CAP``, and when z would.
     """
     x_polys = tuple(x_polys)
     y_polys = tuple(y_polys)
     if len(x_polys) != len(y_polys):
         raise ValueError("x and y component counts differ")
-    terms = [poly_mul_capped(xj, yj.derivative())
-             for xj, yj in zip(x_polys, y_polys)]
-    integrand = -sum(terms[1:], terms[0]) if terms else CPolynomial()
-    z = integrand.antiderivative(z0)
+    for xj, yj in zip(x_polys, y_polys):
+        d = xj.degree + yj.degree - 1
+        if d > DEGREE_CAP and not xj.is_zero and yj.degree > 0:
+            raise DegreeCapError(f"product degree {d} exceeds cap {DEGREE_CAP}")
+    z = negated_dot_integral(zip(x_polys, y_polys), z0)
     if z.degree > DEGREE_CAP:
         raise DegreeCapError(f"z degree {z.degree} exceeds cap {DEGREE_CAP}")
     comps = []

@@ -346,10 +346,9 @@ def directed_norm_lower(p: ContactPoint, v: TangentVector,
     lemma's proof covers for a truncation is still open (ROADMAP item 1).
     """
     check_horizontal(p, v)
-    m = p.maxnorm()
-    N0 = 1
-    while 2.0 ** N0 <= m:
-        N0 += 1
+    # the least N0 >= 1 with max-norm < 2^N0, with no power of 2 that
+    # leaves float range
+    N0 = max(1, math.frexp(p.maxnorm())[1])
     try:
         cert = BoundCertificate(N0=N0, n=p.n, i_max=len(K.shells))
     except ValueError:  # p lies beyond the last shell

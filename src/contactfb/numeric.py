@@ -16,30 +16,34 @@ Two representations carry the whole package:
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
-  over one shared positive int denominator.  Intake reads a Python complex
-  (the common case, tested first), an (re, im) pair or a rational exactly.
-  Each result is reduced once: the gcd of the denominator and the
-  numerators is taken pair by pair from the highest power down and stops
-  as soon as it reaches 1, which on products it usually does within the
-  top few pairs.  Products, sums, derivatives and antiderivatives are then
-  exact integer work, which is what lets horizontality be verified as "the
-  residual is the identically-zero polynomial" with zero tolerance.
-  Evaluation and sup bounds convert once to complex128 (correctly rounded);
-  a polynomial built from Python complex values keeps them as that view,
-  and a bound whose view would leave float range is vacuous (+inf or
-  -inf) instead.
+  over one shared positive int denominator.  Intake reads a list of Python
+  complex numbers (the common case) in one pass: a float is n / 2^e, so
+  the largest denominator is the common one and the numerators over it
+  are already reduced.  Any other input (an (re, im) pair, a rational)
+  is read exactly over the lcm of its denominators.  Each result is
+  reduced once: the gcd of the denominator and the numerators is taken
+  pair by pair from the highest power down and stops as soon as it
+  reaches 1, which on products it usually does within the top few pairs.
+  Products, sums, derivatives and antiderivatives are then exact integer
+  work, which is what lets horizontality be verified as "the residual is
+  the identically-zero polynomial" with zero tolerance.  Evaluation and
+  sup bounds convert once to complex128 (correctly rounded); a polynomial
+  built from Python complex values keeps them as that view, and a bound
+  whose view would leave float range is vacuous (+inf or -inf) instead.
 
-  The sum of products sum_j a_j * b_j' + c' (the horizontality residual)
-  is one packed integer evaluation, ``derivative_dot``: over one common
-  denominator each real and imaginary part is read as an integer
-  polynomial at X = 2^w, with w wide enough that every coefficient of the
-  result is one signed base-2^w digit (Kronecker substitution), so a pair
-  costs three big-integer products (Gauss) and the result is read back
-  once, or not at all when it is zero.  A single product,
-  ``CPolynomial.__mul__``, keeps its schoolbook loop: at the degree <= 2
-  products of the linear disks and path segments that call it, packing
-  and reading back cost more than the loop (10 against 3.7 us for a
-  degree 1 by degree 0 product, on a 2-vCPU Xeon).
+  The sum of products sum_j a_j * b_j' + c' is one packed integer
+  evaluation, ``_dot_digits``: over one common denominator each real and
+  imaginary part is read as an integer polynomial at X = 2^w, with w wide
+  enough that every coefficient of the result is one signed base-2^w
+  digit (Kronecker substitution), so a pair costs three big-integer
+  products (Gauss) and the result is read back once, or not at all when
+  it is zero.  Both its users read the digits once and reduce once:
+  ``derivative_dot`` (the horizontality residual) takes them as they are,
+  and ``negated_dot_integral`` (the z of a Legendrian disk, from
+  ``c = 0``) negates them, divides digit k by k + 1 and puts z0 in front,
+  so no product, sum or integrand polynomial is built on the way.  The
+  single product ``CPolynomial.__mul__`` is a schoolbook loop, for callers
+  outside these two.
 """
 
 from __future__ import annotations
@@ -240,16 +244,32 @@ class CPolynomial:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
+        if all(type(c) is complex for c in coeffs):
+            # a float is n / 2^e in lowest terms, so the largest denominator
+            # is the common one, each numerator goes over it by a shift,
+            # and the part that has it keeps its odd n: the numerators over
+            # it are already reduced
+            parts = [x.as_integer_ratio() for c in coeffs
+                     for x in (c.real, c.imag)]
+            den = max([d for _, d in parts], default=1)
+            e = den.bit_length()
+            nums = iter([n << (e - d.bit_length()) for n, d in parts])
+            num = list(zip(nums, nums))
+            while num and num[-1] == (0, 0):
+                num.pop()
+            object.__setattr__(self, "_num", tuple(num))
+            object.__setattr__(self, "_den", den)
+            object.__setattr__(self, "_rat", None)
+            # an exact float is its own correctly rounded view; + 0j turns
+            # -0.0 into 0.0, and the view stops where the storage does
+            object.__setattr__(self, "_coeffs", tuple(
+                [c + 0j for c in coeffs[:len(num)]]))
+            return
         # every part goes over the lcm of all the parts' denominators at once
         parts = [_exact_parts(c) for c in coeffs]
         den = math.lcm(*(d for part in parts for _, d in part))
         self._store([(rn * (den // rd), im * (den // id_))
                      for (rn, rd), (im, id_) in parts], den)
-        if all(type(c) is complex for c in coeffs):
-            # an exact float is its own correctly rounded view; + 0j turns
-            # -0.0 into 0.0, and the view stops where the storage does
-            object.__setattr__(self, "_coeffs", tuple(
-                [c + 0j for c in coeffs[:len(self._num)]]))
 
     @classmethod
     def _make(cls, num: list, den: int) -> "CPolynomial":
@@ -369,18 +389,7 @@ class CPolynomial:
                                  self._den)
 
     def antiderivative(self, constant=0) -> "CPolynomial":
-        # coefficient k+1 is num_k / ((k+1) den): bring every term to
-        # L*den with L = lcm(1..deg+1), then to a common denominator with
-        # the constant.
-        cr, ci, cd = _exact_complex(constant)
-        L = math.lcm(*range(1, len(self._num) + 1))
-        den = math.lcm(L * self._den, cd)
-        m = den // (L * self._den)
-        out = [(cr * (den // cd), ci * (den // cd))]
-        for k, (re, im) in enumerate(self._num):
-            w = m * (L // (k + 1))
-            out.append((re * w, im * w))
-        return CPolynomial._make(out, den)
+        return _integral(self._num, self._den, constant, 1)
 
     # -- evaluation ------------------------------------------------------
 
@@ -433,12 +442,7 @@ class CPolynomial:
             return NEG_INF
 
 
-def poly_mul_capped(a: CPolynomial, b: CPolynomial) -> CPolynomial:
-    """Product with a check against ``DEGREE_CAP``."""
-    if not (a.is_zero or b.is_zero) and a.degree + b.degree > DEGREE_CAP:
-        raise DegreeCapError(f"product degree {a.degree + b.degree} "
-                             f"exceeds cap {DEGREE_CAP}")
-    return a * b
+_ZERO = CPolynomial()
 
 
 def _height(num) -> int:
@@ -462,21 +466,10 @@ def _pack(num, w: int, derive: bool) -> tuple[int, int]:
     return re, im
 
 
-def _unpack(v: int, w: int, m: int) -> list:
-    """The m signed base-2^w digits of v, each in [-2^(w-1), 2^(w-1))."""
-    half, full = 1 << (w - 1), 1 << w
-    out = []
-    for _ in range(m):
-        d = v & (full - 1)  # v mod 2^w, also for negative v
-        if d >= half:
-            d -= full
-        out.append(d)
-        v = (v - d) >> w
-    return out
-
-
-def derivative_dot(pairs, plus: CPolynomial) -> CPolynomial:
-    """sum_j a_j * b_j' + plus' over the (a_j, b_j) of ``pairs``, exactly.
+def _dot_digits(pairs, plus: CPolynomial) -> tuple[int, list]:
+    """(D, digits): D * (sum_j a_j * b_j' + plus') is the polynomial whose
+    coefficients are the (re, im) int pairs of ``digits``, a list that is
+    empty when the result is zero and may end in zero pairs otherwise.
 
     Every term goes over one denominator D, a multiple of each d_a d_b and
     of d_plus, and the derivatives are taken inside the packing, so none is
@@ -484,41 +477,80 @@ def derivative_dot(pairs, plus: CPolynomial) -> CPolynomial:
     coefficient of D times the result are bounded by
     sum_j 2 min(len a_j, deg b_j) H(a_j) deg(b_j) H(b_j) D / (d_aj d_bj)
     plus deg(plus) H(plus) D / d_plus, H the largest numerator part (so
-    deg(b) H(b) bounds the parts of b'), and the slot width w puts 2^(w-1)
-    above that bound.  So the real and the imaginary part of the result at
-    X = 2^w, two Python ints summed with three products per pair (Gauss),
-    hold each coefficient as one signed base-2^w digit.  When both are 0
-    the result is the zero polynomial, read without unpacking; otherwise
-    the digits are read back once and reduced once, to the canonical form
-    that the derivative, product and sum operators give.
+    deg(b) H(b) bounds the parts of b'), and the slot width w, a whole
+    number of bytes, puts 2^(w-1) above that bound.  So the real and the
+    imaginary part of the result at X = 2^w, two Python ints summed with
+    three products per pair (Gauss), hold each coefficient as one signed
+    base-2^w digit.  When both are 0 no digit is read; otherwise 2^(w-1)
+    is added to every digit, which makes each one a shift and a mask.
     """
-    pairs = [(a, b) for a, b in pairs if a._num and len(b._num) > 1]
-    den = math.lcm(plus._den, *(a._den * b._den for a, b in pairs))
-    deg = max(len(plus._num) - 1, 0)
-    scale = den // plus._den
-    bound = deg * _height(plus._num) * scale
-    m = deg
-    scales = []
-    for a, b in pairs:
-        s = den // (a._den * b._den)
-        la, lb = len(a._num), len(b._num) - 1
-        bound += 2 * min(la, lb) * _height(a._num) * lb * _height(b._num) * s
+    pairs = [(a._num, b._num, a._den * b._den) for a, b in pairs
+             if a._num and len(b._num) > 1]
+    den = math.lcm(plus._den, *[d for _, _, d in pairs])
+    m = len(plus._num) - 1
+    bound = m * _height(plus._num) * (den // plus._den) if m > 0 else 0
+    for a, b, d in pairs:
+        la, lb = len(a), len(b) - 1
+        bound += 2 * min(la, lb) * lb * (den // d) * _height(a) * _height(b)
         m = max(m, la + lb - 1)
-        scales.append(s)
-    w = bound.bit_length() + 1
+    nbytes = (bound.bit_length() >> 3) + 1
+    w = nbytes << 3
     re, im = _pack(plus._num, w, True)
-    re *= scale
-    im *= scale
-    for (a, b), s in zip(pairs, scales):
-        ar, ai = _pack(a._num, w, False)
-        br, bi = _pack(b._num, w, True)
+    if re or im:
+        s = den // plus._den
+        re *= s
+        im *= s
+    for a, b, d in pairs:
+        ar, ai = _pack(a, w, False)
+        br, bi = _pack(b, w, True)
         rr, ii = ar * br, ai * bi
+        s = den // d
         re += (rr - ii) * s
         im += ((ar + ai) * (br + bi) - rr - ii) * s
     if not (re or im):
-        return CPolynomial()
-    return CPolynomial._make(list(zip(_unpack(re, w, m), _unpack(im, w, m))),
-                             den)
+        return den, []
+    half = 1 << (w - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * m, "little")
+    re += bias
+    im += bias
+    mask = (1 << w) - 1
+    return den, [(((re >> k) & mask) - half, ((im >> k) & mask) - half)
+                 for k in range(0, w * m, w)]
+
+
+def derivative_dot(pairs, plus: CPolynomial) -> CPolynomial:
+    """sum_j a_j * b_j' + plus' over the (a_j, b_j) of ``pairs``, exactly:
+    the digits of ``_dot_digits`` over their denominator, reduced once to
+    the canonical form that the derivative, product and sum operators
+    give."""
+    den, digits = _dot_digits(pairs, plus)
+    return CPolynomial._make(digits, den)
+
+
+def _integral(num, den: int, constant, sign: int) -> CPolynomial:
+    """constant + sign * the antiderivative, vanishing at 0, of the
+    polynomial with coefficients num[k] / den: coefficient k + 1 is
+    sign * num[k] / ((k + 1) den), which over L den, L = lcm(1..len num),
+    is sign * num[k] * (L // (k + 1)).  It and the constant go over one
+    denominator and are reduced once."""
+    cr, ci, cd = _exact_complex(constant)
+    L = math.lcm(*range(1, len(num) + 1))
+    zden = math.lcm(L * den, cd)
+    s = sign * (zden // (L * den))
+    c = zden // cd
+    out = [(cr * c, ci * c)]
+    for k, (re, im) in enumerate(num, 1):
+        w = s * (L // k)
+        out.append((re * w, im * w))
+    return CPolynomial._make(out, zden)
+
+
+def negated_dot_integral(pairs, z0=0) -> CPolynomial:
+    """z0 minus the antiderivative of sum_j a_j * b_j' that vanishes at 0,
+    exactly: the digits of ``_dot_digits`` are integrated as they are read,
+    with no product, sum or integrand polynomial built between."""
+    den, digits = _dot_digits(pairs, _ZERO)
+    return _integral(digits, den, z0, -1)
 
 
 # ---------------------------------------------------------------------------

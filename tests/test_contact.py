@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from contactfb.contact import (
     legendrian_line,
     pullback_eval,
 )
+from contactfb import numeric
 from contactfb.numeric import CPolynomial, DegreeCapError
 
 
@@ -100,7 +102,6 @@ class TestHorizontality:
         f = legendrian_from_xy([x], [y], z0=5)
         # z' = -x y' = -2 t^2, so z = 5 - (2/3) t^3 exactly
         assert f.z.rational_coeffs[0][0] == 5
-        from fractions import Fraction
         assert f.z.rational_coeffs[3][0] == Fraction(-2, 3)
 
     def test_degree_cap_enforced(self):
@@ -109,10 +110,111 @@ class TestHorizontality:
         with pytest.raises(DegreeCapError):
             legendrian_from_xy([x], [y])
 
+    @pytest.mark.parametrize("dx, dy, raised", [
+        (31, 33, None),  # x y' of degree 63: z of degree 64
+        (32, 33, "^z degree 65 exceeds cap 64"),
+        (33, 33, "^product degree 65 exceeds cap 64"),
+        (-1, 90, None),  # x = 0
+        (90, 0, None),  # y' = 0
+    ])
+    def test_degree_cap_boundary(self, dx, dy, raised):
+        x = CPolynomial([0] * dx + [1]) if dx >= 0 else CPolynomial()
+        y = CPolynomial([0] * dy + [1])
+        if raised is None:
+            f = legendrian_from_xy([x], [y])
+            assert f.z.degree == (dx + dy if dx >= 0 and dy else -1)
+        else:
+            with pytest.raises(DegreeCapError, match=raised):
+                legendrian_from_xy([x], [y])
+
+    def test_degree_cap_raised_before_packing(self, monkeypatch):
+        def packed(*args):
+            raise AssertionError("packed a product past the cap")
+        monkeypatch.setattr(numeric, "_dot_digits", packed)
+        x = CPolynomial([0] * 40 + [1])
+        with pytest.raises(DegreeCapError, match="^product degree 79 "):
+            legendrian_from_xy([CPolynomial([1]), x], [CPolynomial([0, 1]), x])
+
     def test_nonhorizontal_curve_detected(self):
         f = HolomorphicCurve((CPolynomial([0, 1]), CPolynomial([0, 1]),
                               CPolynomial([0, 1])))
         assert not horizontality_residual(f).is_zero
+
+
+# Coefficients of every kind the intake reads: Python complex (floats over
+# their own power-of-two denominators), real Fractions, (re, im) pairs,
+# and ints past float range.
+_exact_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10 ** 12),
+    st.integers(-2 ** 200, 2 ** 200))
+_any_coeffs = st.one_of(
+    st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10 ** 12),
+    st.integers(-2 ** 200, 2 ** 200),
+    st.tuples(_exact_reals, _exact_reals))
+# the zero polynomial (empty, or all zeros), or degree 0-10
+_coeff_lists = st.one_of(
+    st.just([]), st.lists(st.sampled_from([0, 0j, -0.0, (0, 0)]),
+                          min_size=1, max_size=3),
+    st.lists(_any_coeffs, min_size=1, max_size=11))
+_z0s = st.one_of(
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.fractions(), st.integers(-2 ** 100, 2 ** 100))
+
+
+def _fraction_pair(c):
+    """(re, im) of a coefficient as Fractions, read independently of
+    ``numeric``."""
+    if isinstance(c, tuple):
+        return Fraction(c[0]), Fraction(c[1])
+    if isinstance(c, complex):
+        return Fraction(c.real), Fraction(c.imag)
+    return Fraction(c), Fraction(0)
+
+
+def _oracle_z(xs, ys, z0):
+    """z_0 = z0 and z_{k+1} = -(1/(k+1)) sum_j sum_{i+l=k} x_{j,i} (l+1)
+    y_{j,l+1}, in Fraction pairs, trailing zeros stripped."""
+    xs = [[_fraction_pair(c) for c in x] for x in xs]
+    ys = [[_fraction_pair(c) for c in y] for y in ys]
+    size = max([len(x) + len(y) - 1 for x, y in zip(xs, ys)], default=1)
+    z = [_fraction_pair(z0)] + [(Fraction(0), Fraction(0))] * size
+    for x, y in zip(xs, ys):
+        for i, (ar, ai) in enumerate(x):
+            for l in range(len(y) - 1):
+                br, bi = y[l + 1]
+                w = Fraction(-(l + 1), i + l + 1)
+                re, im = z[i + l + 1]
+                z[i + l + 1] = (re + w * (ar * br - ai * bi),
+                                im + w * (ar * bi + ai * br))
+    while z and z[-1] == (0, 0):
+        z.pop()
+    return tuple(z)
+
+
+class TestLegendrianOracle:
+    """``legendrian_from_xy`` against the coefficient formula in Fraction
+    arithmetic, on every coefficient kind the intake reads."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(_coeff_lists, min_size=n, max_size=n),
+        st.lists(_coeff_lists, min_size=n, max_size=n))), _z0s)
+    @settings(max_examples=300, deadline=None)
+    @example(([[]], [[1, 2]]), 0)  # x = 0: z is z0
+    @example(([[1, 2]], [[5]]), Fraction(1, 3))  # y' = 0
+    @example(([[0.5, -0.0, 0j]], [[0j, 3 + 0j, 0j]]), -0.0 + 0j)
+    @example(([[2 ** 200, (1, Fraction(1, 3))], [1e-300j]],
+              [[0, 0, 2 ** -1074 + 0j], [(0, 0), 1e300]]), 7)
+    def test_equals_fraction_oracle(self, xy, z0):
+        cx, cy = xy
+        xs = [CPolynomial(c) for c in cx]
+        ys = [CPolynomial(c) for c in cy]
+        f = legendrian_from_xy(xs, ys, z0)
+        assert f.z.rational_coeffs == _oracle_z(cx, cy, z0)
+        assert f.x == tuple(xs) and f.y == tuple(ys)
+        assert horizontality_residual(f).is_zero
 
 
 def _parent_residual(f):
@@ -196,6 +298,9 @@ class TestLegendrianLine:
         (ContactPoint((0j,), (0j,), 0j),
          TangentVector((0j,), (0j,), complex("nan")),
          r"^direction z is not finite"),
+        (ContactPoint((0j,), (1.5e308 - 1.5e308j,), 0j),
+         TangentVector((1 + 0j,), (0j,), 0j),
+         r"^point y\[0\] modulus is beyond float range"),
     ])
     def test_rejects_nonfinite(self, p, v, named):
         with pytest.raises(ValueError, match=named):

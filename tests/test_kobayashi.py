@@ -243,6 +243,40 @@ class TestUpperBound:
             max_certified_x_derivative(standard_obstacle(n_K, 4), n=1)
 
 
+# (point, direction, message): finite coordinates whose modulus, or whose
+# alpha0(v), is past float range; each used to raise a bare OverflowError
+# from abs(), or, for the NaN alpha0(v), to pass the check
+OUT_OF_RANGE = [
+    (ContactPoint((1.5e308 + 1.5e308j,), (0j,), 0j), X_DIR,
+     r"^point x\[0\] modulus is beyond float range"),
+    (ContactPoint((0j,), (0j,), complex(-1.5e308, 1.5e308)), X_DIR,
+     r"^point z modulus is beyond float range"),
+    (ORIGIN, TangentVector((0j,), (1.5e308 + 1.5e308j,), 0j),
+     r"^direction y\[0\] modulus is beyond float range"),
+    (ContactPoint((1e200 + 1e200j, 1e200 - 1e200j), (0j, 0j), 0j),
+     TangentVector((0j, 0j), (1e200 + 1e200j, 1e200 + 1e200j), 0j),
+     r"^direction is not horizontal: alpha0\(v\) = \(nan"),
+]
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("p,v,named", OUT_OF_RANGE)
+    def test_named_by_every_directed_norm(self, p, v, named):
+        K = standard_obstacle(p.n, 6)
+        for call in (lambda: directed_norm_lower(p, v, K),
+                     lambda: directed_norm_upper(p, v, "complement", K),
+                     lambda: directed_norm_upper(p, v, "full_space"),
+                     lambda: directed_norm_bracket(p, v, K, budget=SMALL)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    def test_largest_modulus_in_range_passes(self):
+        # |x| = 1.797e308 is the largest float: in range, so horizontal
+        p = ContactPoint((complex(1.7976931348623157e308, 0.0),), (0j,), 0j)
+        lower, _ = directed_norm_lower(p, X_DIR, standard_obstacle(1, 6))
+        assert lower == 0.0
+
+
 class TestBracket:
     K = standard_obstacle(1, 4)
 

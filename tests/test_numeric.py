@@ -11,15 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from contactfb.numeric import (
     CPolynomial,
-    DEGREE_CAP,
-    DegreeCapError,
     NEG_INF,
     _exact_complex,
     _exact_parts,
     log_add,
     log_sub,
     log_sum,
-    poly_mul_capped,
     polar_sum,
     sample_polydisk,
     scaled_sum_arrays,
@@ -406,12 +403,6 @@ class TestCPolynomial:
         for ang in np.linspace(0, 2 * math.pi, 12):
             assert abs(p(cmath.exp(1j * ang))) >= lb - 1e-9
 
-    def test_degree_cap(self):
-        a = CPolynomial([0] * 40 + [1])  # t^40
-        with pytest.raises(DegreeCapError):
-            poly_mul_capped(a, a)
-        assert poly_mul_capped(a, CPolynomial([0, 0, 0, 1])).degree == 43
-
     def test_antiderivative_constant(self):
         p = CPolynomial([2, 6])
         q = p.antiderivative(5)
@@ -562,6 +553,14 @@ edge_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060,
                      -2.2250738585072014e-308, 1e300, -1e300,
                      1.7976931348623157e308]))
+# near 2^+-1000, subnormal, signed zeros, and any finite float
+intake_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp,
+              st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.one_of(st.integers(940, 1024), st.integers(-1080, -940))),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1000,
+                     -(2.0 ** 1000), 2.2250738585072014e-308 / 3]))
 numerators = st.one_of(st.integers(-2 ** 70, 2 ** 70),
                        st.sampled_from([0, 1, -1]))
 
@@ -575,6 +574,28 @@ class TestExactness:
         assert _exact_parts(complex(re, im)) == _exact_parts((re, im))
         assert _exact_complex(complex(re, im)) == _exact_complex((re, im))
         assert CPolynomial([complex(re, im)]) == CPolynomial([(re, im)])
+
+    @given(st.lists(st.builds(complex, intake_floats, intake_floats),
+                    max_size=10),
+           st.lists(st.sampled_from([0j, -0j, complex(-0.0, 0.0)]),
+                    max_size=3))
+    @settings(max_examples=300)
+    @example([], [])
+    @example([complex(2.0 ** -1000, 3.0), 5e-324j, 1 + 0j], [])
+    @example([complex(2.0 ** 1000, -0.0), 2.0 ** -1074 + 0j], [-0j, 0j])
+    @example([complex(-0.0, -0.0)], [0j])
+    def test_complex_list_intake_equals_pair_intake(self, cs, zeros):
+        # a list of Python complex values goes over its largest power-of-two
+        # denominator; as (re, im) pairs it takes the general path, the lcm
+        # of every part's denominator and one gcd reduction
+        cs = cs + zeros
+        p, q = CPolynomial(cs), CPolynomial([(c.real, c.imag) for c in cs])
+        assert p == q and hash(p) == hash(q)
+        assert (p._num, p._den) == (q._num, q._den)
+        want = [(Fraction(c.real), Fraction(c.imag)) for c in cs]
+        while want and want[-1] == (0, 0):
+            want.pop()
+        assert p.rational_coeffs == q.rational_coeffs == tuple(want)
 
     @given(st.lists(st.tuples(numerators, numerators), max_size=10),
            st.integers(1, 2 ** 80), st.integers(1, 2 ** 40))
