@@ -188,6 +188,11 @@ class ShearFunction:
         return f, df
 
 
+def _dimension_error(got: int, dim: int) -> ValueError:
+    return ValueError(f"point of dimension {got} given to a shear map of "
+                      f"dimension {dim}")
+
+
 @dataclass(frozen=True)
 class ShearMap:
     """One shear-like automorphism of C^dim.
@@ -263,8 +268,11 @@ class ShearMap:
 
     def apply_native(self, vec: np.ndarray) -> np.ndarray:
         """Action on a point or on the rows of an (m, dim) array; a point
-        that leaves float range comes back non-finite, with no warning."""
+        that leaves float range comes back non-finite, with no warning.
+        Raises ValueError when a point does not have dim coordinates."""
         vec = np.asarray(vec, dtype=np.complex128)
+        if vec.shape[-1:] != (self.dim,):
+            raise _dimension_error(vec.shape[-1] if vec.ndim else 1, self.dim)
         src, dst = self._slices
         out = vec.copy()
         out[..., dst] = vec[..., dst] + self.func.eval_native(vec[..., src])
@@ -279,7 +287,10 @@ class ShearMap:
         back as a new list of them (its sums are IEEE additions, the same in
         Python as in numpy).  ``tan`` is a complex128 tangent vector
         of shape (dim,), or a (dim, c) array whose columns are tangent
-        vectors, and comes back as a new array."""
+        vectors, and comes back as a new array.  Raises ValueError when
+        ``vec`` does not have dim coordinates."""
+        if len(vec) != self.dim:
+            raise _dimension_error(len(vec), self.dim)
         src, dst = self._slices
         f, df = self.func.eval_deriv(vec[src])
         out_vec = list(vec)

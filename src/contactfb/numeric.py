@@ -1,4 +1,4 @@
-"""Log-polar complex sums and exact dense polynomial calculus.
+"""Log-polar complex sums and exact dense polynomials.
 
 Two representations carry the whole package:
 
@@ -23,10 +23,10 @@ Two representations carry the whole package:
   is read exactly over the lcm of its denominators.  Each result is
   reduced once: the gcd of the denominator and the numerators is taken
   pair by pair from the highest power down and stops as soon as it
-  reaches 1, which on products it usually does within the top few pairs.
-  Products, sums, derivatives and antiderivatives are then exact integer
-  work, which is what lets horizontality be verified as "the residual is
-  the identically-zero polynomial" with zero tolerance.  Evaluation and
+  reaches 1, which on packed results it usually does within the top few
+  pairs.  Equal polynomials then have equal storage, which is what lets
+  horizontality be verified as "the residual is the identically-zero
+  polynomial" with zero tolerance.  Evaluation and
   sup bounds convert once to complex128 (correctly rounded); a polynomial
   built from Python complex values keeps them as that view, and a bound
   whose view would leave float range is vacuous (+inf or -inf) instead.
@@ -41,9 +41,10 @@ Two representations carry the whole package:
   ``derivative_dot`` (the horizontality residual) takes them as they are,
   and ``negated_dot_integral`` (the z of a Legendrian disk, from
   ``c = 0``) negates them, divides digit k by k + 1 and puts z0 in front,
-  so no product, sum or integrand polynomial is built on the way.  The
-  single product ``CPolynomial.__mul__`` is a schoolbook loop, for callers
-  outside these two.
+  so no product, sum or integrand polynomial is built on the way.  These
+  two are the only exact operations that build a polynomial;
+  ``CPolynomial.__mul__``, a schoolbook product, has no caller in the
+  package and stays for the benchmark tracer, which patches it by name.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-#: Default cap on polynomial degree for construction operations that can
-#: grow the degree (products, antiderivatives of products).
+#: Cap on the degree of a Legendrian disk's products x_j y_j' and of its z
+#: component, which ``contact.legendrian_from_xy`` enforces.
 DEGREE_CAP = 64
 
 # exp(x) is exactly 0.0 for every float x below about -745.13.
@@ -66,7 +67,7 @@ _EXP_UNDERFLOW_LOG = -746.0
 
 
 class DegreeCapError(ValueError):
-    """Raised when a construction would exceed the polynomial degree cap."""
+    """Raised when a Legendrian disk would exceed the polynomial degree cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +236,10 @@ class CPolynomial:
     fraction-free: coefficient k is ``(re_k + im_k*1j) / den`` with Python
     int numerator pairs and one positive int denominator, kept in canonical
     form (no trailing zero pair, gcd of ``den`` and every numerator 1), so
-    equal polynomials have equal storage.  Construction operations (sum,
-    product, derivative, antiderivative, scaling) are exact integer work
-    followed by one reduction; evaluation goes through complex128.
+    equal polynomials have equal storage.  Exact results are built outside
+    the class, by ``derivative_dot`` and ``negated_dot_integral``, as
+    integer work followed by one reduction; evaluation and the sup/inf
+    bounds go through complex128.
     """
 
     __slots__ = ("_num", "_den", "_rat", "_coeffs")
@@ -342,29 +344,11 @@ class CPolynomial:
     def __repr__(self) -> str:
         return f"CPolynomial({list(self.coeffs)!r})"
 
-    # -- exact construction arithmetic ----------------------------------
+    # -- exact product ---------------------------------------------------
 
-    def _plus(self, other: "CPolynomial", sign: int) -> "CPolynomial":
-        """self + sign*other over the lcm of the two denominators."""
-        den = math.lcm(self._den, other._den)
-        ma, mb = den // self._den, sign * (den // other._den)
-        out = [(re * ma, im * ma) for re, im in self._num]
-        out.extend([(0, 0)] * (len(other._num) - len(out)))
-        for k, (re, im) in enumerate(other._num):
-            ar, ai = out[k]
-            out[k] = (ar + re * mb, ai + im * mb)
-        return CPolynomial._make(out, den)
-
-    def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "CPolynomial") -> "CPolynomial":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "CPolynomial":
-        return CPolynomial._make([(-re, -im) for re, im in self._num],
-                                 self._den)
-
+    # No package code multiplies two polynomials; the product stays because
+    # perfbench/tracer.py patches it by name (span ``numeric.poly_mul``),
+    # and ROADMAP item 6's benchmark change removes it.
     def __mul__(self, other: "CPolynomial") -> "CPolynomial":
         if self.is_zero or other.is_zero:
             return CPolynomial()
@@ -377,19 +361,6 @@ class CPolynomial:
                 out_im[k] += ar * bi + ai * br
         return CPolynomial._make(list(zip(out_re, out_im)),
                                  self._den * other._den)
-
-    def scale(self, c) -> "CPolynomial":
-        cr, ci, cd = _exact_complex(c)
-        return CPolynomial._make([(re * cr - im * ci, re * ci + im * cr)
-                                  for re, im in self._num], self._den * cd)
-
-    def derivative(self) -> "CPolynomial":
-        return CPolynomial._make([(re * k, im * k)
-                                  for k, (re, im) in enumerate(self._num)][1:],
-                                 self._den)
-
-    def antiderivative(self, constant=0) -> "CPolynomial":
-        return _integral(self._num, self._den, constant, 1)
 
     # -- evaluation ------------------------------------------------------
 
@@ -521,36 +492,29 @@ def _dot_digits(pairs, plus: CPolynomial) -> tuple[int, list]:
 def derivative_dot(pairs, plus: CPolynomial) -> CPolynomial:
     """sum_j a_j * b_j' + plus' over the (a_j, b_j) of ``pairs``, exactly:
     the digits of ``_dot_digits`` over their denominator, reduced once to
-    the canonical form that the derivative, product and sum operators
-    give."""
+    the canonical form every ``CPolynomial`` is stored in."""
     den, digits = _dot_digits(pairs, plus)
     return CPolynomial._make(digits, den)
-
-
-def _integral(num, den: int, constant, sign: int) -> CPolynomial:
-    """constant + sign * the antiderivative, vanishing at 0, of the
-    polynomial with coefficients num[k] / den: coefficient k + 1 is
-    sign * num[k] / ((k + 1) den), which over L den, L = lcm(1..len num),
-    is sign * num[k] * (L // (k + 1)).  It and the constant go over one
-    denominator and are reduced once."""
-    cr, ci, cd = _exact_complex(constant)
-    L = math.lcm(*range(1, len(num) + 1))
-    zden = math.lcm(L * den, cd)
-    s = sign * (zden // (L * den))
-    c = zden // cd
-    out = [(cr * c, ci * c)]
-    for k, (re, im) in enumerate(num, 1):
-        w = s * (L // k)
-        out.append((re * w, im * w))
-    return CPolynomial._make(out, zden)
 
 
 def negated_dot_integral(pairs, z0=0) -> CPolynomial:
     """z0 minus the antiderivative of sum_j a_j * b_j' that vanishes at 0,
     exactly: the digits of ``_dot_digits`` are integrated as they are read,
-    with no product, sum or integrand polynomial built between."""
+    with no product, sum or integrand polynomial built between.  Digit k
+    over D integrates to coefficient k + 1, -digit_k / ((k + 1) D), which
+    over L D, L = lcm(1..number of digits), is -digit_k * (L // (k + 1));
+    it and z0 go over one denominator and are reduced once."""
     den, digits = _dot_digits(pairs, _ZERO)
-    return _integral(digits, den, z0, -1)
+    cr, ci, cd = _exact_complex(z0)
+    L = math.lcm(*range(1, len(digits) + 1))
+    zden = math.lcm(L * den, cd)
+    s = -(zden // (L * den))
+    c = zden // cd
+    out = [(cr * c, ci * c)]
+    for k, (re, im) in enumerate(digits, 1):
+        w = s * (L // k)
+        out.append((re * w, im * w))
+    return CPolynomial._make(out, zden)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_oracle as fo
 from contactfb.contact import (
     ContactPoint,
     HolomorphicCurve,
@@ -164,39 +165,10 @@ _z0s = st.one_of(
     st.fractions(), st.integers(-2 ** 100, 2 ** 100))
 
 
-def _fraction_pair(c):
-    """(re, im) of a coefficient as Fractions, read independently of
-    ``numeric``."""
-    if isinstance(c, tuple):
-        return Fraction(c[0]), Fraction(c[1])
-    if isinstance(c, complex):
-        return Fraction(c.real), Fraction(c.imag)
-    return Fraction(c), Fraction(0)
-
-
-def _oracle_z(xs, ys, z0):
-    """z_0 = z0 and z_{k+1} = -(1/(k+1)) sum_j sum_{i+l=k} x_{j,i} (l+1)
-    y_{j,l+1}, in Fraction pairs, trailing zeros stripped."""
-    xs = [[_fraction_pair(c) for c in x] for x in xs]
-    ys = [[_fraction_pair(c) for c in y] for y in ys]
-    size = max([len(x) + len(y) - 1 for x, y in zip(xs, ys)], default=1)
-    z = [_fraction_pair(z0)] + [(Fraction(0), Fraction(0))] * size
-    for x, y in zip(xs, ys):
-        for i, (ar, ai) in enumerate(x):
-            for l in range(len(y) - 1):
-                br, bi = y[l + 1]
-                w = Fraction(-(l + 1), i + l + 1)
-                re, im = z[i + l + 1]
-                z[i + l + 1] = (re + w * (ar * br - ai * bi),
-                                im + w * (ar * bi + ai * br))
-    while z and z[-1] == (0, 0):
-        z.pop()
-    return tuple(z)
-
-
 class TestLegendrianOracle:
-    """``legendrian_from_xy`` against the coefficient formula in Fraction
-    arithmetic, on every coefficient kind the intake reads."""
+    """``legendrian_from_xy`` against z = z0 - the integral of
+    sum_j x_j y_j' in Fraction arithmetic, on every coefficient kind the
+    intake reads."""
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         st.lists(_coeff_lists, min_size=n, max_size=n),
@@ -212,19 +184,11 @@ class TestLegendrianOracle:
         xs = [CPolynomial(c) for c in cx]
         ys = [CPolynomial(c) for c in cy]
         f = legendrian_from_xy(xs, ys, z0)
-        assert f.z.rational_coeffs == _oracle_z(cx, cy, z0)
+        want = fo.legendrian_z(map(fo.poly, cx), map(fo.poly, cy), z0)
+        assert f.z.rational_coeffs == want
+        assert (f.z._num, f.z._den) == fo.storage(want)
         assert f.x == tuple(xs) and f.y == tuple(ys)
         assert horizontality_residual(f).is_zero
-
-
-def _parent_residual(f):
-    """``horizontality_residual`` as a loop of exact derivatives, products
-    and sums, the form one packed evaluation replaced, kept as its
-    reference."""
-    res = f.z.derivative()
-    for xj, yj in zip(f.x, f.y):
-        res = res + xj * yj.derivative()
-    return res
 
 
 @st.composite
@@ -248,14 +212,15 @@ def _curves(draw):
     n = draw(st.integers(1, 3))
     xs = [draw(_polys()) for _ in range(n)]
     ys = [draw(_polys()) for _ in range(n)]
-    comps = list(legendrian_from_xy(xs, ys, z0=draw(st.complex_numbers(
-        max_magnitude=1e6, allow_nan=False, allow_infinity=False))).components)
+    comps = [c.rational_coeffs for c in legendrian_from_xy(
+        xs, ys, z0=draw(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                           allow_infinity=False))).components]
     if draw(st.booleans()):
         j = draw(st.integers(0, 2 * n))
-        comps[j] = comps[j] + draw(_polys())
+        comps[j] = fo.add(comps[j], draw(_polys()).rational_coeffs)
     if draw(st.booleans()):
-        comps = [-c for c in comps]
-    return HolomorphicCurve(tuple(comps))
+        comps = [fo.neg(c) for c in comps]
+    return HolomorphicCurve(tuple(map(CPolynomial, comps)))
 
 
 def _curve(*comps):
@@ -263,8 +228,9 @@ def _curve(*comps):
 
 
 class TestPackedResidual:
-    """The packed residual against the parent's loop: the same canonical
-    polynomial on every curve, horizontal or not."""
+    """The packed residual against z' + sum_j x_j y_j' in Fraction
+    arithmetic: the same polynomial, in canonical storage, on every curve,
+    horizontal or not."""
 
     @given(_curves())
     @settings(max_examples=300, deadline=None)
@@ -272,12 +238,18 @@ class TestPackedResidual:
     # digit no longer fits
     @example(_curve([0], [0], [0, 0, 0, 1]))
     @example(_curve([1 + 1j], [0, 1 - 1j], [0]))
+    # ... and a bound of 2^7 fills a byte's sign bit: a slot of 8 bits
+    # reads the digit 128 as -128
+    @example(_curve([0], [0], [0, 128]))
+    @example(_curve([8 + 8j], [0, 8 - 8j], [0]))
     @example(_curve([0.5], [0, 3], [0, -1.5]))  # horizontal, zero
     @example(_curve([], [], []))
-    def test_equals_parent_loop(self, f):
-        got, want = horizontality_residual(f), _parent_residual(f)
-        assert got == want
-        assert got._num == want._num and got._den == want._den
+    def test_equals_fraction_oracle(self, f):
+        got = horizontality_residual(f)
+        rat = [c.rational_coeffs for c in f.components]
+        want = fo.derivative_dot(rat[0:-1:2], rat[1:-1:2], rat[-1])
+        assert got.rational_coeffs == want
+        assert (got._num, got._den) == fo.storage(want)
 
     def test_nonhorizontal_value(self):
         # z' + x y' = 1 + t * 2t for x = t, y = t^2, z = t
@@ -387,54 +359,44 @@ class TestPullback:
         assert np.array_equal(jac, b @ a)
 
 
-def _hand_built_chow_path(p, q):
-    """The planner as it was before every segment came from
-    ``legendrian_from_xy``: components assembled by hand, z integrated
-    separately on y-moves.  Kept as the reference."""
-    cur_x, cur_y, cur_z = list(p.x), list(p.y), complex(p.z)
+def _oracle_chow_path(p, q):
+    """The planner's moves with each segment in Fraction arithmetic, as the
+    coefficient pairs of its components.  Block by block, x_j and then y_j
+    moves on t in [0, 1] from its value c to c + (target - c), every other
+    x and y held, and z = z_start - the integral of sum_j x_j y_j'.  A move
+    to the value a coordinate already has is skipped.  Then, if z is not
+    q.z, a loop in block 0 adds delta = q.z - z: x_1 to x_1 - delta, y_1 to
+    y_1 + 1, and both back.  The next z_start is the segment's end z as
+    Horner gives it on the float view, as the planner reads it."""
+    xy = [list(p.x), list(p.y)]
+    z = complex(p.z)
     segments = []
 
-    def segment(xs, ys, z_poly):
-        comps = []
-        for xj, yj in zip(xs, ys):
-            comps.extend((xj, yj))
-        comps.append(z_poly)
-        return HolomorphicCurve(tuple(comps))
-
-    def const_polys(vals):
-        return [CPolynomial([v]) for v in vals]
-
-    def add_x_move(j, target):
-        if target == cur_x[j]:
+    def move(block, j, target):
+        nonlocal z
+        if target == xy[block][j]:
             return
-        xs = const_polys(cur_x)
-        xs[j] = CPolynomial([cur_x[j], target - cur_x[j]])
-        segments.append(segment(xs, const_polys(cur_y), CPolynomial([cur_z])))
-        cur_x[j] = target
-
-    def add_y_move(j, target):
-        nonlocal cur_z
-        if target == cur_y[j]:
-            return
-        dy = target - cur_y[j]
-        ys = const_polys(cur_y)
-        ys[j] = CPolynomial([cur_y[j], dy])
-        integrand = -(CPolynomial([cur_x[j]]) * CPolynomial([dy]))
-        z_poly = integrand.antiderivative(cur_z)
-        segments.append(segment(const_polys(cur_x), ys, z_poly))
-        cur_y[j] = target
-        cur_z = z_poly(1.0)
+        lines = [[[c] for c in coords] for coords in xy]
+        lines[block][j].append(target - xy[block][j])
+        xs, ys = ([fo.poly(c) for c in coords] for coords in lines)
+        zs = fo.legendrian_z(xs, ys, z)
+        segments.append(tuple(c for xj, yj in zip(xs, ys) for c in (xj, yj))
+                        + (zs,))
+        xy[block][j] = target
+        z = 0j
+        for re, im in reversed(zs):
+            z = z * (1 + 0j) + complex(float(re), float(im))
 
     for j in range(p.n):
-        add_x_move(j, q.x[j])
-        add_y_move(j, q.y[j])
-    delta = q.z - cur_z
+        move(0, j, q.x[j])
+        move(1, j, q.y[j])
+    delta = q.z - z
     if delta != 0:
-        base_x, base_y = cur_x[0], cur_y[0]
-        add_x_move(0, base_x - delta)
-        add_y_move(0, base_y + 1)
-        add_x_move(0, base_x)
-        add_y_move(0, base_y)
+        base_x, base_y = xy[0][0], xy[1][0]
+        move(0, 0, base_x - delta)
+        move(1, 0, base_y + 1)
+        move(0, 0, base_x)
+        move(1, 0, base_y)
     return tuple(segments)
 
 
@@ -454,7 +416,9 @@ class TestChowPath:
                 if trial % 10 == 0 and rng.random() < 0.3:
                     q[d] = complex(-0.0, -0.0)
             q = ContactPoint.from_flat(q)
-            assert chow_path(p, q).segments == _hand_built_chow_path(p, q)
+            got = [tuple(c.rational_coeffs for c in seg.components)
+                   for seg in chow_path(p, q).segments]
+            assert tuple(got) == _oracle_chow_path(p, q)
 
     @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)

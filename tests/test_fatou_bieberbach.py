@@ -1180,6 +1180,31 @@ class TestPullback:
         assert np.array_equal(
             got[1], rnd.psi.apply_native(rnd.phi.apply_native(pts[1])))
 
+    @pytest.mark.parametrize("map_dim,coords,walk", [
+        (3, [0.1, 0.2, 0.1, 0.1, 0.3], "pullback"),
+        (3, [0.1, 0.2, 0.1, 0.1, 0.3], "jacobian"),
+        (5, [0.1, 0.2, 0.3], "pullback"),
+    ])
+    def test_wrong_dimension_refused(self, map_dim, coords, walk):
+        # these used to give a pullback from the first three coordinates
+        # (-0.19999999994707787+0j), a 5 x 5 Jacobian, and numpy's
+        # broadcast error
+        maps = build_pushout(desk_schedule(map_dim, 6), map_dim,
+                             1).theta_maps()
+        p = ContactPoint.from_flat(coords)
+        named = (f"^point of dimension {len(coords)} given to a shear map "
+                 f"of dimension {map_dim}$")
+        with pytest.raises(ValueError, match=named):
+            if walk == "pullback":
+                v = TangentVector.from_flat([1] + [0] * (len(coords) - 1))
+                pullback_eval(maps, p, v)
+            else:
+                composition_jacobian(maps, p)
+        with pytest.raises(ValueError, match=named):
+            maps[0].apply_native(coords)
+        with pytest.raises(ValueError, match=named):
+            maps[0].apply_native(np.array([coords] * 2))
+
     def test_dim5_close_to_jacobian_product(self):
         # a 5 x 5 product may add its terms in another order (and fuse
         # them): the values agree to 1e-15 relative, most of them exactly

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_oracle as fo
 from contactfb.numeric import (
     CPolynomial,
     NEG_INF,
     _exact_complex,
     _exact_parts,
+    derivative_dot,
     log_add,
     log_sub,
     log_sum,
+    negated_dot_integral,
     polar_sum,
     sample_polydisk,
     scaled_sum_arrays,
@@ -345,20 +348,6 @@ class TestCPolynomial:
     def test_trailing_zeros_stripped(self):
         assert CPolynomial([1, 0, 0]).degree == 0
 
-    @given(coeff_lists)
-    @settings(max_examples=200)
-    def test_derivative_of_antiderivative_is_exact(self, coeffs):
-        p = CPolynomial(coeffs)
-        assert p.antiderivative(0).derivative() == p
-
-    @given(coeff_lists, coeff_lists)
-    @settings(max_examples=100)
-    def test_product_rule_exact(self, ca, cb):
-        a, b = CPolynomial(ca), CPolynomial(cb)
-        lhs = (a * b).derivative()
-        rhs = a.derivative() * b + a * b.derivative()
-        assert lhs == rhs
-
     @given(coeff_lists, nonzero_complex)
     @settings(max_examples=200)
     def test_eval_matches_horner_oracle(self, coeffs, z):
@@ -376,12 +365,6 @@ class TestCPolynomial:
         _, d = p.eval_deriv(z)
         fd = (p(z + h) - p(z - h)) / (2 * h)
         assert abs(d - fd) <= 1e-6
-
-    def test_exact_rational_coefficients(self):
-        # (x / 3) * 3 == x must hold exactly at the coefficient level
-        p = CPolynomial([1.0, 1.0])
-        q = p.scale(Fraction(1, 3)).scale(3)
-        assert q == p
 
     @given(coeff_lists)
     @settings(max_examples=200)
@@ -404,17 +387,17 @@ class TestCPolynomial:
             assert abs(p(cmath.exp(1j * ang))) >= lb - 1e-9
 
     def test_antiderivative_constant(self):
-        p = CPolynomial([2, 6])
-        q = p.antiderivative(5)
+        # 5 minus the integral of -1 * (2t + 3t^2)'
+        q = negated_dot_integral([(CPolynomial([-1]), CPolynomial([0, 2, 3]))],
+                                 5)
         assert q(0) == 5 + 0j
-        assert q.derivative() == p
+        assert q == CPolynomial([5, 2, 3])
 
     def test_large_ints_exact(self):
         big = 2 ** 60 + 1
         assert CPolynomial([2 ** 53 + 1]).rational_coeffs[0][0] == 2 ** 53 + 1
-        assert CPolynomial([1]).scale(big).rational_coeffs[0][0] == big
-        assert CPolynomial([1]).antiderivative(big).rational_coeffs[0] == (
-            big, 0)
+        assert CPolynomial([big]).rational_coeffs[0][0] == big
+        assert negated_dot_integral([], big).rational_coeffs == ((big, 0),)
 
     def test_sampler_golden(self):
         # exact coefficients of seeded sampler disks, recorded with the
@@ -427,43 +410,6 @@ class TestCPolynomial:
             "02c727b2515918454b193f46695f5401c3c4f1d3952d94599717ccb51899299a")
 
 
-# Reference semantics: one (Fraction, Fraction) pair per coefficient, every
-# operation done coefficient by coefficient in Fraction arithmetic.
-
-def _oracle(coeffs):
-    out = []
-    for c in coeffs:
-        if isinstance(c, tuple):
-            out.append((Fraction(c[0]), Fraction(c[1])))
-        elif isinstance(c, (int, Fraction)):
-            out.append((Fraction(c), Fraction(0)))
-        else:
-            z = complex(c)
-            out.append((Fraction(z.real), Fraction(z.imag)))
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return tuple(out)
-
-
-def _oracle_add(a, b, sign=1):
-    n = max(len(a), len(b))
-    a = list(a) + [(0, 0)] * (n - len(a))
-    b = list(b) + [(0, 0)] * (n - len(b))
-    return _oracle([(ar + sign * br, ai + sign * bi)
-                    for (ar, ai), (br, bi) in zip(a, b)])
-
-
-def _oracle_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b):
-            re, im = out[i + j]
-            out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-    return _oracle(out)
-
-
 def _float_view(get):
     """The complex128 view, or OverflowError if a value is out of range."""
     try:
@@ -473,7 +419,9 @@ def _float_view(get):
 
 
 def _assert_matches(p, want):
+    """p is the Fraction polynomial want, in canonical storage."""
     assert p.rational_coeffs == want
+    assert (p._num, p._den) == fo.storage(want)
     assert p.degree == len(want) - 1
     assert _float_view(lambda: p.coeffs) == _float_view(
         lambda: tuple(complex(float(re), float(im)) for re, im in want))
@@ -494,20 +442,13 @@ class TestCPolynomialOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_oracle(self, ca, cb, c):
         a, b = CPolynomial(ca), CPolynomial(cb)
-        ra, rb, (cr, ci) = _oracle(ca), _oracle(cb), _oracle([c, 1])[0]
+        ra, rb = fo.poly(ca), fo.poly(cb)
         _assert_matches(a, ra)
-        _assert_matches(a + b, _oracle_add(ra, rb))
-        _assert_matches(a - b, _oracle_add(ra, rb, -1))
-        _assert_matches(a * b, _oracle_mul(ra, rb))
-        _assert_matches(a.derivative(),
-                        _oracle([(re * k, im * k)
-                                 for k, (re, im) in enumerate(ra)][1:]))
-        _assert_matches(a.antiderivative(c),
-                        _oracle([(cr, ci)] + [(re / (k + 1), im / (k + 1))
-                                              for k, (re, im) in enumerate(ra)]))
-        _assert_matches(a.scale(c),
-                        _oracle([(re * cr - im * ci, re * ci + im * cr)
-                                 for re, im in ra]))
+        _assert_matches(a * b, fo.mul(ra, rb))
+        _assert_matches(derivative_dot([(a, b)], b),
+                        fo.derivative_dot([ra], [rb], rb))
+        _assert_matches(negated_dot_integral([(a, b), (b, a)], c),
+                        fo.legendrian_z([ra, rb], [rb, ra], c))
 
     @given(mixed_lists, mixed_lists, mixed_lists)
     @settings(max_examples=100, deadline=None)
@@ -515,24 +456,18 @@ class TestCPolynomialOracle:
         p, q, r = CPolynomial(ca), CPolynomial(cb), CPolynomial(cc)
         assert (p * q) * r == p * (q * r)
         assert hash((p * q) * r) == hash(p * (q * r))
-        assert (p + q) - q == p and hash((p + q) - q) == hash(p)
-        zero = p - p
+        # p * t' is p, whatever denominator the packing went over
+        p_again = derivative_dot([(p, CPolynomial([0, 1]))], CPolynomial())
+        assert p_again == p and hash(p_again) == hash(p)
+        # z' + p q' of the z that integrates -p q', from any z0
+        z = negated_dot_integral([(p, q)], cc[0] if cc else 0)
+        zero = derivative_dot([(p, q)], z)
         assert zero.is_zero and zero.degree == -1
         assert zero == CPolynomial() and hash(zero) == hash(CPolynomial())
 
 
 # Exactness of the intake, the reduction and evaluation at zero, each
 # against the straightforward rule it replaces.
-
-def _full_gcd_reduction(num, den):
-    """Canonical storage by one gcd over the denominator and every
-    numerator: the rule ``CPolynomial._store`` must match."""
-    num = list(num)
-    while num and num[-1] == (0, 0):
-        num.pop()
-    g = math.gcd(den, *(v for pair in num for v in pair))
-    return tuple((re // g, im // g) for re, im in num), den // g
-
 
 def _horner(coeffs, z):
     """(p(z), p'(z)) by Horner over the complex128 view, at any z."""
@@ -609,7 +544,8 @@ class TestExactness:
         num = [(re * common, im * common) for re, im in num]
         den *= common
         p = CPolynomial._make(list(num), den)
-        assert (p._num, p._den) == _full_gcd_reduction(num, den)
+        want = fo.poly((Fraction(re, den), Fraction(im, den)) for re, im in num)
+        assert (p._num, p._den) == fo.storage(want)
 
     def test_products_store_reduced(self):
         disks = random_avoiding_disks(1, 2, standard_obstacle(1, 6), 3,
@@ -617,9 +553,8 @@ class TestExactness:
         for f in disks:
             for a in f.components:
                 for b in f.components:
-                    p = a * b.derivative()
-                    assert (p._num, p._den) == _full_gcd_reduction(p._num,
-                                                                   p._den)
+                    p = derivative_dot([(a, b)], CPolynomial())
+                    assert (p._num, p._den) == fo.storage(p.rational_coeffs)
 
     @given(st.lists(st.builds(complex, edge_floats, edge_floats),
                     max_size=6),

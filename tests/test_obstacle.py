@@ -450,6 +450,12 @@ class TestVerifyDiskEstimate:
         with pytest.raises(ValueError, match="N0 = 2, i_max = 2"):
             verify_disk_estimate(f, K, N0=2)
 
+    def test_n0_past_float_range_named(self):
+        # 2.0 ** 1100 overflowed before the certificate could name N0
+        f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
+        with pytest.raises(ValueError, match="N0 = 1100, i_max = 6$"):
+            verify_disk_estimate(f, standard_obstacle(1, 6), 1100)
+
     def test_ratio_on_the_report(self):
         f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
         rep = verify_disk_estimate(f, self.K, N0=1)
@@ -515,6 +521,12 @@ class TestRandomAvoidingDisks:
         a = random_avoiding_disks(1, 1, K, count=5, seed=3)
         b = random_avoiding_disks(1, 1, K, count=5, seed=3)
         assert all(fa.components == fb.components for fa, fb in zip(a, b))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_refused(self, n):
+        # numpy's "high <= 0" used to come out of the first draw
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            random_avoiding_disks(n, 1, standard_obstacle(1, 4), 1, seed=1)
 
     def test_n2(self):
         K = standard_obstacle(2, 4)
