@@ -122,11 +122,15 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     it: sup = 0.0 + |c1| + |c0| (0.0 + |c1| is |c1|), inf = |c0| - fsum of
     the rest (the fsum of one term is that term, and of two it is their
     correctly rounded sum, which float + gives; a sum past float range is
-    +inf here, so the bound is -inf, as ``inf_lower_bound`` gives).  The
-    routes are those of ``obstacle.certify_avoidance``, tried shell by
-    shell, so ``certified`` is its verdict on those coefficients; the first
-    shell that no route certifies (1-based) is returned with False, None
-    with True.
+    +inf here, so the bound is -inf, as ``inf_lower_bound`` gives).  A z
+    coefficient whose parts overflowed against each other reads NaN; its
+    modulus is unknown, so its bounds are +inf and -inf, those of a
+    coefficient past float range, whatever the order of ``K.shell_dims``
+    that ``max`` reads them in.  The routes are those of
+    ``obstacle.certify_avoidance``, tried shell by shell, so ``certified``
+    is its verdict on those coefficients, a non-finite one read as past
+    float range; the first shell that no route certifies (1-based) is
+    returned with False, None with True.
     """
     # The name and [0] are kept because perfbench/tracer.py patches this
     # function by name and reads [0]; ROADMAP item 6 renames both.
@@ -145,8 +149,13 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
         infs += (x0_mod - x1_mod, y0_mod - y1_mod)
     z1_mod = abs(z1)
     z2_mod = abs(z2 / 2)
-    sups.append(z2_mod + z1_mod + z_mod)
-    infs.append(z_mod - (z1_mod + z2_mod))
+    z_sup = z2_mod + z1_mod + z_mod
+    if z_sup == z_sup:
+        sups.append(z_sup)
+        infs.append(z_mod - (z1_mod + z2_mod))
+    else:  # a NaN modulus bounds nothing
+        sups.append(math.inf)
+        infs.append(-math.inf)
     sup_max = max(shell_read(sups))
     inf_best = max(shell_read(infs))
     inf_disk = infs[disk_dim]

@@ -300,15 +300,22 @@ def verify_disk_estimate(f: HolomorphicCurve, K: ShellUnion, N0: int,
                          margin: float = DEFAULT_AVOIDANCE_MARGIN) -> DiskEstimateReport:
     """Check the first-derivative bounds for one horizontal disk against K.
 
-    Preconditions, each a ValueError: 1 <= N0 < i_max = the number of
-    shells of K (checked first, by ``BoundCertificate``), the horizontality
-    residual of f is the zero polynomial, and f(0) has max-norm < 2^N0.
-    The avoidance verdict is 'certified' when coefficient-sum bounds show
-    every shell is missed by ``margin`` and 'uncertified' otherwise; an
-    uncertified disk does not pass, since the bounds are proved only for
-    disks that avoid K.
+    Preconditions, each a ValueError, in this order: 1 <= N0 < i_max = the
+    number of shells of K (by ``BoundCertificate``), f has the dimension of
+    K (``check_disk_dim``), K is ``standard_obstacle(f.n, i_max)``, the one
+    union the lemma is about (as for ``kobayashi.directed_norm_lower``),
+    the horizontality residual of f is the zero polynomial, and f(0) has
+    max-norm < 2^N0.  The avoidance verdict is 'certified' when
+    coefficient-sum bounds show every shell is missed by ``margin`` and
+    'uncertified' otherwise; an uncertified disk does not pass, since the
+    bounds are proved only for disks that avoid K.
     """
     cert = BoundCertificate(N0=N0, n=f.n, i_max=len(K.shells))
+    check_disk_dim(2 * f.n + 1, K)
+    if K != standard_obstacle(f.n, cert.i_max):
+        raise ValueError("K is not the standard obstacle "
+                         f"standard_obstacle({f.n}, {cert.i_max}), the one "
+                         "the derivative bound is proved on")
     if not horizontality_residual(f).is_zero:
         raise ValueError("curve is not horizontal (nonzero residual)")
     if f.at(0.0).maxnorm() >= 2.0 ** N0:
@@ -368,10 +375,13 @@ def random_avoiding_disks(n: int, N0: int, K: ShellUnion, count: int,
     Proposals place one marked (x, y)-coordinate between consecutive shell
     radii and keep perturbation tails small relative to the gap, so the
     certifier accepts at a healthy rate while rejection still happens.
-    Returns a list of HolomorphicCurve; raises ValueError unless n >= 1.
+    Returns a list of HolomorphicCurve; raises ValueError unless n >= 1
+    and count >= 0 (count 0 gives []).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     # radial slots for the marked coordinate: inside the first shell or in
     # one of the gaps (2^(i-1), 2^i) up to 2^N0.  They read the bands' exp

@@ -359,47 +359,6 @@ class TestPullback:
         assert np.array_equal(jac, b @ a)
 
 
-def _oracle_chow_path(p, q):
-    """The planner's moves with each segment in Fraction arithmetic, as the
-    coefficient pairs of its components.  Block by block, x_j and then y_j
-    moves on t in [0, 1] from its value c to c + (target - c), every other
-    x and y held, and z = z_start - the integral of sum_j x_j y_j'.  A move
-    to the value a coordinate already has is skipped.  Then, if z is not
-    q.z, a loop in block 0 adds delta = q.z - z: x_1 to x_1 - delta, y_1 to
-    y_1 + 1, and both back.  The next z_start is the segment's end z as
-    Horner gives it on the float view, as the planner reads it."""
-    xy = [list(p.x), list(p.y)]
-    z = complex(p.z)
-    segments = []
-
-    def move(block, j, target):
-        nonlocal z
-        if target == xy[block][j]:
-            return
-        lines = [[[c] for c in coords] for coords in xy]
-        lines[block][j].append(target - xy[block][j])
-        xs, ys = ([fo.poly(c) for c in coords] for coords in lines)
-        zs = fo.legendrian_z(xs, ys, z)
-        segments.append(tuple(c for xj, yj in zip(xs, ys) for c in (xj, yj))
-                        + (zs,))
-        xy[block][j] = target
-        z = 0j
-        for re, im in reversed(zs):
-            z = z * (1 + 0j) + complex(float(re), float(im))
-
-    for j in range(p.n):
-        move(0, j, q.x[j])
-        move(1, j, q.y[j])
-    delta = q.z - z
-    if delta != 0:
-        base_x, base_y = xy[0][0], xy[1][0]
-        move(0, 0, base_x - delta)
-        move(1, 0, base_y + 1)
-        move(0, 0, base_x)
-        move(1, 0, base_y)
-    return tuple(segments)
-
-
 class TestChowPath:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_hand_built_segments(self, n):
@@ -418,7 +377,7 @@ class TestChowPath:
             q = ContactPoint.from_flat(q)
             got = [tuple(c.rational_coeffs for c in seg.components)
                    for seg in chow_path(p, q).segments]
-            assert tuple(got) == _oracle_chow_path(p, q)
+            assert tuple(got) == fo.chow_path(p, q)
 
     @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)

@@ -43,7 +43,7 @@ from contactfb.fatou_bieberbach import (
     state_from_dict,
     state_to_dict,
 )
-from contactfb.numeric import NEG_INF, log_sum, polar_sum, scaled_sum_arrays
+from contactfb.numeric import NEG_INF, log_sum, scaled_sum_arrays
 from contactfb.obstacle import ShellUnion, membership_margin
 
 
@@ -52,46 +52,6 @@ from contactfb.obstacle import ShellUnion, membership_margin
 REF = StageSchedule(log_base=0.0, log_a=(math.log(2.0),),
                     log_b=(math.log(4.0),), log_offset=(0.0,),
                     log_offset_base=NEG_INF, log_r=(math.log(1.5),))
-
-
-def _fold_shear_sum(f, dst, zeta):
-    """z_dst + f(zeta) as a pairwise ``polar_sum`` fold from ``dst`` =
-    (log-modulus, phase) of z_dst over the terms of f at ``zeta``, the
-    reference for the one sum of ``ShearMap.apply_scaled``."""
-    acc = dst
-    for log_r, N in f.terms:
-        acc = polar_sum([acc[0], N * (zeta[0] - log_r)],
-                        [acc[1], N * zeta[1]])
-    return acc
-
-
-def _two_step_apply_scaled(m, log_mag, phase):
-    """``ShearMap.apply_scaled`` by the rule the one sum replaced, kept as
-    its reference: f(z_src) summed and rounded to (log-modulus, phase)
-    first, then added to z_dst by a second sum."""
-    out_lm, out_ph = list(log_mag), list(phase)
-    for s, d in m._pairs:
-        f = (NEG_INF, 0.0)
-        if m.func.terms:
-            f = polar_sum([N * (log_mag[s] - log_r)
-                           for log_r, N in m.func.terms],
-                          [N * phase[s] for _, N in m.func.terms])
-        out_lm[d], out_ph[d] = polar_sum([log_mag[d], f[0]],
-                                         [phase[d], f[1]])
-    return out_lm, out_ph
-
-
-def _two_step_apply_logpolar(m, log_mag, phase):
-    """``ShearMap.apply_logpolar`` by the two-sum rule of
-    ``_two_step_apply_scaled``, kept as its reference."""
-    src, dst = m._slices
-    log_r, N = m.func._term_columns(2)
-    f_lm, f_ph = scaled_sum_arrays(N * (log_mag[src] - log_r),
-                                   N * phase[src])
-    out_lm, out_ph = log_mag.copy(), phase.copy()
-    out_lm[dst], out_ph[dst] = scaled_sum_arrays(
-        np.stack([log_mag[dst], f_lm]), np.stack([phase[dst], f_ph]))
-    return out_lm, out_ph
 
 
 _ORACLE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX,
@@ -111,18 +71,42 @@ def _decimal_power(re, im, n):
     return out_re, out_im
 
 
-def _oracle_log_mag(f, z_src, z_dst):
-    """log|z_dst + f(z_src)| for complex floats z_src and z_dst, from a
-    60-digit decimal evaluation of every term (z_src / r)^N."""
+def _decimal_rect(log_mag, phase):
+    """exp(log_mag + i phase) for floats log_mag and |phase| <= 4 as (re,
+    im) Decimals in the 60-digit context, the cosine and the sine summed
+    from their Taylor series until a term is below 1e-70."""
     D = decimal.Decimal
     with decimal.localcontext(_ORACLE):
-        re, im = D(z_dst.real), D(z_dst.imag)
-        for log_r, N in f.terms:
+        x, parts, term, k = D(phase), [D(0), D(0)], D(1), 0
+        while k < 2 or abs(term) > D("1e-70"):
+            parts[k % 2] += -term if k % 4 >= 2 else term
+            k += 1
+            term = term * x / k
+        mag = D(log_mag).exp()
+        return mag * parts[0], mag * parts[1]
+
+
+def _decimal_complex(z):
+    """A complex float as (re, im) Decimals, exactly."""
+    return decimal.Decimal(z.real), decimal.Decimal(z.imag)
+
+
+def _oracle_shear_sum(terms, z_src, z_dst):
+    """(log|w|, w / |w|) as a float and a complex, for w = z_dst + f(z_src)
+    and f = sum (z / r)^N over ``terms``, with z_src and z_dst given as
+    (re, im) Decimals: every term and the sum in the 60-digit context, so
+    the result is good to far below an ulp and shares no rounding with
+    ``polar_sum``."""
+    D = decimal.Decimal
+    with decimal.localcontext(_ORACLE):
+        re, im = z_dst
+        for log_r, N in terms:
             inv_r = (-D(log_r)).exp()
-            t_re, t_im = _decimal_power(D(z_src.real) * inv_r,
-                                        D(z_src.imag) * inv_r, N)
+            t_re, t_im = _decimal_power(z_src[0] * inv_r, z_src[1] * inv_r,
+                                        N)
             re, im = re + t_re, im + t_im
-        return float((re * re + im * im).ln() / 2)
+        mod = (re * re + im * im).sqrt()
+        return float(mod.ln()), complex(float(re / mod), float(im / mod))
 
 
 def _point_column(p, dim):
@@ -139,9 +123,9 @@ def _to_complex(log_mag, phase):
 
 
 def _term_loop_native(f, z, deriv=False):
-    """f (or f') as a loop over the terms, the form the term-broadcast
-    kernel of ``eval_native`` and ``eval_deriv`` replaced, kept as its
-    reference."""
+    """Kept reference (numpy kernel): f (or f') as a loop over the terms,
+    the form the term-broadcast kernel of ``eval_native`` and
+    ``eval_deriv`` replaced."""
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(divide="ignore"):
         lz = np.log(np.abs(z))
@@ -161,10 +145,10 @@ def _term_loop_native(f, z, deriv=False):
 
 
 def _row_major_orbit_logs(state, log_mag, phase):
-    """``PushOutState.orbit_logs`` on (m, dim) arrays whose rows are points:
-    the whole batch through each round, one coordinate pair at a time, each
-    destination summed once over z_dst and the terms, the form the
-    coordinate-major blocks replaced, kept as their reference."""
+    """Kept reference (numpy kernel): ``PushOutState.orbit_logs`` on (m,
+    dim) arrays whose rows are points: the whole batch through each round,
+    one coordinate pair at a time, each destination summed once over z_dst
+    and the terms, the form the coordinate-major blocks replaced."""
     out = np.empty((log_mag.shape[0], state.k))
     for j, r in enumerate(state.rounds):
         for m in (r.phi, r.psi):
@@ -181,9 +165,9 @@ def _row_major_orbit_logs(state, log_mag, phase):
 
 
 def _array_eval_deriv(f, z):
-    """(f(z), f'(z)) broadcast over the terms on a new leading axis by two
-    separate sums, the form the stacked sum of ``ShearFunction.eval_deriv``
-    replaced, kept as its reference."""
+    """Kept reference (numpy kernel): (f(z), f'(z)) broadcast over the
+    terms on a new leading axis by two separate sums, the form the stacked
+    sum of ``ShearFunction.eval_deriv`` replaced."""
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(divide="ignore"):
         lz = np.log(np.abs(z))
@@ -204,9 +188,9 @@ def _array_eval_deriv(f, z):
 
 
 def _array_tangent_step(m, vec, tan):
-    """``ShearMap.tangent_step`` on a complex128 point array by
-    ``_array_eval_deriv``, the form the list-point step replaced, kept as
-    its reference."""
+    """Kept reference (numpy kernel): ``ShearMap.tangent_step`` on a
+    complex128 point array by ``_array_eval_deriv``, the form the
+    list-point step replaced."""
     vec = np.asarray(vec, dtype=np.complex128)
     src, dst = m._slices
     f, df = _array_eval_deriv(m.func, vec[src])
@@ -225,8 +209,8 @@ def _bits(values):
 
 
 def _array_pullback(maps, p, v):
-    """``pullback_eval`` carrying the point as a complex128 array through
-    ``_array_tangent_step``, kept as its reference."""
+    """Kept reference (numpy kernel): ``pullback_eval`` carrying the point
+    as a complex128 array through ``_array_tangent_step``."""
     vec = np.asarray(p.flat(), dtype=np.complex128)
     tan = np.asarray(v.flat(), dtype=np.complex128)
     for m in maps:
@@ -236,8 +220,9 @@ def _array_pullback(maps, p, v):
 
 
 def _jacobian_pullback(maps, p, v):
-    """``pullback_eval`` by each shear's dim x dim Jacobian matrix times the
-    tangent, the form ``tangent_step`` replaced, kept as its reference."""
+    """Kept reference (numpy kernel): ``pullback_eval`` by each shear's dim
+    x dim Jacobian matrix times the tangent, the form ``tangent_step``
+    replaced."""
     vec = np.asarray(p.flat(), dtype=np.complex128)
     tan = np.asarray(v.flat(), dtype=np.complex128)
     for m in maps:
@@ -346,15 +331,20 @@ class TestShearFunction:
            st.one_of(st.just(NEG_INF), st.floats(-40.0, 200.0)),
            st.floats(-math.pi, math.pi))
     def test_scaled_matches_fold(self, terms, log_mag, phase, dst_lm, dst_ph):
+        # against z_dst + f(zeta) in 60 digits at the float inputs.  The
+        # sum rounds each term's N (log|zeta| - log r) and N arg(zeta) once,
+        # and adds a few ulps of the sum of the moduli, so it stays within
+        # 2^-50 kappa (N_top (1 + |log|zeta|| + |log r|) + |log|w||) with
+        # kappa <= 10 here: for N <= 16 and |log|zeta|| <= 40 that is below
+        # the tolerances (about a fifth of them on 3,000 samples)
         f = ShearFunction(terms)
         lm, ph = self._phi(f).apply_scaled([log_mag, dst_lm], [phase, dst_ph])
-        want = _fold_shear_sum(f, (dst_lm, dst_ph), (log_mag, phase))
-        # away from cancellation, where both sums are rounding noise
-        assume(want[0] > log_sum([dst_lm, f.sup_log(log_mag)])
-               - math.log(10.0))
-        assert lm[1] == pytest.approx(want[0], rel=1e-13, abs=1e-13)
-        assert cmath.isclose(cmath.rect(1.0, ph[1]),
-                             cmath.rect(1.0, want[1]), abs_tol=1e-13)
+        want, unit = _oracle_shear_sum(terms, _decimal_rect(log_mag, phase),
+                                       _decimal_rect(dst_lm, dst_ph))
+        # away from cancellation, where the sum is rounding noise
+        assume(want > log_sum([dst_lm, f.sup_log(log_mag)]) - math.log(10.0))
+        assert lm[1] == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert cmath.isclose(cmath.rect(1.0, ph[1]), unit, abs_tol=1e-13)
 
     def test_scaled_matches_fold_on_built_rounds(self, built_state):
         rng = np.random.default_rng(23)
@@ -364,33 +354,33 @@ class TestShearFunction:
             for m in maps:
                 (s, d), = m._pairs
                 got = m.apply_scaled(p.tolist(), ph)
-                want = _fold_shear_sum(m.func, (p[d], ph[d]), (p[s], ph[s]))
-                assert got[0][d] == pytest.approx(want[0], rel=1e-13,
-                                                  abs=1e-13)
+                want, _ = _oracle_shear_sum(m.func.terms,
+                                            _decimal_rect(p[s], ph[s]),
+                                            _decimal_rect(p[d], ph[d]))
+                assert got[0][d] == pytest.approx(want, rel=1e-13, abs=1e-13)
                 assert got[0][s] == p[s] and got[1][s] == ph[s]
 
-    @pytest.mark.parametrize("terms,zeta", [
-        (((0.0, 1), (0.0, 3)), (NEG_INF, 0.0)),
+    # (terms, zeta, the sum, or None where only z_dst is left)
+    @pytest.mark.parametrize("terms,zeta,want", [
+        (((0.0, 1), (0.0, 3)), (NEG_INF, 0.0), None),
         # every term's log-modulus is -inf
-        (((1e308, 1), (1e308, 2)), (-1e308, 0.5)),
-        (((0.0, 1), (0.5, 3)), (math.nan, 0.5)),
-        (((0.0, 1), (0.5, 3)), (math.inf, 0.5)),
+        (((1e308, 1), (1e308, 2)), (-1e308, 0.5), None),
+        (((0.0, 1), (0.5, 3)), (math.nan, 0.5), (math.nan, math.nan)),
+        # the first +inf summand's phase: term 1's
+        (((0.0, 1), (0.5, 3)), (math.inf, 0.5), (math.inf, 0.5)),
         # terms 2 and 3 overflow to +inf: the value takes term 2's phase
-        (((0.0, 1), (0.0, 1000), (0.0, 2000)), (1e306, 0.5)),
+        (((0.0, 1), (0.0, 1000), (0.0, 2000)), (1e306, 0.5),
+         (math.inf, 500.0)),
     ], ids=["zero", "underflow", "nan", "inf", "overflow"])
-    def test_scaled_edge_values_match_fold(self, terms, zeta):
+    def test_scaled_edge_values_match_fold(self, terms, zeta, want):
         m = self._phi(ShearFunction(terms))
         for dst in ((NEG_INF, 0.0), (0.25, -2.0)):
             lm, ph = m.apply_scaled([zeta[0], dst[0]], [zeta[1], dst[1]])
             got = (lm[1], ph[1])
-            want = _fold_shear_sum(m.func, dst, zeta)
-            if math.isfinite(want[0]):
-                # only z_dst is left; the fold rounds it once per term
-                assert dst[0] != NEG_INF
+            if want is None and dst[0] != NEG_INF:
                 assert got == pytest.approx(dst, rel=1e-15)
-                assert want == pytest.approx(dst, rel=1e-15)
             else:
-                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(got, want or dst, equal_nan=True)
             # and the batch path on the same point
             with np.errstate(over="ignore"):
                 b_lm, b_ph = m.apply_logpolar(np.array([[zeta[0]], [dst[0]]]),
@@ -480,6 +470,28 @@ class TestShearMap:
                                                           rel=1e-12)
         assert (lm[1], ph[1]) == (math.log(2.5), 0.0)
 
+    # (kind, log-moduli, phases, image) of a dim-3 map whose five terms are
+    # of comparable size at these points, so that the order and the number
+    # of roundings of the sum move the last bits.  The single-point path is
+    # pure-Python math, so the images are pinned bit for bit.
+    @pytest.mark.parametrize("kind, lm, ph, want", [
+        ("phi", [0.9, 0.4, -0.2], [0.3, -2.0, 1.1],
+         ([0.9, 3.0273260233858066, 1.0997064554709977],
+          [0.3, 1.1752289825782982, -0.175430754433823])),
+        ("psi", [1.2, 0.7, 1.6], [-2.9, 2.5, 0.4],
+         ([2.027702930085614, 8.288826634509658, 1.6],
+          [1.8491009944208188, -1.7198562749431037, 0.4])),
+        ("phi", [1.05, 3.0, NEG_INF], [3.1, -0.7, 0.0],
+         ([1.05, 3.457216885302966, 25.199789502985027],
+          [3.1, -2.9580372426734454, -2.116893587085094])),
+        ("psi", [-0.5, 0.95, 0.8], [1.9, -1.4, 3.0],
+         ([3.32975585108678, 2.8411604040346683, 0.8],
+          [2.389992376216159, 2.7857523569313676, 3.0]))])
+    def test_apply_scaled_pinned(self, kind, lm, ph, want):
+        f = ShearFunction(((-0.4, 1), (0.35, 3), (0.1, 3), (0.6, 7),
+                           (0.9, 12)))
+        assert ShearMap(kind, 3, f).apply_scaled(lm, ph) == want
+
     @pytest.mark.parametrize("kind,dim", [("phi", 2), ("psi", 2),
                                           ("phi", 3), ("psi", 3)])
     def test_native_rows_equal_single_points(self, kind, dim):
@@ -534,9 +546,13 @@ class TestShearMap:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1]), st.integers(0, 5), st.data())
     def test_one_sum_agrees_with_two_step(self, built_rounds, which, n, data):
-        # one sum per destination against the parent rule, which rounds
-        # f(z_src) to log-polar form before adding it: they agree to
-        # rounding, which psi multiplies by N in its source coordinate
+        # each step of a round, single point and batch column, against z_dst
+        # + f(z_src) in 60 digits at that step's float input: the step
+        # rounds N (log|z_src| - log r) and N arg(z_src) once per term and
+        # adds a few ulps of the sum, within 8 N_max 2^-52 in log-modulus
+        # and phase (a tenth of it at worst over 1,200 steps with N_max
+        # 1,153-3,265; composed exactly, psi would multiply phi's phase
+        # rounding by its N)
         r = built_rounds[which][n % len(built_rounds[which])]
         dim = r.phi.dim
         lm = data.draw(st.lists(st.floats(-3.0, 4.0), min_size=dim,
@@ -545,27 +561,26 @@ class TestShearMap:
                                 max_size=dim))
         n_max = max(N for m in (r.phi, r.psi) for _, N in m.func.terms)
         tol = 8 * n_max * 2.0 ** -52
-        got = r.psi.apply_scaled(*r.phi.apply_scaled(lm, ph))
-        want = _two_step_apply_scaled(
-            r.psi, *_two_step_apply_scaled(r.phi, lm, ph))
-        batch = np.array([lm]).T, np.array([ph]).T
-        got_b = r.apply_logpolar(*batch)
-        want_b = _two_step_apply_logpolar(
-            r.psi, *_two_step_apply_logpolar(r.phi, *batch))
-        for (g_lm, g_ph), (w_lm, w_ph) in (
-                (got, want), ((got_b[0][:, 0], got_b[1][:, 0]),
-                              (want_b[0][:, 0], want_b[1][:, 0]))):
-            assert list(g_lm) == pytest.approx(list(w_lm), rel=tol, abs=tol)
-            for g, w in zip(g_ph, w_ph):
-                assert cmath.isclose(cmath.rect(1.0, g), cmath.rect(1.0, w),
-                                     abs_tol=tol)
+        for m in (r.phi, r.psi):
+            got = m.apply_scaled(lm, ph)
+            b_lm, b_ph = m.apply_logpolar(np.array([lm]).T, np.array([ph]).T)
+            for s, d in m._pairs:
+                want, unit = _oracle_shear_sum(
+                    m.func.terms, _decimal_rect(lm[s], ph[s]),
+                    _decimal_rect(lm[d], ph[d]))
+                for g_lm, g_ph in ((got[0][d], got[1][d]),
+                                   (b_lm[d, 0], b_ph[d, 0])):
+                    assert g_lm == pytest.approx(want, rel=tol, abs=tol)
+                    assert cmath.isclose(cmath.rect(1.0, g_ph), unit,
+                                         abs_tol=tol)
+            lm, ph = got
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_log_moduli_match_decimal_oracle(self, dim):
         # The intake rounds log|z_src| to about 2^-52 (1 + |log|z_src||),
         # which the top term multiplies by its N; exp, log and the sums add
         # a few ulps of the result; cancellation multiplies both by kappa =
-        # (|z_dst| + sum |terms|) / |z_dst + f|.  Both rules stay within
+        # (|z_dst| + sum |terms|) / |z_dst + f|.  The one sum stays within
         # 2^-50 kappa (N_top (1 + |log|z_src||) + |log|z_dst + f||).
         state = build_pushout(desk_schedule(dim, 6), dim=dim, k_max=2)
         rng = np.random.default_rng(41 + dim)
@@ -577,17 +592,18 @@ class TestShearMap:
                 if m.kind == "psi":
                     p.reverse()
                 lm, ph = _point_column(p, dim)
-                two_step = _two_step_apply_scaled(m, lm, ph)
-                for got, _ in (m.apply_scaled(lm, ph), two_step):
-                    for s, d in m._pairs:
-                        want = _oracle_log_mag(m.func, p[s], p[d])
-                        kappa = math.exp(log_sum(
-                            [lm[d], m.func.sup_log(lm[s])]) - want)
-                        n_top = max(m.func.terms,
-                                    key=lambda t: t[1] * (lm[s] - t[0]))[1]
-                        tol = 2.0 ** -50 * kappa * (
-                            n_top * (1.0 + abs(lm[s])) + abs(want))
-                        assert abs(got[d] - want) <= tol, (s, d)
+                got, _ = m.apply_scaled(lm, ph)
+                for s, d in m._pairs:
+                    want, _ = _oracle_shear_sum(m.func.terms,
+                                                _decimal_complex(p[s]),
+                                                _decimal_complex(p[d]))
+                    kappa = math.exp(log_sum(
+                        [lm[d], m.func.sup_log(lm[s])]) - want)
+                    n_top = max(m.func.terms,
+                                key=lambda t: t[1] * (lm[s] - t[0]))[1]
+                    tol = 2.0 ** -50 * kappa * (
+                        n_top * (1.0 + abs(lm[s])) + abs(want))
+                    assert abs(got[d] - want) <= tol, (s, d)
 
     def test_jacobian_unit_determinant(self):
         # the Jacobian is the identity's columns after one tangent step

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import fraction_oracle as fo
 from contactfb import kobayashi
 from contactfb.contact import (
     ContactPoint,
@@ -30,6 +31,7 @@ from contactfb.obstacle import (
     ShellUnion,
     certify_avoidance,
     standard_obstacle,
+    verify_disk_estimate,
 )
 
 ORIGIN = ContactPoint((0j,), (0j,), 0j)
@@ -289,22 +291,14 @@ class TestBracket:
         assert b.upper_witness is not None
 
 
-def _quadrature_distance(p, q, budget=None, nodes=64):
-    """The composite-midpoint quadrature that estimated the distance before
-    the exact segment sum, kept as the reference."""
-    total = 0.0
-    for seg in chow_path(p, q).segments:
-        h = 1.0 / nodes
-        for m in range(nodes):
-            t = (m + 0.5) * h
-            pt = seg.at(t)
-            vel = seg.derivative_at(t)
-            if vel.maxnorm() == 0.0:
-                continue
-            upper, _ = directed_norm_upper(pt, vel, "full_space",
-                                           budget=budget)
-            total += upper * h
-    return total
+def _oracle_distance(p, q, lam=1e3):
+    """The fsum, over the segments of the Fraction planner ``fo.chow_path``,
+    of maxnorm(v) / lam: each segment is affine in t, and v is its
+    t-coefficients rounded to complex128."""
+    def maxnorm(seg):
+        return max(abs(complex(float(c[1][0]), float(c[1][1])))
+                   if len(c) > 1 else 0.0 for c in seg)
+    return math.fsum(maxnorm(seg) / lam for seg in fo.chow_path(p, q))
 
 
 def _random_point(rng, n):
@@ -359,8 +353,7 @@ class TestDistanceUpper:
         rng = np.random.default_rng(80 + n)
         for _ in range(4):
             p, q = _random_point(rng, n), _random_point(rng, n)
-            want = _quadrature_distance(p, q)
-            assert cck_distance_upper(p, q) == pytest.approx(want, rel=1e-13)
+            assert cck_distance_upper(p, q) == _oracle_distance(p, q)
 
     def test_triangle_inequality_at_a_corner(self):
         q = ContactPoint((1 + 0j,), (0j,), 0j)
@@ -424,30 +417,56 @@ class TestContrapositiveSearch:
         assert 0 < certified < 300
 
 
-def _parent_float_legendrian(xs, ys, z0):
-    """The any-degree complex128 convolution that scored disks before the
-    float path was reduced to linear disks, kept as the reference."""
-    size = max(len(x) + len(y) - 2 for x, y in zip(xs, ys))
-    integrand = [0j] * size
-    for x, y in zip(xs, ys):
-        for m in range(1, len(y)):
-            dy = m * y[m]
-            for i, xi in enumerate(x):
-                integrand[i + m - 1] -= xi * dy
-    comps = []
-    for x, y in zip(xs, ys):
-        comps.extend((x, y))
-    comps.append([complex(z0)]
-                 + [c / (k + 1) for k, c in enumerate(integrand)])
-    return comps
+def _gap_units(n, seed):
+    """(p, v) pairs on standard_obstacle(n, 6), placed as perfbench's
+    disk-search inputs are: the origin with v = e_x1, then three per gap,
+    with the largest (x, y) modulus at 0.2, 0.5 and 0.8 of the gap's
+    log-width (linear in gap 0), jittered by 0.05 and kept 5 % clear of the
+    radii, the other (x, y) moduli 0.3-0.7 of it, |p_z| in 0.2-0.8, and
+    (|v_x|, |v_y|) from (1, 0.5), (0.5, 1) and (1, 1)."""
+    rng = np.random.default_rng(seed)
+    zero = (0j,) * n
+    units = [(ContactPoint(zero, zero, 0j),
+              TangentVector((1 + 0j,) + zero[1:], zero, 0j))]
+    for slot in range(6):
+        lo, hi = (0.0 if slot == 0 else 1.05 * 2.0 ** (slot - 1),
+                  0.95 * 2.0 ** slot)
+        for k, frac in enumerate((0.2, 0.5, 0.8)):
+            u = frac + rng.uniform(-0.05, 0.05)
+            top = lo + u * (hi - lo) if slot == 0 else lo * (hi / lo) ** u
+            mags = top * rng.uniform(0.3, 0.7, 2 * n)
+            mags[(slot + k) % (2 * n)] = top
+            ph = rng.uniform(-math.pi, math.pi, 4 * n + 1)
+            c = (mags * np.exp(1j * ph[:2 * n])).tolist()
+            ax, ay = ((1.0, 0.5), (0.5, 1.0), (1.0, 1.0))[(slot + k) % 3]
+            vx = (ax * np.exp(1j * ph[2 * n:3 * n])).tolist()
+            vy = (ay * np.exp(1j * ph[3 * n:4 * n])).tolist()
+            z = rng.uniform(0.2, 0.8) * cmath.exp(1j * ph[-1])
+            units.append(_horizontal(c[0::2], c[1::2], z, vx, vy))
+    return units
 
 
-# The parent verdict, the complex128 verdict that each bisection step used
-# before ``_certification_shortfall`` became a per-step scalar verdict,
-# kept as its oracle: it rebuilt all 2n+1 coefficient lists and scored
-# them route by route.
+class TestExtremalLemmaDisks:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_largest_certified_disks_pass_the_lemma(self, n):
+        # the largest certified linear disk at each unit (the lower bound
+        # covers all 38) passes the lemma's check, as close to its caps as
+        # a linear disk gets: 0.25 at the origin, up to 0.22 elsewhere
+        K = standard_obstacle(n, 6)
+        ratios = []
+        for seed in (11, 23):
+            for p, v in _gap_units(n, seed):
+                _, cert = directed_norm_lower(p, v, K)
+                if cert is None:
+                    continue
+                _, witness = directed_norm_upper(p, v, "complement", K)
+                rep = verify_disk_estimate(witness, K, cert.N0)
+                assert rep.passed and rep.ratio < 1
+                ratios.append(rep.ratio)
+        assert len(ratios) == 38 and max(ratios) >= 0.2
 
-def _parent_float_linear_disk(p, u, lam):
+
+def _linear_disk_lists(p, u, lam):
     """complex128 coefficient lists (x_1, y_1, ..., x_n, y_n, z) of
     ``_linear_disk(p, u, lam)``: z = p_z - sum_j x_j0 y_j1 zeta
     - (sum_j x_j1 y_j1) zeta^2 / 2."""
@@ -459,58 +478,20 @@ def _parent_float_linear_disk(p, u, lam):
     return [c for xy in zip(xs, ys) for c in xy] + [[p.z, z1, z2 / 2]]
 
 
-def _parent_sup_bound(coeffs):
-    total = 0.0
-    for c in reversed(coeffs):
-        total += abs(c)
-    return total
-
-
-def _parent_inf_lower_bound(coeffs):
-    if not coeffs:
-        return 0.0
-    return abs(coeffs[0]) - math.fsum(map(abs, coeffs[1:]))
-
-
-def _parent_verdict(p, u, K, margin, lam):
-    """(certified, routes) of the parent verdict's float linear disk."""
-    comps = _parent_float_linear_disk(p, u, lam)
-    sup_max = max(_parent_sup_bound(comps[d]) for d in K.shell_dims)
-    inf_best = max(_parent_inf_lower_bound(comps[d]) for d in K.shell_dims)
-    inf_disk = _parent_inf_lower_bound(comps[K.disk_dim])
-    routes = []
-    for a, b, c in K.linear_shells():
-        if sup_max < a - margin:
-            routes.append("inside")
-        elif inf_best > b + margin:
-            routes.append("outside")
-        elif inf_disk > c + margin:
-            routes.append("z_escape")
-        else:
-            routes.append("uncertified")
-    return "uncertified" not in routes, routes
+def _reference_verdict(p, u, K, margin, lam):
+    """(certified, first failed shell or None) of ``certify_avoidance`` on
+    ``_linear_disk_lists``, a non-finite coefficient read as the exact
+    2^1024, past float range (bounds +inf and -inf): what the step verdict
+    ``_certification_shortfall`` is documented to return."""
+    chk = certify_avoidance(
+        [CPolynomial([c if cmath.isfinite(c) else (2 ** 1024, 0) for c in cs])
+         for cs in _linear_disk_lists(p, u, lam)], K, margin)
+    return chk.certified, (chk.failed_shells or (None,))[0]
 
 
 def _verdict(p, u, K, margin, lam):
     return kobayashi._certification_shortfall(
         kobayashi._disk_search(p, u, K, margin), lam)
-
-
-def _as_parent(parent):
-    """The parent verdict's (certified, routes) in the form of the new one:
-    (certified, first shell no route certifies, or None)."""
-    certified, routes = parent
-    return certified, None if certified else routes.index("uncertified") + 1
-
-
-def _outcome(verdict, *args):
-    """The verdict's result, or the type of the error it raised (the
-    parent's fsum raised OverflowError when two finite z moduli summed past
-    float range)."""
-    try:
-        return verdict(*args)
-    except OverflowError as e:
-        return type(e)
 
 
 def _step_moduli_args(search, lam, monkeypatch):
@@ -530,7 +511,7 @@ def _step_moduli_args(search, lam, monkeypatch):
 
 class TestFloatScorer:
     """The per-step complex128 verdict of the bisection against the exact
-    disk and against the parent verdict."""
+    disk and against ``certify_avoidance`` on its coefficient lists."""
 
     def test_boundary_disk_is_not_certified(self):
         # sup_max == a_1 - margin: the strict 'inside' route fails on shell 1
@@ -541,8 +522,7 @@ class TestFloatScorer:
         check = certify_avoidance(f.components, K, margin)
         assert not check.certified and check.failed_shells == (1,)
         assert _verdict(p, X_DIR, K, margin, 0.0) == (False, 1)
-        assert _as_parent(_parent_verdict(p, X_DIR, K, margin, 0.0)) == (
-            False, 1)
+        assert _reference_verdict(p, X_DIR, K, margin, 0.0) == (False, 1)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_agrees_with_exact_certifier(self, n, monkeypatch):
@@ -572,9 +552,9 @@ class TestFloatScorer:
             search = kobayashi._disk_search(p, u, K, margin)
             got, terms = _step_moduli_args(search, lam, monkeypatch)
             # the lam-dependent coefficients: bit for bit those of the
-            # parent verdict's lists, and within rounding of the exact disk's
+            # coefficient lists, and within rounding of the exact disk's
             f = kobayashi._linear_disk(p, u, lam)
-            comps = _parent_float_linear_disk(p, u, lam)
+            comps = _linear_disk_lists(p, u, lam)
             assert terms == [c[1] for c in comps[:-1]] + comps[-1][1:]
             exact = [c.coeffs + (0j,) * (len(want) - len(c.coeffs))
                      for c, want in zip(f.components, comps)]
@@ -583,11 +563,9 @@ class TestFloatScorer:
             for a, b in zip(terms, [c[1] for c in exact[:-1]]
                             + list(exact[-1][1:])):
                 assert abs(a - b) <= 1e-12 * scale
-            xs, ys = kobayashi._linear_xy(p, u, lam)
-            assert comps == _parent_float_legendrian(xs, ys, p.z)
             check = certify_avoidance(f.components, K, margin)
             assert got[0] == check.certified
-            assert got == _as_parent(_parent_verdict(p, u, K, margin, lam))
+            assert got == _reference_verdict(p, u, K, margin, lam)
             verdicts.add(got[0])
             routes.update(check.routes)
         assert verdicts == {True, False}
@@ -604,7 +582,7 @@ def _horizontal(x, y, z, vx, vy):
 
 
 def _layouts(n):
-    """K layouts the verdict must read as the parent verdict does: the
+    """K layouts the verdict must read as ``certify_avoidance`` does: the
     standard obstacle, its log-only twin, shell coordinates in reverse
     order, z as a shell coordinate with x_1 as the disk coordinate, and z
     as the only shell coordinate."""
@@ -663,16 +641,27 @@ def _z_route_case(layout, x, y, z, vx, vy):
     return p, v.scaled(1.0 / v.maxnorm()), LAYOUTS[1][layout], 0.25
 
 
-# |z1| = 1.5e308 and |z2/2| = 7.5e307 at lam = 1e154: the parent's fsum of
-# the two z moduli overflowed
+# |z1| = 1.5e308 and |z2/2| = 7.5e307 at lam = 1e154: the fsum of the two
+# z moduli overflows, so the z bound is -inf
 _Z_OVERFLOW = (ContactPoint((1e154 + 0j,), (0j,), 0j),
                TangentVector((1 + 0j,), (1.5 + 0j,), -1.5e154 + 0j),
                standard_obstacle(1, 6), 0.0)
+# sum_j p_xj u_yj cancelled: at lam = 1e308 both products of the real part
+# of p_x1 lam u_y1 overflow, so z1 reads NaN.  z is the first shell
+# coordinate of LAYOUTS[2][3], and x_2 = 50 clears every shell by the
+# 'outside' route, which a NaN z bound read first by max() would refuse
+# from shell 2 on
+_Z_NAN = (*_horizontal([40 + 40j, 50], [0, 0], 0, [0, 0],
+                       [(0.7 + 0.7j) / 1.12, -1j]),
+          LAYOUTS[2][3], DEFAULT_AVOIDANCE_MARGIN)
 
 
 class TestVerdictMatchesParent:
+    """The step verdict equals ``_reference_verdict``."""
+
     @settings(max_examples=200, deadline=None)
     @example(case=_Z_OVERFLOW, lam_exp=154.0, ulps=0)
+    @example(case=_Z_NAN, lam_exp=308.0, ulps=0)
     @example(case=_z_route_case(0, 1.52, 0.02, 131.8, 0.18, 0.89),
              lam_exp=0.0, ulps=1)
     @example(case=_z_route_case(2, 0.51, 0.36, 17.2, 0.82, 0.58),
@@ -691,23 +680,15 @@ class TestVerdictMatchesParent:
         for _ in range(abs(ulps)):
             near = math.nextafter(near, math.copysign(math.inf, ulps))
         for lam in (10.0 ** lam_exp, near):
-            want = _outcome(_parent_verdict, p, u, K, margin, lam)
-            if want is OverflowError:
-                # the z bound is now -inf, as inf_lower_bound gives on the
-                # same coefficient lists
-                chk = certify_avoidance(
-                    [CPolynomial(c) for c in _parent_float_linear_disk(
-                        p, u, lam)], K, margin)
-                want = _as_parent((chk.certified, chk.routes))
-            else:
-                want = _as_parent(want)
-            assert _verdict(p, u, K, margin, lam) == want
+            assert _verdict(p, u, K, margin, lam) == _reference_verdict(
+                p, u, K, margin, lam)
 
     def test_z_moduli_past_float_range(self):
         p, u, K, margin = _Z_OVERFLOW
-        assert _outcome(_parent_verdict, p, u, K, margin, 1e154) \
-            is OverflowError
+        z = CPolynomial(_linear_disk_lists(p, u, 1e154)[-1])
+        assert z.inf_lower_bound() == -math.inf
         assert _verdict(p, u, K, margin, 1e154) == (False, 1)
+        assert _reference_verdict(p, u, K, margin, 1e154) == (False, 1)
 
 
 def _reject(K):
@@ -826,8 +807,8 @@ def _verdict_path(monkeypatch, run, verdict):
 
 
 def _path_cases():
-    """(run, p, u, K, margin): the GOLDEN upper bounds and the
-    contrapositive on three obstacles."""
+    """(run, p, u, K, margin): the GOLDEN upper bounds, the contrapositive
+    on three obstacles, and a z route decided by its zeta^2 term."""
     margin = DEFAULT_AVOIDANCE_MARGIN
     for i, (p, v, K, _) in enumerate(GOLDEN):
         yield pytest.param(
@@ -841,6 +822,12 @@ def _path_cases():
             ContactPoint(zero, zero, 0j),
             TangentVector((1 + 0j,) + zero[1:], zero, 0j), K, margin,
             id=f"x_derivative-n{n}-i{i_max}")
+    # p_x = 0, so z has only its zeta^2 term, whose root is the guess
+    p, v = _horizontal([0], [0.5], 17, [1], [1])
+    K = standard_obstacle(1, 6)
+    yield pytest.param(
+        lambda: directed_norm_upper(p, v, "complement", K),
+        p, v.scaled(1.0 / v.maxnorm()), K, margin, id="z-quadratic")
 
 
 def _full_bisection(search, cap):
@@ -1070,19 +1057,18 @@ class TestVerdictFlip:
     @pytest.mark.parametrize("run, p, u, K, margin", list(_path_cases()))
     def test_same_scalings_as_parent(self, monkeypatch, run, p, u, K,
                                      margin):
-        # the parent verdict, which rebuilt every coefficient list, asked
-        # at the same scalings answers the same, so the search takes the
-        # same path to the same scaling and witness
+        # certify_avoidance on every rebuilt coefficient list, asked at the
+        # same scalings, answers the same, so the search takes the same
+        # path to the same scaling and witness
         lams, (value, witness) = _verdict_path(
             monkeypatch, run, kobayashi._certification_shortfall)
-        parent_lams, (parent_value, parent_witness) = _verdict_path(
+        ref_lams, (ref_value, ref_witness) = _verdict_path(
             monkeypatch, run,
-            lambda search, lam: _as_parent(
-                _parent_verdict(p, u, K, margin, lam)))
-        assert lams == parent_lams
+            lambda search, lam: _reference_verdict(p, u, K, margin, lam))
+        assert lams == ref_lams
         assert 2 <= len(lams) <= 8
-        assert value == parent_value
-        assert witness.components == parent_witness.components
+        assert value == ref_value
+        assert witness.components == ref_witness.components
 
 
 class TestExactRecertification:

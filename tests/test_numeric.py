@@ -61,9 +61,9 @@ def _row_sum(log_mags, phases):
 
 
 def _masked_scaled_sum(log_mags, phases):
-    """``scaled_sum_arrays`` by boolean masks over a (summands, ...) complex
-    zero array, the kernel the flat gather and scatter replaced, kept as
-    its bit-for-bit reference."""
+    """Kept reference (numpy kernel): ``scaled_sum_arrays`` by boolean
+    masks over a (summands, ...) complex zero array, the kernel the flat
+    gather and scatter replaced, compared bit for bit."""
     hi = np.max(log_mags, axis=0)
     top = hi == np.inf
     hi_safe = np.where((hi == NEG_INF) | top, 0.0, hi)
@@ -263,8 +263,8 @@ class TestLogHelpers:
 
     @staticmethod
     def _dense_scaled_sum(log_mags, phases):
-        """Reference: every summand exponentiated, underflowed or not, and
-        added in order along axis 0."""
+        """Kept reference (numpy kernel): every summand exponentiated,
+        underflowed or not, and added in order along axis 0."""
         hi = np.max(log_mags, axis=0, keepdims=True)
         hi_safe = np.where(np.isneginf(hi), 0.0, hi)
         scaled = np.exp(log_mags - hi_safe) * np.exp(1j * phases)
@@ -466,16 +466,15 @@ class TestCPolynomialOracle:
         assert zero == CPolynomial() and hash(zero) == hash(CPolynomial())
 
 
-# Exactness of the intake, the reduction and evaluation at zero, each
-# against the straightforward rule it replaces.
+# Exactness of the intake, the reduction and evaluation at zero, against
+# the general intake path and the Fraction oracle.
 
-def _horner(coeffs, z):
-    """(p(z), p'(z)) by Horner over the complex128 view, at any z."""
-    acc = dacc = 0j
-    for c in reversed(coeffs):
-        dacc = dacc * z + acc
-        acc = acc * z + c
-    return acc, dacc
+def _at_zero(rational):
+    """(p(0), p'(0)) of a Fraction polynomial, c_0 and c_1, each rounded to
+    complex128 as the view rounds it (a part that rounds to -0.0 reads
+    +0.0)."""
+    pairs = list(rational[:2]) + [(0, 0)] * (2 - len(rational[:2]))
+    return tuple(complex(float(re), float(im)) + 0j for re, im in pairs)
 
 
 def _bits(z: complex) -> bytes:
@@ -564,21 +563,25 @@ class TestExactness:
                             complex(-0.0, -0.0)]))
     @settings(max_examples=300)
     def test_eval_at_zero_equals_horner(self, ca, cb, zeta):
-        # products reach parts that underflow from either side of zero
-        for p in (CPolynomial(ca), CPolynomial(ca) * CPolynomial(cb)):
+        # products reach parts that underflow from either side of zero;
+        # at any signed zero p(0) = c_0 and p'(0) = c_1, each rounded once
+        for p, want in ((CPolynomial(ca), fo.poly(ca)),
+                        (CPolynomial(ca) * CPolynomial(cb),
+                         fo.mul(fo.poly(ca), fo.poly(cb)))):
             try:
-                coeffs = p.coeffs
+                p.coeffs
             except OverflowError:  # a product beyond float range
                 continue
-            got, want = p.eval_deriv(zeta), _horner(coeffs, complex(zeta))
-            assert list(map(_bits, got)) == list(map(_bits, want))
+            want = _at_zero(want)
+            assert list(map(_bits, p.eval_deriv(zeta))) == list(
+                map(_bits, want))
             assert _bits(p(zeta)) == _bits(want[0])
 
     def test_curve_at_zero_equals_horner(self):
         f = random_avoiding_disks(2, 2, standard_obstacle(2, 6), 1,
                                   seed=9)[0]
+        at = [_at_zero(c.rational_coeffs) for c in f.components]
         for zeta in (0.0, -0.0, complex(0.0, -0.0)):
-            at = [_horner(c.coeffs, complex(zeta)) for c in f.components]
             assert list(map(_bits, f.at(zeta).flat())) == [
                 _bits(v) for v, _ in at]
             assert list(map(_bits, f.derivative_at(zeta).flat())) == [
@@ -608,36 +611,28 @@ class TestExactness:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _parent_sample_polydisk(dim, R, count, seed):
-    """``sample_polydisk`` with one ``complex()`` per element, the form that
-    ``tolist`` replaced, kept as its reference."""
-    rng = np.random.default_rng(seed)
-    out = [tuple(0j for _ in range(dim))]
-    if count >= 2:
-        out.append(tuple(complex(R, 0.0) for _ in range(dim)))
-    extra = count - len(out)
-    if extra > 0:
-        radii = R * np.sqrt(rng.random((extra, dim)))
-        angles = rng.uniform(-math.pi, math.pi, (extra, dim))
-        pts = radii * np.exp(1j * angles)
-        out.extend(tuple(complex(z) for z in row) for row in pts)
-    return out
-
-
 class TestSamplePolydisk:
-    @pytest.mark.parametrize("dim,R,count,seed", [
-        (1, 1.0, 1, 0), (2, 0.25, 2, 3), (2, 0.25, 100, 99), (3, 0.9, 100, 7),
-        (4, 6.0, 1000, 17),
+    # the sha256 of the points' reprs, one point per line, pinned: the
+    # seeded stream, sqrt and the complex exp of the phases, bit for bit
+    @pytest.mark.parametrize("dim,R,count,seed,digest", [
+        (1, 1.0, 1, 0, "df1969f21d1c9b66"),
+        (2, 0.25, 2, 3, "30b0108756f20563"),
+        (2, 0.25, 100, 99, "262ac79c808f461e"),
+        (3, 0.9, 100, 7, "f9ca96df83532e55"),
+        (4, 6.0, 1000, 17, "d8cdf94a2a28f507"),
         # subnormal radii; at 5e-324 parts underflow to zeros of both signs
-        (2, 5e-324, 200, 5), (3, 1e-320, 200, 6)])
-    def test_equals_parent(self, dim, R, count, seed):
+        (2, 5e-324, 200, 5, "7d7686c6731520e2"),
+        (3, 1e-320, 200, 6, "ee9e5f5a94f8ae37")],
+        ids=["1-1.0-1-0", "2-0.25-2-3", "2-0.25-100-99", "3-0.9-100-7",
+             "4-6.0-1000-17", "2-5e-324-200-5", "3-1e-320-200-6"])
+    def test_equals_parent(self, dim, R, count, seed, digest):
         got = sample_polydisk(dim, R, count, seed=seed)
-        want = _parent_sample_polydisk(dim, R, count, seed)
-        assert type(got) is list and len(got) == len(want) == count
-        for g, w in zip(got, want):
+        assert type(got) is list and len(got) == count
+        for g in got:
             assert type(g) is tuple and len(g) == dim
             assert all(type(c) is complex for c in g)
-            assert list(map(repr, g)) == list(map(repr, w))
+        text = "\n".join(" ".join(map(repr, g)) for g in got)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         if R == 5e-324:
             signs = {math.copysign(1.0, part) for pt in got[2:] for c in pt
                      for part in (c.real, c.imag) if part == 0.0}

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,28 +221,6 @@ class TestStandardObstacle:
         assert K != standard_obstacle(n, i_max + 1)
 
 
-# the three hand-written forms of the lemma's comparison that
-# ``BoundCertificate.ratio`` replaced: the directed-norm lower bound's
-# running max, the verifier's three comparisons and the lemma suite's scale
-
-def _lower_bound_ratio(cert, v):
-    best = 0.0
-    for coord in (*v.x, *v.y):
-        best = max(best, abs(coord) / cert.bound_xy)
-    return max(best, abs(v.z) / cert.bound_z)
-
-
-def _verifier_bounds_hold(cert, v):
-    return (all(abs(c) < cert.bound_xy for c in v.x)
-            and all(abs(c) < cert.bound_xy for c in v.y)
-            and abs(v.z) < cert.bound_z)
-
-
-def _lemma_suite_scale(cert, v):
-    xy = tuple(abs(c) for c in (*v.x, *v.y))
-    return max(max(xy) / cert.bound_xy, abs(v.z) / cert.bound_z)
-
-
 # zeros, subnormals, the caps themselves and their neighbours, and
 # magnitudes up to 1e300 (a larger pair would overflow abs)
 _parts = st.one_of(
@@ -280,12 +260,20 @@ class TestBoundCertificate:
     @given(_tangent_vectors(), st.integers(1, 60))
     @settings(max_examples=300)
     def test_ratio_equals_the_replaced_formulas(self, v, N0):
+        # the largest |v_c| / cap in Fractions, rounded once: each cap is a
+        # power of two, so the quotients of the float moduli are exact
+        # unless they underflow, and rounding keeps their order
         cert = BoundCertificate(N0=N0, n=v.n, i_max=N0 + 1)
+        caps = [cert.bound_xy] * (2 * v.n) + [cert.bound_z]
+        coords = v.flat()
         ratio = cert.ratio(v)
-        assert ratio == _lower_bound_ratio(cert, v)
-        assert ratio == _lemma_suite_scale(cert, v)
+        assert ratio == float(max(Fraction(abs(c)) / Fraction(cap)
+                                  for c, cap in zip(coords, caps)))
         assert math.copysign(1.0, ratio) == 1.0
-        assert (ratio < 1) == _verifier_bounds_hold(cert, v)
+        # ratio < 1 only where every exact |v_c|^2 < cap^2
+        if ratio < 1:
+            assert all(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+                       < Fraction(cap) ** 2 for c, cap in zip(coords, caps))
 
 
 class TestCertifyAvoidance:
@@ -421,12 +409,25 @@ class TestVerifyDiskEstimate:
         assert rep.derivatives["x"][0] == 0.5
 
     def test_hitting_disk_fails(self):
-        K = ShellUnion.from_linear([(0.9, 1.1, 16), (1.9, 2.1, 128)],
-                                   (0, 1), 2)
-        f = legendrian_from_xy([CPolynomial([0, 1.5])], [CPolynomial([0])], 0)
-        rep = verify_disk_estimate(f, K, N0=1)
+        # x = 1.5 + zeta meets |x| = 1 and |x| = 2 at z = 0, on shells 1
+        # and 2, while |x'(0)| = 1 is within the cap 4 of N0 = 1
+        f = legendrian_from_xy([CPolynomial([1.5, 1])], [CPolynomial([0])], 0)
+        rep = verify_disk_estimate(f, self.K, N0=1)
         assert rep.avoidance == "uncertified"
+        assert rep.routes[:2] == ("uncertified", "uncertified")
         assert rep.bounds_hold and not rep.passed
+
+    @pytest.mark.parametrize("K", [
+        # two thick shells: i_max came from the shell count and K was never
+        # checked, so this union got a report
+        ShellUnion.from_linear([(0.9, 1.1, 16), (1.9, 2.1, 128)], (0, 1), 2),
+        ShellUnion(standard_obstacle(1, 4).shells, (0, 1), 2)])  # log-only
+    def test_other_obstacle_refused(self, K):
+        f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
+        i_max = len(K.shells)
+        with pytest.raises(ValueError, match=r"^K is not the standard "
+                           rf"obstacle standard_obstacle\(1, {i_max}\)"):
+            verify_disk_estimate(f, K, N0=1)
 
     def test_degenerate_crossing_fails(self):
         # x = 1.5 zeta crosses the measure-zero band |x| = 1 of shell 1:
@@ -475,29 +476,21 @@ class TestVerifyDiskEstimate:
             verify_disk_estimate(f, self.K, N0=1)
 
 
-def _per_coefficient_proposal(rng, center_mag, amp):
-    """The sampler's proposal as it was first written, one scalar normal
-    per real part: the reference for ``_proposal_poly``."""
-    c0 = center_mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
-    coeffs = [complex(c0)]
-    for k in range(1, 9):
-        coeffs.append(complex(amp * (rng.normal() + 1j * rng.normal())
-                              / (3.0 ** k)))
-    return coeffs
-
-
 class TestRandomAvoidingDisks:
-    @given(st.integers(0, 2 ** 32), st.floats(0.0, 40.0),
-           st.floats(0.0, 6.0))
-    @settings(max_examples=200)
-    def test_batched_draws_equal_per_coefficient_draws(self, seed, center,
-                                                       amp):
-        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = _per_coefficient_proposal(old, center, amp)
-        got = _proposal_poly(new, center, amp)
-        assert got == CPolynomial(want)
-        assert got.coeffs == CPolynomial(want).coeffs
-        assert new.random() == old.random()  # the streams end together
+    def test_batched_draws_equal_per_coefficient_draws(self):
+        # (seed, centre modulus, amplitude, digest) with the sha256 of the
+        # proposal's exact coefficients and of the stream's next double
+        # pinned: the draws, their order and where the stream ends
+        for seed, center, amp, digest in [
+                (0, 0.0, 0.0, "470a54dd4393a75d"),
+                (11, 3.5, 0.7, "bec9fda057e10fa4"),
+                (2 ** 32, 40.0, 6.0, "b4e7a36ca40e3216"),
+                (7, 1e-3, 2.5, "42e65b77f73b6702")]:
+            rng = np.random.default_rng(seed)
+            got = _proposal_poly(rng, center, amp)
+            text = " ".join(f"{re} {im}" for re, im in got.rational_coeffs)
+            text += f" {rng.random()!r}"
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     @given(st.integers(0, 2 ** 32), st.floats(-1e6, 1e6),
            st.floats(0.0, 1e6))
@@ -521,6 +514,13 @@ class TestRandomAvoidingDisks:
         a = random_avoiding_disks(1, 1, K, count=5, seed=3)
         b = random_avoiding_disks(1, 1, K, count=5, seed=3)
         assert all(fa.components == fb.components for fa, fb in zip(a, b))
+
+    def test_negative_count_refused(self):
+        # count = -1 returned [] with no error
+        K = standard_obstacle(1, 4)
+        with pytest.raises(ValueError, match="^count must be >= 0$"):
+            random_avoiding_disks(1, 1, K, -1, seed=1)
+        assert random_avoiding_disks(1, 1, K, 0, seed=1) == []
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_refused(self, n):
