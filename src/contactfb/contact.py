@@ -1,6 +1,8 @@
-"""The standard contact form dz + sum_j x_j dy_j on C^(2n+1), exact
-Legendrian disk algebra, pullbacks under shear compositions, and a
-constructive horizontal path planner.
+"""Points, tangent vectors and polynomial curves of C^(2n+1) with the
+standard contact form dz + sum_j x_j dy_j: exact Legendrian disks,
+pullbacks under shear compositions, and a constructive horizontal path
+planner.  Whether a direction or a disk is horizontal is decided by the
+kernel (``certify.check_horizontal``, ``certify.horizontality_residual``).
 
 Coordinates are ordered (x_1, y_1, ..., x_n, y_n, z) wherever curves or
 automorphisms act on flat coordinate tuples.
@@ -9,20 +11,19 @@ automorphisms act on flat coordinate tuples.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# horizontality_residual is also read here by perfbench/, which imports
+# and patches it by this name
+from .certify import alpha0_eval, check_horizontal, horizontality_residual
 from .numeric import (
     CPolynomial,
     DEGREE_CAP,
     DegreeCapError,
-    derivative_dot,
     negated_dot_integral,
 )
-
-KERNEL_TOL = 1e-12  # absolute tolerance for "v lies in ker alpha0 at p"
 
 
 @dataclass(frozen=True)
@@ -130,52 +131,8 @@ class PathPlan:
 
 
 # ---------------------------------------------------------------------------
-# the contact form and horizontality
+# Legendrian disks
 # ---------------------------------------------------------------------------
-
-def alpha0_eval(p: ContactPoint, v: TangentVector) -> complex:
-    """alpha0(v) at p, where alpha0 = dz + sum_j x_j dy_j."""
-    if p.n != v.n:
-        raise ValueError("dimension mismatch between point and vector")
-    return v.z + sum(xj * vyj for xj, vyj in zip(p.x, v.y))
-
-
-def _coordinate_error(name: str, c: complex) -> ValueError:
-    """The error for coordinate ``name`` = c, which is not finite or whose
-    modulus is beyond float range."""
-    if cmath.isfinite(c):
-        return ValueError(f"{name} modulus is beyond float range: {c!r}")
-    return ValueError(f"{name} is not finite: {c!r}")
-
-
-def check_horizontal(p: ContactPoint, v: TangentVector) -> None:
-    """Raise ValueError unless p and v are finite, with every coordinate's
-    modulus in float range, and v lies in the kernel of alpha0 at p, to
-    absolute ``KERNEL_TOL``.  A coordinate that fails is named by its
-    block and index, e.g. ``point x[0] is not finite`` or ``point x[0]
-    modulus is beyond float range``; an alpha0(v) that leaves float range
-    (a NaN or infinite part, or an infinite modulus) is not horizontal."""
-    # hypot is finite exactly when both parts and the modulus are
-    for name, blocks in (("point", p), ("direction", v)):
-        for block in ("x", "y"):
-            for j, c in enumerate(getattr(blocks, block)):
-                if not math.hypot(c.real, c.imag) < math.inf:
-                    raise _coordinate_error(f"{name} {block}[{j}]", c)
-        if not math.hypot(blocks.z.real, blocks.z.imag) < math.inf:
-            raise _coordinate_error(f"{name} z", blocks.z)
-    defect = alpha0_eval(p, v)
-    if not math.hypot(defect.real, defect.imag) <= KERNEL_TOL:
-        raise ValueError(f"direction is not horizontal: alpha0(v) = {defect!r}")
-
-
-def horizontality_residual(f: HolomorphicCurve) -> CPolynomial:
-    """The exact coefficient-level polynomial z' + sum_j x_j * y_j'.
-
-    The curve is horizontal iff this is the zero polynomial.  It is one
-    packed integer evaluation (``numeric.derivative_dot``), exact.
-    """
-    return derivative_dot(zip(f.x, f.y), f.z)
-
 
 def legendrian_from_xy(x_polys, y_polys, z0=0) -> HolomorphicCurve:
     """Horizontal curve with prescribed x and y components.

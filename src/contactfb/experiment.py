@@ -19,6 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .certify import (BoundCertificate, DEFAULT_AVOIDANCE_MARGIN,
+                      IN_OMEGA_CERTIFIED, LemmaRefusal, lemma_certificate,
+                      verify_disk_estimate)
 from .contact import ContactPoint, TangentVector
 from .fatou_bieberbach import (
     EpsSchedule,
@@ -38,15 +41,8 @@ from .kobayashi import (
     max_certified_x_derivative,
 )
 from .numeric import sample_polydisk
-from .obstacle import (
-    BoundCertificate,
-    DEFAULT_AVOIDANCE_MARGIN,
-    ShellUnion,
-    membership_margin,
-    random_avoiding_disks,
-    standard_obstacle,
-    verify_disk_estimate,
-)
+from .obstacle import membership_margin, random_avoiding_disks
+from .shells import ShellUnion, standard_obstacle
 
 SCHEMA_VERSION = 1
 SUITES = ("lemma", "pushout", "kobayashi", "all")
@@ -265,10 +261,11 @@ def validate_config(path: str) -> ExperimentConfig:
             field = "i_max" if kind == "desk" else "schedule.shells"
         raise ConfigError(f"{field}: push-out round {e.round} fails: {e}")
     # the certificates the suites build: N0 = 1, then each lemma_n0 entry
+    K = standard_obstacle(cfg.n, cfg.i_max)
     for name, N0 in (("i_max", 1), *(("lemma_n0", N0) for N0 in n0)):
         try:
-            BoundCertificate(N0=N0, n=cfg.n, i_max=cfg.i_max)
-        except ValueError as e:
+            lemma_certificate(N0, cfg.n, K)
+        except LemmaRefusal as e:
             raise ConfigError(f"{name}: {e}")
     return cfg
 
@@ -444,8 +441,8 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
         pts = [(0j,) * cfg.pushout_dim] + sample_polydisk(
             cfg.pushout_dim, 0.25, 100, seed=cfg.seed + 99)
         verdicts = [omega_membership(state, p) for p in pts]
-        ok = all(v == "in_omega_certified" for v in verdicts)
-        return ok, sum(v == "in_omega_certified" for v in verdicts), 0.0
+        ok = all(v == IN_OMEGA_CERTIFIED for v in verdicts)
+        return ok, sum(v == IN_OMEGA_CERTIFIED for v in verdicts), 0.0
     _timed(checks, "pushout/origin-certified", origin)
 
     if out_dir:

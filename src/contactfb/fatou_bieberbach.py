@@ -14,9 +14,12 @@ schedule of each round therefore maps the current cylinder union into the
 next one while the next union clears the (k+1)-polydisk; orbits of the
 obstacle diverge while orbits near the origin converge to the limit map.
 
-Every inequality is certified with explicit slack from coefficient-sum
-bounds; magnitudes are handled in the log domain throughout because band
-radii overflow native floats after two rounds.
+Exponent selection enforces these inequalities with explicit slack from
+coefficient-sum bounds, in the log domain throughout because band radii
+overflow native floats after two rounds.  The round contracts that accept
+its result (the band sandwich, finite output bands, disjointness from the
+(k+1)-polydisk and the identity bound) and the membership rule of
+``omega_membership`` are the kernel's, ``contactfb.certify``.
 
 A shear function is evaluated on three paths.  The first two carry
 points at any magnitude in log-polar form, the log-moduli and the phases
@@ -54,6 +57,9 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .certify import (IN_OMEGA_CERTIFIED, SelectionError, certifies_in_omega,
+                      check_bands, check_disjoint, check_identity,
+                      check_sandwich)
 from .numeric import (
     NEG_INF,
     log_add,
@@ -62,7 +68,7 @@ from .numeric import (
     polar_sum,
     scaled_sum_arrays,
 )
-from .obstacle import ShellBand, ShellUnion
+from .shells import ShellBand, ShellUnion
 
 EXPONENT_CAP = 10 ** 6
 STATE_FORMAT_VERSION = 2
@@ -85,18 +91,6 @@ ORBIT_BLOCK = 4096
 def _bump(x: float, nominal: float) -> float:
     """x plus a strictness slack that stays representable at any scale."""
     return x + max(nominal, 16.0 * math.ulp(abs(x)))
-
-
-class SelectionError(RuntimeError):
-    """No admissible exponent below the cap; carries the binding inequality
-    and, when ``build_pushout`` raises it, the round it failed in."""
-
-    round: int | None = None
-
-    def __init__(self, message: str, shell_index: int, binding: str):
-        super().__init__(message)
-        self.shell_index = shell_index
-        self.binding = binding
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
                     eps: float, m_floor: int | None = None,
                     exponent_cap: int = EXPONENT_CAP,
                     min_exponent: int = 1) -> SelectionWitness:
-    """Smallest admissible exponent N_i for shell i (1-based), certified.
+    """Smallest admissible exponent N_i for shell i (1-based).
 
     Simultaneously enforces, with f_{i-1} the partial sum built so far:
 
@@ -392,7 +386,8 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     Returns the witness carrying M_i and the band bounds
     beta_{i-1} = sup f_{i-1}(b_{i-1}) + offset_{i-1} + 2^(-i) eps and
     alpha_i = (a_i / r_i)^N - sup f_{i-1}(b_i) - offset_i - 2^(-i) eps,
-    together with the slack of every inequality.
+    together with the slack of every inequality; the kernel's
+    ``check_sandwich`` accepts beta_{i-1} < M_i < alpha_i.
     """
     if not (1 <= i <= schedule.count):
         raise ValueError("shell index out of range")
@@ -454,9 +449,7 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     pow_log = N * gap_out
     alpha_log = log_sub(pow_log, log_sum([sup_here, log_off, log_tail]))
     beta_prev_log = log_sum([sup_prev, log_off_prev, log_tail])
-    if not (beta_prev_log < M_log < alpha_log):
-        raise SelectionError(
-            f"shell {i}: band sandwich beta < M < alpha failed", i, "sandwich")
+    check_sandwich(i, beta_prev_log, M_log, alpha_log)
 
     slacks = {
         "tail_control": log_t1 - N * (log_b_prev - log_r),
@@ -472,7 +465,8 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
 
 def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int):
     """Select all exponents of one shear stage; returns the shear function,
-    the witnesses, and the certified output bands (alpha_i, beta_i)."""
+    the witnesses, and the output bands (alpha_i, beta_i), which the
+    kernel's ``check_bands`` accepts."""
     terms: list[tuple[float, int]] = []
     witnesses: list[SelectionWitness] = []
     prev_N = 1
@@ -489,10 +483,7 @@ def _build_stage(schedule: StageSchedule, eps: float, m_floor_base: int):
     betas = [_bump(log_add(func.sup_log(schedule.log_b[i]),
                            schedule.log_offset[i]), 1e-9)
              for i in range(schedule.count)]
-    for i, (a, b) in enumerate(zip(alphas, betas), start=1):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise SelectionError(f"shell {i}: the output band ({a}, {b}) is "
-                                 "beyond float64 range", i, "representation")
+    check_bands(alphas, betas)
     return func, tuple(witnesses), tuple(alphas), tuple(betas)
 
 
@@ -601,9 +592,10 @@ class PushOutState:
 def build_shear_round(state: PushOutState):
     """Build and append round k+1; returns the new PushOutRound.
 
-    Certifies, with explicit witnesses: theta_k maps the current union into
-    the next one, the next union clears the (k+1)-polydisk, and
-    |theta_k - id| < eps_k on the k-polydisk.
+    Each stage's exponents come with witnesses that theta_k maps the
+    current union into the next one; the kernel's ``check_disjoint`` and
+    ``check_identity`` accept that the next union clears the
+    (k+1)-polydisk and that |theta_k - id| < eps_k on the k-polydisk.
     """
     k = state.k + 1
     eps_k = state.eps_schedule.eps(k)
@@ -630,20 +622,12 @@ def build_shear_round(state: PushOutState):
     _, L, K_next = unions
     phi, psi = maps
 
-    # certified disjointness from the (k+1)-polydisk
-    if not K_next.shells[0].log_a > math.log(k + 1.0):
-        raise SelectionError(
-            f"round {k}: new schedule does not clear the (k+1)-polydisk",
-            1, "disjointness")
-
-    # certified identity-approximation bound on the k-polydisk
+    check_disjoint(k, K_next)
+    # the identity-approximation bound on the k-polydisk
     sup_f = math.exp(phi.func.sup_log(math.log(k)))
     sup_g = math.exp(psi.func.sup_log(math.log(k + sup_f)))
     id_bound = sup_f + sup_g
-    if not id_bound < eps_k:
-        raise SelectionError(
-            f"round {k}: certified identity bound {id_bound} >= {eps_k}",
-            0, "identity")
+    check_identity(k, id_bound, eps_k)
 
     rec = PushOutRound(index=k, phi=phi, psi=psi,
                        phi_witnesses=witnesses[0], psi_witnesses=witnesses[1],
@@ -790,19 +774,16 @@ def _membership(state: PushOutState, orbit) -> str:
     logs = []
     for j, (lm, _) in enumerate(orbit):
         logs.append(max(lm))
-        # only small points can certify; avoids exp overflow
-        if logs[j] < 5.0 and \
-                math.exp(logs[j]) + state.eps_schedule.tail(j) < max(j, 1):
-            return "in_omega_certified"
+        if certifies_in_omega(j, logs[j], state.eps_schedule.tail(j)):
+            return IN_OMEGA_CERTIFIED
     return "undecided" if first_escape_round(logs[1:]) is None else "escaped"
 
 
 def omega_membership(state: PushOutState, p) -> str:
     """Conservative classification against the convergence domain.
 
-    'in_omega_certified' when some Theta_j(p) sits inside the j-polydisk
-    with more room than all later identity-approximation errors can
-    consume; 'escaped' when the orbit crossed the escape radius;
+    'in_omega_certified' when the kernel's ``certifies_in_omega`` accepts
+    some Theta_j(p); 'escaped' when the orbit crossed the escape radius;
     'undecided' otherwise.  Rounds are applied only until the first
     certifying j: the escape verdict matters only when none certifies.
     """
@@ -814,7 +795,7 @@ def fb_map_eval(state: PushOutState, p):
     tail of the remaining rounds as the error bound; the point is certified
     and evaluated in one walk through the rounds."""
     orbit = list(_point_orbit(state, p))
-    if _membership(state, orbit) != "in_omega_certified":
+    if _membership(state, orbit) != IN_OMEGA_CERTIFIED:
         raise ValueError("point is not certified inside the domain")
     lm, ph = orbit[-1]
     value = tuple(cmath.rect(math.exp(a), b) for a, b in zip(lm, ph))

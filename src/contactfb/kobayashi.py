@@ -1,23 +1,24 @@
 """Numerical bracketing of the directed Kobayashi norm and distance.
 
 The directed norm of a tangent direction v at p is the infimum of 1/|lambda|
-over horizontal disks f with f(0) = p, f'(0) = lambda v.  Lower bounds come
-from the derivative-bound certificate of the obstacle module, which caps
-|lambda v_coord| for every disk avoiding the standard obstacle.  Upper
-bounds come from explicit certified disks.  Avoidance is certified by
+over horizontal disks f with f(0) = p, f'(0) = lambda v.  Lower bounds are
+the caps of the derivative-bound lemma, which the kernel issues for the
+standard obstacle only (``certify.lemma_certificate``).  Upper bounds come
+from explicit disks that the kernel certifies.  Avoidance is certified by
 coefficient sums, which a coefficient of degree >= 2 only loosens, so the
 best such disk is linear: x_j = p_xj + lambda u_xj zeta (likewise y_j), z by
 exact integration.  In exact arithmetic its route bounds are monotone in
 lambda, closed forms (linear in x_j and y_j, quadratic in z), so the
 certified scalings run from 0 up to the binding route's root.  In complex128
-the z bound can move by an ulp against lambda, so the complex128 verdict
-only proposes a scaling and the exact rebuild of that disk decides.  The
-search for the proposal starts at the root, computed in floats, gallops
-until the verdict changes and bisects to adjacent floats; only the verdicts
-it asks decide, so the root needs no error bound.  The contrapositive of the
-derivative bound is the case p = 0, u = e_x1.  The distance bound sums the
-full-space upper bound over the segments of a constructive horizontal path;
-each segment is affine, so the sum is exact.
+the z bound can move by an ulp against lambda, so the kernel's route rule on
+complex128 bounds only proposes a scaling; the kernel decides on the exact
+rebuild of that disk.  The search for the proposal starts at the root,
+computed in floats, gallops until the verdict changes and bisects to
+adjacent floats; only the verdicts it asks decide, so the root needs no
+error bound.  The contrapositive of the derivative bound is the case p = 0,
+u = e_x1.  The distance bound sums the full-space upper bound over the
+segments of a constructive horizontal path; each segment is affine, so the
+sum is exact.
 """
 
 from __future__ import annotations
@@ -27,24 +28,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .contact import (
-    ContactPoint,
-    HolomorphicCurve,
-    TangentVector,
-    check_horizontal,
-    chow_path,
-    legendrian_from_xy,
-)
+from .certify import (BoundCertificate, DEFAULT_AVOIDANCE_MARGIN,
+                      LemmaRefusal, UNCERTIFIED, check_disk_dim,
+                      check_horizontal, check_margin, first_certified,
+                      lemma_certificate, route_limits, shell_route)
+from .contact import (ContactPoint, HolomorphicCurve, TangentVector,
+                      chow_path, legendrian_from_xy)
 from .numeric import CPolynomial
-from .obstacle import (
-    BoundCertificate,
-    DEFAULT_AVOIDANCE_MARGIN,
-    ShellUnion,
-    certify_avoidance,
-    check_disk_dim,
-    check_margin,
-    standard_obstacle,
-)
+from .shells import ShellUnion
 
 #: Scalings, one ulp apart from the verdict's flip down, that are rebuilt
 #: exactly before ``_largest_certified_scaling`` reports that none certifies.
@@ -95,7 +86,7 @@ class _DiskSearch(NamedTuple):
     z_mod: float       # |p_z|
     shell_read: Callable  # the bounds of K.shell_dims, as a tuple
     disk_dim: int
-    limits: tuple      # per shell: (a - margin, b + margin, c + margin)
+    limits: tuple      # ``certify.route_limits(K, margin)``
 
 
 def _disk_search(p: ContactPoint, u: TangentVector, K: ShellUnion,
@@ -105,9 +96,7 @@ def _disk_search(p: ContactPoint, u: TangentVector, K: ShellUnion,
     # is read once more; a repeated item cannot change a max or a min
     return _DiskSearch(
         tuple(zip(p.x, u.x, u.y, map(abs, p.x), map(abs, p.y))), abs(p.z),
-        itemgetter(*dims, dims[0]), K.disk_dim,
-        tuple((a - margin, b + margin, c + margin)
-              for a, b, c in K.linear_shells()))
+        itemgetter(*dims, dims[0]), K.disk_dim, route_limits(K, margin))
 
 
 def _certification_shortfall(search: _DiskSearch, lam: float):
@@ -126,11 +115,11 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     coefficient whose parts overflowed against each other reads NaN; its
     modulus is unknown, so its bounds are +inf and -inf, those of a
     coefficient past float range, whatever the order of ``K.shell_dims``
-    that ``max`` reads them in.  The routes are those of
-    ``obstacle.certify_avoidance``, tried shell by shell, so ``certified``
-    is its verdict on those coefficients, a non-finite one read as past
-    float range; the first shell that no route certifies (1-based) is
-    returned with False, None with True.
+    that ``max`` reads them in.  Each shell is judged by the kernel's
+    ``shell_route``, shell by shell, so ``certified`` is
+    ``certify_avoidance``'s verdict on those coefficients, a non-finite one
+    read as past float range; the first shell that no route certifies
+    (1-based) is returned with False, None with True.
     """
     # The name and [0] are kept because perfbench/tracer.py patches this
     # function by name and reads [0]; ROADMAP item 6 renames both.
@@ -159,8 +148,9 @@ def _certification_shortfall(search: _DiskSearch, lam: float):
     sup_max = max(shell_read(sups))
     inf_best = max(shell_read(infs))
     inf_disk = infs[disk_dim]
-    for i, (inside, outside, z_escape) in enumerate(limits, start=1):
-        if not (sup_max < inside or inf_best > outside or inf_disk > z_escape):
+    for i, shell_limits in enumerate(limits, start=1):
+        if shell_route(sup_max, inf_best, inf_disk,
+                       shell_limits) == UNCERTIFIED:
             return False, i
     return True, None
 
@@ -274,21 +264,23 @@ def _largest_certified_scaling(p: ContactPoint, u: TangentVector,
 
     ``_verdict_flip`` proposes where the complex128 verdict stops
     certifying.  That verdict is monotone in lam only up to an ulp of its z
-    bound, so the proposal is rebuilt exactly and re-certified, one ulp
-    lower at a time for at most ``MAX_STEP_DOWNS`` scalings.  Returns
-    (0.0, None) if no positive scaling certifies.
+    bound, so the proposal is rebuilt exactly and offered to the kernel's
+    ``first_certified``, then one ulp lower at a time, for at most
+    ``MAX_STEP_DOWNS`` positive scalings.  Returns (0.0, None) if none of
+    them certifies.
     """
     check_disk_dim(2 * p.n + 1, K)
     check_margin(margin)
-    lam = _verdict_flip(_disk_search(p, u, K, margin), cap)
-    for _ in range(MAX_STEP_DOWNS):
-        if lam <= 0.0:
-            break
-        witness = _linear_disk(p, u, lam)
-        if certify_avoidance(witness.components, K, margin).certified:
-            return lam, witness
-        lam = math.nextafter(lam, 0.0)
-    return 0.0, None
+
+    def candidates(lam):
+        for _ in range(MAX_STEP_DOWNS):
+            if lam <= 0.0:
+                return
+            yield lam, _linear_disk(p, u, lam)
+            lam = math.nextafter(lam, 0.0)
+    return first_certified(
+        candidates(_verdict_flip(_disk_search(p, u, K, margin), cap)),
+        K, margin)
 
 
 def _unit_direction(v: TangentVector, scale: float) -> TangentVector:
@@ -335,34 +327,23 @@ def directed_norm_upper(p: ContactPoint, v: TangentVector,
 
 def directed_norm_lower(p: ContactPoint, v: TangentVector,
                         K: ShellUnion):
-    """Certified lower bound for the directed norm in the complement of the
-    standard obstacle, from the first-derivative cap at the center.
+    """Certified lower bound for the directed norm in the complement of K,
+    from the first-derivative cap at the center.
 
     Any avoiding horizontal disk with f(0) = p and f'(0) = lambda v has
     ``cert.ratio(lambda v) < 1`` for the certificate ``cert`` of the minimal
     N0 >= 1 with p in the open 2^N0 polydisk, hence 1/|lambda| >
     ``cert.ratio(v)``.  Returns (lower, certificate); 0 for the zero
-    direction.
-
-    The lemma is about the standard obstacle, and a truncated one leaves
-    everything beyond its last shell free.  So the bound is issued only if
-    K equals ``standard_obstacle(p.n, i_max)`` band for band, on the radii
-    it keeps, with i_max its number of shells, and the certificate covers
-    N0 (N0 < i_max); otherwise the result is (0.0, None).  N0 < i_max is no
-    wider than a counterexample allows: at p = (3, 40, 0), v = e_x on
-    ``standard_obstacle(1, 6)`` (N0 = 6) the cap gives 1/128, while a
-    linear disk certifies the upper bound 1e-3.  The range that the
-    lemma's proof covers for a truncation is still open (ROADMAP item 1).
+    direction, and (0.0, None) where the kernel's ``lemma_certificate``
+    refuses N0 on K.
     """
     check_horizontal(p, v)
     # the least N0 >= 1 with max-norm < 2^N0, with no power of 2 that
     # leaves float range
     N0 = max(1, math.frexp(p.maxnorm())[1])
     try:
-        cert = BoundCertificate(N0=N0, n=p.n, i_max=len(K.shells))
-    except ValueError:  # p lies beyond the last shell
-        return 0.0, None
-    if K != standard_obstacle(p.n, cert.i_max):
+        cert = lemma_certificate(N0, p.n, K)
+    except LemmaRefusal:
         return 0.0, None
     return cert.ratio(v), cert
 

@@ -41,11 +41,9 @@ from contactfb.kobayashi import (
     max_certified_x_derivative,
 )
 from contactfb.numeric import CPolynomial, NEG_INF, sample_polydisk
-from contactfb.obstacle import (
-    random_avoiding_disks,
-    standard_obstacle,
-    verify_disk_estimate,
-)
+from contactfb.certify import verify_disk_estimate
+from contactfb.obstacle import random_avoiding_disks
+from contactfb.shells import standard_obstacle
 
 
 def conclude(num, name, ok, detail, t0, limit=None):

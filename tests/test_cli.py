@@ -131,11 +131,12 @@ class TestValidate:
          "underflows to 0"),
         # the derivative bound covers 1 <= N0 < i_max: the origin bracket
         # and the contrapositive need N0 = 1, the lemma suite each entry
-        ({"i_max": 1}, "i_max: the derivative bound covers 1 <= N0 < i_max; "
-                       "N0 = 1, i_max = 1"),
+        ({"i_max": 1}, "i_max: the derivative bound covers 1 <= N0 < i_max "
+                       "on standard_obstacle(n, i_max) only; N0 = 1 is not "
+                       "below i_max = 1"),
         ({"i_max": 2, "lemma_n0": [1, 2, 3]},
-         "lemma_n0: the derivative bound covers 1 <= N0 < i_max; N0 = 2, "
-         "i_max = 2"),
+         "lemma_n0: the derivative bound covers 1 <= N0 < i_max on "
+         "standard_obstacle(n, i_max) only; N0 = 2 is not below i_max = 2"),
         # a key outside the schema, which the defaults would replace
         ({"imax": 3}, "imax: unknown key"),
         ({"samples": {"per_shel": 5}}, "samples.per_shel: unknown key"),

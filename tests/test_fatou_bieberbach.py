@@ -44,7 +44,8 @@ from contactfb.fatou_bieberbach import (
     state_to_dict,
 )
 from contactfb.numeric import NEG_INF, log_sum, scaled_sum_arrays
-from contactfb.obstacle import ShellUnion, membership_margin
+from contactfb.obstacle import membership_margin
+from contactfb.shells import ShellUnion
 
 
 # reference schedule: one shell (a, b) = (2, 4) with disk height 1,
@@ -545,7 +546,7 @@ class TestShearMap:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1]), st.integers(0, 5), st.data())
-    def test_one_sum_agrees_with_two_step(self, built_rounds, which, n, data):
+    def test_step_matches_60_digit_sum(self, built_rounds, which, n, data):
         # each step of a round, single point and batch column, against z_dst
         # + f(z_src) in 60 digits at that step's float input: the step
         # rounds N (log|z_src| - log r) and N arg(z_src) once per term and

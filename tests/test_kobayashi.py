@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracle as fo
-from contactfb import kobayashi
+from contactfb import certify, kobayashi
 from contactfb.contact import (
     ContactPoint,
     TangentVector,
@@ -24,15 +24,13 @@ from contactfb.kobayashi import (
     max_certified_x_derivative,
 )
 from contactfb.numeric import CPolynomial
-from contactfb.obstacle import (
+from contactfb.certify import (
     DEFAULT_AVOIDANCE_MARGIN,
     AvoidanceCheck,
-    ShellBand,
-    ShellUnion,
     certify_avoidance,
-    standard_obstacle,
     verify_disk_estimate,
 )
+from contactfb.shells import ShellBand, ShellUnion, standard_obstacle
 
 ORIGIN = ContactPoint((0j,), (0j,), 0j)
 X_DIR = TangentVector((1 + 0j,), (0j,), 0j)
@@ -656,7 +654,7 @@ _Z_NAN = (*_horizontal([40 + 40j, 50], [0, 0], 0, [0, 0],
           LAYOUTS[2][3], DEFAULT_AVOIDANCE_MARGIN)
 
 
-class TestVerdictMatchesParent:
+class TestVerdictMatchesReference:
     """The step verdict equals ``_reference_verdict``."""
 
     @settings(max_examples=200, deadline=None)
@@ -1086,7 +1084,7 @@ class TestExactRecertification:
                 return _reject(K)
             return certify_avoidance(components, K, margin)
 
-        monkeypatch.setattr(kobayashi, "certify_avoidance", reject_first)
+        monkeypatch.setattr(certify, "certify_avoidance", reject_first)
         upper, witness = directed_norm_upper(ORIGIN, X_DIR, "complement",
                                              self.K, budget=SMALL)
         assert rejected == [winner.components]
@@ -1096,7 +1094,7 @@ class TestExactRecertification:
         assert certify_avoidance(witness.components, self.K).certified
 
     def test_nothing_certifies(self, monkeypatch):
-        monkeypatch.setattr(kobayashi, "certify_avoidance",
+        monkeypatch.setattr(certify, "certify_avoidance",
                             lambda components, K, margin: _reject(K))
         assert directed_norm_upper(ORIGIN, X_DIR, "complement", self.K,
                                    budget=SMALL) == (math.inf, None)

@@ -24,7 +24,8 @@ from contactfb.numeric import (
     sample_polydisk,
     scaled_sum_arrays,
 )
-from contactfb.obstacle import random_avoiding_disks, standard_obstacle
+from contactfb.obstacle import random_avoiding_disks
+from contactfb.shells import standard_obstacle
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                     max_magnitude=1e6)

@@ -9,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from contactfb.contact import TangentVector, legendrian_from_xy
 from contactfb.numeric import CPolynomial, NEG_INF
-from contactfb.obstacle import (
+from contactfb.certify import (
     AvoidanceCheck,
     BoundCertificate,
-    ShellBand,
-    ShellUnion,
-    _proposal_poly,
-    _uniform,
     certify_avoidance,
-    membership_margin,
-    random_avoiding_disks,
-    standard_obstacle,
     verify_disk_estimate,
 )
+from contactfb.obstacle import (
+    _proposal_poly,
+    _uniform,
+    membership_margin,
+    random_avoiding_disks,
+)
+from contactfb.shells import ShellBand, ShellUnion, standard_obstacle
 
 
 class TestShellUnion:
@@ -254,12 +254,12 @@ class TestBoundCertificate:
     def test_n0_at_or_beyond_i_max_refused(self, N0, i_max):
         # a truncated obstacle leaves everything beyond its last shell free
         with pytest.raises(ValueError,
-                           match=f"N0 = {N0}, i_max = {i_max}"):
+                           match=f"N0 = {N0} is not below i_max = {i_max}$"):
             BoundCertificate(N0=N0, n=1, i_max=i_max)
 
     @given(_tangent_vectors(), st.integers(1, 60))
     @settings(max_examples=300)
-    def test_ratio_equals_the_replaced_formulas(self, v, N0):
+    def test_ratio_equals_fraction_quotient(self, v, N0):
         # the largest |v_c| / cap in Fractions, rounded once: each cap is a
         # power of two, so the quotients of the float moduli are exact
         # unless they underflow, and rounding keeps their order
@@ -425,8 +425,8 @@ class TestVerifyDiskEstimate:
     def test_other_obstacle_refused(self, K):
         f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
         i_max = len(K.shells)
-        with pytest.raises(ValueError, match=r"^K is not the standard "
-                           rf"obstacle standard_obstacle\(1, {i_max}\)"):
+        with pytest.raises(ValueError, match=r"; K is not "
+                           rf"standard_obstacle\(1, {i_max}\)$"):
             verify_disk_estimate(f, K, N0=1)
 
     def test_degenerate_crossing_fails(self):
@@ -448,13 +448,14 @@ class TestVerifyDiskEstimate:
         K = standard_obstacle(1, 2)
         f = legendrian_from_xy([CPolynomial([3.0])], [CPolynomial([0])], 0)
         assert certify_avoidance(f.components, K).certified
-        with pytest.raises(ValueError, match="N0 = 2, i_max = 2"):
+        with pytest.raises(ValueError, match="N0 = 2 is not below i_max = 2$"):
             verify_disk_estimate(f, K, N0=2)
 
     def test_n0_past_float_range_named(self):
         # 2.0 ** 1100 overflowed before the certificate could name N0
         f = legendrian_from_xy([CPolynomial([0, 0.5])], [CPolynomial([0])], 0)
-        with pytest.raises(ValueError, match="N0 = 1100, i_max = 6$"):
+        with pytest.raises(ValueError,
+                           match="N0 = 1100 is not below i_max = 6$"):
             verify_disk_estimate(f, standard_obstacle(1, 6), 1100)
 
     def test_ratio_on_the_report(self):
@@ -477,7 +478,7 @@ class TestVerifyDiskEstimate:
 
 
 class TestRandomAvoidingDisks:
-    def test_batched_draws_equal_per_coefficient_draws(self):
+    def test_proposal_draws_pinned(self):
         # (seed, centre modulus, amplitude, digest) with the sha256 of the
         # proposal's exact coefficients and of the stream's next double
         # pinned: the draws, their order and where the stream ends
