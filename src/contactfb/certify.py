@@ -287,21 +287,25 @@ def check_bands(alphas, betas) -> None:
                                  "beyond float64 range", i, "representation")
 
 
-def check_disjoint(k: int, K_next) -> None:
-    """Round k's new union clears the (k+1)-polydisk: log a_1 > log(k+1)."""
-    if not K_next.shells[0].log_a > math.log(k + 1.0):
+def check_disjoint(k: int, K_next) -> float:
+    """Round k's new union clears the (k+1)-polydisk: log a_1 > log(k+1).
+    Returns the slack log a_1 - log(k+1) it accepted."""
+    gap = K_next.shells[0].log_a - math.log(k + 1.0)
+    if not gap > 0.0:
         raise SelectionError(
             f"round {k}: new schedule does not clear the (k+1)-polydisk",
             1, "disjointness")
+    return gap
 
 
-def check_identity(k: int, id_bound: float, eps: float) -> None:
+def check_identity(k: int, id_bound: float, eps: float) -> float:
     """Round k's bound on |theta_k - id| over the k-polydisk is below
-    eps_k."""
+    eps_k.  Returns the slack eps_k - id_bound it accepted."""
     if not id_bound < eps:
         raise SelectionError(
             f"round {k}: certified identity bound {id_bound} >= {eps}",
             0, "identity")
+    return eps - id_bound
 
 
 # -- membership in the convergence domain -------------------------------------

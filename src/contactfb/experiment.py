@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .certify import (BoundCertificate, DEFAULT_AVOIDANCE_MARGIN,
-                      IN_OMEGA_CERTIFIED, LemmaRefusal, lemma_certificate,
-                      verify_disk_estimate)
+                      IN_OMEGA_CERTIFIED, LemmaRefusal, check_disjoint,
+                      check_identity, lemma_certificate, verify_disk_estimate)
 from .contact import ContactPoint, TangentVector
 from .fatou_bieberbach import (
     EpsSchedule,
@@ -407,9 +407,11 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
             return worst > 0.0, worst, worst
         _timed(checks, f"pushout/round{rnd.index}/containment", containment)
 
+        # the kernel's round contracts: a round they refuse raises, which
+        # _timed records as a failed check
         def disjoint(rnd=rnd):
-            gap = rnd.shells_after.shells[0].log_a - math.log(rnd.index + 1.0)
-            return gap > 0.0, rnd.shells_after.shells[0].log_a, gap
+            gap = check_disjoint(rnd.index, rnd.shells_after)
+            return True, rnd.shells_after.shells[0].log_a, gap
         _timed(checks, f"pushout/round{rnd.index}/disjointness", disjoint)
 
         def identity(rnd=rnd):
@@ -420,7 +422,7 @@ def _pushout_checks(cfg: ExperimentConfig, checks: list, out_dir: str | None):
             img = rnd.psi.apply_native(rnd.phi.apply_native(pts))
             sampled = float(np.max(np.abs(img - pts)))
             worst = max(sampled, rnd.id_bound)
-            return worst < rnd.eps, worst, rnd.eps - worst
+            return True, worst, check_identity(rnd.index, worst, rnd.eps)
         _timed(checks, f"pushout/round{rnd.index}/identity", identity)
 
     div_lm, div_ph = _sample_shell_points(state.initial,

@@ -4,6 +4,7 @@ caller, each inequality at its boundary, the mutant ledger's texts, and
 that every package module imports cleanly as the first import."""
 
 import ast
+import functools
 import json
 import math
 import os
@@ -184,13 +185,15 @@ class TestBoundaries:
     def test_disjointness_is_strict(self):
         def union(log_a):
             return ShellUnion((ShellBand(log_a, log_a + 1.0, 0.0),), (0,), 1)
-        check_disjoint(2, union(math.nextafter(math.log(3.0), math.inf)))
+        log_a = math.nextafter(math.log(3.0), math.inf)
+        assert check_disjoint(2, union(log_a)) == log_a - math.log(3.0) > 0.0
         with pytest.raises(SelectionError) as err:
             check_disjoint(2, union(math.log(3.0)))
         assert err.value.binding == "disjointness"
 
     def test_identity_bound_is_strict(self):
-        check_identity(1, math.nextafter(0.25, 0.0), 0.25)
+        below = math.nextafter(0.25, 0.0)
+        assert check_identity(1, below, 0.25) == 0.25 - below > 0.0
         with pytest.raises(SelectionError) as err:
             check_identity(1, 0.25, 0.25)
         assert err.value.binding == "identity"
@@ -206,20 +209,37 @@ class TestBoundaries:
         assert not certifies_in_omega(1, 1e6, 0.0)
 
 
+def test_ledger_ids_unique():
+    # ``mutants/run.py ID`` selects entries by id
+    ids = [e["id"] for e in LEDGER]
+    assert len(ids) == len(set(ids)), sorted(i for i in ids
+                                             if ids.count(i) > 1)
+
+
+def _defs(body) -> dict:
+    """The classes and functions of a module or class body, by name."""
+    return {node.name: node for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
+@functools.cache
+def _module_defs(path: str) -> dict:
+    return _defs(ast.parse((ROOT / path).read_text()).body)
+
+
 @pytest.mark.parametrize("entry", LEDGER, ids=[e["id"] for e in LEDGER])
 def test_ledger_entry_applies(entry):
-    # each old text occurs exactly once, so the edit is well defined, and
-    # each named test exists in its file
+    # each entry mutates the package, its old text occurs exactly once, so
+    # the edit is well defined, and each named test exists in its file
+    assert Path(entry["file"]).parts[:2] == ("src", "contactfb")
     assert entry["new"] != entry["old"]
     assert (ROOT / entry["file"]).read_text().count(entry["old"]) == 1
     for test_id in entry["kills"]:
         path, *names = test_id.split("[")[0].split("::")
-        scope = ast.parse((ROOT / path).read_text())
+        defs = _module_defs(path)
         for name in names:
-            scope = {node.name: node for node in scope.body
-                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                     }.get(name)
-            assert scope is not None, f"{test_id}: no {name}"
+            assert name in defs, f"{test_id}: no {name}"
+            defs = _defs(defs[name].body)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,8 @@
-import cmath
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fraction_oracle as fo
 from contactfb.contact import (
@@ -142,118 +140,14 @@ class TestHorizontality:
         assert not horizontality_residual(f).is_zero
 
 
-# Coefficients of every kind the intake reads: Python complex (floats over
-# their own power-of-two denominators), real Fractions, (re, im) pairs,
-# and ints past float range.
-_exact_reals = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.fractions(max_denominator=10 ** 12),
-    st.integers(-2 ** 200, 2 ** 200))
-_any_coeffs = st.one_of(
-    st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-    st.complex_numbers(allow_nan=False, allow_infinity=False),
-    st.fractions(max_denominator=10 ** 12),
-    st.integers(-2 ** 200, 2 ** 200),
-    st.tuples(_exact_reals, _exact_reals))
-# the zero polynomial (empty, or all zeros), or degree 0-10
-_coeff_lists = st.one_of(
-    st.just([]), st.lists(st.sampled_from([0, 0j, -0.0, (0, 0)]),
-                          min_size=1, max_size=3),
-    st.lists(_any_coeffs, min_size=1, max_size=11))
-_z0s = st.one_of(
-    st.complex_numbers(allow_nan=False, allow_infinity=False),
-    st.fractions(), st.integers(-2 ** 100, 2 ** 100))
-
-
-class TestLegendrianOracle:
-    """``legendrian_from_xy`` against z = z0 - the integral of
-    sum_j x_j y_j' in Fraction arithmetic, on every coefficient kind the
-    intake reads."""
-
-    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-        st.lists(_coeff_lists, min_size=n, max_size=n),
-        st.lists(_coeff_lists, min_size=n, max_size=n))), _z0s)
-    @settings(max_examples=300, deadline=None)
-    @example(([[]], [[1, 2]]), 0)  # x = 0: z is z0
-    @example(([[1, 2]], [[5]]), Fraction(1, 3))  # y' = 0
-    @example(([[0.5, -0.0, 0j]], [[0j, 3 + 0j, 0j]]), -0.0 + 0j)
-    @example(([[2 ** 200, (1, Fraction(1, 3))], [1e-300j]],
-              [[0, 0, 2 ** -1074 + 0j], [(0, 0), 1e300]]), 7)
-    def test_equals_fraction_oracle(self, xy, z0):
-        cx, cy = xy
-        xs = [CPolynomial(c) for c in cx]
-        ys = [CPolynomial(c) for c in cy]
-        f = legendrian_from_xy(xs, ys, z0)
-        want = fo.legendrian_z(map(fo.poly, cx), map(fo.poly, cy), z0)
-        assert f.z.rational_coeffs == want
-        assert (f.z._num, f.z._den) == fo.storage(want)
-        assert f.x == tuple(xs) and f.y == tuple(ys)
-        assert horizontality_residual(f).is_zero
-
-
-@st.composite
-def _polys(draw):
-    """The zero polynomial, a constant, or degree 0-12, at a coefficient
-    scale from 1e-30 to 1e30."""
-    kind = draw(st.sampled_from(["zero", "constant", "general"]))
-    if kind == "zero":
-        return CPolynomial()
-    degree = 0 if kind == "constant" else draw(st.integers(0, 12))
-    scale = 10.0 ** draw(st.floats(-30.0, 30.0))
-    parts = st.floats(-1.0, 1.0)
-    return CPolynomial([complex(draw(parts), draw(parts)) * scale
-                        for _ in range(degree + 1)])
-
-
-@st.composite
-def _curves(draw):
-    """A curve from ``legendrian_from_xy`` with n in {1, 2, 3}, raw or with
-    one component perturbed (so mostly not horizontal), maybe negated."""
-    n = draw(st.integers(1, 3))
-    xs = [draw(_polys()) for _ in range(n)]
-    ys = [draw(_polys()) for _ in range(n)]
-    comps = [c.rational_coeffs for c in legendrian_from_xy(
-        xs, ys, z0=draw(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                           allow_infinity=False))).components]
-    if draw(st.booleans()):
-        j = draw(st.integers(0, 2 * n))
-        comps[j] = fo.add(comps[j], draw(_polys()).rational_coeffs)
-    if draw(st.booleans()):
-        comps = [fo.neg(c) for c in comps]
-    return HolomorphicCurve(tuple(map(CPolynomial, comps)))
-
-
-def _curve(*comps):
-    return HolomorphicCurve(tuple(CPolynomial(c) for c in comps))
-
-
 class TestPackedResidual:
-    """The packed residual against z' + sum_j x_j y_j' in Fraction
-    arithmetic: the same polynomial, in canonical storage, on every curve,
-    horizontal or not."""
-
-    @given(_curves())
-    @settings(max_examples=300, deadline=None)
-    # each coefficient reaches its slot's bound: one bit narrower and the
-    # digit no longer fits
-    @example(_curve([0], [0], [0, 0, 0, 1]))
-    @example(_curve([1 + 1j], [0, 1 - 1j], [0]))
-    # ... and a bound of 2^7 fills a byte's sign bit: a slot of 8 bits
-    # reads the digit 128 as -128
-    @example(_curve([0], [0], [0, 128]))
-    @example(_curve([8 + 8j], [0, 8 - 8j], [0]))
-    @example(_curve([0.5], [0, 3], [0, -1.5]))  # horizontal, zero
-    @example(_curve([], [], []))
-    def test_equals_fraction_oracle(self, f):
-        got = horizontality_residual(f)
-        rat = [c.rational_coeffs for c in f.components]
-        want = fo.derivative_dot(rat[0:-1:2], rat[1:-1:2], rat[-1])
-        assert got.rational_coeffs == want
-        assert (got._num, got._den) == fo.storage(want)
+    """The residual of a curve that is not horizontal; the Fraction oracle
+    of every residual is ``test_numeric.TestCPolynomialOracle``."""
 
     def test_nonhorizontal_value(self):
         # z' + x y' = 1 + t * 2t for x = t, y = t^2, z = t
-        f = _curve([0, 1], [0, 0, 1], [0, 1])
+        f = HolomorphicCurve((CPolynomial([0, 1]), CPolynomial([0, 0, 1]),
+                              CPolynomial([0, 1])))
         assert horizontality_residual(f) == CPolynomial([1, 0, 2])
 
 

@@ -19,6 +19,7 @@ from contactfb.experiment import (
 )
 from contactfb.fatou_bieberbach import (
     EpsSchedule,
+    SelectionError,
     build_pushout,
     desk_schedule,
 )
@@ -87,6 +88,21 @@ def test_suite_error_is_a_failed_check():
     assert not report.passed
     assert {c.name for c in report.checks} == {
         f"{s}/error:OverflowError" for s in ("lemma", "pushout", "kobayashi")}
+
+
+def test_round_contracts_are_the_kernels(monkeypatch):
+    # the disjointness and identity checks ask the kernel's rules, and a
+    # round that a rule refuses is a failed check
+    def refuse(k, *args):
+        raise SelectionError(f"round {k}: refused", 0, "identity")
+    monkeypatch.setattr(experiment, "check_disjoint", refuse)
+    monkeypatch.setattr(experiment, "check_identity", refuse)
+    cfg = ExperimentConfig(k_max=1, samples_per_shell=5, identity_samples=5,
+                           divergence_samples=5)
+    got = {c.name: c.verdict for c in run_experiment(cfg, "pushout").checks}
+    assert not got["pushout/round1/disjointness"]
+    assert not got["pushout/round1/identity"]
+    assert got["pushout/round1/containment"]
 
 
 def test_kobayashi_suite_in_dimension_n(monkeypatch):

@@ -4,12 +4,15 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_oracle as fo
+from contactfb.contact import (HolomorphicCurve, horizontality_residual,
+                               legendrian_from_xy)
 from contactfb.numeric import (
     CPolynomial,
     NEG_INF,
@@ -59,56 +62,6 @@ def _row_sum(log_mags, phases):
         lm, ph = scaled_sum_arrays(np.array([log_mags], dtype=float).T,
                                    np.array([phases], dtype=float).T)
     return float(lm[0]), float(ph[0])
-
-
-def _masked_scaled_sum(log_mags, phases):
-    """Kept reference (numpy kernel): ``scaled_sum_arrays`` by boolean
-    masks over a (summands, ...) complex zero array, the kernel the flat
-    gather and scatter replaced, compared bit for bit."""
-    hi = np.max(log_mags, axis=0)
-    top = hi == np.inf
-    hi_safe = np.where((hi == NEG_INF) | top, 0.0, hi)
-    d = log_mags - hi_safe
-    live = ~(d <= -746.0) & ~top
-    scaled = np.zeros_like(d, dtype=np.complex128)
-    scaled[live] = np.exp(d[live]) * np.exp(1j * phases[live])
-    total = scaled[0].copy()
-    for row in scaled[1:]:
-        total += row
-    mag = np.abs(total)
-    zero = mag == 0.0
-    out_log = np.where(zero, NEG_INF,
-                       hi_safe + np.log(np.where(zero, 1.0, mag)))
-    out_phase = np.angle(total)
-    if top.any():
-        first = np.argmax(log_mags == np.inf, axis=0)
-        out_log = np.where(top, np.inf, out_log)
-        out_phase = np.where(top, np.take_along_axis(
-            phases, first[np.newaxis], axis=0)[0], out_phase)
-    return out_log, out_phase
-
-
-def _same_bits(got, want):
-    """Equal bit patterns, except that any NaN equals any NaN (an IEEE sum
-    of two NaNs keeps the first one's payload, so a commuted sum may keep
-    the other)."""
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want)
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan].view(np.uint64),
-                               want[~nan].view(np.uint64)))
-
-
-# columns of 1-8 summands, some rows far below the column's top, so that
-# they underflow beside it
-summand_columns = st.integers(1, 8).flatmap(lambda rows: st.lists(
-    st.tuples(
-        st.lists(st.one_of(summand_logs, st.just(-0.0)),
-                 min_size=rows, max_size=rows),
-        st.lists(summand_phases, min_size=rows, max_size=rows),
-        st.lists(st.booleans(), min_size=rows, max_size=rows),
-        st.floats(746.0, 3000.0)),
-    min_size=1, max_size=6))
 
 
 class TestScaledComplex:
@@ -211,16 +164,6 @@ class TestLogHelpers:
             log_sub(1.0, 2.0)
         assert log_sub(2.0, NEG_INF) == 2.0
 
-    def test_scaled_sum_arrays_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        lm = rng.uniform(-5, 5, (20, 4))
-        ph = rng.uniform(-math.pi, math.pi, (20, 4))
-        got_lm, got_ph = scaled_sum_arrays(lm.T, ph.T)
-        for r in range(20):
-            want_lm, want_ph = polar_sum(lm[r].tolist(), ph[r].tolist())
-            assert got_lm[r] == pytest.approx(want_lm, abs=1e-10)
-            assert got_ph[r] == pytest.approx(want_ph, abs=1e-10)
-
     def test_scaled_sum_arrays_column_independent_of_batch(self):
         # a lone column (of five summands) is contiguous along the summand
         # axis, where np.sum would reassociate the summands
@@ -232,29 +175,6 @@ class TestLogHelpers:
             one_lm, one_ph = scaled_sum_arrays(lm[:, i:i + 1].copy(),
                                                ph[:, i:i + 1].copy())
             assert one_lm[0] == all_lm[i] and one_ph[0] == all_ph[i]
-
-    @settings(max_examples=200, deadline=None)
-    @given(summand_columns)
-    @example([([0.0, -746.0, -745.9], [0.5, -0.0, math.pi], [False] * 3,
-               800.0)])
-    @example([([math.inf, math.nan, 1.0], [-0.0, 0.5, 1.0], [False] * 3,
-               800.0),
-              ([1.0, math.inf, math.inf], [0.5, -0.0, 2.0], [False] * 3,
-               800.0)])
-    def test_scaled_sum_arrays_equals_masked_kernel(self, columns):
-        # summands go down the columns; a row flagged "sunk" is moved
-        # below the column's finite top by more than the underflow cut
-        lms, phs = [], []
-        for lm, ph, sunk, gap in columns:
-            top = max([x for x in lm if math.isfinite(x)], default=0.0)
-            lms.append([top - gap if s else x for x, s in zip(lm, sunk)])
-            phs.append(ph)
-        log_mags, phases = np.array(lms).T, np.array(phs).T
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = scaled_sum_arrays(log_mags, phases)
-            want = _masked_scaled_sum(log_mags, phases)
-        for g, w in zip(got, want):
-            assert _same_bits(g, w)
 
     def test_scaled_sum_arrays_zero_rows(self):
         lm = np.array([[NEG_INF], [NEG_INF]])
@@ -303,6 +223,14 @@ class TestLogHelpers:
         top_ph = rng.uniform(-math.pi, math.pi, (inf_rows, terms))
         top_lm[np.arange(inf_rows), rng.integers(0, terms, inf_rows)] = math.inf
         top_lm[:20, -1] = math.inf
+        if terms >= 3:
+            # summands on each side of the underflow cut, zeros after them;
+            # two +inf summands, the first with phase -0.0
+            lm[-1], ph[-1] = NEG_INF, 0.0
+            lm[-1, :3] = (0.0, -746.0, -745.9)
+            ph[-1, :3] = (0.5, -0.0, math.pi)
+            top_lm[-1], top_ph[-1, :3] = 0.0, (0.5, -0.0, 2.0)
+            top_lm[-1, 1:3] = math.inf
         first = np.argmax(np.isposinf(top_lm), axis=1)
         want_top = (np.full(inf_rows, math.inf),
                     top_ph[np.arange(inf_rows), first])
@@ -320,6 +248,9 @@ class TestLogHelpers:
         nan_lm[np.arange(0, nan_rows, 2), at[::2]] = math.nan
         nan_ph[np.arange(1, nan_rows, 2), at[1::2]] = math.nan
         nan_lm[np.arange(1, nan_rows, 2), at[1::2]] = rng.uniform(-5.0, 5.0, 30)
+        if terms >= 3:  # +inf beside NaN
+            nan_lm[-1, :3], nan_ph[-1, :3] = (math.inf, math.nan, 1.0), (
+                -0.0, 0.5, 1.0)
         all_lm = np.vstack([lm, top_lm, nan_lm])
         all_ph = np.vstack([ph, top_ph, nan_ph])
         top = slice(rows, rows + inf_rows)
@@ -438,18 +369,51 @@ mixed_coeffs = st.one_of(exact_reals, st.tuples(exact_reals, exact_reals),
 mixed_lists = st.lists(mixed_coeffs, max_size=6)
 
 
+def _curve(x, y, z):
+    """The arguments of ``test_matches_fraction_oracle`` for the residual
+    of the curve (x, y, z), n = 1, with z0 = 0 for its Legendrian disk."""
+    return ([[*x]], [[*y]]), z, 0
+
+
 class TestCPolynomialOracle:
-    @given(mixed_lists, mixed_lists, mixed_coeffs)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fraction_oracle(self, ca, cb, c):
-        a, b = CPolynomial(ca), CPolynomial(cb)
-        ra, rb = fo.poly(ca), fo.poly(cb)
-        _assert_matches(a, ra)
-        _assert_matches(a * b, fo.mul(ra, rb))
-        _assert_matches(derivative_dot([(a, b)], b),
-                        fo.derivative_dot([ra], [rb], rb))
-        _assert_matches(negated_dot_integral([(a, b), (b, a)], c),
-                        fo.legendrian_z([ra, rb], [rb, ra], c))
+    """Intake, the product, the packed residual z' + sum_j x_j y_j' of any
+    curve, and the z of ``legendrian_from_xy``, against the ``Fraction``
+    oracle in canonical storage."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(mixed_lists, min_size=n, max_size=n),
+        st.lists(mixed_lists, min_size=n, max_size=n))),
+        mixed_lists, mixed_coeffs)
+    @settings(max_examples=300, deadline=None)
+    @example(([[]], [[1, 2]]), [], 0)  # x = 0: z is z0
+    @example(([[1, 2]], [[5]]), [], Fraction(1, 3))  # y' = 0
+    @example(([[0.5, -0.0, 0j]], [[0j, 3 + 0j, 0j]]), [], -0.0 + 0j)
+    @example(([[2 ** 200, (1, Fraction(1, 3))], [1e-300j]],
+              [[0, 0, 2 ** -1074 + 0j], [(0, 0), 1e300]]), [], 7)
+    # each residual coefficient reaches its slot's bound: one bit narrower
+    # and the digit no longer fits ...
+    @example(*_curve([0], [0], [0, 0, 0, 1]))
+    @example(*_curve([1 + 1j], [0, 1 - 1j], [0]))
+    # ... and a bound of 2^7 fills a byte's sign bit: a slot of 8 bits
+    # reads the digit 128 as -128
+    @example(*_curve([0], [0], [0, 128]))
+    @example(*_curve([8 + 8j], [0, 8 - 8j], [0]))
+    @example(*_curve([0.5], [0, 3], [0, -1.5]))  # horizontal, zero
+    @example(*_curve([], [], []))
+    def test_matches_fraction_oracle(self, xy, cz, c):
+        xs, ys = ([CPolynomial(cs) for cs in block] for block in xy)
+        rx, ry = ([fo.poly(cs) for cs in block] for block in xy)
+        for p, want in zip(xs + ys, rx + ry):
+            _assert_matches(p, want)
+        _assert_matches(xs[0] * ys[0], fo.mul(rx[0], ry[0]))
+        curve = HolomorphicCurve(
+            (*chain.from_iterable(zip(xs, ys)), CPolynomial(cz)))
+        _assert_matches(horizontality_residual(curve),
+                        fo.derivative_dot(rx, ry, fo.poly(cz)))
+        f = legendrian_from_xy(xs, ys, c)
+        _assert_matches(f.z, fo.legendrian_z(rx, ry, c))
+        assert f.x == tuple(xs) and f.y == tuple(ys)
+        assert horizontality_residual(f).is_zero
 
     @given(mixed_lists, mixed_lists, mixed_lists)
     @settings(max_examples=100, deadline=None)
@@ -501,15 +465,6 @@ numerators = st.one_of(st.integers(-2 ** 70, 2 ** 70),
 
 
 class TestExactness:
-    @given(edge_floats, edge_floats)
-    @settings(max_examples=300)
-    @example(-0.0, -0.0)
-    @example(5e-324, -1e300)
-    def test_complex_intake_equals_pair_intake(self, re, im):
-        assert _exact_parts(complex(re, im)) == _exact_parts((re, im))
-        assert _exact_complex(complex(re, im)) == _exact_complex((re, im))
-        assert CPolynomial([complex(re, im)]) == CPolynomial([(re, im)])
-
     @given(st.lists(st.builds(complex, intake_floats, intake_floats),
                     max_size=10),
            st.lists(st.sampled_from([0j, -0j, complex(-0.0, 0.0)]),
@@ -519,11 +474,15 @@ class TestExactness:
     @example([complex(2.0 ** -1000, 3.0), 5e-324j, 1 + 0j], [])
     @example([complex(2.0 ** 1000, -0.0), 2.0 ** -1074 + 0j], [-0j, 0j])
     @example([complex(-0.0, -0.0)], [0j])
+    @example([complex(5e-324, -1e300)], [])
     def test_complex_list_intake_equals_pair_intake(self, cs, zeros):
         # a list of Python complex values goes over its largest power-of-two
         # denominator; as (re, im) pairs it takes the general path, the lcm
         # of every part's denominator and one gcd reduction
         cs = cs + zeros
+        for c in cs:
+            assert _exact_parts(c) == _exact_parts((c.real, c.imag))
+            assert _exact_complex(c) == _exact_complex((c.real, c.imag))
         p, q = CPolynomial(cs), CPolynomial([(c.real, c.imag) for c in cs])
         assert p == q and hash(p) == hash(q)
         assert (p._num, p._den) == (q._num, q._den)
@@ -563,7 +522,7 @@ class TestExactness:
            st.sampled_from([0.0, -0.0, complex(0.0, -0.0),
                             complex(-0.0, -0.0)]))
     @settings(max_examples=300)
-    def test_eval_at_zero_equals_horner(self, ca, cb, zeta):
+    def test_eval_at_zero_equals_fraction_oracle(self, ca, cb, zeta):
         # products reach parts that underflow from either side of zero;
         # at any signed zero p(0) = c_0 and p'(0) = c_1, each rounded once
         for p, want in ((CPolynomial(ca), fo.poly(ca)),
@@ -578,7 +537,7 @@ class TestExactness:
                 map(_bits, want))
             assert _bits(p(zeta)) == _bits(want[0])
 
-    def test_curve_at_zero_equals_horner(self):
+    def test_curve_at_zero_equals_fraction_oracle(self):
         f = random_avoiding_disks(2, 2, standard_obstacle(2, 6), 1,
                                   seed=9)[0]
         at = [_at_zero(c.rational_coeffs) for c in f.components]
