@@ -15,6 +15,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, asdict
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -68,10 +69,13 @@ def _num(value, fieldname: str) -> float:
 
 
 def _int(value, fieldname: str, minimum: int = 1) -> int:
-    v = _num(value, fieldname)
-    if v != int(v):
+    """Accept integral JSON numbers or decimal strings, read exactly: a JSON
+    integer or an integer string past 2^53 is not rounded to a float."""
+    _num(value, fieldname)  # the type, the decimal syntax and finiteness
+    exact = Decimal(value) if isinstance(value, str) else value
+    if exact != int(exact):
         raise ConfigError(f"{fieldname}: expected an integer")
-    v = int(v)
+    v = int(exact)
     if v < minimum:
         raise ConfigError(f"{fieldname}: must be >= {minimum}")
     return v
@@ -162,7 +166,7 @@ def validate_config(path: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported value {version!r}")
     _refuse_unknown(doc, "")
 

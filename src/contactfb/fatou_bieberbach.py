@@ -371,7 +371,6 @@ class SelectionWitness:
 
 def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
                     eps: float, m_floor: int | None = None,
-                    exponent_cap: int = EXPONENT_CAP,
                     min_exponent: int = 1) -> SelectionWitness:
     """Smallest admissible exponent N_i for shell i (1-based).
 
@@ -432,18 +431,18 @@ def select_exponent(i: int, schedule: StageSchedule, partial: ShearFunction,
     # tail-control bound; the loops stop past the cap, where a float
     # product may no longer change when n grows by 1
     n1 = max(1, math.floor(-log_t1 / gap_in) + 1)
-    while n1 <= exponent_cap and n1 * (log_b_prev - log_r) >= log_t1:
+    while n1 <= EXPONENT_CAP and n1 * (log_b_prev - log_r) >= log_t1:
         n1 += 1
 
     n3 = max(1, math.floor(rhs_strict / gap_out) + 1)
-    while n3 <= exponent_cap and n3 * gap_out <= rhs_strict:
+    while n3 <= EXPONENT_CAP and n3 * gap_out <= rhs_strict:
         n3 += 1
 
     N = max(n1, n3, min_exponent)
-    if N > exponent_cap:
+    if N > EXPONENT_CAP:
         binding = "tail-control" if n1 >= n3 else "pinching"
         raise SelectionError(
-            f"shell {i}: exponent {N} exceeds cap {exponent_cap} "
+            f"shell {i}: exponent {N} exceeds cap {EXPONENT_CAP} "
             f"(binding inequality: {binding})", i, binding)
 
     pow_log = N * gap_out

@@ -1,5 +1,5 @@
-"""The exact reference for the tests of the exact layer (``test_numeric``,
-``test_contact``) and of the path distance (``test_kobayashi``).
+"""The exact reference for the tests of the exact layer and of the path
+planner (``test_numeric``, ``test_contact``).
 
 A polynomial is a tuple of (re, im) ``Fraction`` pairs in ascending powers
 with no trailing zero pair, and every operation works coefficient by

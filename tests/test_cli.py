@@ -46,15 +46,6 @@ class TestValidate:
         }
         assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
 
-    def test_defaults_printed(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{}")
-        assert main(["validate", "--config", str(cfg)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["n"] == 1 and out["k_max"] == 6
-        assert out["eps_base"] == 0.5
-        assert len(out["config_hash"]) == 16
-
     def test_invalid_shell_named_by_index(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schedule": {
@@ -143,6 +134,18 @@ class TestValidate:
         ({"budget": {"margin": 0.1}}, "budget.margin: unknown key"),
         ({"schedule": {"shells": [[2, 3, 5]]}},
          "schedule.shells: only the explicit kind reads shells"),
+        # integers are read exactly: through a float, this text rounds to
+        # the integer 9007199254740994
+        pytest.param({"seed": "9007199254740993.5"}, "seed: expected an "
+                     "integer", id="seed-non-integral-string"),
+        pytest.param({"seed": 1.5}, "seed: expected an integer",
+                     id="seed-non-integral-number"),
+        pytest.param({"k_max": True}, "k_max: expected a number or decimal "
+                     "string", id="k_max-bool"),
+        # True == 1, the supported version
+        pytest.param({"schema_version": True},
+                     "schema_version: unsupported value True",
+                     id="schema_version-bool"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -168,6 +171,17 @@ class TestValidate:
         cfg.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["i_max"] == doc["i_max"]
+
+    @pytest.mark.parametrize("seed", [
+        9007199254740993, "9007199254740993", "9007199254740993.0"],
+        ids=["int", "string", "decimal-string"])
+    def test_integers_read_exactly(self, tmp_path, capsys, seed):
+        # 2^53 + 1: a float reads 2^53, and the run would then draw from
+        # another seed than the one the config hash covers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 53 + 1
 
     def test_decimal_strings_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -219,9 +219,11 @@ class TestPullback:
         assert pullback_eval([], p, v) == alpha0_eval(p, v)
 
     def test_linear_map_chain_rule(self):
-        # shear in (x, z): alpha0 pulls back through the explicit Jacobian
+        # shear in (x, z) and (x, y): alpha0 pulls back through the explicit
+        # Jacobian, read at the image point
         mat = np.eye(3, dtype=np.complex128)
         mat[2, 0] = 2.0  # z += 2x
+        mat[0, 1] = 0.5  # x += y / 2
         m = _LinearMap(mat)
         p = ContactPoint((1 + 0j,), (2 + 0j,), 0j)
         v = TangentVector((0.5 + 0j,), (1 + 0j,), 0.25j)
