@@ -188,14 +188,13 @@ def _tangent_walk(maps, p: ContactPoint, tan: np.ndarray):
     left to right by their ``tangent_step(vec, tan)``: ``vec`` is a list of
     Python complex numbers, ``tan`` a complex128 vector or the columns of a
     (dim, c) array.  Raises OverflowError, with no numpy warning, once the
-    point leaves native float range, or if the tangent has left it at the
-    end (a non-finite entry never turns finite again)."""
+    point or a term of a step leaves native float range, or if the tangent
+    has left it at the end (a non-finite entry never turns finite again)."""
     vec = list(p.flat())
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in maps:
-            vec, tan = m.tangent_step(vec, tan)
-            if not all(map(cmath.isfinite, vec)):
-                raise OverflowError("point escaped native float range")
+    for m in maps:
+        vec, tan = m.tangent_step(vec, tan)
+        if not all(map(cmath.isfinite, vec)):
+            raise OverflowError("point escaped native float range")
     if not np.isfinite(tan).all():
         raise OverflowError("tangent escaped native float range")
     return vec, tan

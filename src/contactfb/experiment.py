@@ -68,16 +68,19 @@ def _num(value, fieldname: str) -> float:
     return v
 
 
-def _int(value, fieldname: str, minimum: int = 1) -> int:
+def _int(value, fieldname: str, minimum: int = 1, maximum=math.inf) -> int:
     """Accept integral JSON numbers or decimal strings, read exactly: a JSON
     integer or an integer string past 2^53 is not rounded to a float."""
-    _num(value, fieldname)  # the type, the decimal syntax and finiteness
-    exact = Decimal(value) if isinstance(value, str) else value
-    if exact != int(exact):
-        raise ConfigError(f"{fieldname}: expected an integer")
-    v = int(exact)
+    if type(value) is not int:
+        _num(value, fieldname)  # the type, the decimal syntax and finiteness
+        value = Decimal(value) if isinstance(value, str) else value
+        if value != int(value):
+            raise ConfigError(f"{fieldname}: expected an integer")
+    v = int(value)
     if v < minimum:
         raise ConfigError(f"{fieldname}: must be >= {minimum}")
+    if v > maximum:
+        raise ConfigError(f"{fieldname}: must be <= {maximum}")
     return v
 
 
@@ -217,6 +220,9 @@ def validate_config(path: str) -> ExperimentConfig:
         key = label.rpartition(".")[2]
         return parse(section.get(key, getattr(d, attr or key)), label, **kw)
 
+    def count(label, attr=None):  # a samples.* count, at most 10^6
+        return opt(samples, label, attr, maximum=10 ** 6)
+
     n0 = tuple(_int(v, "lemma_n0[]") for v in _expect(
         doc.get("lemma_n0", list(d.lemma_n0)), list, "lemma_n0"))
     cfg = ExperimentConfig(
@@ -229,13 +235,11 @@ def validate_config(path: str) -> ExperimentConfig:
         margin=opt(doc, "margin", parse=_num),
         schedule_kind=kind,
         explicit_shells=explicit,
-        lemma_disks=opt(samples, "samples.lemma_disks"),
+        lemma_disks=count("samples.lemma_disks"),
         lemma_n0=n0,
-        samples_per_shell=opt(samples, "samples.per_shell",
-                              "samples_per_shell"),
-        identity_samples=opt(samples, "samples.identity", "identity_samples"),
-        divergence_samples=opt(samples, "samples.divergence",
-                               "divergence_samples"),
+        samples_per_shell=count("samples.per_shell", "samples_per_shell"),
+        identity_samples=count("samples.identity", "identity_samples"),
+        divergence_samples=count("samples.divergence", "divergence_samples"),
         lambda_budget=opt(budget, "budget.lambda_budget", parse=_num),
         raw=doc,
     )

@@ -37,13 +37,11 @@ over z_dst and the terms of f(z_src), in that order:
   summands go on a new leading axis, so every sum runs elementwise over
   contiguous rows.  ``PushOutState.orbit_logs`` pushes a batch through the
   rounds in blocks of ``ORBIT_BLOCK`` points;
-* native complex128, for points in float range: ``apply_native`` for
-  sampled identity checks, and ``tangent_step``, which carries a point and
-  tangent vectors together, for pullbacks.  Both read one kernel,
-  ``ShearFunction._term_sums``, which sums the terms of f (and of f') in
-  order, with exp and log as IEEE gives them: log 0 is -inf, and a point
-  that leaves float range reads non-finite, so ``pullback_eval`` raises
-  OverflowError.
+* native values in float range, the terms rect(exp(N (log|z| - log r)),
+  N arg z) added in order: complex128 batches (``apply_native``, for the
+  identity checks) by ``ShearFunction._term_sums``, where a term past float
+  range reads inf or NaN, and one point with its tangents (``tangent_step``,
+  for pullbacks) in Python floats by ``value_and_slope``, where it raises.
 """
 
 from __future__ import annotations
@@ -125,46 +123,25 @@ class ShearFunction:
         return log_sum(N * (log_R - log_r) for log_r, N in self.terms)
 
     @cached_property
-    def _columns(self) -> dict:
-        """``_term_columns`` per (ndim, deriv), built on first use."""
-        return {}
+    def _term_arrays(self) -> np.ndarray:
+        """The (log r_j, N_j) of the terms as a (2, terms) float64 array."""
+        return np.array(self.terms, dtype=np.float64).reshape(-1, 2).T
 
-    def _term_columns(self, ndim: int, deriv: bool = False):
-        """The term columns (log r_j, N_j), the rows of f, shaped (terms, 1,
-        ..., 1) to broadcast against an array of ``ndim`` dimensions; with
-        ``deriv``, (log r_j, [N_j, N_j - 1], [0, log N_j - log r_j]) of
-        shape (terms, 2, 1, ..., 1): the rows of f and f' side by side."""
-        key = (ndim, deriv)
-        if key not in self._columns:
-            log_r = [[lr, lr] if deriv else lr for lr, _ in self.terms]
-            N = [[N, N - 1] if deriv else N for _, N in self.terms]
-            lead = [[0.0, math.log(N) - lr] for lr, N in self.terms]
-            shape = (len(self.terms),) + (2,) * deriv + (1,) * ndim
-            self._columns[key] = tuple(
-                np.array(c, dtype=np.float64).reshape(shape)
-                for c in (log_r, N, lead)[:2 + deriv])
-        return self._columns[key]
+    def _term_columns(self, ndim: int):
+        """The term columns (log r_j, N_j), shaped (terms, 1, ..., 1) to
+        broadcast against an array of ``ndim`` dimensions."""
+        return self._term_arrays.reshape((2, -1) + (1,) * ndim)
 
-    @cached_property
-    def _linear_terms(self) -> int:
-        """The number of N = 1 terms, which come first."""
-        return sum(N == 1 for _, N in self.terms)
-
-    def _term_sums(self, z: np.ndarray, deriv: bool):
-        """f(z), or f(z) and f'(z) stacked, for complex128 z of any shape:
-        the terms broadcast on a new leading axis and added in order.  exp
-        and log act as IEEE gives them, with no warning: log 0 is -inf, and
-        a term past float range reads inf or NaN."""
+    def _term_sums(self, z: np.ndarray):
+        """f(z) for complex128 z of any shape: the terms broadcast on a new
+        leading axis and added in order.  exp and log act as IEEE gives them,
+        with no warning: log 0 is -inf, and a term past float range reads inf
+        or NaN."""
         if not self.terms:
-            return np.zeros((2,) * deriv + z.shape, dtype=np.complex128)
-        log_r, N, *lead = self._term_columns(z.ndim, deriv)
+            return np.zeros(z.shape, dtype=np.complex128)
+        log_r, N = self._term_columns(z.ndim)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lzr = np.log(np.abs(z)) - log_r
-            if deriv and self._linear_terms:
-                # an N = 1 term of f' is the constant 1 / r: its log|z / r|
-                # is left out, so z = 0 gives no 0 * -inf
-                lzr[:self._linear_terms, 1] = 0.0
-            lm = N * lzr + lead[0] if deriv else N * lzr
+            lm = N * (np.log(np.abs(z)) - log_r)
             # cumsum adds the terms in order for any point shape (np.sum
             # would reassociate a reduction along a contiguous axis); adding
             # 0.0 gives the zero signs of a sum started from 0
@@ -173,12 +150,32 @@ class ShearFunction:
 
     def eval_native(self, z):
         """f at complex z of any shape, as a complex128 array of its shape."""
-        return self._term_sums(np.asarray(z, dtype=np.complex128), False)
+        return self._term_sums(np.asarray(z, dtype=np.complex128))
 
-    def eval_deriv(self, z):
-        """(f(z), f'(z)) at complex z of any shape, by the rule of
-        ``eval_native``, with f'(z) = sum N_j / r_j (z / r_j)^(N_j - 1)."""
-        f, df = self._term_sums(np.asarray(z, dtype=np.complex128), True)
+    @cached_property
+    def _slope_terms(self) -> tuple:
+        """(log r_j, N_j, N_j - 1, log N_j - log r_j) per term."""
+        return tuple((lr, N, N - 1, math.log(N) - lr) for lr, N in self.terms)
+
+    def value_and_slope(self, z: complex) -> tuple[complex, complex]:
+        """(f(z), f'(z)) at one complex z in Python floats, by the rule of
+        ``_term_sums``: with t = log|z| - log r and theta = atan2, the terms
+        rect(exp(N t), N theta) of f and rect(exp((N - 1) t + log N - log
+        r), (N - 1) theta) of f', added in order from 0j.  At z = 0, f is 0
+        and f' the sum of the N = 1 terms 1 / r.  Raises OverflowError when
+        a term leaves float range."""
+        f = df = 0j
+        try:
+            lz, theta = ((math.log(abs(z)), math.atan2(z.imag, z.real)) if z
+                         else (-math.inf, 0.0))
+            for log_r, N, M, lead in self._slope_terms:
+                t = lz - log_r
+                f += cmath.rect(math.exp(N * t), N * theta)
+                # M = N - 1 = 0 leaves 1 / r, also where t = -inf
+                df += cmath.rect(math.exp((M and M * t) + lead), M * theta)
+        except OverflowError:
+            raise OverflowError(f"a shear term at {z!r} escaped native float "
+                                "range") from None
         return f, df
 
 
@@ -275,25 +272,22 @@ class ShearMap:
     def tangent_step(self, vec, tan: np.ndarray):
         """(image of the point ``vec``, image of ``tan`` under the derivative
         at ``vec``): z_dst + f(z_src) and t_dst + f'(z_src) t_src, from one
-        ``eval_deriv`` call on the source coordinates.
+        ``value_and_slope`` call per (source, destination) pair.
 
-        ``vec`` is one point, a sequence of dim complex numbers, and comes
-        back as a new list of them (its sums are IEEE additions, the same in
-        Python as in numpy).  ``tan`` is a complex128 tangent vector
-        of shape (dim,), or a (dim, c) array whose columns are tangent
-        vectors, and comes back as a new array.  Raises ValueError when
+        ``vec``, one point as a sequence of dim complex numbers, comes back
+        as a new list; ``tan``, a complex128 vector of shape (dim,) or a
+        (dim, c) array of tangent columns, as a new array in which each
+        column has the bits of a one-vector step.  Raises ValueError when
         ``vec`` does not have dim coordinates."""
         if len(vec) != self.dim:
             raise _dimension_error(len(vec), self.dim)
-        src, dst = self._slices
-        f, df = self.func.eval_deriv(vec[src])
-        out_vec = list(vec)
-        out_vec[dst] = [z + w for z, w in zip(vec[dst], f.tolist())]
-        # f' scales the source coordinates of every tangent vector
-        scale = df.reshape((-1,) + (1,) * (tan.ndim - 1))
-        out_tan = tan.copy()
-        out_tan[dst] = tan[dst] + scale * tan[src]
-        return out_vec, out_tan
+        rows = tan.reshape(self.dim, -1).tolist()
+        out_vec, out_rows = list(vec), list(rows)
+        for s, d in self._pairs:
+            f, df = self.func.value_and_slope(vec[s])
+            out_vec[d] = vec[d] + f
+            out_rows[d] = [t + df * u for t, u in zip(rows[d], rows[s])]
+        return out_vec, np.array(out_rows, np.complex128).reshape(tan.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +688,17 @@ def _point_arrays(points, dim: int):
     """Coordinate-major (dim, m) float64 log-magnitude and phase arrays of
     a batch of m points with complex coordinates: the modulus is ``hypot``
     (as ``abs`` of a Python complex), its log is taken in ``np.longdouble``
-    and rounded once, and the phase comes from ``math.atan2``
-    (``np.arctan2`` may round differently) with -pi mapped to pi; zero is
+    and rounded once, and the phase is ``cmath.phase`` (libm's atan2;
+    ``np.arctan2`` may round differently) with -pi mapped to pi; zero is
     (-inf, 0).  A one-point batch's errors name only the coordinate.
     """
     rows = [tuple(p) for p in points]
     if any(len(p) != dim for p in rows):
         raise ValueError("point dimension mismatch")
     flat = [v for p in rows for v in p]
-    z = np.array([complex(v) for v in flat], dtype=np.complex128)
+    values = flat if all(type(v) is complex for v in flat) else [
+        complex(v) for v in flat]
+    z = np.array(values, dtype=np.complex128)
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         n = int(bad[0])
@@ -714,8 +710,7 @@ def _point_arrays(points, dim: int):
         if np.isinf(mag).any():  # as abs() of a Python complex raises
             raise OverflowError("absolute value too large")
         lm = np.log(mag.astype(np.longdouble)).astype(np.float64)
-    ph = np.fromiter(map(math.atan2, z.imag.tolist(), z.real.tolist()),
-                     np.float64, z.size)
+    ph = np.fromiter(map(cmath.phase, values), np.float64, z.size)
     ph[ph == -math.pi] = math.pi
     ph[mag == 0.0] = 0.0
     return (np.ascontiguousarray(lm.reshape(-1, dim).T),

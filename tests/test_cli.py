@@ -146,6 +146,10 @@ class TestValidate:
         pytest.param({"schema_version": True},
                      "schema_version: unsupported value True",
                      id="schema_version-bool"),
+        # run would ask sample_polydisk for that many points
+        pytest.param({"samples": {"identity": 10 ** 30}},
+                     "samples.identity: must be <= 1000000",
+                     id="samples-identity-above-cap"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_field_named(self, tmp_path, capsys, command, doc, named):
@@ -172,16 +176,19 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["i_max"] == doc["i_max"]
 
-    @pytest.mark.parametrize("seed", [
-        9007199254740993, "9007199254740993", "9007199254740993.0"],
-        ids=["int", "string", "decimal-string"])
-    def test_integers_read_exactly(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize("seed, want", [
+        (9007199254740993, 2 ** 53 + 1), ("9007199254740993", 2 ** 53 + 1),
+        ("9007199254740993.0", 2 ** 53 + 1),
+        # past float range: a float reads it as inf
+        (int("9" * 401), 10 ** 401 - 1)],
+        ids=["int", "string", "decimal-string", "int-401-digits"])
+    def test_integers_read_exactly(self, tmp_path, capsys, seed, want):
         # 2^53 + 1: a float reads 2^53, and the run would then draw from
         # another seed than the one the config hash covers
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": seed}))
         assert main(["validate", "--config", str(cfg)]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 53 + 1
+        assert json.loads(capsys.readouterr().out)["seed"] == want
 
     def test_decimal_strings_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

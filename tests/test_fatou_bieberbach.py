@@ -14,6 +14,7 @@ from contactfb import fatou_bieberbach
 from contactfb.contact import (
     ContactPoint,
     TangentVector,
+    alpha0_eval,
     composition_jacobian,
     pullback_eval,
 )
@@ -109,6 +110,36 @@ def _oracle_shear_sum(terms, z_src, z_dst):
         return float(mod.ln()), complex(float(re / mod), float(im / mod))
 
 
+def _oracle_value_and_slope(terms, z):
+    """(f(z), f'(z), S, S', top) for f = sum (z / r)^N over ``terms`` at a
+    complex float z: f and f' as (re, im) Decimals, each term in the
+    60-digit context, S and S' the sums of the moduli of their terms, and
+    top the largest modulus of a term of either."""
+    D = decimal.Decimal
+    sums = [[D(0), D(0)], [D(0), D(0)]]
+    moduli, top = [D(0), D(0)], D(0)
+    with decimal.localcontext(_ORACLE):
+        re, im = _decimal_complex(z)
+        for log_r, N in terms:
+            inv_r = (-D(log_r)).exp()
+            # a term of f' is N / r (z / r)^(N - 1)
+            for k, (n, c) in enumerate(((N, 1), (N - 1, N * inv_r))):
+                t_re, t_im = _decimal_power(re * inv_r, im * inv_r, n)
+                t_re, t_im = c * t_re, c * t_im
+                sums[k] = [sums[k][0] + t_re, sums[k][1] + t_im]
+                mod = (t_re * t_re + t_im * t_im).sqrt()
+                moduli[k] += mod
+                top = max(top, mod)
+    return (*sums, *moduli, top)
+
+
+def _decimal_error(got, want):
+    """|got - want| for a complex float got and (re, im) Decimals want."""
+    with decimal.localcontext(_ORACLE):
+        re, im = _decimal_complex(got)
+        return float(((re - want[0]) ** 2 + (im - want[1]) ** 2).sqrt())
+
+
 def _point_column(p, dim):
     """The log-moduli and phases of the point p as lists of floats: column
     0 of a one-point ``_point_arrays`` batch, as the single-point path
@@ -122,25 +153,16 @@ def _to_complex(log_mag, phase):
     return cmath.rect(math.exp(log_mag), phase)
 
 
-def _term_loop_native(f, z, deriv=False):
-    """Kept reference (numpy kernel): f (or f') as a loop over the terms,
-    the form the term-broadcast kernel of ``eval_native`` and
-    ``eval_deriv`` replaced."""
+def _term_loop_native(f, z):
+    """Kept reference (numpy kernel): f as a loop over the terms, the form
+    the term-broadcast kernel of ``eval_native`` replaced."""
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(divide="ignore"):
         lz = np.log(np.abs(z))
     az = np.angle(z)
     total = np.zeros_like(z)
     for log_r, N in f.terms:
-        if deriv:
-            with np.errstate(invalid="ignore"):  # 0 * -inf, replaced below
-                lm = math.log(N) - log_r + (N - 1) * (lz - log_r)
-            if N == 1:
-                lm = np.full_like(lz, math.log(N) - log_r)
-            ph = (N - 1) * az
-        else:
-            lm, ph = N * (lz - log_r), N * az
-        total = total + np.exp(lm) * np.exp(1j * ph)
+        total = total + np.exp(N * (lz - log_r)) * np.exp(1j * (N * az))
     return total
 
 
@@ -162,22 +184,6 @@ def _row_major_orbit_logs(state, log_mag, phase):
             log_mag, phase = new_lm, new_ph
         out[:, j] = np.max(log_mag, axis=1)
     return out
-
-
-def _array_tangent_step(m, vec, tan):
-    """Kept reference (numpy kernel): ``ShearMap.tangent_step`` on a
-    complex128 point array, f and f' by ``_term_loop_native``, the form the
-    list-point step replaced."""
-    vec = np.asarray(vec, dtype=np.complex128)
-    src, dst = m._slices
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, df = (_term_loop_native(m.func, vec[src], d) for d in (0, 1))
-    out_vec = vec.copy()
-    out_vec[dst] = vec[dst] + f
-    scale = df.reshape(df.shape + (1,) * (tan.ndim - 1))
-    out_tan = tan.copy()
-    out_tan[dst] = tan[dst] + scale * tan[src]
-    return out_vec, out_tan
 
 
 def _bits(values):
@@ -286,7 +292,7 @@ class TestShearFunction:
         (((0.0, 1), (0.0, 1000), (0.0, 2000)), (1e306, 0.5),
          (math.inf, 500.0)),
     ], ids=["zero", "underflow", "nan", "inf", "overflow"])
-    def test_scaled_edge_values_match_fold(self, terms, zeta, want):
+    def test_scaled_edge_values_pinned(self, terms, zeta, want):
         m = self._phi(ShearFunction(terms))
         for dst in ((NEG_INF, 0.0), (0.25, -2.0)):
             lm, ph = m.apply_scaled([zeta[0], dst[0]], [zeta[1], dst[1]])
@@ -307,35 +313,32 @@ class TestShearFunction:
                                       equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (7, 1), (5, 3)])
-    @pytest.mark.parametrize("deriv", [False, True])
+    # one value, so that the five test ids stay [False-shapeN]; f' has no
+    # array kernel (value_and_slope sums it one point at a time)
+    @pytest.mark.parametrize("deriv", [False])
     def test_native_equals_term_loop(self, shape, deriv):
         # five terms: np.sum would reassociate them for a single point; odd
         # exponents make every term at z = -0.0 - 0.0j a zero of sign -1
         f = ShearFunction(((math.log(0.7), 1), (math.log(1.5), 3),
                            (math.log(1.6), 5), (math.log(2.5), 7),
                            (math.log(3.0), 9)))
-        def point(z):  # one eval_deriv call on all entries
-            return f.eval_deriv(z)[deriv]
-        methods = [point]
-        if not deriv:
-            methods.append(f.eval_native)
         rng = np.random.default_rng(31)
         for _ in range(40):
             z = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
             z = np.where(rng.random(shape) < 0.2, complex(-0.0, -0.0), z)
-            want = _term_loop_native(f, z, deriv)
-            for method in methods:
-                got = method(z)
-                assert np.shape(got) == np.shape(want) == shape
-                assert np.array_equal(_bits(got), _bits(want))
+            want = _term_loop_native(f, z)
+            got = f.eval_native(z)
+            assert np.shape(got) == np.shape(want) == shape
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_linear_term_derivative_at_zero(self):
-        # the N = 1 term contributes exactly 1 / r, with no 0 * -inf
+        # at zero of either sign f is 0 and the N = 1 term of f' is 1 / r,
+        # with no exception from log 0 or 0 * -inf
         f = ShearFunction(((math.log(2.0), 1), (math.log(3.0), 4)))
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            _, got = f.eval_deriv([0j, complex(-0.0, 0.0)])
-        want = np.exp([-math.log(2.0)] * 2).astype(np.complex128)
-        assert np.array_equal(_bits(got), _bits(want))
+        for z in (0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 0.0):
+            value, slope = f.value_and_slope(z)
+            assert _bits([value, slope]).tolist() == _bits(
+                [0j, math.exp(-math.log(2.0))]).tolist()
 
     def test_term_past_float_range_not_finite(self):
         # round 1's phi of the dim-3 desk push-out at z = 100 is about
@@ -350,7 +353,7 @@ class TestShearFunction:
         # modulus as it is
         f = ShearFunction(((0.0, 1), (0.0, 2)))
         z = 1e-322
-        (value,), _ = f.eval_deriv([z])
+        value, _ = f.value_and_slope(z)
         assert f.eval_native(z) == value == z
 
     def test_exponent_order_enforced(self):
@@ -363,8 +366,23 @@ class TestShearFunction:
         # f = (z/2)^3: f'(z) = 3 z^2 / 8
         f = ShearFunction(((math.log(2.0), 3),))
         z = 1.5 + 0.5j
-        _, (df,) = f.eval_deriv([z])
+        _, df = f.value_and_slope(z)
         assert df == pytest.approx(3 * z ** 2 / 8, rel=1e-12)
+
+    def test_value_and_slope_pinned(self):
+        # five terms of comparable size, so that the order of the sums moves
+        # the last bits; the scalar step is pure-Python math, so (f, f') is
+        # pinned bit for bit, on the negative real axis too
+        f = ShearFunction(((-0.4, 1), (0.35, 3), (0.1, 3), (0.6, 7),
+                           (0.9, 12)))
+        for z, want in [
+                (2.35 + 0.73j, (8.473057939875101 + 20.43671328941311j,
+                                7.529573604771669 + 33.04960988372133j)),
+                (-2.85 + 0.12j, (-46.237772929401416 + 7.192664939488084j,
+                                 60.4953095039587 - 5.243237673776475j)),
+                (-2.5 + 0j, (-28.709292360666907 + 1.2777462863587751e-14j,
+                             41.734360870363325 + 4.7572874341196976e-15j))]:
+            assert f.value_and_slope(z) == want, z
 
 
 class TestShearMap:
@@ -505,10 +523,6 @@ class TestShearMap:
             det = np.linalg.det(jac)
             assert det == pytest.approx(1.0, rel=1e-14)
 
-    # terms past exp's overflow read inf or NaN, as numpy warns
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered in exp:RuntimeWarning",
-        "ignore:invalid value encountered in multiply:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["phi", "psi"]), st.sampled_from([2, 3, 5]),
            shear_terms, st.lists(coordinates, min_size=5, max_size=5),
@@ -521,21 +535,51 @@ class TestShearMap:
              [1.0, 1e3 + 1e3j, complex(0.0, -0.0), 0j, 0j], 4, 1)
     def test_tangent_step_equals_array_step(self, kind, dim, terms, coords,
                                             columns, seed):
-        # the single-point step gives the term-broadcast step's bits: the
-        # image point and one tangent vector or the columns of a (dim, c)
-        # array
+        # the image point and one tangent vector, or the columns of a (dim,
+        # c) array, against z_dst + f(z_src) and t_dst + f'(z_src) t_src in
+        # 60 digits at the float inputs.  A term rounds N (log|z| - log r)
+        # and N arg z once, which exp and rect turn into a relative error
+        # below 2^-52 (N (2 |log|z|| + 10) + 6) for |log r| <= 3; the sums
+        # and the product add a few ulps of the sum of the moduli, for which
+        # the bound allows 10 more (the error stayed under a third of the
+        # bound on 2,000 random draws).  A step with a term past float range
+        # raises instead.
         m = ShearMap(kind, dim, ShearFunction(terms))
         vec = coords[:dim]
         rng = np.random.default_rng(seed)
         shape = (dim, columns) if columns else (dim,)
         tan = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        oracle = {s: _oracle_value_and_slope(terms, vec[s])
+                  for s, _ in m._pairs}
+        top = max(o[-1] for o in oracle.values())
+        assume(not 1e305 < top < 1e309)  # a term at the edge of float range
+        if top >= 1e309:
+            with pytest.raises(OverflowError, match="escaped"):
+                m.tangent_step(vec, tan)
+            return
         got_vec, got_tan = m.tangent_step(vec, tan)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want_vec, want_tan = _array_tangent_step(m, vec, tan)
-        assert type(got_vec) is list and len(got_vec) == dim
-        assert np.array_equal(_bits(got_vec), _bits(want_vec))
-        assert got_tan.shape == shape
-        assert np.array_equal(_bits(got_tan), _bits(want_tan))
+        assert type(got_vec) is list and got_tan.shape == shape
+        n_top = max((N for _, N in terms), default=0)
+        rows, got_rows = tan.reshape(dim, -1), got_tan.reshape(dim, -1)
+        for s, d in m._pairs:
+            f, df, f_mod, df_mod, _ = oracle[s]
+            lz = abs(math.log(abs(vec[s]))) if vec[s] else 0.0
+            rel = 2.0 ** -52 * (n_top * (2 * lz + 10) + 16)
+            with decimal.localcontext(_ORACLE):
+                want = [w + v for w, v in zip(_decimal_complex(vec[d]), f)]
+            assert _decimal_error(got_vec[d], want) <= rel * (
+                abs(vec[d]) + float(f_mod)) + 1e-300, (s, d)
+            for t_src, t_dst, got in zip(rows[s].tolist(), rows[d].tolist(),
+                                         got_rows[d].tolist()):
+                (a, b), (c, e) = map(_decimal_complex, (t_src, t_dst))
+                with decimal.localcontext(_ORACLE):
+                    want = (c + df[0] * a - df[1] * b,
+                            e + df[0] * b + df[1] * a)
+                assert _decimal_error(got, want) <= rel * (
+                    abs(t_dst) + float(df_mod) * abs(t_src)) + 1e-300, (s, d)
+        unmoved = sorted(set(range(dim)) - {d for _, d in m._pairs})
+        assert [got_vec[j] for j in unmoved] == [vec[j] for j in unmoved]
+        assert np.array_equal(got_rows[unmoved], rows[unmoved])
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_tangent_step_columns_equal_single_vectors(self, kind):
@@ -1006,6 +1050,32 @@ class TestPullback:
             maps = state_from_dict(docs[turn % 2]).theta_maps()
             got = [pullback_eval(maps, p, v) for p, v in inputs]
             assert np.array_equal(_bits(got), want[turn % 2])
+
+    def test_matches_central_difference_at_the_image(self):
+        # round 1 moves x from |x| = 1.6..3 to about 1e11..1e98, so alpha0
+        # = dz + x dy read at p instead of at Phi(p) would be off by about
+        # 100 %: the pullback against alpha0 at Phi(p) of a central
+        # difference of Phi along v, with Phi from apply_native
+        maps = build_pushout(desk_schedule(3, 6), 3, 1).theta_maps()
+
+        def phi(vec):
+            for m in maps:
+                vec = m.apply_native(vec)
+            return vec
+        rng = np.random.default_rng(67)
+        for x in (1.6, 2.0, 2.5, 3.0):
+            flat = [x, 0.0, 0.0] * np.exp(1j * rng.uniform(-0.3, 0.3, 3))
+            flat += 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            got = pullback_eval(maps, ContactPoint.from_flat(flat.tolist()),
+                                TangentVector.from_flat(v.tolist()))
+            h = 1e-6 * x
+            dv = (phi(flat + h * v) - phi(flat - h * v)) / (2 * h)
+            image = phi(flat)
+            assert abs(image[0] - flat[0]) > 1e3
+            want = alpha0_eval(ContactPoint.from_flat(image.tolist()),
+                               TangentVector.from_flat(dv.tolist()))
+            assert abs(got - want) <= 1e-6 * abs(want), x
 
     def test_escaped_point_raises(self):
         # round 1 maps (20, 0, 0) past float range: the point reads
