@@ -25,8 +25,10 @@ A shear function is evaluated on three paths.  The first two carry
 points at any magnitude in log-polar form, the log-moduli and the phases
 of their coordinates.  They read complex coordinates by one rule
 (``_point_arrays``) and sum by one rule (``scaled_sum_arrays``, with
-``polar_sum`` as its one-point form), one sum per destination coordinate
-over z_dst and the terms of f(z_src), in that order:
+``polar_sum`` as its one-point form, which rounds by libm where the batch
+rounds by numpy, so the two may differ in the last bit), one sum per
+destination coordinate over z_dst and the terms of f(z_src), in that
+order:
 
 * single points (``apply_scaled``), two float lists each, read as column 0
   of a one-point ``_point_arrays`` batch and walked through the rounds by

@@ -10,9 +10,12 @@ Two representations carry the whole package:
   lists and whose rows each hold one coordinate of every point.  The one
   operation is the sum: ``scaled_sum_arrays`` over the rows (axis 0) of
   arrays, and ``polar_sum`` over one list in Python floats, by the same
-  rules.  Each factors out the largest summand, so no step overflows.  A
-  shear step is one such sum per coordinate it moves, over that coordinate
-  and the terms of the shear function.
+  rules but not the same roundings: the batch takes numpy's exp, abs and
+  angle, whose loops numpy picks by CPU features, and the single path
+  libm's exp, cos, sin, hypot (``abs``) and atan2, so the two may differ
+  in the last bit.  Each factors out the largest summand, so no step
+  overflows.  A shear step is one such sum per coordinate it moves, over
+  that coordinate and the terms of the shear function.
 
 * ``CPolynomial`` -- a dense complex polynomial with exact rational
   coefficients, stored fraction-free: Python int (re, im) numerator pairs
@@ -128,6 +131,14 @@ def scaled_sum_arrays(log_mags: np.ndarray, phases: np.ndarray):
     A sum with a +inf log-magnitude summand is +inf with the phase of the
     first such summand.  A NaN log-magnitude, or a NaN phase on a summand
     that does not underflow, makes the sum's log-magnitude NaN.
+
+    The modulus is ``np.abs`` of the complex128 total, not ``np.hypot``
+    (the intake's): on a 2-vCPU AVX-512 Xeon with numpy 2.4, ``np.abs``
+    differs from ``abs()`` of a Python complex (libm's hypot) in the last
+    bit on 34 % of 200,000 values, ``np.exp`` from ``math.exp`` on 4.7 %,
+    ``np.arctan2`` from ``math.atan2`` on 7.7 % and ``np.log`` from
+    ``math.log`` on one value, so a column may differ from ``polar_sum``
+    of the same summands by an ulp.
     """
     log_mags = np.asarray(log_mags, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -173,7 +184,10 @@ def polar_sum(log_mags: list, phases: list) -> tuple[float, float]:
     and the rest are added in order.  A +inf summand makes the sum +inf
     with the phase of the first one, a NaN log-modulus propagates, and a
     sum of zeros only is (-inf, 0.0).  For the few summands of a single
-    point this costs far less than a one-column array.
+    point this costs far less than a one-column array.  The roundings are
+    libm's (``math.exp``, ``math.cos``, ``math.sin``, ``abs`` and
+    ``math.atan2``), not numpy's, so a result may differ from the batch's
+    in the last bit (see ``scaled_sum_arrays``).
     """
     hi = max(log_mags)
     if math.isinf(hi) and not any(lm != lm for lm in log_mags):

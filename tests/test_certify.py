@@ -29,7 +29,6 @@ from contactfb.certify import (
     verify_disk_estimate,
 )
 from contactfb.contact import ContactPoint, TangentVector, legendrian_from_xy
-from contactfb.experiment import ConfigError, validate_config
 from contactfb.kobayashi import directed_norm_lower
 from contactfb.numeric import CPolynomial
 from contactfb.shells import ShellBand, ShellUnion, standard_obstacle
@@ -105,7 +104,9 @@ class TestKernelSource:
 
 
 class TestLemmaGate:
-    """Every caller of ``lemma_certificate`` refuses with its reason."""
+    """Every caller of ``lemma_certificate`` refuses with its reason;
+    ``validate_config`` names the field in ``tests/test_cli.py``'s
+    ``test_bad_field_named`` (its i_max and lemma_n0 rows)."""
 
     @pytest.mark.parametrize("K, N0, reason", [
         (standard_obstacle(1, 4), 0, "N0 = 0 is below 1"),
@@ -134,18 +135,6 @@ class TestLemmaGate:
         with pytest.raises(LemmaRefusal) as err:
             lemma_certificate(N0, p.n, K)
         assert str(err.value) == SCOPE + reason
-
-    @pytest.mark.parametrize("doc, named", [
-        ({"i_max": 1}, "i_max: " + SCOPE + "N0 = 1 is not below i_max = 1"),
-        ({"i_max": 3, "lemma_n0": [1, 3]},
-         "lemma_n0: " + SCOPE + "N0 = 3 is not below i_max = 3"),
-    ], ids=["i_max", "lemma_n0"])
-    def test_validate_config(self, tmp_path, doc, named):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError) as err:
-            validate_config(str(cfg))
-        assert str(err.value) == named
 
 
 class TestBoundaries:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from contactfb.contact import TangentVector, legendrian_from_xy
 from contactfb.numeric import CPolynomial, NEG_INF
 from contactfb.certify import (
-    AvoidanceCheck,
     BoundCertificate,
     certify_avoidance,
     verify_disk_estimate,
